@@ -1,10 +1,24 @@
 //! Bit-level determinism of the whole stack: identical seeds must give
 //! identical runs, different seeds must not.
 
-use spyker_repro::core::config::RecoveryConfig;
+use spyker_repro::baselines::deploy::fedasync_deployment;
+use spyker_repro::baselines::fedasync::{FedAsyncConfig, FedAsyncServer};
+use spyker_repro::core::agg::AggregationStrategy;
+use spyker_repro::core::cluster::{
+    ClusterTrainer, ClusteredFlClient, ClusteredSpykerServer, MeanTargetClusterTrainer,
+};
+use spyker_repro::core::config::{RecoveryConfig, SpykerConfig};
+use spyker_repro::core::deploy::{sync_spyker_deployment, SpykerDeploymentSpec};
+use spyker_repro::core::msg::FlMsg;
+use spyker_repro::core::params::ParamVec;
+use spyker_repro::core::sync_spyker::SyncSpykerServer;
+use spyker_repro::core::training::{LocalTrainer, MeanTargetTrainer};
+use spyker_repro::core::update_codec::CodecConfig;
 use spyker_repro::experiments::runner::default_spyker_config;
 use spyker_repro::experiments::{run_algorithm, Algorithm, RunOptions, Scenario};
-use spyker_repro::simnet::{FaultPlan, SimTime};
+use spyker_repro::simnet::{
+    ByzantineAttack, FaultPlan, NetworkConfig, Region, SimTime, Simulation,
+};
 
 fn opts() -> RunOptions {
     RunOptions::standard().with_max_time(SimTime::from_secs(12))
@@ -104,4 +118,214 @@ fn scenario_construction_is_pure() {
     let b = Scenario::mnist(10, 2, 42);
     assert_eq!(a.delays(), b.delays());
     assert_eq!(a.init_params().as_slice(), b.init_params().as_slice());
+}
+
+// ---- End-state fingerprints of the per-update servers the golden -----
+// ---- traces do not cover (Sync-Spyker, FedAsync, Clustered Spyker) ---
+//
+// Each run is short, seeded and built from the analytic mean-target
+// trainer, so the final model bits are a pure function of the protocol
+// code. The pinned values were recorded before the servers moved onto
+// the shared `core::ingest` path; a change here means the refactor (or
+// any later edit) altered floating-point operation order, the reply
+// sequence or the rejection accounting of one of these servers.
+
+/// FNV-1a over the final model bits of every server plus the two
+/// counters that summarise the ingest path's decisions.
+fn end_state_fingerprint(models: &[&ParamVec], sim: &Simulation<FlMsg>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for model in models {
+        for v in model.as_slice() {
+            eat(&v.to_bits().to_le_bytes());
+        }
+    }
+    eat(&sim.metrics().counter("updates.processed").to_le_bytes());
+    eat(&sim.metrics().counter("agg.rejected").to_le_bytes());
+    h
+}
+
+const PIN_DIM: usize = 32;
+
+fn mean_target_trainers(n: usize) -> Vec<Box<dyn LocalTrainer>> {
+    (0..n)
+        .map(|i| {
+            let target = (0..PIN_DIM)
+                .map(|d| (i * PIN_DIM + d) as f32 * 0.01)
+                .collect();
+            Box::new(MeanTargetTrainer::new(target, 8 + i)) as Box<dyn LocalTrainer>
+        })
+        .collect()
+}
+
+/// Per-client training delays spread enough that updates arrive with
+/// non-trivial staleness and the decay schedule kicks in.
+fn pin_delays(n: usize) -> Vec<SimTime> {
+    (0..n)
+        .map(|i| SimTime::from_millis(60 + 35 * i as u64))
+        .collect()
+}
+
+fn sync_spyker_fingerprint(codec: Option<CodecConfig>) -> u64 {
+    let n = 6;
+    let mut config = SpykerConfig::paper_defaults(n, 2);
+    config.codec = codec;
+    let mut sim = sync_spyker_deployment(
+        NetworkConfig::aws(),
+        41,
+        SimTime::from_millis(500),
+        SpykerDeploymentSpec {
+            config,
+            trainers: mean_target_trainers(n),
+            num_servers: 2,
+            init_params: ParamVec::zeros(PIN_DIM),
+            train_delay: pin_delays(n),
+        },
+    );
+    sim.run(SimTime::from_secs(8));
+    assert!(sim.metrics().counter("updates.processed") > 50);
+    assert!(sim.metrics().counter("syncs.triggered") > 5);
+    if codec.is_some() {
+        assert!(sim.metrics().counter("codec.decoded") > 50);
+    }
+    let models: Vec<&ParamVec> = (0..2)
+        .map(|id| {
+            sim.node(id)
+                .as_any()
+                .downcast_ref::<SyncSpykerServer>()
+                .expect("Sync-Spyker server")
+                .params()
+        })
+        .collect();
+    end_state_fingerprint(&models, &sim)
+}
+
+fn fedasync_fingerprint(aggregation: AggregationStrategy) -> u64 {
+    let n = 6;
+    // Client node 3 NaN-injects half its coordinates: the pinned
+    // `agg.rejected` is non-zero and the reject-and-reply path runs.
+    let plan = FaultPlan::none().byzantine(3, ByzantineAttack::NanInject { prob: 0.5 });
+    let mut sim = fedasync_deployment(
+        NetworkConfig::aws(),
+        43,
+        FedAsyncConfig::paper_defaults()
+            .with_client_lr(0.5)
+            .with_aggregation(aggregation),
+        mean_target_trainers(n),
+        ParamVec::zeros(PIN_DIM),
+        pin_delays(n),
+        1,
+    )
+    .with_faults(plan);
+    sim.run(SimTime::from_secs(8));
+    assert!(sim.metrics().counter("updates.processed") > 50);
+    assert!(sim.metrics().counter("agg.rejected") > 5);
+    let server = sim
+        .node(0)
+        .as_any()
+        .downcast_ref::<FedAsyncServer>()
+        .expect("FedAsync server");
+    end_state_fingerprint(&[server.params()], &sim)
+}
+
+fn clustered_spyker_fingerprint() -> u64 {
+    let n_clients = 8;
+    let cfg = SpykerConfig::paper_defaults(n_clients, 2);
+    let inits = vec![
+        ParamVec::from_vec(vec![0.05, -0.05]),
+        ParamVec::from_vec(vec![-0.05, 0.05]),
+    ];
+    // Client node 4 NaN-injects every upload (gate + offer reply).
+    let plan = FaultPlan::none().byzantine(4, ByzantineAttack::NanInject { prob: 1.0 });
+    let mut sim = Simulation::new(NetworkConfig::aws(), 47).with_faults(plan);
+    for s in 0..2usize {
+        let clients = (0..n_clients)
+            .filter(|i| i % 2 == s)
+            .map(|i| 2 + i)
+            .collect();
+        sim.add_node(
+            Box::new(ClusteredSpykerServer::new(
+                s,
+                vec![0, 1],
+                clients,
+                inits.clone(),
+                cfg.clone(),
+                SimTime::from_millis(500),
+            )),
+            Region::ALL[s],
+        );
+    }
+    for i in 0..n_clients {
+        let t = if i % 4 < 2 { 1.0 } else { -1.0 };
+        let trainer: Box<dyn ClusterTrainer> =
+            Box::new(MeanTargetClusterTrainer::new(vec![t, t], 8));
+        sim.add_node(
+            Box::new(ClusteredFlClient::new(
+                i % 2,
+                trainer,
+                1,
+                SimTime::from_millis(120 + 20 * i as u64),
+            )),
+            Region::ALL[i % 2],
+        );
+    }
+    sim.run(SimTime::from_secs(8));
+    assert!(sim.metrics().counter("updates.processed") > 50);
+    assert!(sim.metrics().counter("agg.rejected") > 5);
+    let models: Vec<&ParamVec> = (0..2)
+        .flat_map(|id| {
+            sim.node(id)
+                .as_any()
+                .downcast_ref::<ClusteredSpykerServer>()
+                .expect("clustered server")
+                .centers()
+                .centers()
+        })
+        .collect();
+    end_state_fingerprint(&models, &sim)
+}
+
+#[test]
+fn non_spyker_servers_reproduce_their_pinned_end_states() {
+    let codec = CodecConfig::parse("delta,topk=0.25,q8").expect("valid spec");
+    let trimmed = AggregationStrategy::TrimmedMean {
+        batch: 4,
+        trim_ratio: 0.25,
+    };
+    let got = [
+        ("sync-spyker dense", sync_spyker_fingerprint(None)),
+        (
+            "sync-spyker delta,topk,q8",
+            sync_spyker_fingerprint(Some(codec)),
+        ),
+        (
+            "fedasync mean",
+            fedasync_fingerprint(AggregationStrategy::Mean),
+        ),
+        ("fedasync trimmed-mean", fedasync_fingerprint(trimmed)),
+        ("clustered spyker k=2", clustered_spyker_fingerprint()),
+    ];
+    let pinned: [u64; 5] = [
+        0x168d_e7fa_7ed5_c092,
+        0x91f2_1aaa_3fd6_ac92,
+        0x5c7f_8afe_7f01_a713,
+        0x976b_23a4_01a8_c6db,
+        0xe774_387b_af2d_f7d4,
+    ];
+    let drifted: Vec<String> = got
+        .iter()
+        .zip(pinned)
+        .filter(|((_, fp), want)| fp != want)
+        .map(|((name, fp), want)| format!("{name}: got {fp:#018x}, pinned {want:#018x}"))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "end state drifted:\n{}",
+        drifted.join("\n")
+    );
 }
