@@ -13,26 +13,32 @@ use spyker_core::deploy::{clients_of_servers, even_assignment, server_region};
 use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
 use spyker_core::training::LocalTrainer;
-use spyker_simnet::{NetworkConfig, Region, SimTime, Simulation};
+use spyker_simnet::{NetworkConfig, Node, Region, SimTime, Simulation};
 
 use crate::fedasync::{FedAsyncConfig, FedAsyncServer};
 use crate::fedavg::{FedAvgConfig, FedAvgServer};
 use crate::hierfavg::{CloudServer, EdgeServer, HierFavgConfig};
 
-fn add_distributed_clients(
-    sim: &mut Simulation<FlMsg>,
-    server: usize,
+/// The single-server layout: `server` at node 0 in the first region, its
+/// clients on ids `1..=n` spread round-robin over all four regions.
+fn single_server_deployment(
+    net: NetworkConfig,
+    seed: u64,
+    server: impl Node<FlMsg> + 'static,
     trainers: Vec<Box<dyn LocalTrainer>>,
-    train_delay: &[SimTime],
+    train_delay: Vec<SimTime>,
     epochs: usize,
-) {
+) -> Simulation<FlMsg> {
     assert_eq!(trainers.len(), train_delay.len(), "one delay per trainer");
+    let mut sim = Simulation::new(net, seed);
+    sim.add_node(Box::new(server), Region::ALL[0]);
     for (i, trainer) in trainers.into_iter().enumerate() {
         sim.add_node(
-            Box::new(FlClient::new(server, trainer, epochs, train_delay[i])),
+            Box::new(FlClient::new(0, trainer, epochs, train_delay[i])),
             Region::ALL[i % 4],
         );
     }
+    sim
 }
 
 /// Builds a FedAvg deployment: server at node 0 (first region), clients
@@ -50,14 +56,8 @@ pub fn fedavg_deployment(
     train_delay: Vec<SimTime>,
     epochs: usize,
 ) -> Simulation<FlMsg> {
-    let mut sim = Simulation::new(net, seed);
-    let clients: Vec<usize> = (1..=trainers.len()).collect();
-    sim.add_node(
-        Box::new(FedAvgServer::new(clients, init_params, cfg)),
-        Region::ALL[0],
-    );
-    add_distributed_clients(&mut sim, 0, trainers, &train_delay, epochs);
-    sim
+    let server = FedAvgServer::new((1..=trainers.len()).collect(), init_params, cfg);
+    single_server_deployment(net, seed, server, trainers, train_delay, epochs)
 }
 
 /// Builds a FedAsync deployment: server at node 0 (first region), clients
@@ -75,14 +75,8 @@ pub fn fedasync_deployment(
     train_delay: Vec<SimTime>,
     epochs: usize,
 ) -> Simulation<FlMsg> {
-    let mut sim = Simulation::new(net, seed);
-    let clients: Vec<usize> = (1..=trainers.len()).collect();
-    sim.add_node(
-        Box::new(FedAsyncServer::new(clients, init_params, cfg)),
-        Region::ALL[0],
-    );
-    add_distributed_clients(&mut sim, 0, trainers, &train_delay, epochs);
-    sim
+    let server = FedAsyncServer::new((1..=trainers.len()).collect(), init_params, cfg);
+    single_server_deployment(net, seed, server, trainers, train_delay, epochs)
 }
 
 /// Builds a HierFAVG deployment: cloud at node 0 (first region), edges at

@@ -2,9 +2,12 @@
 
 use std::any::Any;
 
-use spyker_core::agg::{validate_update, AggregationStrategy, RobustBuffer, ValidationConfig};
+use spyker_core::agg::{AggregationStrategy, ValidationConfig};
+use spyker_core::decay::DecayConfig;
+use spyker_core::ingest::UpdateIngest;
 use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
+use spyker_core::staleness::ClientStaleness;
 use spyker_simnet::{Env, Node, NodeId, SimTime};
 
 /// FedAsync configuration.
@@ -67,13 +70,13 @@ impl FedAsyncConfig {
 /// model goes straight back to the client, so clients never idle — but a
 /// single busy server can queue up (paper Fig. 9).
 pub struct FedAsyncServer {
-    clients: Vec<NodeId>,
+    /// The per-update path shared with the Spyker servers (gate, robust
+    /// buffer, reply), at a fixed client learning rate.
+    ingest: UpdateIngest,
     params: ParamVec,
     cfg: FedAsyncConfig,
-    version: u64,
-    /// Robust-aggregation buffer; `None` for the algorithm-native mean.
-    robust: Option<RobustBuffer>,
-    rejected_updates: u64,
+    /// The global model version `t` as the age the protocol carries.
+    version: f64,
 }
 
 impl FedAsyncServer {
@@ -84,14 +87,18 @@ impl FedAsyncServer {
     /// Panics if `clients` is empty.
     pub fn new(clients: Vec<NodeId>, init_params: ParamVec, cfg: FedAsyncConfig) -> Self {
         assert!(!clients.is_empty(), "need at least one client");
-        let robust = RobustBuffer::from_strategy(cfg.aggregation);
         Self {
-            clients,
+            ingest: UpdateIngest::new(
+                clients,
+                DecayConfig::scaled(cfg.client_lr).disabled(),
+                ClientStaleness::Polynomial { alpha: cfg.alpha },
+                cfg.eta,
+                cfg.validation,
+                cfg.aggregation,
+            ),
             params: init_params,
             cfg,
-            version: 0,
-            robust,
-            rejected_updates: 0,
+            version: 0.0,
         }
     }
 
@@ -102,91 +109,47 @@ impl FedAsyncServer {
 
     /// Number of updates integrated (the global model version `t`).
     pub fn version(&self) -> u64 {
-        self.version
+        self.ingest.processed()
     }
 
     /// Updates rejected by the validation gate.
     pub fn rejected_updates(&self) -> u64 {
-        self.rejected_updates
+        self.ingest.rejected()
     }
 }
 
 impl Node<FlMsg> for FedAsyncServer {
     fn on_start(&mut self, env: &mut dyn Env<FlMsg>) {
-        for &client in &self.clients {
-            env.send(
-                client,
-                FlMsg::ModelToClient {
-                    params: self.params.clone(),
-                    age: self.version as f64,
-                    lr: self.cfg.client_lr,
-                },
-            );
-        }
+        self.ingest.broadcast(env, &self.params, self.version);
     }
 
     fn on_message(&mut self, env: &mut dyn Env<FlMsg>, from: NodeId, msg: FlMsg) {
-        let FlMsg::ClientUpdate { params, age, .. } = msg else {
-            debug_assert!(false, "unexpected message {msg:?}");
-            return;
-        };
-        env.span_enter("server.aggregate");
-        env.busy(self.cfg.agg_cost);
-        // Validation gate (see `spyker_core::agg`): rejected updates never
-        // touch the model, but the client still gets the current model back.
-        if let Err(reason) = validate_update(
-            &self.cfg.validation,
-            &self.params,
-            &params,
-            self.version as f64,
-            age,
-        ) {
-            self.rejected_updates += 1;
-            env.add_counter("agg.rejected", 1);
-            env.add_counter(reason.counter(), 1);
-            env.send(
-                from,
-                FlMsg::ModelToClient {
-                    params: self.params.clone(),
-                    age: self.version as f64,
-                    lr: self.cfg.client_lr,
-                },
-            );
-            env.span_exit("server.aggregate");
-            return;
-        }
-        env.observe("agg.staleness", self.version as f64 - age);
-        let tau = (self.version as f64 - age).max(0.0) as f32;
-        let s = (1.0 + tau).powf(-self.cfg.alpha);
-        if let Some(buf) = &mut self.robust {
-            // Robust path: batch staleness-weighted deltas and fold one
-            // robust estimate per batch (mirrors the Spyker server).
-            let mut delta = params;
-            delta.axpy(-1.0, &self.params);
-            buf.push(delta, s);
-            if buf.is_ready() {
-                let n = buf.len();
-                let (estimate, mean_s) = buf.flush();
-                // Compounded step: one batch step integrates as much as the
-                // `n` sequential lerps the Mean path would have applied.
-                let step = spyker_core::agg::compounded_step(self.cfg.eta * mean_s, n);
-                self.params.axpy(step, &estimate);
-                env.add_counter("agg.robust.flushes", 1);
+        match msg {
+            FlMsg::ClientUpdate { params, age, .. } => {
+                let Some(k) = self.ingest.lookup(from) else {
+                    env.add_counter("net.unexpected", 1);
+                    return;
+                };
+                env.span_enter("server.aggregate");
+                env.busy(self.cfg.agg_cost);
+                self.ingest.client_update(
+                    env,
+                    &mut self.params,
+                    &mut self.version,
+                    k,
+                    &params,
+                    age,
+                    true,
+                );
+                env.span_exit("server.aggregate");
             }
-        } else {
-            self.params.lerp_toward(&params, self.cfg.eta * s);
+            // A returning client (restart, availability window closing)
+            // knocks to re-enter the training loop.
+            FlMsg::ClientHello => self.ingest.hello(env, from, &self.params, self.version),
+            // Reachable from network bytes on the TCP transport: count and
+            // drop rather than assert (DESIGN.md §13).
+            _ => env.add_counter("net.unexpected", 1),
         }
-        self.version += 1;
-        env.add_counter("updates.processed", 1);
-        env.send(
-            from,
-            FlMsg::ModelToClient {
-                params: self.params.clone(),
-                age: self.version as f64,
-                lr: self.cfg.client_lr,
-            },
-        );
-        env.span_exit("server.aggregate");
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -350,17 +313,13 @@ mod tests {
 
     #[test]
     fn staler_updates_move_the_model_less() {
-        // Directly exercise the weighting: version 10 vs update age 0.
-        let mut fresh = FedAsyncServer::new(
-            vec![1],
-            ParamVec::zeros(1),
-            FedAsyncConfig::paper_defaults(),
-        );
-        fresh.version = 10;
-        let tau = (fresh.version as f64 - 0.0) as f32;
-        let s_stale = (1.0 + tau).powf(-fresh.cfg.alpha);
-        let s_fresh = (1.0f32).powf(-fresh.cfg.alpha);
+        // The server's staleness policy is Eq. 3's polynomial: version 10
+        // vs update age 0 weighs (1 + 10)^(-α), a fresh update weighs 1.
+        let alpha = FedAsyncConfig::paper_defaults().alpha;
+        let policy = ClientStaleness::Polynomial { alpha };
+        let (s_stale, s_fresh) = (policy.weight(10.0, 0.0), policy.weight(10.0, 10.0));
         assert!(s_stale < s_fresh);
+        assert_eq!(s_fresh, 1.0);
         assert!((s_stale - (11.0f32).powf(-0.5)).abs() < 1e-6);
     }
 }

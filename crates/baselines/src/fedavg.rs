@@ -191,11 +191,14 @@ impl Node<FlMsg> for FedAvgServer {
             num_samples,
         } = msg
         else {
-            debug_assert!(false, "unexpected message {msg:?}");
+            // Reachable from network bytes on the TCP transport (and from a
+            // restarted client's `ClientHello`): count and drop rather
+            // than assert (DESIGN.md §13).
+            env.add_counter("net.unexpected", 1);
             return;
         };
         if !self.selected.contains(&from) {
-            debug_assert!(false, "update from unselected client {from}");
+            env.add_counter("net.unexpected", 1);
             return;
         }
         // Validation gate: a rejected update still counts toward round

@@ -294,30 +294,18 @@ impl RobustBuffer {
         self.weights.push(weight);
     }
 
-    /// `true` once `batch` deltas are buffered and [`RobustBuffer::flush`]
-    /// should run.
+    /// `true` once `batch` deltas are buffered and
+    /// [`RobustBuffer::flush_into`] should run.
     pub fn is_ready(&self) -> bool {
         self.deltas.len() >= self.batch
     }
 
-    /// Combines the buffered deltas into one robust estimate and the mean
-    /// of their aggregation weights, clearing the buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is empty.
-    pub fn flush(&mut self) -> (ParamVec, f32) {
-        let mut out = ParamVec::zeros(0);
-        let mean_w = self.flush_into(&mut out);
-        (out, mean_w)
-    }
-
-    /// Allocation-free [`flush`](Self::flush): writes the robust estimate
-    /// into `out` (resized to the delta dimension) and returns the mean
-    /// aggregation weight. The flushed deltas' storage is recycled for
-    /// future [`take_delta`](Self::take_delta) calls, so a server that
-    /// builds deltas from recycled buffers flushes with zero steady-state
-    /// heap traffic.
+    /// Combines the buffered deltas into one robust estimate, written into
+    /// `out` (resized to the delta dimension), and returns the mean of
+    /// their aggregation weights, clearing the buffer. The flushed deltas'
+    /// storage is recycled for future [`take_delta`](Self::take_delta)
+    /// calls, so a server that builds deltas from recycled buffers and
+    /// reuses `out` flushes with zero steady-state heap traffic.
     ///
     /// # Panics
     ///
@@ -430,6 +418,12 @@ mod tests {
         ParamVec::from_vec(v.to_vec())
     }
 
+    fn flush(buf: &mut RobustBuffer) -> (ParamVec, f32) {
+        let mut out = ParamVec::zeros(0);
+        let mean_w = buf.flush_into(&mut out);
+        (out, mean_w)
+    }
+
     #[test]
     fn default_strategy_is_paper_exact_mean_with_no_buffer() {
         assert_eq!(AggregationStrategy::default(), AggregationStrategy::Mean);
@@ -450,7 +444,7 @@ mod tests {
         // The attacker's flipped, boosted delta.
         buf.push(pv(&[-50.0, 50.0]), 1.0);
         assert!(buf.is_ready());
-        let (est, w) = buf.flush();
+        let (est, w) = flush(&mut buf);
         assert_eq!(est.as_slice(), &[1.0, -1.0]);
         assert_eq!(w, 1.0);
         assert!(buf.is_empty());
@@ -463,7 +457,7 @@ mod tests {
         buf.push(pv(&[1.0]), 1.0);
         buf.push(pv(&[3.0]), 1.0);
         buf.push(pv(&[f32::NAN]), 1.0);
-        let (est, _) = buf.flush();
+        let (est, _) = flush(&mut buf);
         assert_eq!(est.as_slice(), &[3.0]);
     }
 
@@ -476,7 +470,7 @@ mod tests {
         .unwrap();
         buf.push(pv(&[0.6, 0.8]), 1.0); // norm 1.0: untouched
         buf.push(pv(&[600.0, 800.0]), 1.0); // norm 1000: scaled to 1.0
-        let (est, _) = buf.flush();
+        let (est, _) = flush(&mut buf);
         assert!((est.as_slice()[0] - 0.6).abs() < 1e-6);
         assert!((est.as_slice()[1] - 0.8).abs() < 1e-6);
     }
@@ -487,7 +481,7 @@ mod tests {
             RobustBuffer::from_strategy(AggregationStrategy::Median { batch: 2 }).unwrap();
         buf.push(pv(&[0.0]), 0.2);
         buf.push(pv(&[0.0]), 0.6);
-        let (_, w) = buf.flush();
+        let (_, w) = flush(&mut buf);
         assert!((w - 0.4).abs() < 1e-6);
     }
 

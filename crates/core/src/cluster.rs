@@ -26,12 +26,11 @@
 //! with conflicting labels.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use spyker_simnet::{Env, Node, NodeId, SimTime};
 
 use crate::config::SpykerConfig;
-use crate::decay::UpdateCounts;
+use crate::ingest::UpdateIngest;
 use crate::membership::RingView;
 use crate::msg::FlMsg;
 use crate::params::ParamVec;
@@ -347,8 +346,9 @@ pub struct ClusteredSpykerServer {
     /// is counted and dropped instead of trusted.
     ring: RingView,
     me_idx: usize,
-    clients: Vec<NodeId>,
-    client_local_idx: HashMap<NodeId, usize>,
+    /// Client book, validation gate and update accounting shared with the
+    /// single-model servers; the per-center step stays [`KCenters::integrate`].
+    ingest: UpdateIngest,
     /// The center each local client last chose.
     assignment: Vec<usize>,
     centers: KCenters,
@@ -364,9 +364,6 @@ pub struct ClusteredSpykerServer {
     offer_ages: Vec<f64>,
     cfg: SpykerConfig,
     sync_period: SimTime,
-    counts: UpdateCounts,
-    client_lr: Vec<f32>,
-    processed_updates: u64,
 }
 
 impl ClusteredSpykerServer {
@@ -385,9 +382,6 @@ impl ClusteredSpykerServer {
     ) -> Self {
         assert!(me_idx < server_nodes.len(), "me_idx out of range");
         assert!(sync_period > SimTime::ZERO, "sync_period must be positive");
-        let client_local_idx = clients.iter().enumerate().map(|(k, &id)| (id, k)).collect();
-        let counts = UpdateCounts::new(clients.len());
-        let client_lr = vec![cfg.decay.eta_init; clients.len()];
         Self {
             assignment: vec![0; clients.len()],
             offer_centers: inits.clone(),
@@ -395,13 +389,9 @@ impl ClusteredSpykerServer {
             centers: KCenters::new(inits),
             ring: RingView::fixed(&server_nodes),
             me_idx,
-            client_local_idx,
-            counts,
-            client_lr,
+            ingest: UpdateIngest::from_config(clients, &cfg),
             cfg,
             sync_period,
-            clients,
-            processed_updates: 0,
         }
     }
 
@@ -417,16 +407,7 @@ impl ClusteredSpykerServer {
 
     /// Client updates integrated.
     pub fn processed_updates(&self) -> u64 {
-        self.processed_updates
-    }
-
-    fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let me = self.me_idx;
-        self.ring
-            .members
-            .iter()
-            .filter(move |m| m.slot != me)
-            .map(|m| m.node)
+        self.ingest.processed()
     }
 
     fn centers_msg(&self, lr: f32) -> FlMsg {
@@ -446,7 +427,7 @@ impl ClusteredSpykerServer {
 impl Node<FlMsg> for ClusteredSpykerServer {
     fn on_start(&mut self, env: &mut dyn Env<FlMsg>) {
         let msg = self.centers_msg(self.cfg.decay.eta_init);
-        for client in self.clients.clone() {
+        for &client in self.ingest.clients() {
             env.send(client, msg.clone());
         }
         // The timer drives the offer refresh even with a single server.
@@ -461,7 +442,7 @@ impl Node<FlMsg> for ClusteredSpykerServer {
                 center,
                 ..
             } => {
-                let Some(&k) = self.client_local_idx.get(&from) else {
+                let Some(k) = self.ingest.lookup(from) else {
                     // Reachable from network bytes on the TCP transport:
                     // count and drop rather than assert (DESIGN.md §13).
                     env.add_counter("net.unexpected", 1);
@@ -475,42 +456,19 @@ impl Node<FlMsg> for ClusteredSpykerServer {
                 }
                 env.span_enter("server.aggregate");
                 env.busy(self.cfg.agg_cost);
-                // Validation gate (see `crate::agg`): a poisoned update must
-                // not touch any center. The client still gets the offer back
-                // so its training loop keeps running.
-                if let Err(reason) = crate::agg::validate_update(
-                    &self.cfg.validation,
-                    &self.centers.centers()[center],
-                    &params,
-                    self.centers.ages()[center],
-                    age,
-                ) {
-                    env.add_counter("agg.rejected", 1);
-                    env.add_counter(reason.counter(), 1);
-                    let reply = self.centers_msg(self.client_lr[k]);
-                    env.send(from, reply);
-                    env.span_exit("server.aggregate");
-                    return;
+                // A poisoned update must not touch any center. The client
+                // still gets the offer back so its training loop keeps
+                // running.
+                let (current, model_age) =
+                    (self.centers.center(center), self.centers.ages()[center]);
+                if self.ingest.admit(env, current, model_age, &params, age) {
+                    self.assignment[k] = center;
+                    let (w, age_step) = self.ingest.weigh(k, model_age, age);
+                    self.centers
+                        .integrate(center, &params, self.cfg.server_lr * w, age_step);
+                    self.ingest.complete(env, k);
                 }
-                env.observe("agg.staleness", self.centers.ages()[center] - age);
-                self.assignment[k] = center;
-                let mut w = self.cfg.staleness.weight(self.centers.ages()[center], age);
-                if self.cfg.decay_weighted_aggregation && self.cfg.decay.eta_init > 0.0 {
-                    w *= self.client_lr[k] / self.cfg.decay.eta_init;
-                }
-                let age_delta = if self.cfg.fractional_age {
-                    f64::from(w.min(1.0))
-                } else {
-                    1.0
-                };
-                self.centers
-                    .integrate(center, &params, self.cfg.server_lr * w, age_delta);
-                let u_k = self.counts.record(k);
-                let lr = self.cfg.decay.decay(u_k, self.counts.mean());
-                self.client_lr[k] = lr;
-                self.processed_updates += 1;
-                env.add_counter("updates.processed", 1);
-                let reply = self.centers_msg(lr);
+                let reply = self.centers_msg(self.ingest.client_lr(k));
                 env.send(from, reply);
                 env.span_exit("server.aggregate");
             }
@@ -532,8 +490,7 @@ impl Node<FlMsg> for ClusteredSpykerServer {
                 // a non-finite peer center can be dropped outright.
                 if self.cfg.validation.reject_nonfinite && !(age.is_finite() && params.is_finite())
                 {
-                    env.add_counter("agg.rejected", 1);
-                    env.add_counter("agg.rejected.peer", 1);
+                    self.ingest.reject(env, "agg.rejected.peer");
                     return;
                 }
                 env.busy(self.cfg.agg_cost);
@@ -555,7 +512,7 @@ impl Node<FlMsg> for ClusteredSpykerServer {
         self.refresh_offer();
         let me = self.me_idx;
         if self.ring.len() > 1 {
-            for peer in self.peers().collect::<Vec<_>>() {
+            for peer in self.ring.peers_of(me) {
                 for (c, center) in self.centers.centers().iter().enumerate() {
                     env.send(
                         peer,
@@ -580,7 +537,7 @@ impl Node<FlMsg> for ClusteredSpykerServer {
         // discarded are re-poked with the current offer.
         env.add_counter("server.restarts", 1);
         let msg = self.centers_msg(self.cfg.decay.eta_init);
-        for client in self.clients.clone() {
+        for &client in self.ingest.clients() {
             env.send(client, msg.clone());
         }
         env.set_timer(self.sync_period, SYNC_TIMER);

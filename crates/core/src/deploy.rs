@@ -5,7 +5,7 @@
 //! regions, clients split (evenly or per an explicit assignment) among the
 //! servers and co-located with them.
 
-use spyker_simnet::{NetworkConfig, NodeId, Region, SimTime, Simulation};
+use spyker_simnet::{NetworkConfig, Node, NodeId, Region, SimTime, Simulation};
 
 use crate::autoscale::{Autoscaler, AutoscalerConfig};
 use crate::client::{FailoverConfig, FlClient};
@@ -15,7 +15,6 @@ use crate::params::ParamVec;
 use crate::server::SpykerServer;
 use crate::sync_spyker::SyncSpykerServer;
 use crate::training::LocalTrainer;
-use crate::update_codec::CodecConfig;
 
 /// Specification of a Spyker deployment.
 pub struct SpykerDeploymentSpec {
@@ -103,32 +102,7 @@ pub fn spyker_deployment_assigned(
     assignment: Vec<usize>,
     spec: SpykerDeploymentSpec,
 ) -> Simulation<FlMsg> {
-    spec.validate(&assignment);
-    let n = spec.num_servers;
-    let mut sim = Simulation::new(net, seed);
-    let server_nodes: Vec<usize> = (0..n).collect();
-    let clients_of = clients_of_servers(&assignment, n);
-    for (i, clients) in clients_of.iter().enumerate() {
-        sim.add_node(
-            Box::new(SpykerServer::new(
-                i,
-                server_nodes.clone(),
-                clients.clone(),
-                spec.init_params.clone(),
-                spec.config.clone(),
-            )),
-            server_region(i),
-        );
-    }
-    add_clients(
-        &mut sim,
-        &assignment,
-        spec.trainers,
-        &spec.train_delay,
-        spec.config.client_epochs,
-        spec.config.codec,
-    );
-    sim
+    deployment_with(net, seed, assignment, spec, None, SpykerServer::new)
 }
 
 /// Builds a Sync-Spyker deployment (synchronous server exchange every
@@ -144,32 +118,57 @@ pub fn sync_spyker_deployment(
     spec: SpykerDeploymentSpec,
 ) -> Simulation<FlMsg> {
     let assignment = even_assignment(spec.trainers.len(), spec.num_servers);
+    deployment_with(
+        net,
+        seed,
+        assignment,
+        spec,
+        None,
+        |i, servers, clients, init, cfg| {
+            SyncSpykerServer::new(i, servers, clients, init, cfg, sync_period)
+        },
+    )
+}
+
+/// The layout every builder shares: servers (one `server(idx,
+/// server_nodes, clients, init_params, config)` each) on ids
+/// `0..num_servers`, then client `i` on id `num_servers + i`, attached to
+/// server `assignment[i]`, placed in that server's region, and given
+/// `failover` when there is one.
+fn deployment_with<S: Node<FlMsg> + 'static>(
+    net: NetworkConfig,
+    seed: u64,
+    assignment: Vec<usize>,
+    spec: SpykerDeploymentSpec,
+    failover: Option<FailoverConfig>,
+    server: impl Fn(usize, Vec<NodeId>, Vec<NodeId>, ParamVec, SpykerConfig) -> S,
+) -> Simulation<FlMsg> {
     spec.validate(&assignment);
     let n = spec.num_servers;
     let mut sim = Simulation::new(net, seed);
     let server_nodes: Vec<usize> = (0..n).collect();
-    let clients_of = clients_of_servers(&assignment, n);
-    for (i, clients) in clients_of.iter().enumerate() {
-        sim.add_node(
-            Box::new(SyncSpykerServer::new(
-                i,
-                server_nodes.clone(),
-                clients.clone(),
-                spec.init_params.clone(),
-                spec.config.clone(),
-                sync_period,
-            )),
-            server_region(i),
+    for (i, clients) in clients_of_servers(&assignment, n).into_iter().enumerate() {
+        let node = server(
+            i,
+            server_nodes.clone(),
+            clients,
+            spec.init_params.clone(),
+            spec.config.clone(),
         );
+        sim.add_node(Box::new(node), server_region(i));
     }
-    add_clients(
-        &mut sim,
-        &assignment,
-        spec.trainers,
-        &spec.train_delay,
-        spec.config.client_epochs,
-        spec.config.codec,
-    );
+    for (i, trainer) in spec.trainers.into_iter().enumerate() {
+        let home = assignment[i];
+        let epochs = spec.config.client_epochs;
+        let mut client = FlClient::new(home, trainer, epochs, spec.train_delay[i]);
+        if let Some(failover) = &failover {
+            client = client.with_failover(failover.clone());
+        }
+        if let Some(codec) = spec.config.codec {
+            client = client.with_update_codec(codec);
+        }
+        sim.add_node(Box::new(client), server_region(home));
+    }
     sim
 }
 
@@ -232,53 +231,35 @@ pub fn elastic_spyker_deployment(
         elastic.leave_at.iter().all(|&(s, _)| s < spec.num_servers),
         "leave_at references unknown server"
     );
-    let assignment = even_assignment(spec.trainers.len(), spec.num_servers);
-    spec.validate(&assignment);
     let n = spec.num_servers;
     let num_clients = spec.trainers.len();
-    let mut sim = Simulation::new(net, seed);
-    let server_nodes: Vec<usize> = (0..n).collect();
     let standby_ids: Vec<NodeId> = (0..elastic.standby_regions.len())
         .map(|k| n + num_clients + k)
         .collect();
-    let clients_of = clients_of_servers(&assignment, n);
-    for (i, clients) in clients_of.iter().enumerate() {
-        let mut server = SpykerServer::new(
-            i,
-            server_nodes.clone(),
-            clients.clone(),
-            spec.init_params.clone(),
-            spec.config.clone(),
-        );
-        if let Some(&(_, at)) = elastic.leave_at.iter().find(|&&(s, _)| s == i) {
-            server = server.with_leave_at(at);
-        }
-        sim.add_node(Box::new(server), server_region(i));
-    }
-    let mut candidates: Vec<NodeId> = server_nodes.clone();
-    candidates.extend(&standby_ids);
-    for (i, trainer) in spec.trainers.into_iter().enumerate() {
-        let home = assignment[i];
-        let mut client = FlClient::new(
-            home,
-            trainer,
-            spec.config.client_epochs,
-            spec.train_delay[i],
-        )
-        .with_failover(FailoverConfig {
-            candidates: candidates.clone(),
-            timeout: elastic.failover_timeout,
-        });
-        if let Some(codec) = spec.config.codec {
-            client = client.with_update_codec(codec);
-        }
-        sim.add_node(Box::new(client), server_region(home));
-    }
+    let failover = FailoverConfig {
+        candidates: (0..n).chain(standby_ids.iter().copied()).collect(),
+        timeout: elastic.failover_timeout,
+    };
+    let (init_params, config) = (spec.init_params.clone(), spec.config.clone());
+    let mut sim = deployment_with(
+        net,
+        seed,
+        even_assignment(num_clients, n),
+        spec,
+        Some(failover),
+        |i, servers, clients, init, cfg| {
+            let server = SpykerServer::new(i, servers, clients, init, cfg);
+            match elastic.leave_at.iter().find(|&&(s, _)| s == i) {
+                Some(&(_, at)) => server.with_leave_at(at),
+                None => server,
+            }
+        },
+    );
     for (k, &region) in elastic.standby_regions.iter().enumerate() {
         let standby = SpykerServer::standby(
             region,
-            spec.init_params.clone(),
-            spec.config.clone(),
+            init_params.clone(),
+            config.clone(),
             Some(0),
             elastic.join_after[k],
         );
@@ -295,37 +276,6 @@ pub fn elastic_spyker_deployment(
         sim,
         standby_ids,
         autoscaler_id,
-    }
-}
-
-/// Adds the client actors for a deployment whose servers are already in the
-/// simulation (servers must occupy ids `0..num_servers`). Client `i` is
-/// attached to server `assignment[i]` and placed in that server's region.
-///
-/// # Panics
-///
-/// Panics if lengths mismatch.
-pub fn add_clients(
-    sim: &mut Simulation<FlMsg>,
-    assignment: &[usize],
-    trainers: Vec<Box<dyn LocalTrainer>>,
-    train_delay: &[SimTime],
-    epochs: usize,
-    codec: Option<CodecConfig>,
-) {
-    assert_eq!(
-        trainers.len(),
-        assignment.len(),
-        "one assignment per trainer"
-    );
-    assert_eq!(trainers.len(), train_delay.len(), "one delay per trainer");
-    for (i, trainer) in trainers.into_iter().enumerate() {
-        let server = assignment[i];
-        let mut client = FlClient::new(server, trainer, epochs, train_delay[i]);
-        if let Some(codec) = codec {
-            client = client.with_update_codec(codec);
-        }
-        sim.add_node(Box::new(client), server_region(server));
     }
 }
 

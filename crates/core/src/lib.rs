@@ -13,8 +13,11 @@
 //!   synchronisation triggers (Alg. 2);
 //! * [`client::FlClient`] — the asynchronous client actor (Alg. 1,
 //!   `LocalTraining`), reused by the baselines;
-//! * [`server::SpykerServer`] — the Spyker server actor (Alg. 1
-//!   `Aggregation` + Alg. 2);
+//! * [`ingest::UpdateIngest`] — Alg. 1 `Aggregation`, the one update-ingest
+//!   path (decode → gate → weight → integrate → reply) every per-update
+//!   server shares;
+//! * [`server::SpykerServer`] — the Spyker server actor (that path plus
+//!   Alg. 2);
 //! * [`agg`] — Byzantine-robust aggregation strategies (trimmed mean,
 //!   median, norm clipping) and the server-side update validation gate;
 //! * [`sync_spyker::SyncSpykerServer`] — the partially synchronous variant
@@ -63,6 +66,7 @@ pub mod cohort;
 pub mod config;
 pub mod decay;
 pub mod deploy;
+pub mod ingest;
 pub mod membership;
 pub mod msg;
 pub mod params;
@@ -88,3 +92,11 @@ pub use training::{EvalReport, Evaluator, LocalTrainer, MetricKind};
 pub use update_codec::{
     param_hash, CodecConfig, CodecError, QuantBits, Rounding, UpdateDecoder, UpdateEncoder,
 };
+
+#[cfg(test)]
+extern crate self as spyker_core;
+/// The handler-test `MockEnv`, one definition shared with the integration
+/// tests (which name this crate from outside, hence the alias above).
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+pub(crate) mod test_support;

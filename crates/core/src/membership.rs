@@ -99,6 +99,15 @@ impl RingView {
         self.members.iter().map(|m| m.slot)
     }
 
+    /// Node ids of every live member except the one on `slot`, in token
+    /// order: the peers a server on `slot` exchanges models with.
+    pub fn peers_of(&self, slot: usize) -> impl Iterator<Item = NodeId> + '_ {
+        self.members
+            .iter()
+            .filter(move |m| m.slot != slot)
+            .map(|m| m.node)
+    }
+
     /// The token successor of the member with node id `node`: the next live
     /// member in ring order (wrapping). `None` if `node` is not a member or
     /// is the only member.

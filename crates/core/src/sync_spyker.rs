@@ -10,17 +10,15 @@
 //! and the reason Sync-Spyker trails Spyker in wall-clock convergence.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use spyker_simnet::{Env, Node, NodeId, SimTime};
 
 use crate::config::SpykerConfig;
-use crate::decay::UpdateCounts;
+use crate::ingest::UpdateIngest;
 use crate::membership::RingView;
 use crate::msg::FlMsg;
 use crate::params::ParamVec;
-use crate::server::REF_HISTORY_DEPTH;
-use crate::update_codec::{param_hash, UpdateDecoder};
 
 const ROUND_TIMER: u64 = 1;
 
@@ -32,15 +30,14 @@ pub struct SyncSpykerServer {
     /// are admitted per-slot through a liveness guard rather than trusted
     /// by raw index.
     ring: RingView,
-    clients: Vec<NodeId>,
-    client_local_idx: HashMap<NodeId, usize>,
+    /// Alg. 1's per-update path, shared with [`crate::server::SpykerServer`].
+    ingest: UpdateIngest,
 
     params: ParamVec,
     age: f64,
 
     cfg: SpykerConfig,
     sync_period: SimTime,
-    counts: UpdateCounts,
 
     round: u64,
     collecting: bool,
@@ -49,17 +46,7 @@ pub struct SyncSpykerServer {
     /// Client updates buffered while an exchange is in flight.
     buffered: Vec<(NodeId, ParamVec, f64)>,
 
-    client_lr: Vec<f32>,
-    processed_updates: u64,
     rounds_completed: u64,
-
-    /// Decoder scratch for [`FlMsg::EncodedUpdate`] payloads.
-    decoder: UpdateDecoder,
-    /// Per-client history of recently sent models, keyed by parameter
-    /// hash, for resolving delta references (mirrors
-    /// [`crate::server::SpykerServer`]; only populated when
-    /// `cfg.codec` enables delta encoding).
-    sent_models: HashMap<NodeId, VecDeque<(u64, ParamVec)>>,
 }
 
 impl SyncSpykerServer {
@@ -81,15 +68,10 @@ impl SyncSpykerServer {
         assert!(!server_nodes.is_empty(), "need at least one server");
         assert!(server_idx < server_nodes.len(), "server_idx out of range");
         assert!(sync_period > SimTime::ZERO, "sync_period must be positive");
-        let client_local_idx = clients.iter().enumerate().map(|(k, &id)| (id, k)).collect();
-        let counts = UpdateCounts::new(clients.len());
-        let client_lr = vec![cfg.decay.eta_init; clients.len()];
         Self {
-            client_lr,
             server_idx,
             ring: RingView::fixed(&server_nodes),
-            client_local_idx,
-            counts,
+            ingest: UpdateIngest::from_config(clients, &cfg),
             params: init_params,
             age: 0.0,
             cfg,
@@ -98,11 +80,7 @@ impl SyncSpykerServer {
             collecting: false,
             incoming: HashMap::new(),
             buffered: Vec::new(),
-            clients,
-            processed_updates: 0,
             rounds_completed: 0,
-            decoder: UpdateDecoder::new(),
-            sent_models: HashMap::new(),
         }
     }
 
@@ -118,7 +96,7 @@ impl SyncSpykerServer {
 
     /// Client updates integrated so far.
     pub fn processed_updates(&self) -> u64 {
-        self.processed_updates
+        self.ingest.processed()
     }
 
     /// Completed synchronous exchange rounds.
@@ -126,134 +104,20 @@ impl SyncSpykerServer {
         self.rounds_completed
     }
 
-    fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let me = self.server_idx;
-        self.ring
-            .members
-            .iter()
-            .filter(move |m| m.slot != me)
-            .map(|m| m.node)
-    }
-
-    /// Records the model just sent to `to` in the delta-reference history
-    /// (no-op unless the configured codec uses delta encoding). Mirrors
-    /// [`crate::server::SpykerServer`]: call immediately before every
-    /// `ModelToClient` send.
-    fn note_model_sent(&mut self, to: NodeId) {
-        if !self.cfg.codec.is_some_and(|c| c.delta) {
-            return;
-        }
-        let h = param_hash(self.params.as_slice());
-        let hist = self.sent_models.entry(to).or_default();
-        if let Some(pos) = hist.iter().position(|(hh, _)| *hh == h) {
-            let entry = hist.remove(pos).expect("position came from iter");
-            hist.push_back(entry);
-        } else {
-            hist.push_back((h, self.params.clone()));
-            if hist.len() > REF_HISTORY_DEPTH {
-                hist.pop_front();
-            }
-        }
-    }
-
-    /// Decodes an encoded client payload against the per-client reference
-    /// history; `None` means the update must be dropped (reference miss or
-    /// malformed payload) and the current model re-sent.
-    fn decode_encoded(
-        &mut self,
-        env: &mut dyn Env<FlMsg>,
-        from: NodeId,
-        payload: &[u8],
-    ) -> Option<ParamVec> {
-        let mut dense = Vec::new();
-        let result = match UpdateDecoder::ref_hash(payload) {
-            Ok(maybe_hash) => {
-                let reference = match maybe_hash {
-                    None => None,
-                    Some(h) => {
-                        match self
-                            .sent_models
-                            .get(&from)
-                            .and_then(|hist| hist.iter().rev().find(|(hh, _)| *hh == h))
-                        {
-                            Some((_, p)) => Some(p),
-                            None => {
-                                env.add_counter("codec.ref_miss", 1);
-                                return None;
-                            }
-                        }
-                    }
-                };
-                self.decoder
-                    .decode(payload, reference.map(ParamVec::as_slice), &mut dense)
-            }
-            Err(e) => Err(e),
-        };
-        match result {
-            Ok(()) => {
-                env.add_counter("codec.decoded", 1);
-                Some(ParamVec::from_vec(dense))
-            }
-            Err(_) => {
-                env.add_counter("codec.decode_error", 1);
-                None
-            }
-        }
-    }
-
-    /// One encoded client update: decode at arrival (the reference history
-    /// rotates with every reply, so deferring past the exchange barrier
-    /// would race it), then buffer or process the dense result like any
-    /// [`FlMsg::ClientUpdate`].
-    fn on_encoded_update(
-        &mut self,
-        env: &mut dyn Env<FlMsg>,
-        from: NodeId,
-        payload: &[u8],
-        age: f64,
-    ) {
-        if self.cfg.codec.is_none() {
-            env.add_counter("net.unexpected", 1);
-            return;
-        }
-        match self.decode_encoded(env, from, payload) {
-            Some(update) => {
-                if self.collecting {
-                    self.buffered.push((from, update, age));
-                } else {
-                    self.process_client_update(env, from, update, age);
-                }
-            }
-            None => {
-                // Reference-miss recovery: the protocol is purely
-                // reactive, so reply with the current model to keep the
-                // client's round loop turning.
-                let lr = self
-                    .client_local_idx
-                    .get(&from)
-                    .map(|&k| self.client_lr[k])
-                    .unwrap_or(self.cfg.decay.eta_init);
-                self.note_model_sent(from);
-                env.send(
-                    from,
-                    FlMsg::ModelToClient {
-                        params: self.params.clone(),
-                        age: self.age,
-                        lr,
-                    },
-                );
-            }
-        }
-    }
-
-    fn process_client_update(
+    /// One dense client update: buffered while an exchange is in flight,
+    /// otherwise straight through the shared [`UpdateIngest`] path.
+    fn on_client_update(
         &mut self,
         env: &mut dyn Env<FlMsg>,
         from: NodeId,
         update: ParamVec,
         update_age: f64,
     ) {
-        let Some(&k) = self.client_local_idx.get(&from) else {
+        if self.collecting {
+            self.buffered.push((from, update, update_age));
+            return;
+        }
+        let Some(k) = self.ingest.lookup(from) else {
             // Reachable from network bytes on the TCP transport: count
             // and drop rather than assert (DESIGN.md §13).
             env.add_counter("net.unexpected", 1);
@@ -261,29 +125,14 @@ impl SyncSpykerServer {
         };
         env.span_enter("server.aggregate");
         env.busy(self.cfg.agg_cost);
-        let mut w = self.cfg.staleness.weight(self.age, update_age);
-        if self.cfg.decay_weighted_aggregation && self.cfg.decay.eta_init > 0.0 {
-            w *= self.client_lr[k] / self.cfg.decay.eta_init;
-        }
-        self.params.lerp_toward(&update, self.cfg.server_lr * w);
-        self.age += if self.cfg.fractional_age {
-            w.min(1.0) as f64
-        } else {
-            1.0
-        };
-        let u_k = self.counts.record(k);
-        let lr = self.cfg.decay.decay(u_k, self.counts.mean());
-        self.client_lr[k] = lr;
-        self.processed_updates += 1;
-        env.add_counter("updates.processed", 1);
-        self.note_model_sent(from);
-        env.send(
-            from,
-            FlMsg::ModelToClient {
-                params: self.params.clone(),
-                age: self.age,
-                lr,
-            },
+        self.ingest.client_update(
+            env,
+            &mut self.params,
+            &mut self.age,
+            k,
+            &update,
+            update_age,
+            true,
         );
         env.span_exit("server.aggregate");
     }
@@ -299,7 +148,7 @@ impl SyncSpykerServer {
             .entry(round)
             .or_default()
             .insert(idx, (params.clone(), age));
-        for peer in self.peers().collect::<Vec<_>>() {
+        for peer in self.ring.peers_of(idx) {
             env.send(
                 peer,
                 FlMsg::ServerModel {
@@ -343,7 +192,7 @@ impl SyncSpykerServer {
         env.add_counter("server.aggs", n as u64);
         // Drain the updates buffered during the exchange.
         for (from, update, update_age) in std::mem::take(&mut self.buffered) {
-            self.process_client_update(env, from, update, update_age);
+            self.on_client_update(env, from, update, update_age);
         }
         env.set_timer(self.sync_period, ROUND_TIMER);
     }
@@ -351,20 +200,7 @@ impl SyncSpykerServer {
 
 impl Node<FlMsg> for SyncSpykerServer {
     fn on_start(&mut self, env: &mut dyn Env<FlMsg>) {
-        let params = self.params.clone();
-        let age = self.age;
-        let lr = self.cfg.decay.eta_init;
-        for client in self.clients.clone() {
-            self.note_model_sent(client);
-            env.send(
-                client,
-                FlMsg::ModelToClient {
-                    params: params.clone(),
-                    age,
-                    lr,
-                },
-            );
-        }
+        self.ingest.broadcast(env, &self.params, self.age);
         if self.ring.len() > 1 {
             env.set_timer(self.sync_period, ROUND_TIMER);
         }
@@ -373,15 +209,21 @@ impl Node<FlMsg> for SyncSpykerServer {
     fn on_message(&mut self, env: &mut dyn Env<FlMsg>, from: NodeId, msg: FlMsg) {
         match msg {
             FlMsg::ClientUpdate { params, age, .. } => {
-                if self.collecting {
-                    self.buffered.push((from, params, age));
-                } else {
-                    self.process_client_update(env, from, params, age);
-                }
+                self.on_client_update(env, from, params, age);
             }
             FlMsg::EncodedUpdate { payload, age, .. } => {
-                self.on_encoded_update(env, from, &payload, age);
+                // Decoded at arrival, not after the barrier: the reference
+                // history rotates with every reply.
+                let decoded =
+                    self.ingest
+                        .encoded_update(env, from, &payload, &self.params, self.age);
+                if let Some(update) = decoded {
+                    self.on_client_update(env, from, update, age);
+                }
             }
+            // A returning client (restart, availability window closing)
+            // knocks to re-enter the training loop.
+            FlMsg::ClientHello => self.ingest.hello(env, from, &self.params, self.age),
             FlMsg::ServerModel {
                 params,
                 age,

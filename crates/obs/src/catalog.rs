@@ -51,49 +51,49 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "agg.rejected",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server/cluster, baselines",
+        site: "core ingest reject, baselines fedavg",
         help: "updates refused by the validation gate (all causes)",
     },
     CatalogEntry {
         name: "agg.rejected.nonfinite",
         kind: Counter,
         unit: Unit::Count,
-        site: "core agg validate_update",
+        site: "core ingest admit, baselines fedavg",
         help: "updates rejected for NaN/Inf parameters or age",
     },
     CatalogEntry {
         name: "agg.rejected.norm",
         kind: Counter,
         unit: Unit::Count,
-        site: "core agg validate_update",
+        site: "core ingest admit, baselines fedavg",
         help: "updates rejected for an exploded delta norm",
     },
     CatalogEntry {
         name: "agg.rejected.peer",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server on_server_model",
+        site: "core server on_server_model, cluster (via ingest reject)",
         help: "non-finite peer models skipped during an exchange",
     },
     CatalogEntry {
         name: "agg.rejected.stale",
         kind: Counter,
         unit: Unit::Count,
-        site: "core agg validate_update",
+        site: "core ingest admit, baselines fedavg",
         help: "updates rejected for exceeding the staleness bound",
     },
     CatalogEntry {
         name: "agg.robust.flushes",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server, baselines",
+        site: "core ingest client_update, baselines fedavg",
         help: "robust-aggregation batch flushes folded into the model",
     },
     CatalogEntry {
         name: "agg.staleness",
         kind: Histogram,
         unit: Unit::Value,
-        site: "core server/cluster, baselines fedasync",
+        site: "core ingest admit",
         help: "staleness (server age minus update age) of accepted updates",
     },
     CatalogEntry {
@@ -149,22 +149,22 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "codec.decode_error",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server/sync_spyker on_encoded_update",
+        site: "core ingest decode",
         help: "encoded updates dropped as structurally undecodable",
     },
     CatalogEntry {
         name: "codec.decoded",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server/sync_spyker on_encoded_update",
+        site: "core ingest decode",
         help: "encoded client updates decoded ahead of the validation gate",
     },
     CatalogEntry {
         name: "codec.ref_miss",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server/sync_spyker on_encoded_update",
-        help: "delta-coded updates decoded against a zero reference (no synced model)",
+        site: "core ingest decode",
+        help: "delta-coded updates dropped (and answered) for naming a model the server no longer remembers sending",
     },
     CatalogEntry {
         name: "fault.byzantine",
@@ -667,7 +667,7 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "updates.processed",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server/sync_spyker/cluster, baselines",
+        site: "core ingest complete, baselines fedavg/hierfavg",
         help: "client updates integrated into a server model",
     },
     CatalogEntry {

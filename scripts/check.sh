@@ -7,6 +7,18 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Workspace-member unit, property and handler-level tests: the root
+# `cargo test` only runs the umbrella crate's integration tests, so the
+# suites guarding the protocol core (`core::ingest` and the servers built on
+# it, the codec property batteries, the four-server ingest battery in
+# `crates/baselines/tests`) have to be named explicitly.
+cargo test -q --offline -p spyker-core -p spyker-baselines
+
+# The benchmark package is its own workspace: its tests are the API-drift
+# gate (it hand-wires the public server/deploy/agg/codec items) and the
+# wrapper-transparency gate (traced runs must equal untraced ones).
+cargo test -q --offline --locked --manifest-path bench_e2e/Cargo.toml
+
 # Byzantine-robustness integration tests (adversarial clients vs the
 # validation gate + robust aggregation pipeline; see DESIGN.md §8).
 cargo test -q --release --test byzantine

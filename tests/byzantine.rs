@@ -3,13 +3,18 @@
 //! bit-reproducibility of seeded adversarial runs.
 
 use spyker_repro::core::agg::{AggregationStrategy, ValidationConfig};
+use spyker_repro::core::client::FlClient;
 use spyker_repro::core::config::SpykerConfig;
+use spyker_repro::core::deploy::{sync_spyker_deployment, SpykerDeploymentSpec};
+use spyker_repro::core::params::ParamVec;
+use spyker_repro::core::sync_spyker::SyncSpykerServer;
+use spyker_repro::core::training::{LocalTrainer, MeanTargetTrainer};
 use spyker_repro::core::update_codec::CodecConfig;
 use spyker_repro::experiments::runner::default_spyker_config;
 use spyker_repro::experiments::{
     run_algorithm, Algorithm, RunOptions, RunResult, Scenario, TaskKind,
 };
-use spyker_repro::simnet::{ByzantineAttack, FaultPlan, SimTime};
+use spyker_repro::simnet::{ByzantineAttack, FaultPlan, NetworkConfig, SimTime};
 
 /// Paper config with the decay schedule frozen: decay-weighted aggregation
 /// would anneal a sustained attack toward zero along with every honest
@@ -297,4 +302,55 @@ fn seeded_byzantine_run_is_bit_reproducible() {
     };
     assert_eq!(counters(&a), counters(&b), "metrics diverged between runs");
     assert_eq!(a.client_updates, b.client_updates);
+}
+
+#[test]
+fn sync_spyker_gates_nan_updates_like_every_other_server() {
+    // Sync-Spyker integrates client updates through the same ingest path
+    // as Spyker, so `SpykerConfig::validation` (default: reject
+    // non-finite) applies: a client NaN-injecting every upload must not
+    // poison either server, every rejection must be counted, and the
+    // attacker must still be answered (the protocol is reactive — a
+    // silent reject would starve the device forever).
+    let n = 4;
+    let trainers = (0..n)
+        .map(|i| Box::new(MeanTargetTrainer::new(vec![i as f32; 4], 8)) as Box<dyn LocalTrainer>)
+        .collect();
+    let attacker = 2; // first client node (servers are 0 and 1)
+    let mut sim = sync_spyker_deployment(
+        NetworkConfig::aws(),
+        5,
+        SimTime::from_millis(500),
+        SpykerDeploymentSpec {
+            config: SpykerConfig::paper_defaults(n, 2),
+            trainers,
+            num_servers: 2,
+            init_params: ParamVec::zeros(4),
+            train_delay: vec![SimTime::from_millis(150); n],
+        },
+    )
+    .with_faults(FaultPlan::none().byzantine(attacker, ByzantineAttack::NanInject { prob: 1.0 }));
+    sim.run(SimTime::from_secs(10));
+    assert!(sim.metrics().counter("fault.byzantine.nan") > 0);
+    for id in 0..2 {
+        let server = sim
+            .node(id)
+            .as_any()
+            .downcast_ref::<SyncSpykerServer>()
+            .expect("Sync-Spyker server");
+        assert!(server.params().is_finite(), "server {id} was poisoned");
+    }
+    let rejected = sim.metrics().counter("agg.rejected.nonfinite");
+    assert!(rejected > 0, "the gate never fired");
+    assert_eq!(rejected, sim.metrics().counter("agg.rejected"));
+    let sent = sim
+        .node(attacker)
+        .as_any()
+        .downcast_ref::<FlClient>()
+        .expect("client")
+        .updates_sent();
+    assert!(
+        sent > 10,
+        "rejected client was starved after {sent} updates"
+    );
 }

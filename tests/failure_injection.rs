@@ -1,10 +1,17 @@
 //! Adverse-condition tests: extreme stragglers, network jitter, overload,
 //! and injected faults (message loss, token drops, server crashes).
 
-use spyker_repro::core::config::RecoveryConfig;
+use spyker_repro::baselines::deploy::fedasync_deployment;
+use spyker_repro::baselines::fedasync::FedAsyncConfig;
+use spyker_repro::core::client::FlClient;
+use spyker_repro::core::config::{RecoveryConfig, SpykerConfig};
+use spyker_repro::core::deploy::{sync_spyker_deployment, SpykerDeploymentSpec};
+use spyker_repro::core::msg::FlMsg;
+use spyker_repro::core::params::ParamVec;
+use spyker_repro::core::training::{LocalTrainer, MeanTargetTrainer};
 use spyker_repro::experiments::runner::default_spyker_config;
 use spyker_repro::experiments::{run_algorithm, Algorithm, RunOptions, Scenario};
-use spyker_repro::simnet::{FaultPlan, NetworkConfig, SimTime};
+use spyker_repro::simnet::{FaultPlan, NetworkConfig, SimTime, Simulation};
 
 #[test]
 fn spyker_survives_an_extreme_straggler_population() {
@@ -198,4 +205,70 @@ fn crashed_server_does_not_stop_the_survivors_from_learning() {
         run.metrics.counter("syncs.triggered") > without.metrics.counter("syncs.triggered"),
         "recovery did not keep the ring turning past the crash"
     );
+}
+
+/// Updates client node `client` has sent by the end of `sim`'s run.
+fn updates_sent(sim: &Simulation<FlMsg>, client: usize) -> u64 {
+    sim.node(client)
+        .as_any()
+        .downcast_ref::<FlClient>()
+        .expect("client node")
+        .updates_sent()
+}
+
+fn toy_trainers(n: usize) -> Vec<Box<dyn LocalTrainer>> {
+    (0..n)
+        .map(|i| Box::new(MeanTargetTrainer::new(vec![i as f32], 8)) as Box<dyn LocalTrainer>)
+        .collect()
+}
+
+#[test]
+fn restarted_client_rejoins_fedasync_and_sync_spyker() {
+    // A client that crashes at 1 s and restarts at 2 s lost its in-flight
+    // round; `FlClient::on_restart` knocks with a `ClientHello`. Every
+    // per-update server must answer a *known* client's knock with the
+    // current model, or the device idles for the rest of the run (about
+    // six rounds fit in the first second at 150 ms per round).
+    let restart = |client| {
+        FaultPlan::none().crash(client, SimTime::from_secs(1), Some(SimTime::from_secs(2)))
+    };
+    let delays = vec![SimTime::from_millis(150); 2];
+
+    let mut fedasync = fedasync_deployment(
+        NetworkConfig::aws(),
+        3,
+        FedAsyncConfig::paper_defaults().with_client_lr(0.5),
+        toy_trainers(2),
+        ParamVec::zeros(1),
+        delays.clone(),
+        1,
+    )
+    .with_faults(restart(1));
+    fedasync.run(SimTime::from_secs(10));
+    assert_eq!(fedasync.metrics().counter("fault.restarts"), 1);
+    let sent = updates_sent(&fedasync, 1);
+    assert!(sent > 20, "FedAsync never re-admitted the client: {sent}");
+
+    let mut sync_spyker = sync_spyker_deployment(
+        NetworkConfig::aws(),
+        3,
+        SimTime::from_millis(500),
+        SpykerDeploymentSpec {
+            config: SpykerConfig::paper_defaults(2, 1),
+            trainers: toy_trainers(2),
+            num_servers: 1,
+            init_params: ParamVec::zeros(1),
+            train_delay: delays,
+        },
+    )
+    .with_faults(restart(1));
+    sync_spyker.run(SimTime::from_secs(10));
+    assert_eq!(sync_spyker.metrics().counter("fault.restarts"), 1);
+    let sent = updates_sent(&sync_spyker, 1);
+    assert!(
+        sent > 20,
+        "Sync-Spyker never re-admitted the client: {sent}"
+    );
+    // A knock from a node the server does not serve stays a counted drop.
+    assert_eq!(sync_spyker.metrics().counter("net.unexpected"), 0);
 }
