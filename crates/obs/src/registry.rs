@@ -1,6 +1,8 @@
 //! The typed metric registry.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::catalog;
 use crate::hist::Histogram;
@@ -8,13 +10,53 @@ use crate::id::{MetricId, MetricKind};
 use crate::series::TimeSeries;
 use crate::span::SpanStore;
 
+/// Hasher of the name index: a multiply-rotate over 8-byte words. Metric
+/// names are written by this program, not taken from outside it, so the
+/// index needs no protection against crafted collisions — and SipHash
+/// would cost as much as the ordered-map lookup the index replaces.
 #[derive(Debug, Clone, Copy, Default)]
-struct CounterCell {
-    value: u64,
-    /// `true` once any add touched the counter — only touched counters
-    /// are iterated, so pre-registering the catalog does not change what
-    /// golden traces and fingerprints observe.
-    touched: bool,
+struct NameHasher(u64);
+
+impl NameHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let len = bytes.len();
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(le_word(word));
+        }
+        let tail = words.remainder();
+        if tail.is_empty() {
+            return;
+        }
+        // The ragged end as one word: the last 8 bytes (re-reading some
+        // already mixed — cheaper than assembling a padded word, which
+        // needs a variable-length copy), or all of a shorter input. The
+        // length keeps inputs that end in the same bytes apart.
+        let word = match len.checked_sub(8) {
+            Some(start) => le_word(&bytes[start..]),
+            None => tail.iter().fold(0, |word, &b| (word << 8) | u64::from(b)),
+        };
+        self.mix(word ^ ((len as u64) << 56));
+    }
+
+    // `str` hashes as its bytes plus one 0xff terminator byte.
+    fn write_u8(&mut self, byte: u8) {
+        self.mix(u64::from(byte));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -26,15 +68,32 @@ struct GaugeCell {
 /// Typed metric storage behind interned [`MetricId`] keys.
 ///
 /// Emission sites address metrics by name; the registry resolves a name
-/// through one allocation-free `BTreeMap<String, _>` borrow-lookup and
-/// then touches a dense `Vec` slot. Unknown names auto-register on first
-/// use — names matching a [`catalog::FAMILIES`] prefix take the family's
-/// kind, anything else is recorded as *dynamic* so tests can reject
-/// typo'd emission sites via [`Registry::dynamic_names`].
+/// through one allocation-free hashed borrow-lookup and then touches a
+/// dense `Vec` slot. Unknown names auto-register on first use — names
+/// matching a [`catalog::FAMILIES`] prefix take the family's kind,
+/// anything else is recorded as *dynamic* so tests can reject typo'd
+/// emission sites via [`Registry::dynamic_names`].
+///
+/// Ids are catalog-stable: [`Registry::new`] registers the catalog in
+/// declaration order before anything else, so a catalog name resolves to
+/// the same [`MetricId`] in every registry and an id cached against one
+/// may be read against another. Ids of auto-registered names are not.
 #[derive(Debug, Clone)]
 pub struct Registry {
-    names: BTreeMap<String, MetricId>,
-    counters: Vec<CounterCell>,
+    /// Name → id in name order: what every iterator walks, so reports,
+    /// traces and fingerprints do not depend on the hashed index. Catalog
+    /// names are borrowed from the catalog; only auto-registered ones are
+    /// owned.
+    names: BTreeMap<Cow<'static, str>, MetricId>,
+    /// The same mapping hashed, for point lookups. Never iterated.
+    index: HashMap<Cow<'static, str>, MetricId, BuildHasherDefault<NameHasher>>,
+    /// Counter values by [`MetricId::index`] — a dense slab a reader can
+    /// compare wholesale ([`Registry::counter_values`]).
+    counter_values: Vec<u64>,
+    /// `true` once any add touched the counter — only touched counters
+    /// are iterated, so pre-registering the catalog does not change what
+    /// golden traces and fingerprints observe.
+    counter_touched: Vec<bool>,
     gauges: Vec<GaugeCell>,
     hists: Vec<Histogram>,
     series: Vec<TimeSeries>,
@@ -58,7 +117,12 @@ impl Registry {
     pub fn new() -> Self {
         let mut reg = Registry {
             names: BTreeMap::new(),
-            counters: Vec::new(),
+            index: HashMap::with_capacity_and_hasher(
+                2 * catalog::CATALOG.len(),
+                BuildHasherDefault::default(),
+            ),
+            counter_values: Vec::new(),
+            counter_touched: Vec::new(),
             gauges: Vec::new(),
             hists: Vec::new(),
             series: Vec::new(),
@@ -66,7 +130,7 @@ impl Registry {
             spans: SpanStore::new(),
         };
         for entry in catalog::CATALOG {
-            reg.register(entry.name, entry.kind);
+            reg.register_new(Cow::Borrowed(entry.name), entry.kind);
         }
         reg
     }
@@ -78,18 +142,23 @@ impl Registry {
     /// Panics if `name` is already registered (catches duplicate
     /// declarations at construction time).
     pub fn register(&mut self, name: &str, kind: MetricKind) -> MetricId {
+        self.register_new(Cow::Owned(name.to_owned()), kind)
+    }
+
+    fn register_new(&mut self, name: Cow<'static, str>, kind: MetricKind) -> MetricId {
         assert!(
-            !self.names.contains_key(name),
+            self.lookup(&name).is_none(),
             "metric `{name}` registered twice"
         );
         self.insert(name, kind)
     }
 
-    fn insert(&mut self, name: &str, kind: MetricKind) -> MetricId {
+    fn insert(&mut self, name: Cow<'static, str>, kind: MetricKind) -> MetricId {
         let index = match kind {
             MetricKind::Counter => {
-                self.counters.push(CounterCell::default());
-                self.counters.len() - 1
+                self.counter_values.push(0);
+                self.counter_touched.push(false);
+                self.counter_values.len() - 1
             }
             MetricKind::Gauge => {
                 self.gauges.push(GaugeCell::default());
@@ -105,22 +174,23 @@ impl Registry {
             }
         };
         let id = MetricId::new(kind, index);
-        self.names.insert(name.to_owned(), id);
+        self.names.insert(name.clone(), id);
+        self.index.insert(name, id);
         id
     }
 
     /// The id of `name`, if registered.
     pub fn lookup(&self, name: &str) -> Option<MetricId> {
-        self.names.get(name).copied()
+        self.index.get(name).copied()
     }
 
-    /// Resolves `name` for an emission of `kind`: an allocation-free map
+    /// Resolves `name` for an emission of `kind`: an allocation-free index
     /// hit on the fast path, an auto-registration on first use. Returns
     /// `None` (debug-asserting) when `name` is registered under a
     /// different kind — a typed registry must not let a counter write
     /// scribble over a series.
     fn resolve(&mut self, name: &str, kind: MetricKind) -> Option<MetricId> {
-        if let Some(&id) = self.names.get(name) {
+        if let Some(id) = self.lookup(name) {
             debug_assert!(
                 id.kind() == kind,
                 "metric `{name}` is a {}, emitted as a {}",
@@ -143,7 +213,7 @@ impl Registry {
         } else {
             self.dynamic.insert(name.to_owned());
         }
-        Some(self.insert(name, kind))
+        Some(self.insert(Cow::Owned(name.to_owned()), kind))
     }
 
     /// Names that auto-registered without matching the catalog or any
@@ -158,9 +228,7 @@ impl Registry {
     /// Adds `delta` to counter `name` (registering it on first use).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
         if let Some(id) = self.resolve(name, MetricKind::Counter) {
-            let cell = &mut self.counters[id.index()];
-            cell.value += delta;
-            cell.touched = true;
+            self.counter_add_id(id, delta);
         }
     }
 
@@ -198,17 +266,36 @@ impl Registry {
     /// Panics if `id` was not issued by this registry for a counter.
     pub fn counter_add_id(&mut self, id: MetricId, delta: u64) {
         assert!(id.kind() == MetricKind::Counter, "not a counter id");
-        let cell = &mut self.counters[id.index()];
-        cell.value += delta;
-        cell.touched = true;
+        self.counter_values[id.index()] += delta;
+        self.counter_touched[id.index()] = true;
     }
 
     /// Current value of counter `name` (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         match self.lookup(name) {
-            Some(id) if id.kind() == MetricKind::Counter => self.counters[id.index()].value,
+            Some(id) if id.kind() == MetricKind::Counter => self.counter_values[id.index()],
             _ => 0,
         }
+    }
+
+    /// Current value of the counter behind `id` — the read-side twin of
+    /// [`Registry::counter_add_id`], for readers that resolved their names
+    /// once ([`Registry::lookup`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not the id of a counter of this registry.
+    pub fn counter_value(&self, id: MetricId) -> u64 {
+        assert!(id.kind() == MetricKind::Counter, "not a counter id");
+        self.counter_values[id.index()]
+    }
+
+    /// Every counter's current value, indexed by [`MetricId::index`]
+    /// (untouched counters read zero). Registration only ever appends, so
+    /// a slot keeps its meaning for the registry's lifetime and a reader
+    /// tracking the slab sees it grow at the end.
+    pub fn counter_values(&self) -> &[u64] {
+        &self.counter_values
     }
 
     /// Iterates all *touched* counters in name order.
@@ -217,8 +304,7 @@ impl Registry {
             if id.kind() != MetricKind::Counter {
                 return None;
             }
-            let cell = &self.counters[id.index()];
-            cell.touched.then_some((name.as_str(), cell.value))
+            self.counter_touched[id.index()].then_some((&**name, self.counter_values[id.index()]))
         })
     }
 
@@ -266,7 +352,7 @@ impl Registry {
                 return None;
             }
             let cell = &self.gauges[id.index()];
-            cell.set.then_some((name.as_str(), cell.value))
+            cell.set.then_some((&**name, cell.value))
         })
     }
 
@@ -294,7 +380,7 @@ impl Registry {
                 return None;
             }
             let h = &self.hists[id.index()];
-            (h.count() > 0).then_some((name.as_str(), h))
+            (h.count() > 0).then_some((&**name, h))
         })
     }
 
@@ -329,7 +415,7 @@ impl Registry {
             if id.kind() != MetricKind::Series {
                 return None;
             }
-            (!self.series[id.index()].is_empty()).then_some(name.as_str())
+            (!self.series[id.index()].is_empty()).then_some(&**name)
         })
     }
 
@@ -340,7 +426,7 @@ impl Registry {
                 return None;
             }
             let s = &self.series[id.index()];
-            (!s.is_empty()).then_some((name.as_str(), s))
+            (!s.is_empty()).then_some((&**name, s))
         })
     }
 
@@ -349,6 +435,12 @@ impl Registry {
     /// The span store (read access for reports and oracles).
     pub fn spans(&self) -> &SpanStore {
         &self.spans
+    }
+
+    /// Write access to the span store ([`SpanStore::merge`] of spans
+    /// recorded elsewhere).
+    pub fn spans_mut(&mut self) -> &mut SpanStore {
+        &mut self.spans
     }
 
     /// Enters span `name` on `node` at `at_us`.
@@ -370,9 +462,8 @@ impl Registry {
         for (name, &id) in &other.names {
             match id.kind() {
                 MetricKind::Counter => {
-                    let cell = &other.counters[id.index()];
-                    if cell.touched {
-                        self.counter_add(name, cell.value);
+                    if other.counter_touched[id.index()] {
+                        self.counter_add(name, other.counter_values[id.index()]);
                     }
                 }
                 MetricKind::Gauge => {
@@ -453,6 +544,59 @@ mod tests {
         r.counter_add("totally.unknown", 1);
         let dynamic: Vec<&str> = r.dynamic_names().collect();
         assert_eq!(dynamic, vec!["totally.unknown"]);
+    }
+
+    #[test]
+    fn catalog_names_resolve_to_the_same_id_in_every_registry() {
+        // One registry with a history of auto-registrations, one fresh: a
+        // reader that cached ids against either may read the other.
+        let mut used = Registry::new();
+        used.counter_add_suffixed("net.bytes.", "token", 64);
+        used.series_push("queue.s3", 10, 2.0);
+        used.counter_add("totally.unknown", 1);
+        let fresh = Registry::new();
+        for entry in catalog::CATALOG {
+            let id = fresh
+                .lookup(entry.name)
+                .expect("catalog names are registered");
+            assert_eq!(id.kind(), entry.kind, "{}", entry.name);
+            assert_eq!(used.lookup(entry.name), Some(id), "{}", entry.name);
+        }
+        assert_eq!(fresh.lookup("net.bytes.token"), None);
+    }
+
+    #[test]
+    fn the_counter_slab_is_dense_indexed_by_id_and_grows_at_the_end() {
+        let mut r = Registry::new();
+        let id = r.lookup("net.messages").unwrap();
+        r.counter_add("net.messages", 3);
+        assert_eq!(r.counter_value(id), 3);
+        assert_eq!(r.counter_values()[id.index()], 3);
+        let before = r.counter_values().to_vec();
+        r.counter_add_suffixed("net.bytes.", "token", 64);
+        let token = r.lookup("net.bytes.token").unwrap();
+        assert_eq!(token.index(), before.len(), "new counters append");
+        assert_eq!(r.counter_values()[..before.len()], before[..]);
+        assert_eq!(r.counter_value(token), 64);
+    }
+
+    #[test]
+    fn hashed_and_ordered_name_maps_agree() {
+        let mut r = Registry::new();
+        r.counter_add_suffixed("net.bytes.", "server-server", 1);
+        r.gauge_set("scale.load.s12", 4.0);
+        assert_eq!(r.names.len(), r.index.len());
+        for (name, &id) in &r.names {
+            assert_eq!(r.lookup(name), Some(id), "{name}");
+        }
+        // Names differing only past an 8-byte word boundary, or only in
+        // length, hash through the tail path.
+        for name in ["abcdefgh", "abcdefghi", "abcdefghj", "abcdefg"] {
+            r.counter_add(name, 1);
+        }
+        for name in ["abcdefgh", "abcdefghi", "abcdefghj", "abcdefg"] {
+            assert_eq!(r.counter(name), 1, "{name}");
+        }
     }
 
     #[test]

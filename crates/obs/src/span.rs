@@ -12,8 +12,6 @@
 //! depth negative — it is counted in [`SpanStore::unbalanced_exits`]
 //! instead, which the simtest metrics-consistency oracle pins to zero.
 
-use std::collections::BTreeMap;
-
 /// Aggregate statistics of one `(node, span)` pair.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanStat {
@@ -39,19 +37,37 @@ pub struct SpanEvent {
     pub name_id: u16,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct OpenSpan {
+/// Everything the store keeps about one `(node, span)` pair.
+#[derive(Debug, Clone, Copy, Default)]
+struct SpanCell {
+    stat: SpanStat,
+    /// Start of the open outermost span; only meaningful while `depth > 0`.
     start_us: u64,
+    /// Current nesting depth (0 when closed).
     depth: u32,
+    /// `true` once the pair was entered (or merged in). A column has a
+    /// cell for every node up to the highest that used its name, including
+    /// nodes that never did; only seen cells are reported.
+    seen: bool,
 }
 
 /// Collects span enter/exit events per node, keyed by interned span name.
+///
+/// Storage is a dense table indexed by the span name's interning id and
+/// the node id, so `enter`/`exit` are two index operations and everything
+/// one node recorded is one probe per name ([`SpanStore::node_stats`]) —
+/// a run uses a handful of span names. Node ids are deployment indices;
+/// each name's column is as long as the highest node id that entered it,
+/// which keeps the server-only spans of a deployment with thousands of
+/// clients a few cells long.
 #[derive(Debug, Clone, Default)]
 pub struct SpanStore {
+    /// Interned names; a span's id is its position. Interning is a linear
+    /// scan.
     names: Vec<&'static str>,
-    ids: BTreeMap<&'static str, u16>,
-    open: BTreeMap<(u32, u16), OpenSpan>,
-    stats: BTreeMap<(u32, u16), SpanStat>,
+    /// `columns[name id][node]`, one column per interned name, grown on a
+    /// node's first enter.
+    columns: Vec<Vec<SpanCell>>,
     unbalanced_exits: u64,
     #[cfg(feature = "trace")]
     events: Vec<SpanEvent>,
@@ -63,14 +79,45 @@ impl SpanStore {
         Self::default()
     }
 
+    /// Rebuilds a store from reported aggregates, every span closed — the
+    /// inverse of [`SpanStore::stats`]. This is the one way to hold
+    /// aggregates that `enter`/`exit` cannot produce (a span completed more
+    /// often than it was entered), which is what the tests of the balance
+    /// checks downstream need.
+    pub fn from_stats(stats: impl IntoIterator<Item = (u32, &'static str, SpanStat)>) -> Self {
+        let mut store = Self::new();
+        for (node, name, stat) in stats {
+            let id = store.intern(name);
+            store.cell_mut(node, id).absorb(&stat);
+        }
+        store
+    }
+
+    fn id_of(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|&n| n == name)
+    }
+
+    /// One past the highest node id that ever entered a span.
+    fn node_bound(&self) -> u32 {
+        self.columns.iter().map(Vec::len).max().unwrap_or(0) as u32
+    }
+
     fn intern(&mut self, name: &'static str) -> u16 {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
+        if let Some(id) = self.id_of(name) {
+            return id as u16;
         }
         let id = u16::try_from(self.names.len()).expect("too many span names");
         self.names.push(name);
-        self.ids.insert(name, id);
+        self.columns.push(Vec::new());
         id
+    }
+
+    fn cell_mut(&mut self, node: u32, id: u16) -> &mut SpanCell {
+        let (column, node) = (&mut self.columns[usize::from(id)], node as usize);
+        if column.len() <= node {
+            column.resize(node + 1, SpanCell::default());
+        }
+        &mut column[node]
     }
 
     /// Registered span names, in interning order.
@@ -81,15 +128,13 @@ impl SpanStore {
     /// Enters span `name` on `node` at virtual time `at_us`.
     pub fn enter(&mut self, node: u32, name: &'static str, at_us: u64) {
         let id = self.intern(name);
-        let open = self.open.entry((node, id)).or_insert(OpenSpan {
-            start_us: at_us,
-            depth: 0,
-        });
-        if open.depth == 0 {
-            open.start_us = at_us;
-            self.stats.entry((node, id)).or_default().entered += 1;
+        let cell = self.cell_mut(node, id);
+        if cell.depth == 0 {
+            cell.start_us = at_us;
+            cell.stat.entered += 1;
+            cell.seen = true;
         }
-        open.depth += 1;
+        cell.depth += 1;
         #[cfg(feature = "trace")]
         self.events.push(SpanEvent {
             at_us,
@@ -110,26 +155,28 @@ impl SpanStore {
             enter: false,
             name_id: id,
         });
-        let Some(open) = self.open.get_mut(&(node, id)) else {
+        let open = self.columns[usize::from(id)]
+            .get_mut(node as usize)
+            .filter(|cell| cell.depth > 0);
+        let Some(cell) = open else {
             self.unbalanced_exits += 1;
             return;
         };
-        open.depth -= 1;
-        if open.depth == 0 {
-            let start = open.start_us;
-            self.open.remove(&(node, id));
-            let stat = self.stats.entry((node, id)).or_default();
-            stat.completed += 1;
-            stat.total_us += at_us.saturating_sub(start);
+        cell.depth -= 1;
+        if cell.depth == 0 {
+            cell.stat.completed += 1;
+            cell.stat.total_us += at_us.saturating_sub(cell.start_us);
         }
     }
 
     /// Current nesting depth of span `name` on `node` (0 when closed).
     pub fn open_depth(&self, node: u32, name: &str) -> u32 {
-        let Some(&id) = self.ids.get(name) else {
+        let Some(id) = self.id_of(name) else {
             return 0;
         };
-        self.open.get(&(node, id)).map_or(0, |o| o.depth)
+        self.columns[id]
+            .get(node as usize)
+            .map_or(0, |cell| cell.depth)
     }
 
     /// Exits observed with no span open. Always zero under balanced
@@ -140,14 +187,30 @@ impl SpanStore {
 
     /// Aggregate stats per `(node, span name)`, in `(node, intern)` order.
     pub fn stats(&self) -> impl Iterator<Item = (u32, &'static str, &SpanStat)> {
-        self.stats
+        (0..self.node_bound()).flat_map(move |node| {
+            self.node_stats(node)
+                .map(move |(name, stat)| (node, name, stat))
+        })
+    }
+
+    /// The [`SpanStore::stats`] entries of one node, in interning order —
+    /// one probe per span name, whatever the number of nodes in the store.
+    pub fn node_stats(&self, node: u32) -> impl Iterator<Item = (&'static str, &SpanStat)> {
+        self.cells_of(node).map(|(name, cell)| (name, &cell.stat))
+    }
+
+    /// The seen cells of `node`, in interning order.
+    fn cells_of(&self, node: u32) -> impl Iterator<Item = (&'static str, &SpanCell)> {
+        self.columns
             .iter()
-            .map(|(&(node, id), stat)| (node, self.names[id as usize], stat))
+            .zip(&self.names)
+            .filter_map(move |(column, &name)| Some((name, column.get(node as usize)?)))
+            .filter(|(_, cell)| cell.seen)
     }
 
     /// Total entered count across all spans (cheap emptiness probe).
     pub fn total_entered(&self) -> u64 {
-        self.stats.values().map(|s| s.entered).sum()
+        self.stats().map(|(_, _, stat)| stat.entered).sum()
     }
 
     /// Folds another store into this one. Open spans merge by summing
@@ -155,21 +218,20 @@ impl SpanStore {
     /// two collectors traced the same node, which the transports never
     /// do).
     pub fn merge(&mut self, other: &SpanStore) {
-        for (&(node, id), stat) in &other.stats {
-            let my_id = self.intern(other.names[id as usize]);
-            let mine = self.stats.entry((node, my_id)).or_default();
-            mine.entered += stat.entered;
-            mine.completed += stat.completed;
-            mine.total_us += stat.total_us;
-        }
-        for (&(node, id), open) in &other.open {
-            let my_id = self.intern(other.names[id as usize]);
-            let mine = self.open.entry((node, my_id)).or_insert(OpenSpan {
-                start_us: open.start_us,
-                depth: 0,
-            });
-            mine.start_us = mine.start_us.min(open.start_us);
-            mine.depth += open.depth;
+        for node in 0..other.node_bound() {
+            for (name, cell) in other.cells_of(node) {
+                let id = self.intern(name);
+                let mine = self.cell_mut(node, id);
+                mine.absorb(&cell.stat);
+                if cell.depth > 0 {
+                    mine.start_us = if mine.depth > 0 {
+                        mine.start_us.min(cell.start_us)
+                    } else {
+                        cell.start_us
+                    };
+                    mine.depth += cell.depth;
+                }
+            }
         }
         self.unbalanced_exits += other.unbalanced_exits;
         #[cfg(feature = "trace")]
@@ -204,6 +266,15 @@ impl SpanStore {
             .expect("writing to String");
         }
         out
+    }
+}
+
+impl SpanCell {
+    fn absorb(&mut self, stat: &SpanStat) {
+        self.seen = true;
+        self.stat.entered += stat.entered;
+        self.stat.completed += stat.completed;
+        self.stat.total_us += stat.total_us;
     }
 }
 

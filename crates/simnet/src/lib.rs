@@ -78,4 +78,5 @@ pub use metrics::Metrics;
 pub use net::{aws_latency_matrix, LinkModel, NetworkConfig, Region};
 pub use runtime::{Env, Node, NodeId, WireSize};
 pub use spyker_obs::report::peak_rss_bytes;
+pub use spyker_obs::{MetricId, MetricKind, SpanStat, SpanStore};
 pub use time::SimTime;

@@ -57,6 +57,18 @@ impl Metrics {
         self.registry.counter_add_id(id, delta);
     }
 
+    /// Current value of the counter behind `id` — for readers (the simtest
+    /// oracles) that resolve their names once through
+    /// [`Registry::lookup`] and then read by index after every event.
+    /// Catalog names resolve to the same id in every collector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a counter id.
+    pub fn counter_value(&self, id: MetricId) -> u64 {
+        self.registry.counter_value(id)
+    }
+
     /// Resolves `name` as a gauge for [`Metrics::gauge_set_id`].
     pub fn gauge_handle(&mut self, name: &str) -> Option<MetricId> {
         self.registry.gauge_id(name)
@@ -125,6 +137,12 @@ impl Metrics {
     /// The span store (aggregates, balance counters, trace events).
     pub fn spans(&self) -> &SpanStore {
         self.registry.spans()
+    }
+
+    /// Write access to the span store, for folding in spans recorded
+    /// elsewhere ([`SpanStore::merge`]).
+    pub fn spans_mut(&mut self) -> &mut SpanStore {
+        self.registry.spans_mut()
     }
 
     /// The underlying typed registry (for reports and catalog checks).

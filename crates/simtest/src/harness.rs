@@ -1,21 +1,21 @@
 //! Runs a [`SimScenario`] under the oracle suite and fingerprints the
 //! result.
 //!
-//! The harness attaches an [`EventTap`] to the deterministic simulation and
-//! re-checks every oracle after every event, so a violation is pinned to
+//! The harness attaches an [`EventTap`](spyker_simnet::EventTap) to the
+//! deterministic simulation and re-checks every oracle after every event,
+//! so a violation is pinned to
 //! the exact event that introduced it (not merely discovered later). Runs
 //! are segmented around scenario [`Injection`]s: the simulation pauses at
 //! the injection time, the test-only mutation is applied through
 //! [`Simulation::node_mut`], and the run resumes — event order and RNG
 //! streams are unaffected, so injected runs stay bit-reproducible too.
 
-use std::ops::ControlFlow;
-
 use spyker_core::msg::FlMsg;
 use spyker_core::server::SpykerServer;
-use spyker_simnet::{EventTap, NodeId, SimTime, Simulation, TapCtx, TapKind};
+use spyker_simnet::{SimTime, Simulation};
 
-use crate::oracle::{default_suite, EventInfo, Oracle, OracleCtx};
+use crate::driver::{Deployment, OracleDriver};
+use crate::oracle::{default_suite, Oracle};
 use crate::scenario::{Injection, SimScenario};
 
 /// The bid `debug_force_token` stamps on an injected token — far above any
@@ -87,102 +87,29 @@ impl RunOutcome {
     }
 }
 
-/// The [`EventTap`] that drives the oracle suite.
-struct OracleTap<'a> {
-    sc: &'a SimScenario,
-    oracles: Vec<Box<dyn Oracle>>,
-    events: u64,
-    budget: u64,
-    budget_exhausted: bool,
-    violation: Option<Violation>,
-    /// Set by `on_deliver` when the in-flight message is a `TokenPass`;
-    /// consumed by the matching `after_event`.
-    pending_token_to: Option<NodeId>,
-    /// Node ids of every server actor (base ring + standbys), in
-    /// [`SimScenario::server_node_ids`] order.
-    server_ids: Vec<NodeId>,
-}
-
-impl<'a> OracleTap<'a> {
-    fn new(sc: &'a SimScenario, budget: u64) -> Self {
-        Self {
-            sc,
-            oracles: default_suite(),
-            events: 0,
-            budget,
-            budget_exhausted: false,
-            violation: None,
-            pending_token_to: None,
-            server_ids: sc.server_node_ids(),
-        }
-    }
-}
-
-impl EventTap<FlMsg> for OracleTap<'_> {
-    fn on_deliver(
-        &mut self,
-        _from: NodeId,
-        to: NodeId,
-        msg: &FlMsg,
-        _ctx: &TapCtx<'_, FlMsg>,
-    ) -> ControlFlow<()> {
-        self.pending_token_to = matches!(msg, FlMsg::TokenPass(_)).then_some(to);
-        ControlFlow::Continue(())
-    }
-
-    fn after_event(
-        &mut self,
-        node: NodeId,
-        kind: TapKind,
-        ctx: &TapCtx<'_, FlMsg>,
-    ) -> ControlFlow<()> {
-        self.events += 1;
-        let token_delivered =
-            kind == TapKind::Deliver && self.pending_token_to.take() == Some(node);
-        let octx = OracleCtx {
-            time: ctx.time(),
-            nodes: ctx.nodes(),
-            server_nodes: &self.server_ids,
-            metrics: ctx.metrics(),
-            n_clients: self.sc.n_clients,
-            event: Some(EventInfo {
-                node,
-                kind,
-                token_delivered,
-            }),
-            clean: self.sc.fault_count() == 0
-                && self.sc.inject.is_none()
-                && self.sc.avail_windows.is_empty(),
-            byzantine_free: self.sc.faults.byzantine.is_empty(),
-            targets: &self.sc.targets,
-            budget_exhausted: false,
-            codec: self.sc.codec,
-        };
-        for oracle in &mut self.oracles {
-            if let Err(message) = oracle.check(&octx) {
-                self.violation = Some(Violation {
-                    oracle: oracle.name(),
-                    message,
-                    time: ctx.time(),
-                    events: self.events,
-                });
-                return ControlFlow::Break(());
-            }
-        }
-        if self.events >= self.budget {
-            self.budget_exhausted = true;
-            return ControlFlow::Break(());
-        }
-        ControlFlow::Continue(())
-    }
-}
-
 /// Runs `sc` to its horizon (or until `budget_events` events) with the
 /// full oracle suite attached, applying the scenario's injection (if any)
 /// at its scheduled virtual time.
 pub fn run_scenario(sc: &SimScenario, budget_events: u64) -> RunOutcome {
+    run_with_suite(sc, budget_events, default_suite())
+}
+
+/// [`run_scenario`] under a caller-chosen suite.
+pub(crate) fn run_with_suite(
+    sc: &SimScenario,
+    budget_events: u64,
+    suite: Vec<Box<dyn Oracle>>,
+) -> RunOutcome {
     let mut sim = sc.build();
-    let mut tap = OracleTap::new(sc, budget_events);
+    let deployment = Deployment {
+        server_ids: sc.server_node_ids(),
+        n_clients: sc.n_clients,
+        clean: sc.fault_count() == 0 && sc.inject.is_none() && sc.avail_windows.is_empty(),
+        byzantine_free: sc.faults.byzantine.is_empty(),
+        targets: &sc.targets,
+        codec: sc.codec,
+    };
+    let mut tap = OracleDriver::new(deployment, suite, budget_events);
     match &sc.inject {
         Some(Injection::DuplicateToken { at, server }) => {
             sim.run_with_tap(*at, &mut tap);
@@ -199,33 +126,9 @@ pub fn run_scenario(sc: &SimScenario, budget_events: u64) -> RunOutcome {
             sim.run_with_tap(sc.horizon, &mut tap);
         }
     }
+    tap.finish(&sim);
     if let Some(v) = tap.violation {
         return RunOutcome::Violated(v);
-    }
-    // End-of-run pass: the whole-run invariants (liveness, finiteness).
-    let server_ids = sc.server_node_ids();
-    let octx = OracleCtx {
-        time: sim.now(),
-        nodes: sim.nodes(),
-        server_nodes: &server_ids,
-        metrics: sim.metrics(),
-        n_clients: sc.n_clients,
-        event: None,
-        clean: sc.fault_count() == 0 && sc.inject.is_none() && sc.avail_windows.is_empty(),
-        byzantine_free: sc.faults.byzantine.is_empty(),
-        targets: &sc.targets,
-        budget_exhausted: tap.budget_exhausted,
-        codec: sc.codec,
-    };
-    for oracle in &mut tap.oracles {
-        if let Err(message) = oracle.at_end(&octx) {
-            return RunOutcome::Violated(Violation {
-                oracle: oracle.name(),
-                message,
-                time: sim.now(),
-                events: tap.events,
-            });
-        }
     }
     RunOutcome::Clean(RunStats {
         events: tap.events,

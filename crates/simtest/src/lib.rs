@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod driver;
 pub mod harness;
 pub mod oracle;
 pub mod presets;

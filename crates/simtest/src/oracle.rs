@@ -33,7 +33,10 @@ use spyker_core::cohort::CohortClient;
 use spyker_core::msg::FlMsg;
 use spyker_core::server::SpykerServer;
 use spyker_core::update_codec::CodecConfig;
-use spyker_simnet::{Metrics, Node, NodeId, SimTime, TapKind};
+use spyker_simnet::{MetricId, MetricKind, Metrics, Node, NodeId, SimTime, SpanStat, TapKind};
+
+#[cfg(test)]
+mod reference;
 
 /// Slack for `f64` age comparisons (ages are sums of `f32`-derived
 /// weights; exact equality is still expected for the integer counters).
@@ -140,6 +143,52 @@ pub trait Oracle {
     }
 }
 
+/// The counters an oracle reads, named once and resolved to [`MetricId`]s
+/// on the oracle's first check, so the per-event read is an indexed load
+/// instead of a name lookup.
+///
+/// Every name must be a catalog counter: the registry pre-registers the
+/// catalog in a fixed order, so the cached ids hold against any collector
+/// the oracle is later shown. `Metrics::counter` answers 0 for a name
+/// nobody registered, which would let a typo'd identity check `0 == 0`
+/// forever; here such a name is an error from the first read.
+struct Counters<const N: usize> {
+    names: [&'static str; N],
+    ids: Option<[MetricId; N]>,
+}
+
+impl<const N: usize> Counters<N> {
+    const fn new(names: [&'static str; N]) -> Self {
+        Self { names, ids: None }
+    }
+
+    /// The ids of the named counters, looked up in `metrics` on first use.
+    fn resolve(&mut self, oracle: &str, metrics: &Metrics) -> Result<[MetricId; N], String> {
+        if let Some(ids) = self.ids {
+            return Ok(ids);
+        }
+        let registry = metrics.registry();
+        let counter = |name: &str| {
+            registry
+                .lookup(name)
+                .filter(|id| id.kind() == MetricKind::Counter)
+        };
+        if let Some(name) = self.names.iter().find(|name| counter(name).is_none()) {
+            return Err(format!(
+                "oracle {oracle} reads `{name}`, which is not a registered counter"
+            ));
+        }
+        let ids = self.names.map(|name| counter(name).expect("checked above"));
+        Ok(*self.ids.insert(ids))
+    }
+
+    /// The counters' current values, in the order they were named.
+    fn read(&mut self, oracle: &str, metrics: &Metrics) -> Result<[u64; N], String> {
+        let ids = self.resolve(oracle, metrics)?;
+        Ok(ids.map(|id| metrics.counter_value(id)))
+    }
+}
+
 /// Builds one instance of every oracle in the catalog.
 pub fn default_suite() -> Vec<Box<dyn Oracle>> {
     vec![
@@ -150,17 +199,15 @@ pub fn default_suite() -> Vec<Box<dyn Oracle>> {
         Box::new(TokenUniquenessOracle),
         Box::new(BidMonotonicityOracle { last: None }),
         Box::new(AgeMonotonicityOracle { last: None }),
-        Box::new(AgeConservationOracle),
-        Box::new(CounterConsistencyOracle),
-        Box::new(MetricsConsistencyOracle {
-            last_counters: std::collections::BTreeMap::new(),
-        }),
+        Box::new(AgeConservationOracle::new()),
+        Box::new(CounterConsistencyOracle::new()),
+        Box::new(MetricsConsistencyOracle::new()),
         Box::new(ExchangeLedgerOracle),
         Box::new(MembershipOracle { last: None }),
         Box::new(ModelHullOracle { hull: None }),
-        Box::new(CodecByteOracle),
+        Box::new(CodecByteOracle::new()),
         Box::new(AvailabilityOracle::new()),
-        Box::new(LivenessOracle),
+        Box::new(LivenessOracle::new()),
     ]
 }
 
@@ -362,7 +409,17 @@ impl Oracle for AgeMonotonicityOracle {
 /// Ages are conserved: one processed update grows exactly one server's age
 /// by at most 1, and exchanges only blend ages convexly — so no age entry
 /// anywhere can exceed the global count of processed updates.
-struct AgeConservationOracle;
+struct AgeConservationOracle {
+    counters: Counters<1>,
+}
+
+impl AgeConservationOracle {
+    fn new() -> Self {
+        Self {
+            counters: Counters::new(["updates.processed"]),
+        }
+    }
+}
 
 impl Oracle for AgeConservationOracle {
     fn name(&self) -> &'static str {
@@ -370,21 +427,20 @@ impl Oracle for AgeConservationOracle {
     }
 
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
-        let bound = ctx.metrics.counter("updates.processed") as f64 + AGE_EPS;
+        let [processed] = self.counters.read(self.name(), ctx.metrics)?;
+        let bound = processed as f64 + AGE_EPS;
         for (i, s) in ctx.servers().enumerate() {
             if s.age() > bound {
                 return Err(format!(
-                    "server {i}'s age {} exceeds the {} updates processed globally",
+                    "server {i}'s age {} exceeds the {processed} updates processed globally",
                     s.age(),
-                    ctx.metrics.counter("updates.processed")
                 ));
             }
             for (j, &a) in s.known_ages().iter().enumerate() {
                 if a > bound {
                     return Err(format!(
                         "server {i} believes server {j}'s age is {a}, above the \
-                         {} updates processed globally",
-                        ctx.metrics.counter("updates.processed")
+                         {processed} updates processed globally",
                     ));
                 }
             }
@@ -396,9 +452,67 @@ impl Oracle for AgeConservationOracle {
 /// The metric counters and the per-actor ledgers are two recordings of the
 /// same history; they must agree exactly, and every aggregate counter must
 /// equal the sum of its cause-tagged children.
-struct CounterConsistencyOracle;
+struct CounterConsistencyOracle {
+    ledgers: Counters<6>,
+    rejected_by_cause: Counters<5>,
+    bytes_by_kind: Counters<3>,
+    dropped_by_cause: Counters<5>,
+    byzantine_by_attack: Counters<5>,
+}
+
+/// The per-server ledger behind each counter of
+/// [`CounterConsistencyOracle::ledgers`], in the same order.
+const SERVER_LEDGERS: [fn(&SpykerServer) -> u64; 6] = [
+    SpykerServer::processed_updates,
+    SpykerServer::syncs_triggered,
+    SpykerServer::server_aggs,
+    SpykerServer::tokens_regenerated,
+    SpykerServer::degraded_syncs,
+    SpykerServer::rejected_updates,
+];
 
 impl CounterConsistencyOracle {
+    const NAME: &'static str = "counter-consistency";
+
+    fn new() -> Self {
+        Self {
+            ledgers: Counters::new([
+                "updates.processed",
+                "syncs.triggered",
+                "server.aggs",
+                "token.regenerated",
+                "sync.degraded",
+                "agg.rejected",
+            ]),
+            rejected_by_cause: Counters::new([
+                "agg.rejected",
+                "agg.rejected.nonfinite",
+                "agg.rejected.norm",
+                "agg.rejected.stale",
+                "agg.rejected.peer",
+            ]),
+            bytes_by_kind: Counters::new([
+                "net.bytes",
+                "net.bytes.client-server",
+                "net.bytes.server-server",
+            ]),
+            dropped_by_cause: Counters::new([
+                "fault.dropped",
+                "fault.dropped.loss",
+                "fault.dropped.scripted",
+                "fault.dropped.partition",
+                "fault.dropped.conn",
+            ]),
+            byzantine_by_attack: Counters::new([
+                "fault.byzantine",
+                "fault.byzantine.signflip",
+                "fault.byzantine.scale",
+                "fault.byzantine.noise",
+                "fault.byzantine.nan",
+            ]),
+        }
+    }
+
     fn check_eq(name: &str, counter: u64, ledger: u64) -> Result<(), String> {
         if counter != ledger {
             return Err(format!(
@@ -407,76 +521,39 @@ impl CounterConsistencyOracle {
         }
         Ok(())
     }
+
+    /// The first counter of `parts` is an aggregate and must equal the sum
+    /// of the others, its cause-tagged children.
+    fn check_parts<const N: usize>(
+        what: &str,
+        parts: &mut Counters<N>,
+        metrics: &Metrics,
+    ) -> Result<(), String> {
+        let values = parts.read(Self::NAME, metrics)?;
+        Self::check_eq(what, values[0], values[1..].iter().sum())
+    }
 }
 
 impl Oracle for CounterConsistencyOracle {
     fn name(&self) -> &'static str {
-        "counter-consistency"
+        Self::NAME
     }
 
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
         let m = ctx.metrics;
-        let sum = |f: fn(&SpykerServer) -> u64| ctx.servers().map(f).sum::<u64>();
-        Self::check_eq(
-            "updates.processed",
-            m.counter("updates.processed"),
-            sum(SpykerServer::processed_updates),
-        )?;
-        Self::check_eq(
-            "syncs.triggered",
-            m.counter("syncs.triggered"),
-            sum(SpykerServer::syncs_triggered),
-        )?;
-        Self::check_eq(
-            "server.aggs",
-            m.counter("server.aggs"),
-            sum(SpykerServer::server_aggs),
-        )?;
-        Self::check_eq(
-            "token.regenerated",
-            m.counter("token.regenerated"),
-            sum(SpykerServer::tokens_regenerated),
-        )?;
-        Self::check_eq(
-            "sync.degraded",
-            m.counter("sync.degraded"),
-            sum(SpykerServer::degraded_syncs),
-        )?;
-        Self::check_eq(
-            "agg.rejected",
-            m.counter("agg.rejected"),
-            sum(SpykerServer::rejected_updates),
-        )?;
-        Self::check_eq(
-            "agg.rejected (by cause)",
-            m.counter("agg.rejected"),
-            m.counter("agg.rejected.nonfinite")
-                + m.counter("agg.rejected.norm")
-                + m.counter("agg.rejected.stale")
-                + m.counter("agg.rejected.peer"),
-        )?;
-        Self::check_eq(
-            "net.bytes (by kind)",
-            m.counter("net.bytes"),
-            m.counter("net.bytes.client-server") + m.counter("net.bytes.server-server"),
-        )?;
-        Self::check_eq(
-            "fault.dropped (by cause)",
-            m.counter("fault.dropped"),
-            m.counter("fault.dropped.loss")
-                + m.counter("fault.dropped.scripted")
-                + m.counter("fault.dropped.partition")
-                + m.counter("fault.dropped.conn"),
-        )?;
-        Self::check_eq(
+        let counters = self.ledgers.read(Self::NAME, m)?;
+        for ((name, counter), ledger) in self.ledgers.names.iter().zip(counters).zip(SERVER_LEDGERS)
+        {
+            Self::check_eq(name, counter, ctx.servers().map(ledger).sum())?;
+        }
+        Self::check_parts("agg.rejected (by cause)", &mut self.rejected_by_cause, m)?;
+        Self::check_parts("net.bytes (by kind)", &mut self.bytes_by_kind, m)?;
+        Self::check_parts("fault.dropped (by cause)", &mut self.dropped_by_cause, m)?;
+        Self::check_parts(
             "fault.byzantine (by attack)",
-            m.counter("fault.byzantine"),
-            m.counter("fault.byzantine.signflip")
-                + m.counter("fault.byzantine.scale")
-                + m.counter("fault.byzantine.noise")
-                + m.counter("fault.byzantine.nan"),
-        )?;
-        Ok(())
+            &mut self.byzantine_by_attack,
+            m,
+        )
     }
 }
 
@@ -486,8 +563,88 @@ impl Oracle for CounterConsistencyOracle {
 /// metric counter is monotone non-decreasing over the run — a counter that
 /// shrinks means some code path wrote the registry directly instead of
 /// going through the accumulate-only API.
+///
+/// What is re-checked per event is what the event can have moved. Counters:
+/// the registry keeps them in one dense slab, compared wholesale against
+/// the copy taken at the last check. Spans: every span emission is stamped
+/// with the node whose handler (or fault transition) is running, and the
+/// simulator runs exactly one node between two checks — so once every row
+/// has been checked, only the rows of [`EventInfo::node`] can differ from
+/// what the last check saw, and re-checking those is as strong as
+/// re-checking all of them. The first check, a check outside any event and
+/// the end-of-run pass walk the whole store.
 struct MetricsConsistencyOracle {
-    last_counters: std::collections::BTreeMap<String, u64>,
+    /// The registry's counter slab at the last check.
+    last_counters: Vec<u64>,
+    /// `true` once a check has walked every span row.
+    spans_walked: bool,
+}
+
+impl MetricsConsistencyOracle {
+    fn new() -> Self {
+        Self {
+            last_counters: Vec::new(),
+            spans_walked: false,
+        }
+    }
+
+    fn check_balance(node: u32, name: &str, stat: &SpanStat) -> Result<(), String> {
+        if stat.completed > stat.entered {
+            return Err(format!(
+                "span {name} on node {node} completed {} times but was only \
+                 entered {} times",
+                stat.completed, stat.entered
+            ));
+        }
+        Ok(())
+    }
+
+    /// Checks the span rows of `only_node` (every row when `None`) and the
+    /// whole counter slab.
+    fn verify(&mut self, ctx: &OracleCtx<'_>, only_node: Option<u32>) -> Result<(), String> {
+        let spans = ctx.metrics.spans();
+        if spans.unbalanced_exits() > 0 {
+            return Err(format!(
+                "{} span exits arrived with no matching span open",
+                spans.unbalanced_exits()
+            ));
+        }
+        match only_node {
+            Some(node) => {
+                for (name, stat) in spans.node_stats(node) {
+                    Self::check_balance(node, name, stat)?;
+                }
+            }
+            None => {
+                for (node, name, stat) in spans.stats() {
+                    Self::check_balance(node, name, stat)?;
+                }
+                self.spans_walked = true;
+            }
+        }
+        let registry = ctx.metrics.registry();
+        let counters = registry.counter_values();
+        // A name first used mid-run appends a slot; it is tracked from this
+        // check on, like every slot at the first check.
+        let decreased = counters
+            .iter()
+            .zip(&self.last_counters)
+            .any(|(value, last)| value < last);
+        if decreased {
+            // Name the first offender in name order, as reports list them.
+            for (name, value) in registry.counters() {
+                let slot = registry.lookup(name).map(MetricId::index);
+                if let Some(&last) = slot.and_then(|slot| self.last_counters.get(slot)) {
+                    if value < last {
+                        return Err(format!("counter {name} decreased: {last} -> {value}"));
+                    }
+                }
+            }
+        }
+        self.last_counters.clear();
+        self.last_counters.extend_from_slice(counters);
+        Ok(())
+    }
 }
 
 impl Oracle for MetricsConsistencyOracle {
@@ -496,41 +653,15 @@ impl Oracle for MetricsConsistencyOracle {
     }
 
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
-        let spans = ctx.metrics.spans();
-        if spans.unbalanced_exits() > 0 {
-            return Err(format!(
-                "{} span exits arrived with no matching span open",
-                spans.unbalanced_exits()
-            ));
-        }
-        for (node, name, stat) in spans.stats() {
-            if stat.completed > stat.entered {
-                return Err(format!(
-                    "span {name} on node {node} completed {} times but was only \
-                     entered {} times",
-                    stat.completed, stat.entered
-                ));
-            }
-        }
-        for (name, value) in ctx.metrics.registry().counters() {
-            match self.last_counters.get(name).copied() {
-                Some(last) if value < last => {
-                    return Err(format!("counter {name} decreased: {last} -> {value}"));
-                }
-                Some(last) if value > last => {
-                    *self.last_counters.get_mut(name).expect("just probed") = value;
-                }
-                Some(_) => {}
-                None => {
-                    self.last_counters.insert(name.to_string(), value);
-                }
-            }
-        }
-        Ok(())
+        let only_node = ctx
+            .event
+            .filter(|_| self.spans_walked)
+            .and_then(|e| u32::try_from(e.node).ok());
+        self.verify(ctx, only_node)
     }
 
     fn at_end(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
-        self.check(ctx)
+        self.verify(ctx, None)
     }
 }
 
@@ -701,7 +832,26 @@ impl Oracle for ModelHullOracle {
 /// metric counters are reconciled against the per-client encoder ledgers
 /// — two independent recordings of the same uploads — and a clean run
 /// must have decoded traffic with zero reference misses.
-struct CodecByteOracle;
+struct CodecByteOracle {
+    counters: Counters<8>,
+}
+
+impl CodecByteOracle {
+    fn new() -> Self {
+        Self {
+            counters: Counters::new([
+                "net.bytes.raw",
+                "net.bytes.encoded",
+                "net.bytes.saved",
+                "codec.decode_error",
+                "codec.decoded",
+                "codec.ref_miss",
+                "updates.sent",
+                "updates.processed",
+            ]),
+        }
+    }
+}
 
 impl Oracle for CodecByteOracle {
     fn name(&self) -> &'static str {
@@ -709,13 +859,11 @@ impl Oracle for CodecByteOracle {
     }
 
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        let [raw, encoded, saved, decode_errors, decoded, missed, sent, _] =
+            self.counters.read(self.name(), ctx.metrics)?;
         let Some(codec) = ctx.codec else {
             return Ok(());
         };
-        let m = ctx.metrics;
-        let raw = m.counter("net.bytes.raw");
-        let encoded = m.counter("net.bytes.encoded");
-        let saved = m.counter("net.bytes.saved");
         // Quantization caps every kept coordinate at one byte (plus the
         // fixed header), so at the dimensions codec scenarios run at the
         // encoded upload is strictly below the 4-bytes-per-coordinate
@@ -732,16 +880,12 @@ impl Oracle for CodecByteOracle {
                  encoded {encoded}"
             ));
         }
-        if m.counter("codec.decode_error") > 0 {
+        if decode_errors > 0 {
             return Err(format!(
-                "{} payloads failed to parse — in-simulation faults never \
-                 truncate frames",
-                m.counter("codec.decode_error")
+                "{decode_errors} payloads failed to parse — in-simulation faults never \
+                 truncate frames"
             ));
         }
-        let decoded = m.counter("codec.decoded");
-        let missed = m.counter("codec.ref_miss");
-        let sent = m.counter("updates.sent");
         if decoded + missed > sent {
             return Err(format!(
                 "{decoded} decodes + {missed} reference misses exceed the \
@@ -756,7 +900,8 @@ impl Oracle for CodecByteOracle {
             return Ok(());
         }
         self.check(ctx)?;
-        let m = ctx.metrics;
+        let [counted_raw, counted_encoded, _, _, decoded, missed, _, processed] =
+            self.counters.read(self.name(), ctx.metrics)?;
         // Reconcile the run-wide counters against the per-client encoder
         // ledgers: every byte the counters claim must be attributable to
         // some client's encoder, and vice versa.
@@ -775,28 +920,22 @@ impl Oracle for CodecByteOracle {
                 encoded += e;
             }
         }
-        if raw != m.counter("net.bytes.raw") || encoded != m.counter("net.bytes.encoded") {
+        if raw != counted_raw || encoded != counted_encoded {
             return Err(format!(
-                "counters ({}, {}) disagree with the client encoder ledgers \
-                 ({raw}, {encoded})",
-                m.counter("net.bytes.raw"),
-                m.counter("net.bytes.encoded"),
+                "counters ({counted_raw}, {counted_encoded}) disagree with the client \
+                 encoder ledgers ({raw}, {encoded})",
             ));
         }
         if !ctx.clean {
             return Ok(());
         }
-        if m.counter("codec.ref_miss") > 0 {
+        if missed > 0 {
             return Err(format!(
-                "a clean run missed {} delta references (history depth must \
+                "a clean run missed {missed} delta references (history depth must \
                  cover the in-flight window)",
-                m.counter("codec.ref_miss")
             ));
         }
-        if !ctx.budget_exhausted
-            && m.counter("updates.processed") > 0
-            && m.counter("codec.decoded") == 0
-        {
+        if !ctx.budget_exhausted && processed > 0 && decoded == 0 {
             return Err("updates were processed but none arrived encoded".to_string());
         }
         Ok(())
@@ -818,6 +957,9 @@ pub(crate) struct AvailabilityOracle {
     offline: std::collections::BTreeSet<NodeId>,
     /// Offline / online / discarded transitions witnessed so far.
     tally: [u64; 3],
+    /// The `sim.availability.*` counters the tallies must equal, in tally
+    /// order.
+    counters: Counters<3>,
 }
 
 impl AvailabilityOracle {
@@ -825,16 +967,17 @@ impl AvailabilityOracle {
         AvailabilityOracle {
             offline: std::collections::BTreeSet::new(),
             tally: [0; 3],
+            counters: Counters::new([
+                "sim.availability.offline",
+                "sim.availability.online",
+                "sim.availability.discarded",
+            ]),
         }
     }
 
-    fn check_tallies(&self, ctx: &OracleCtx<'_>) -> Result<(), String> {
-        for (name, want) in [
-            ("sim.availability.offline", self.tally[0]),
-            ("sim.availability.online", self.tally[1]),
-            ("sim.availability.discarded", self.tally[2]),
-        ] {
-            let got = ctx.metrics.counter(name);
+    fn check_tallies(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        let counted = self.counters.read("availability", ctx.metrics)?;
+        for ((name, got), want) in self.counters.names.iter().zip(counted).zip(self.tally) {
             if got != want {
                 return Err(format!(
                     "counter {name} is {got} but the tap reported {want} such events"
@@ -851,6 +994,21 @@ impl Oracle for AvailabilityOracle {
     }
 
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        self.witness(ctx)?;
+        self.check_tallies(ctx)
+    }
+
+    fn at_end(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        // Nodes may legitimately end the run offline (a window crossing the
+        // horizon), so only the books are re-checked here.
+        self.check_tallies(ctx)
+    }
+}
+
+impl AvailabilityOracle {
+    /// Folds the event into the reconstructed offline set and tallies,
+    /// flagging a transition or handler the set forbids.
+    fn witness(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
         if let Some(e) = ctx.event {
             match e.kind {
                 TapKind::Offline => {
@@ -896,13 +1054,7 @@ impl Oracle for AvailabilityOracle {
                 TapKind::Crash | TapKind::Restart | TapKind::Discarded => {}
             }
         }
-        self.check_tallies(ctx)
-    }
-
-    fn at_end(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
-        // Nodes may legitimately end the run offline (a window crossing the
-        // horizon), so only the books are re-checked here.
-        self.check_tallies(ctx)
+        Ok(())
     }
 }
 
@@ -910,15 +1062,27 @@ impl Oracle for AvailabilityOracle {
 /// update was rejected (nothing dishonest ran), models and ages are
 /// consistent with the work done, and no more updates are in flight than
 /// clients exist to have sent them.
-struct LivenessOracle;
+struct LivenessOracle {
+    counters: Counters<3>,
+}
+
+impl LivenessOracle {
+    fn new() -> Self {
+        Self {
+            counters: Counters::new(["updates.sent", "updates.processed", "agg.rejected"]),
+        }
+    }
+}
 
 impl Oracle for LivenessOracle {
     fn name(&self) -> &'static str {
         "liveness"
     }
 
-    fn check(&mut self, _ctx: &OracleCtx<'_>) -> Result<(), String> {
-        Ok(())
+    fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        // Nothing to check mid-run, but a counter name the registry does
+        // not know should fail the first event, not the end of a long run.
+        self.counters.resolve(self.name(), ctx.metrics).map(drop)
     }
 
     fn at_end(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
@@ -937,13 +1101,9 @@ impl Oracle for LivenessOracle {
         if !ctx.clean {
             return Ok(());
         }
-        let sent = ctx.metrics.counter("updates.sent");
-        let processed = ctx.metrics.counter("updates.processed");
-        if ctx.metrics.counter("agg.rejected") != 0 {
-            return Err(format!(
-                "a clean run rejected {} updates",
-                ctx.metrics.counter("agg.rejected")
-            ));
+        let [sent, processed, rejected] = self.counters.read(self.name(), ctx.metrics)?;
+        if rejected != 0 {
+            return Err(format!("a clean run rejected {rejected} updates"));
         }
         if sent < processed {
             return Err(format!(
@@ -968,6 +1128,8 @@ impl Oracle for LivenessOracle {
 
 #[cfg(test)]
 mod tests {
+    use spyker_simnet::SpanStore;
+
     use super::*;
 
     fn ctx(metrics: &Metrics) -> OracleCtx<'_> {
@@ -987,8 +1149,113 @@ mod tests {
     }
 
     fn metrics_oracle() -> MetricsConsistencyOracle {
-        MetricsConsistencyOracle {
-            last_counters: std::collections::BTreeMap::new(),
+        MetricsConsistencyOracle::new()
+    }
+
+    fn at(metrics: &Metrics, node: NodeId) -> OracleCtx<'_> {
+        OracleCtx {
+            event: Some(EventInfo {
+                node,
+                kind: TapKind::Deliver,
+                token_delivered: false,
+            }),
+            ..ctx(metrics)
+        }
+    }
+
+    /// A collector holding a span completed once more than it was entered
+    /// on `node`. `enter`/`exit` cannot produce that, so it is merged in
+    /// from a store built from doctored aggregates.
+    fn over_complete(metrics: &mut Metrics, node: u32) {
+        let doctored = SpanStat {
+            entered: 1,
+            completed: 2,
+            total_us: 10,
+        };
+        metrics.spans_mut().merge(&SpanStore::from_stats([(
+            node,
+            "server.aggregate",
+            doctored,
+        )]));
+    }
+
+    #[test]
+    fn over_completion_on_the_event_node_is_flagged_at_that_event() {
+        let mut m = Metrics::new();
+        m.span_enter(2, "client.round", SimTime::ZERO);
+        let mut o = metrics_oracle();
+        o.check(&at(&m, 2)).unwrap();
+        over_complete(&mut m, 4);
+        let err = o.check(&at(&m, 4)).unwrap_err();
+        assert!(
+            err.contains("span server.aggregate on node 4 completed 2 times"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn over_completion_on_another_node_is_flagged_by_the_next_full_pass() {
+        let mut m = Metrics::new();
+        let mut o = metrics_oracle();
+        o.check(&at(&m, 2)).unwrap();
+        // No event the simulator runs can do this: node 4's row changes
+        // while node 2 is the one handling the event.
+        over_complete(&mut m, 4);
+        o.check(&at(&m, 2)).unwrap();
+        let err = o.at_end(&ctx(&m)).unwrap_err();
+        assert!(err.contains("on node 4 completed 2 times"), "{err}");
+        // A check outside any event walks every row too, and so does the
+        // first check of a fresh oracle whatever its event says.
+        let err = o.check(&ctx(&m)).unwrap_err();
+        assert!(err.contains("on node 4"), "{err}");
+        let err = metrics_oracle().check(&at(&m, 2)).unwrap_err();
+        assert!(err.contains("on node 4"), "{err}");
+    }
+
+    #[test]
+    fn a_counter_first_seen_mid_run_is_tracked_from_first_sight() {
+        let mut m = Metrics::new();
+        let mut o = metrics_oracle();
+        m.add_counter("updates.sent", 1);
+        o.check(&at(&m, 0)).unwrap();
+        let slots = m.registry().counter_values().len();
+        // A family name (`net.bytes.<kind>`) registers on first use and
+        // appends a slot to the counter slab.
+        m.add_counter_suffixed("net.bytes.", "token", 64);
+        assert_eq!(m.registry().counter_values().len(), slots + 1);
+        o.check(&at(&m, 0)).unwrap();
+        assert_eq!(o.last_counters.len(), slots + 1);
+        m.add_counter_suffixed("net.bytes.", "token", 64);
+        o.check(&at(&m, 0)).unwrap();
+        // The same history replayed into a second collector up to a lower
+        // value: the new slot is compared like any other.
+        let mut rewound = Metrics::new();
+        rewound.add_counter("updates.sent", 1);
+        rewound.add_counter_suffixed("net.bytes.", "token", 100);
+        let err = o.check(&at(&rewound, 0)).unwrap_err();
+        assert_eq!(err, "counter net.bytes.token decreased: 128 -> 100");
+    }
+
+    #[test]
+    fn a_counter_nobody_registers_fails_the_first_check() {
+        let m = Metrics::new();
+        let mut o = AgeConservationOracle {
+            counters: Counters::new(["updates.procesed"]),
+        };
+        let err = o.check(&ctx(&m)).unwrap_err();
+        assert_eq!(
+            err,
+            "oracle age-conservation reads `updates.procesed`, which is not a registered counter"
+        );
+        // A registered name of another kind is no better than a typo.
+        let mut o = LivenessOracle {
+            counters: Counters::new(["updates.sent", "agg.staleness", "agg.rejected"]),
+        };
+        let err = o.check(&ctx(&m)).unwrap_err();
+        assert!(err.contains("liveness reads `agg.staleness`"), "{err}");
+        // Every name the suite really reads resolves.
+        for oracle in &mut default_suite() {
+            oracle.check(&ctx(&m)).unwrap();
         }
     }
 
@@ -1020,11 +1287,11 @@ mod tests {
         m.add_counter("net.bytes.encoded", 140);
         let mut c = ctx(&m);
         c.codec = Some(CodecConfig::paper_pipeline());
-        let err = CodecByteOracle.check(&c).unwrap_err();
+        let err = CodecByteOracle::new().check(&c).unwrap_err();
         assert!(err.contains("inflated the wire"), "{err}");
         // Without a codec the same counters are nobody's business.
         c.codec = None;
-        CodecByteOracle.check(&c).unwrap();
+        CodecByteOracle::new().check(&c).unwrap();
     }
 
     #[test]
@@ -1035,7 +1302,7 @@ mod tests {
         m.add_counter("net.bytes.saved", 59);
         let mut c = ctx(&m);
         c.codec = Some(CodecConfig::paper_pipeline());
-        let err = CodecByteOracle.check(&c).unwrap_err();
+        let err = CodecByteOracle::new().check(&c).unwrap_err();
         assert!(err.contains("ledger identity"), "{err}");
     }
 

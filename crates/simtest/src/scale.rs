@@ -16,7 +16,6 @@
 //! event path): `sim.cohort.clients`, `sim.events_per_sec` and
 //! `sim.peak_rss_bytes`.
 
-use std::ops::ControlFlow;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -30,13 +29,11 @@ use spyker_core::params::ParamVec;
 use spyker_core::server::SpykerServer;
 use spyker_core::training::MeanTargetTrainer;
 use spyker_core::update_codec::CodecConfig;
-use spyker_simnet::{
-    peak_rss_bytes, EventTap, NetworkConfig, NodeId, SchedulerKind, SimTime, Simulation, TapCtx,
-    TapKind,
-};
+use spyker_simnet::{peak_rss_bytes, NetworkConfig, NodeId, SchedulerKind, SimTime, Simulation};
 
+use crate::driver::{Deployment, OracleDriver};
 use crate::harness::Violation;
-use crate::oracle::{default_suite, EventInfo, Oracle, OracleCtx};
+use crate::oracle::default_suite;
 
 /// Parameters of one scalability run.
 #[derive(Debug, Clone)]
@@ -108,79 +105,6 @@ pub struct ScaleStats {
     pub violation: Option<Violation>,
 }
 
-/// The per-event oracle driver for scale runs (the scenario-level twin
-/// lives in [`crate::harness`]; this one is scenario-free and carries only
-/// what the oracles read).
-struct ScaleTap<'a> {
-    oracles: Vec<Box<dyn Oracle>>,
-    events: u64,
-    budget: u64,
-    budget_exhausted: bool,
-    violation: Option<Violation>,
-    pending_token_to: Option<NodeId>,
-    server_ids: Vec<NodeId>,
-    n_clients: usize,
-    targets: &'a [f32],
-    codec: Option<CodecConfig>,
-}
-
-impl EventTap<FlMsg> for ScaleTap<'_> {
-    fn on_deliver(
-        &mut self,
-        _from: NodeId,
-        to: NodeId,
-        msg: &FlMsg,
-        _ctx: &TapCtx<'_, FlMsg>,
-    ) -> ControlFlow<()> {
-        self.pending_token_to = matches!(msg, FlMsg::TokenPass(_)).then_some(to);
-        ControlFlow::Continue(())
-    }
-
-    fn after_event(
-        &mut self,
-        node: NodeId,
-        kind: TapKind,
-        ctx: &TapCtx<'_, FlMsg>,
-    ) -> ControlFlow<()> {
-        self.events += 1;
-        let token_delivered =
-            kind == TapKind::Deliver && self.pending_token_to.take() == Some(node);
-        let octx = OracleCtx {
-            time: ctx.time(),
-            nodes: ctx.nodes(),
-            server_nodes: &self.server_ids,
-            metrics: ctx.metrics(),
-            n_clients: self.n_clients,
-            event: Some(EventInfo {
-                node,
-                kind,
-                token_delivered,
-            }),
-            clean: true,
-            byzantine_free: true,
-            targets: self.targets,
-            budget_exhausted: false,
-            codec: self.codec,
-        };
-        for oracle in &mut self.oracles {
-            if let Err(message) = oracle.check(&octx) {
-                self.violation = Some(Violation {
-                    oracle: oracle.name(),
-                    message,
-                    time: ctx.time(),
-                    events: self.events,
-                });
-                return ControlFlow::Break(());
-            }
-        }
-        if self.events >= self.budget {
-            self.budget_exhausted = true;
-            return ControlFlow::Break(());
-        }
-        ControlFlow::Continue(())
-    }
-}
-
 /// Builds the cohort deployment: servers at ids `0..n_servers` (one per
 /// region, round-robin), one [`CohortClient`] per cohort co-located with
 /// its server. Returns the simulation plus the per-cohort targets (the
@@ -245,50 +169,19 @@ pub fn build_scale(spec: &ScaleSpec) -> (Simulation<FlMsg>, Vec<f32>) {
 /// stamps the run-level gauges, and returns the stats.
 pub fn run_scale(spec: &ScaleSpec, budget_events: u64) -> ScaleStats {
     let (mut sim, targets) = build_scale(spec);
-    let mut tap = ScaleTap {
-        oracles: default_suite(),
-        events: 0,
-        budget: budget_events,
-        budget_exhausted: false,
-        violation: None,
-        pending_token_to: None,
+    let deployment = Deployment {
         server_ids: (0..spec.n_servers).collect(),
         n_clients: spec.n_cohorts(),
+        clean: true,
+        byzantine_free: true,
         targets: &targets,
         codec: spec.codec,
     };
+    let mut tap = OracleDriver::new(deployment, default_suite(), budget_events);
     let wall = Instant::now();
     sim.run_with_tap(spec.horizon, &mut tap);
     let elapsed = wall.elapsed().as_secs_f64().max(1e-9);
-
-    if tap.violation.is_none() {
-        // End-of-run pass (liveness, finiteness).
-        let server_ids: Vec<NodeId> = (0..spec.n_servers).collect();
-        let octx = OracleCtx {
-            time: sim.now(),
-            nodes: sim.nodes(),
-            server_nodes: &server_ids,
-            metrics: sim.metrics(),
-            n_clients: spec.n_cohorts(),
-            event: None,
-            clean: true,
-            byzantine_free: true,
-            targets: &targets,
-            budget_exhausted: tap.budget_exhausted,
-            codec: spec.codec,
-        };
-        for oracle in &mut tap.oracles {
-            if let Err(message) = oracle.at_end(&octx) {
-                tap.violation = Some(Violation {
-                    oracle: oracle.name(),
-                    message,
-                    time: octx.time,
-                    events: tap.events,
-                });
-                break;
-            }
-        }
-    }
+    tap.finish(&sim);
 
     let events_per_sec = tap.events as f64 / elapsed;
     let rss = peak_rss_bytes();

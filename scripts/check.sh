@@ -11,8 +11,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # `cargo test` only runs the umbrella crate's integration tests, so the
 # suites guarding the protocol core (`core::ingest` and the servers built on
 # it, the codec property batteries, the four-server ingest battery in
-# `crates/baselines/tests`) have to be named explicitly.
+# `crates/baselines/tests`) have to be named explicitly. Likewise the
+# simulator and the simulation-test harness: the oracle unit tests (each
+# invariant caught both ways), the old-vs-new differential over the pinned
+# corpus, 32 fuzz seeds and the token injection, the scale-runner and
+# shrinker tests, the wheel and preset property batteries.
 cargo test -q --offline -p spyker-core -p spyker-baselines
+cargo test -q --offline -p spyker-simtest -p spyker-simnet
 
 # The benchmark package is its own workspace: its tests are the API-drift
 # gate (it hand-wires the public server/deploy/agg/codec items) and the
@@ -28,11 +33,14 @@ cargo test -q --release --test byzantine
 # then the golden run-report and span-trace pins (byte-identical reports
 # across builds) and the metric-catalog registration gate.
 cargo test -q --release -p spyker-obs
+# The span store's trace dump only exists under the `trace` feature.
+cargo test -q --release -p spyker-obs --features trace --test span_model
 cargo test -q --release --test golden_report --test metric_catalog
 
 # Criterion benches must at least compile; the smoke runner then enforces
-# the GEMM regression gate (blocked ≥ 3× naive on 128×128, see DESIGN.md
-# §10) and refreshes BENCH_tensor.json at the repo root.
+# the GEMM regression gate (the paired blocked-vs-naive ratio on 128×128
+# must stay ≥ 0.75× the one recorded in BENCH_tensor.json, see DESIGN.md
+# §10) and, when it passes, refreshes BENCH_tensor.json at the repo root.
 cargo bench --workspace --offline --no-run
 cargo run -q --release -p spyker-bench --bin bench_smoke BENCH_tensor.json
 
@@ -94,6 +102,22 @@ if [[ "${SPYKER_SKIP_SCALE:-0}" != "1" ]]; then
         --min-events-per-sec 20k
 else
     echo "SPYKER_SKIP_SCALE=1 — skipping the 100k-client scale smoke"
+fi
+
+# End-to-end ledger (see bench_e2e/README.md): one full `bench_e2e run` —
+# four workloads, end-to-end and traced pass, ~3 min — judged against the
+# committed BENCH_e2e.json with the bounds of BENCHMARK.json. Regress-only:
+# `compare` exits non-zero when an end-to-end metric is worse than the
+# baseline by more than its bound, and says `unresolved`, not `regressed`,
+# when the runs spread wider than the bound. A PR that claims a gain
+# refreshes the baseline: cp bench_e2e/out/results.json BENCH_e2e.json.
+# Skippable where wall-clock throughput means nothing: SPYKER_SKIP_E2E=1.
+if [[ "${SPYKER_SKIP_E2E:-0}" != "1" ]]; then
+    cargo run -q --release --offline --locked --manifest-path bench_e2e/Cargo.toml -- run
+    cargo run -q --release --offline --locked --manifest-path bench_e2e/Cargo.toml -- \
+        compare BENCH_e2e.json bench_e2e/out/results.json
+else
+    echo "SPYKER_SKIP_E2E=1 — skipping the bench_e2e regression gate"
 fi
 
 # Multi-process TCP soak (see DESIGN.md §13): 2 servers + 6 clients + a
