@@ -15,6 +15,7 @@ use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
 use spyker_core::server::SpykerServer;
 use spyker_core::sync_spyker::SyncSpykerServer;
+use spyker_core::update_codec::{CodecConfig, UpdateEncoder};
 use spyker_simnet::{Node, NodeId, SimTime};
 use support::MockEnv;
 
@@ -42,8 +43,12 @@ fn downcast<T: 'static>(node: &dyn Node<FlMsg>) -> &T {
 }
 
 fn subjects(validation: ValidationConfig) -> Vec<Subject> {
-    let mut cfg = SpykerConfig::paper_defaults(2, 1);
-    cfg.validation = validation;
+    subjects_from(SpykerConfig::paper_defaults(2, 1).with_validation(validation))
+}
+
+/// The four servers under `cfg` (FedAsync takes its validation gate).
+fn subjects_from(cfg: SpykerConfig) -> Vec<Subject> {
+    let validation = cfg.validation;
     let init = || ParamVec::zeros(2);
     let period = SimTime::from_secs(1);
     vec![
@@ -160,6 +165,70 @@ fn nonfinite_uploads_are_rejected_counted_and_answered() {
             let (params, age) = replied_model(msg);
             assert_eq!((params, age), (&before.0, before.1), "{name}");
         }
+    }
+}
+
+/// After three wrong-dimension uploads, from clients 1, 2 and 2: nothing
+/// integrated, nothing counted as a gate rejection (the by-cause oracle
+/// sums `agg.rejected.*`), every sender answered with the untouched model.
+fn assert_dropped_and_answered(s: &Subject, env: &MockEnv, before: &(ParamVec, f64)) {
+    let name = s.name;
+    assert_eq!(&s.model(), before, "{name}: the model moved");
+    assert_eq!(env.counter("net.unexpected"), 3, "{name}");
+    assert_eq!(env.counter("agg.rejected"), 0, "{name}");
+    assert_eq!(env.counter("updates.processed"), 0, "{name}");
+    assert_eq!(env.sent.len(), 3, "{name}: a dropped client was starved");
+    for ((to, msg), want_to) in env.sent.iter().zip([1, 2, 2]) {
+        assert_eq!(*to, want_to, "{name}");
+        let (params, age) = replied_model(msg);
+        assert_eq!((params, age), (&before.0, before.1), "{name}");
+    }
+}
+
+#[test]
+fn wrong_dimension_uploads_are_counted_drops_and_answered() {
+    // The 2-dim servers are handed 3-, 1- and 0-dim updates. The check
+    // sits ahead of the gate: the norm gate's distance and the lerp behind
+    // the default gate both assume equal lengths.
+    let norm_gate = ValidationConfig {
+        max_delta_norm: Some(10.0),
+        ..ValidationConfig::default()
+    };
+    for validation in [ValidationConfig::default(), norm_gate] {
+        for mut s in subjects(validation) {
+            let mut env = MockEnv::new(0, 3);
+            let before = s.model();
+            s.send(&mut env, 1, &[0.5, 0.5, 0.5], 0.0);
+            s.send(&mut env, 2, &[0.5], 0.0);
+            s.send(&mut env, 2, &[], 0.0);
+            assert_dropped_and_answered(&s, &env, &before);
+        }
+    }
+
+    // Encoded: a self-contained (non-delta) payload declares its own
+    // dimension. Spyker and Sync-Spyker are the servers that decode.
+    let codec = CodecConfig::identity();
+    let encoded = |update: &[f32]| {
+        let mut payload = Vec::new();
+        UpdateEncoder::new(codec).encode(1, update, &[], 0, &mut payload);
+        FlMsg::EncodedUpdate {
+            payload,
+            age: 0.0,
+            num_samples: 10,
+        }
+    };
+    let cfg = SpykerConfig::paper_defaults(2, 1).with_codec(codec);
+    for mut s in subjects_from(cfg).into_iter().take(2) {
+        let mut env = MockEnv::new(0, 3);
+        let before = s.model();
+        s.node.on_message(&mut env, 1, encoded(&[0.5, 0.5, 0.5]));
+        s.node.on_message(&mut env, 2, encoded(&[0.5]));
+        s.node.on_message(&mut env, 2, encoded(&[]));
+        assert_eq!(env.counter("codec.decoded"), 3, "{}", s.name);
+        assert_dropped_and_answered(&s, &env, &before);
+        // A right-sized payload still goes through.
+        s.node.on_message(&mut env, 1, encoded(&[0.5, 0.5]));
+        assert_eq!(env.counter("updates.processed"), 1, "{}", s.name);
     }
 }
 

@@ -1,15 +1,17 @@
 //! Non-Criterion smoke benchmark: times the GEMM family against the frozen
-//! naive kernel plus one end-to-end client training step, and writes the
-//! results to `BENCH_tensor.json`.
+//! naive kernel, one end-to-end client training step and the codec-path
+//! kernels at the `des_bigmodel_codec` dimension, and writes the results to
+//! `BENCH_tensor.json`.
 //!
 //! Criterion's statistical machinery is overkill for a CI gate; this runner
-//! exists so `scripts/check.sh` can assert the headline regression bound in
-//! a few seconds: the blocked-vs-naive GEMM ratio on 128×128 must not fall
-//! below 0.75× the ratio recorded in the output file it is about to
-//! replace (the committed `BENCH_tensor.json`). The ratio is a property of
-//! the host as much as of the kernel — 2.1–3.9× across the machines this
-//! has run on — so the gate is regress-only against the last recorded run,
-//! not an absolute floor. Run it from the repo root:
+//! exists so `scripts/check.sh` can assert the headline regression bounds in
+//! a few seconds: the blocked-vs-naive GEMM ratio on 128×128 and the
+//! network-vs-scalar trimmed-mean ratio on 8 × 65 536 must not fall below
+//! 0.75× the ratios recorded in the output file it is about to replace (the
+//! committed `BENCH_tensor.json`). A ratio is a property of the host as much
+//! as of the kernel — the GEMM one has read 2.1–3.9× across the machines
+//! this has run on — so the gate is regress-only against the last recorded
+//! run, not an absolute floor. Run it from the repo root:
 //!
 //! ```text
 //! cargo run --release -p spyker-bench --bin bench_smoke [OUT.json]
@@ -21,10 +23,13 @@ use spyker_bench::random_params;
 use spyker_data::synth::{SynthImages, SynthImagesSpec};
 use spyker_models::bridge::DenseShardTrainer;
 use spyker_models::linear::SoftmaxRegression;
-use spyker_tensor::{im2col_into, Conv2dShape, Matrix};
+use spyker_tensor::{
+    coordinate_trimmed_mean, im2col_into, top_k_indices, trimmed_mean_inplace, Conv2dShape, Matrix,
+};
 
 use spyker_core::params::ParamVec;
 use spyker_core::training::LocalTrainer;
+use spyker_core::update_codec::{param_hash, CodecConfig, UpdateEncoder};
 
 /// One timed benchmark: median-ish ns/iter over an adaptive iteration count.
 struct Sample {
@@ -122,11 +127,16 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// The headline figure the GEMM gate compares.
-const HEADLINE: &str = "matmul_128x128_speedup_vs_naive";
-/// The fresh headline ratio may fall to this share of the recorded one
-/// before the gate fails (paired ratios on one host spread about ±15 %).
+/// The paired ratios the gate compares, each against its recorded value.
+const GATED: [&str; 2] = [
+    "matmul_128x128_speedup_vs_naive",
+    "trimmed_mean_8x65536_speedup_vs_scalar",
+];
+/// A fresh gated ratio may fall to this share of the recorded one before
+/// the gate fails (paired ratios on one host spread about ±15 %).
 const REGRESS_SHARE: f64 = 0.75;
+/// Model dimension of the codec-path rows (`des_bigmodel_codec`'s).
+const CODEC_DIM: usize = 65_536;
 
 /// The number recorded under top-level key `key` of a JSON file this
 /// runner wrote earlier, if the file and the key exist.
@@ -141,7 +151,7 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_tensor.json".to_string());
-    let baseline = recorded(&out_path, HEADLINE);
+    let baselines = GATED.map(|key| recorded(&out_path, key));
     let mut samples = Vec::new();
 
     // --- GEMM: blocked vs the frozen pre-optimisation kernel. -------------
@@ -214,6 +224,64 @@ fn main() {
         trainer.train(&mut params, 0.05, 1);
     }));
 
+    // --- Codec path, at the `des_bigmodel_codec` shapes. ----------------------
+    // What `bench_e2e` times but cannot be edited to split further: the
+    // reference id (hashed twice per update and absent from its ledger), the
+    // 8-row robust flush kernel against the per-coordinate scalar reference
+    // it replaced, top-k at 1 %, and one whole paper-pipeline encode.
+    let model = random_params(CODEC_DIM, 9).into_vec();
+    samples.push(time_it("param_hash_65536", || {
+        std::hint::black_box(param_hash(std::hint::black_box(&model)));
+    }));
+    let rows: Vec<Vec<f32>> = (0..8)
+        .map(|r| random_params(CODEC_DIM, 10 + r).into_vec())
+        .collect();
+    let row_refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+    let mut combined = vec![0.0f32; CODEC_DIM];
+    let mut reference = vec![0.0f32; CODEC_DIM];
+    let (network, scalar, speedup) = time_paired(
+        "trimmed_mean_8x65536_trim2",
+        "trimmed_mean_scalar_8x65536_trim2",
+        || coordinate_trimmed_mean(std::hint::black_box(&row_refs), 2, &mut combined),
+        || {
+            let mut column = [0.0f32; 8];
+            for (j, slot) in reference.iter_mut().enumerate() {
+                for (c, row) in column.iter_mut().zip(&row_refs) {
+                    *c = row[j];
+                }
+                *slot = trimmed_mean_inplace(&mut column, 2);
+            }
+        },
+    );
+    println!(
+        "trimmed_mean_8x65536: network {:>9.0} ns  scalar {:>10.0} ns  speedup {speedup:.2}x",
+        network.ns_per_iter, scalar.ns_per_iter
+    );
+    assert!(
+        combined
+            .iter()
+            .zip(&reference)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "network and scalar trimmed means disagree"
+    );
+    samples.push(network);
+    samples.push(scalar);
+    speedups.push((
+        "trimmed_mean_8x65536_speedup_vs_scalar".to_string(),
+        speedup,
+    ));
+    let mut idx = Vec::new();
+    samples.push(time_it("topk_1pct_65536", || {
+        top_k_indices(std::hint::black_box(&model), CODEC_DIM / 100 + 1, &mut idx)
+    }));
+    let trained = random_params(CODEC_DIM, 20).into_vec();
+    let mut encoder = UpdateEncoder::new(CodecConfig::paper_pipeline());
+    let ref_hash = param_hash(&model);
+    let mut payload = Vec::new();
+    samples.push(time_it("codec_encode_paper_65536", || {
+        encoder.encode(7, &trained, &model, ref_hash, &mut payload)
+    }));
+
     // --- Hand-rolled JSON (no serde in the image). ---------------------------
     let mut json = String::from("{\n  \"benchmarks\": [\n");
     for (i, s) in samples.iter().enumerate() {
@@ -232,30 +300,35 @@ fn main() {
     }
     json.push_str("}\n");
 
-    // CI gate: the blocked kernel must keep its lead over the frozen naive
-    // one on the headline size. Exit non-zero so scripts/check.sh fails
-    // loudly — and leave the recorded file alone, so a rerun is judged
-    // against the same baseline rather than against the regressed figure.
-    let headline = speedups
-        .iter()
-        .find(|(n, _)| n == HEADLINE)
-        .map(|&(_, s)| s)
-        .expect("headline speedup present");
-    match baseline {
-        Some(recorded) if headline < REGRESS_SHARE * recorded => {
-            eprintln!(
-                "FAIL: matmul_128x128 speedup {headline:.2}x < {REGRESS_SHARE} x the \
-                 {recorded:.2}x recorded in {out_path}"
-            );
-            std::process::exit(1);
+    // CI gate: each optimised kernel must keep its lead over its frozen
+    // reference. Exit non-zero so scripts/check.sh fails loudly — and leave
+    // the recorded file alone, so a rerun is judged against the same
+    // baseline rather than against the regressed figure.
+    let mut failed = false;
+    for (key, baseline) in GATED.iter().zip(baselines) {
+        let fresh = speedups
+            .iter()
+            .find(|(n, _)| n == key)
+            .map(|&(_, s)| s)
+            .expect("gated ratio present");
+        match baseline {
+            Some(recorded) if fresh < REGRESS_SHARE * recorded => {
+                eprintln!(
+                    "FAIL: {key} {fresh:.2}x < {REGRESS_SHARE} x the {recorded:.2}x recorded in \
+                     {out_path}"
+                );
+                failed = true;
+            }
+            Some(recorded) => {
+                println!("ok: {key} {fresh:.2}x >= {REGRESS_SHARE} x the recorded {recorded:.2}x")
+            }
+            None => {
+                println!("ok: {key} {fresh:.2}x (nothing recorded in {out_path} to compare with)")
+            }
         }
-        Some(recorded) => println!(
-            "ok: matmul_128x128 speedup {headline:.2}x >= {REGRESS_SHARE} x the recorded \
-             {recorded:.2}x"
-        ),
-        None => println!(
-            "ok: matmul_128x128 speedup {headline:.2}x (no earlier {out_path} to compare with)"
-        ),
+    }
+    if failed {
+        std::process::exit(1);
     }
     std::fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("wrote {out_path}");

@@ -294,6 +294,28 @@ impl RobustBuffer {
         self.weights.push(weight);
     }
 
+    /// Buffers the delta `update − base` at `weight`, written in one pass
+    /// straight into a recycled buffer: the result of
+    /// [`take_delta`](Self::take_delta), copying `update` in, `axpy(-1.0,
+    /// base)` and [`push`](Self::push), without the zero-fill and the
+    /// second sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ.
+    pub fn push_difference(&mut self, update: &ParamVec, base: &ParamVec, weight: f32) {
+        assert_eq!(update.len(), base.len(), "dimension mismatch in delta");
+        let mut delta = self.scratch.take_vec(0);
+        delta.extend(
+            update
+                .as_slice()
+                .iter()
+                .zip(base.as_slice())
+                .map(|(u, b)| u - b),
+        );
+        self.push(ParamVec::from_vec(delta), weight);
+    }
+
     /// `true` once `batch` deltas are buffered and
     /// [`RobustBuffer::flush_into`] should run.
     pub fn is_ready(&self) -> bool {
@@ -392,9 +414,7 @@ pub fn validate_update(
     model_age: f64,
     update_age: f64,
 ) -> Result<(), RejectReason> {
-    if cfg.reject_nonfinite
-        && (!update_age.is_finite() || update.as_slice().iter().any(|v| !v.is_finite()))
-    {
+    if cfg.reject_nonfinite && !(update_age.is_finite() && update.is_finite()) {
         return Err(RejectReason::NonFinite);
     }
     if let Some(max) = cfg.max_staleness {
@@ -473,6 +493,27 @@ mod tests {
         let (est, _) = flush(&mut buf);
         assert!((est.as_slice()[0] - 0.6).abs() < 1e-6);
         assert!((est.as_slice()[1] - 0.8).abs() < 1e-6);
+    }
+
+    #[test]
+    fn push_difference_is_the_take_copy_axpy_push_it_replaces() {
+        let update = pv(&[1.5, -0.0, 0.0, 3.0e-39, -7.25, 1.0e30, 0.1]);
+        let base = pv(&[0.25, 0.0, 0.0, 1.0e-39, -7.25, -1.0e30, 0.3]);
+        let batch_of_one =
+            || RobustBuffer::from_strategy(AggregationStrategy::Median { batch: 1 }).unwrap();
+        let mut fused = batch_of_one();
+        let mut stepwise = batch_of_one();
+        // Twice, so that the second delta lands in recycled storage.
+        for _ in 0..2 {
+            fused.push_difference(&update, &base, 1.0);
+            let mut delta = stepwise.take_delta(update.len());
+            delta.as_mut_slice().copy_from_slice(update.as_slice());
+            delta.axpy(-1.0, &base);
+            stepwise.push(delta, 1.0);
+            let (a, b) = (flush(&mut fused).0, flush(&mut stepwise).0);
+            let bits = |v: &ParamVec| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b));
+        }
     }
 
     #[test]

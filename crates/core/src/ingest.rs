@@ -61,6 +61,9 @@ pub struct UpdateIngest {
 
     codec: Option<CodecConfig>,
     decoder: UpdateDecoder,
+    /// The dim-sized buffer [`UpdateIngest::decode`] decodes into, parked
+    /// here between uploads (see [`UpdateIngest::recycle_update`]).
+    decode_buf: Vec<f32>,
     /// Per-client history of recently-sent models, keyed by content hash.
     /// Only populated when the codec uses delta encoding.
     sent_models: HashMap<NodeId, VecDeque<(u64, ParamVec)>>,
@@ -104,6 +107,7 @@ impl UpdateIngest {
             fractional_age: false,
             codec: None,
             decoder: UpdateDecoder::new(),
+            decode_buf: Vec::new(),
             sent_models: HashMap::new(),
             validation,
             robust: RobustBuffer::from_strategy(aggregation),
@@ -216,7 +220,11 @@ impl UpdateIngest {
 
     /// The validation gate: `false` (counted, with its cause) for a
     /// non-finite, norm-exploded or over-stale update, which must then not
-    /// touch `current`; an admitted update's staleness is observed.
+    /// touch `current`; an admitted update's staleness is observed. An
+    /// update of another dimension than the model — any frame can declare
+    /// one — is not an update at all: a counted `net.unexpected` drop
+    /// (DESIGN.md §13) ahead of the gate, whose norm check and every
+    /// integration step after it assume equal lengths.
     pub fn admit(
         &mut self,
         env: &mut dyn Env<FlMsg>,
@@ -225,6 +233,10 @@ impl UpdateIngest {
         update: &ParamVec,
         update_age: f64,
     ) -> bool {
+        if update.len() != current.len() {
+            env.add_counter("net.unexpected", 1);
+            return false;
+        }
         match validate_update(&self.validation, current, update, model_age, update_age) {
             Ok(()) => {
                 env.observe("agg.staleness", model_age - update_age);
@@ -277,10 +289,7 @@ impl UpdateIngest {
                 // built in buffers recycled from earlier flushes and the
                 // estimate lands in `flush_buf`, so a long run's flush path
                 // stops touching the heap after the first full batch.
-                let mut delta = buf.take_delta(update.len());
-                delta.as_mut_slice().copy_from_slice(update.as_slice());
-                delta.axpy(-1.0, params);
-                buf.push(delta, w);
+                buf.push_difference(update, params, w);
                 if buf.is_ready() {
                     let n = buf.len();
                     let mean_w = buf.flush_into(&mut self.flush_buf);
@@ -304,7 +313,10 @@ impl UpdateIngest {
 
     /// Decodes an encoded client payload against the per-client reference
     /// history. Counts the outcome; `None` means the update must be
-    /// dropped (reference miss or malformed payload).
+    /// dropped (reference miss or malformed payload). The dense result
+    /// lives in this path's one decode buffer: hand it back through
+    /// [`UpdateIngest::recycle_update`] once it has been integrated and the
+    /// next upload decodes without touching the heap.
     pub fn decode(
         &mut self,
         env: &mut dyn Env<FlMsg>,
@@ -327,15 +339,26 @@ impl UpdateIngest {
             Ok(None) => Ok(None),
             Err(e) => Err(e),
         };
-        let mut dense = Vec::new();
+        let mut dense = std::mem::take(&mut self.decode_buf);
         let decoded = reference.and_then(|r| self.decoder.decode(payload, r, &mut dense));
-        let outcome = if decoded.is_ok() {
-            "codec.decoded"
+        if decoded.is_ok() {
+            env.add_counter("codec.decoded", 1);
+            Some(ParamVec::from_vec(dense))
         } else {
-            "codec.decode_error"
-        };
-        env.add_counter(outcome, 1);
-        decoded.ok().map(|()| ParamVec::from_vec(dense))
+            env.add_counter("codec.decode_error", 1);
+            self.decode_buf = dense;
+            None
+        }
+    }
+
+    /// Takes back the storage of an integrated update — one
+    /// [`UpdateIngest::decode`] produced, or any other spare vector — for
+    /// the next upload to decode into. Without a codec nothing ever
+    /// decodes, and the storage is simply freed.
+    pub fn recycle_update(&mut self, update: ParamVec) {
+        if self.codec.is_some() {
+            self.decode_buf = update.into_vec();
+        }
     }
 
     /// One encoded client upload: decoded **before** the validation gate

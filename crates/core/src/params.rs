@@ -142,8 +142,19 @@ impl ParamVec {
     }
 
     /// `true` when every component is finite (no `NaN`/`Inf`).
+    ///
+    /// A value is non-finite exactly when its exponent bits are all ones.
+    /// Each chunk ORs that test over its values with no early exit inside
+    /// the chunk, so the scan vectorises where `iter().all(is_finite)`
+    /// branches per element; the exit between chunks keeps a poisoned
+    /// vector cheap to reject.
     pub fn is_finite(&self) -> bool {
-        self.0.iter().all(|v| v.is_finite())
+        const EXPONENT: u32 = 0x7f80_0000;
+        self.0.chunks(256).all(|chunk| {
+            !chunk
+                .iter()
+                .fold(false, |bad, v| bad | (v.to_bits() & EXPONENT == EXPONENT))
+        })
     }
 
     /// Serialized size in bytes (4 bytes per component plus a small header),
@@ -241,5 +252,20 @@ mod tests {
         let s = format!("{a:?}");
         assert!(s.contains("dim=1000"));
         assert!(s.len() < 60);
+    }
+
+    #[test]
+    fn nonfinite_scan_sees_every_position() {
+        // The scan works chunk by chunk; plant the poison at chunk edges.
+        for len in [1, 255, 256, 257, 1000] {
+            assert!(ParamVec::zeros(len).is_finite());
+            for at in [0, len / 2, len - 1] {
+                for poison in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut v = ParamVec::from_vec(vec![f32::MAX; len]);
+                    v.as_mut_slice()[at] = poison;
+                    assert!(!v.is_finite(), "len {len} at {at}: {poison}");
+                }
+            }
+        }
     }
 }

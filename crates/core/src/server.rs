@@ -636,8 +636,11 @@ impl SpykerServer {
         // existed, or one whose own gate was disabled). Only the merge is
         // skipped: the echo above and the token bookkeeping below must
         // still run, or the token holder waits forever on this bid.
-        if self.cfg.validation.reject_nonfinite
-            && !(peer_age.is_finite() && peer_params.is_finite())
+        // Likewise a model of another dimension, which the lerp below
+        // cannot take: any frame can declare one.
+        if peer_params.len() != self.params.len()
+            || (self.cfg.validation.reject_nonfinite
+                && !(peer_age.is_finite() && peer_params.is_finite()))
         {
             self.ingest.reject(env, "agg.rejected.peer");
         } else {
@@ -1277,6 +1280,7 @@ impl Node<FlMsg> for SpykerServer {
                         .encoded_update(env, from, &payload, &self.params, self.age);
                 if let Some(update) = decoded {
                     self.on_client_update(env, from, &update, age, true);
+                    self.ingest.recycle_update(update);
                 }
             }
             FlMsg::AgeGossip { age, server_idx } => {
@@ -1763,49 +1767,52 @@ mod tests {
     }
 
     #[test]
-    fn nonfinite_peer_model_skips_merge_but_not_token_bookkeeping() {
+    fn unusable_peer_model_skips_merge_but_not_token_bookkeeping() {
         // Server 0 holds the initial token and triggers an exchange on its
         // first client update (zero thresholds). The peer answers with a
-        // poisoned model: the merge must be skipped but the token must
-        // still be forwarded once every peer answered.
-        let cfg = SpykerConfig::paper_defaults(2, 2).with_thresholds(0.0, 0.0);
-        let mut s = SpykerServer::new(0, vec![0, 1], vec![2], ParamVec::zeros(2), cfg);
-        let mut env = MockEnv::new(0, 4);
-        s.on_message(
-            &mut env,
-            2,
-            FlMsg::ClientUpdate {
-                params: ParamVec::from_vec(vec![1.0, 1.0]),
-                age: 0.0,
-                num_samples: 10,
-            },
-        );
-        assert!(s.ongoing_synchro, "exchange should have been triggered");
-        let bid = s.token.as_ref().expect("still holds the token").bid;
-        let params_before = s.params().clone();
-        s.on_message(
-            &mut env,
-            1,
-            FlMsg::ServerModel {
-                params: ParamVec::from_vec(vec![f32::NAN, 0.0]),
-                age: 1.0,
-                bid,
-                server_idx: 1,
-            },
-        );
-        // Merge skipped: model untouched, no server agg counted.
-        assert_eq!(s.params(), &params_before);
-        assert_eq!(s.server_aggs(), 0);
-        assert_eq!(env.counter("agg.rejected.peer"), 1);
-        // Bookkeeping intact: the exchange completed and the token moved on.
-        assert!(!s.has_token());
-        assert!(!s.ongoing_synchro);
-        assert!(
-            env.sent
-                .iter()
-                .any(|(to, m)| *to == 1 && matches!(m, FlMsg::TokenPass(_))),
-            "token was never forwarded"
-        );
+        // model that cannot be merged — poisoned, or of another dimension:
+        // the merge must be skipped but the token must still be forwarded
+        // once every peer answered.
+        for peer_model in [vec![f32::NAN, 0.0], vec![0.5, 0.5, 0.5], vec![]] {
+            let cfg = SpykerConfig::paper_defaults(2, 2).with_thresholds(0.0, 0.0);
+            let mut s = SpykerServer::new(0, vec![0, 1], vec![2], ParamVec::zeros(2), cfg);
+            let mut env = MockEnv::new(0, 4);
+            s.on_message(
+                &mut env,
+                2,
+                FlMsg::ClientUpdate {
+                    params: ParamVec::from_vec(vec![1.0, 1.0]),
+                    age: 0.0,
+                    num_samples: 10,
+                },
+            );
+            assert!(s.ongoing_synchro, "exchange should have been triggered");
+            let bid = s.token.as_ref().expect("still holds the token").bid;
+            let params_before = s.params().clone();
+            s.on_message(
+                &mut env,
+                1,
+                FlMsg::ServerModel {
+                    params: ParamVec::from_vec(peer_model),
+                    age: 1.0,
+                    bid,
+                    server_idx: 1,
+                },
+            );
+            // Merge skipped: model untouched, no server agg counted.
+            assert_eq!(s.params(), &params_before);
+            assert_eq!(s.server_aggs(), 0);
+            assert_eq!(env.counter("agg.rejected.peer"), 1);
+            // Bookkeeping intact: the exchange completed and the token moved on.
+            assert!(!s.has_token());
+            assert!(!s.ongoing_synchro);
+            assert!(
+                env.sent
+                    .iter()
+                    .any(|(to, m)| *to == 1 && matches!(m, FlMsg::TokenPass(_))),
+                "token was never forwarded"
+            );
+        }
     }
 
     #[test]

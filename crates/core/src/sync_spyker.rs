@@ -135,6 +135,9 @@ impl SyncSpykerServer {
             true,
         );
         env.span_exit("server.aggregate");
+        // A decoded upload came out of the ingest path's decode buffer;
+        // a dense one serves as that buffer just as well.
+        self.ingest.recycle_update(update);
     }
 
     fn start_round(&mut self, env: &mut dyn Env<FlMsg>) {

@@ -29,7 +29,7 @@
 
 use spyker_simnet::ByzantineAttack;
 use spyker_tensor::{
-    dequantize_into, pack_nibbles, quantize_into, top_k_indices, unpack_nibbles, Scratch,
+    dequantize_into, pack_nibbles, quantize_into, top_k_indices_with, unpack_nibbles, Scratch,
 };
 
 /// Hard cap on the model dimension a payload may declare — matches the
@@ -211,17 +211,74 @@ impl CodecConfig {
     }
 }
 
-/// FNV-1a content hash of a parameter vector's bit pattern — how an
+/// Independent multiply chains of [`param_hash`]. A 64-bit vector multiply
+/// has several times the latency of the scalar one, so it takes this many
+/// lanes in flight — two 512-bit registers of state — to keep it fed.
+const HASH_LANES: usize = 16;
+
+/// Coordinates one [`param_hash`] block holds: one 64-bit word of two
+/// coordinates per lane.
+const HASH_BLOCK: usize = 2 * HASH_LANES;
+
+/// Per-lane odd multipliers of [`param_hash`], which double as the lanes'
+/// initial states: consecutive splitmix64 outputs with the low bit set.
+const HASH_MUL: [u64; HASH_LANES] = {
+    let mut out = [0; HASH_LANES];
+    let mut l = 0;
+    while l < HASH_LANES {
+        out[l] = mix64((l as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)) | 1;
+        l += 1;
+    }
+    out
+};
+
+/// splitmix64's finaliser: a bijection of `u64` that spreads every input
+/// bit over the whole word.
+const fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// 64-bit content hash of a parameter vector's bit pattern — how an
 /// encoded delta names its reference model on the wire.
+///
+/// Word-wise: every block of 32 coordinates forms sixteen `u64` words, each
+/// folded into its own `state = rotl((state ^ word) · odd, 29)` lane, so
+/// sixteen multiply chains run independently instead of one byte-serial
+/// one; a ragged tail is zero-padded to a block, and the length and the
+/// lanes are mixed together at the end. Every step is a bijection of its
+/// lane for a fixed word and of the word for a fixed lane, so two vectors
+/// of one length that differ in a single coordinate never collide.
+///
+/// Not cryptographic and not a stable format: the value is only ever
+/// compared for equality between a client and the server that sent it the
+/// model, within one client's few-entry history (DESIGN.md §16.1), so both
+/// ends must come from the same build.
 pub fn param_hash(params: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &p in params {
-        for b in p.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    fn absorb(lanes: &mut [u64; HASH_LANES], block: &[f32; HASH_BLOCK]) {
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let word =
+                u64::from(block[2 * l].to_bits()) | u64::from(block[2 * l + 1].to_bits()) << 32;
+            *lane = (*lane ^ word).wrapping_mul(HASH_MUL[l]).rotate_left(29);
         }
     }
-    h
+    let mut lanes = HASH_MUL;
+    let mut blocks = params.chunks_exact(HASH_BLOCK);
+    for block in &mut blocks {
+        absorb(&mut lanes, block.try_into().expect("a full block"));
+    }
+    let tail = blocks.remainder();
+    if !tail.is_empty() {
+        let mut block = [0.0f32; HASH_BLOCK];
+        block[..tail.len()].copy_from_slice(tail);
+        absorb(&mut lanes, &block);
+    }
+    // Each fold is a bijection of the running hash and of the lane folded
+    // in, so a difference confined to one lane survives to the end.
+    lanes
+        .iter()
+        .fold(params.len() as u64, |h, &lane| mix64(h ^ lane))
 }
 
 /// Why an encoded payload could not be decoded. Hostile or corrupted
@@ -371,10 +428,7 @@ impl SplitMix {
 
     fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        mix64(self.0)
     }
 
     /// Uniform in `[0, 1)` with 24 bits of resolution.
@@ -392,12 +446,52 @@ pub struct UpdateEncoder {
     /// is off or the pipeline is lossless).
     residual: Vec<f32>,
     scratch: Scratch,
+    /// Top-k selection keys, one per coordinate.
+    topk_keys: Vec<u64>,
     idx: Vec<u32>,
     codes: Vec<i8>,
     packed: Vec<u8>,
     updates: u64,
     raw_bytes: u64,
     encoded_bytes: u64,
+}
+
+/// Stage 1 of [`UpdateEncoder::encode`], one fused pass over zipped slices:
+/// `x = (update − reference) + residual`, either term optional, in that
+/// operation order. Non-finite results are dropped to zero here, before
+/// selection: a `NaN` left in `x` would win every later top-k through the
+/// residual, quantise to code 0 and mute the client for good
+/// (DESIGN.md §16.4).
+fn delta_domain(x: &mut [f32], update: &[f32], reference: Option<&[f32]>, carry_residual: bool) {
+    fn finite(v: f32) -> f32 {
+        if v.is_finite() {
+            v
+        } else {
+            0.0
+        }
+    }
+    match (reference, carry_residual) {
+        (Some(reference), true) => {
+            for ((x, &u), &r) in x.iter_mut().zip(update).zip(reference) {
+                *x = finite((u - r) + *x);
+            }
+        }
+        (Some(reference), false) => {
+            for ((x, &u), &r) in x.iter_mut().zip(update).zip(reference) {
+                *x = finite(u - r);
+            }
+        }
+        (None, true) => {
+            for (x, &u) in x.iter_mut().zip(update) {
+                *x = finite(u + *x);
+            }
+        }
+        (None, false) => {
+            for (x, &u) in x.iter_mut().zip(update) {
+                *x = finite(u);
+            }
+        }
+    }
 }
 
 impl UpdateEncoder {
@@ -414,6 +508,7 @@ impl UpdateEncoder {
             cfg,
             residual: Vec::new(),
             scratch: Scratch::new(),
+            topk_keys: Vec::new(),
             idx: Vec::new(),
             codes: Vec::new(),
             packed: Vec::new(),
@@ -461,30 +556,28 @@ impl UpdateEncoder {
             assert_eq!(reference.len(), dim, "delta reference dimension mismatch");
         }
         let feedback = cfg.error_feedback && cfg.is_lossy();
-        if feedback && self.residual.len() != dim {
-            self.residual.clear();
-            self.residual.resize(dim, 0.0);
-        }
 
         // Stage 1: move to the delta domain and add the carried residual.
-        let mut x = self.scratch.take_vec(dim);
-        for i in 0..dim {
-            x[i] = if cfg.delta {
-                update[i] - reference[i]
-            } else {
-                update[i]
-            };
-            if feedback {
-                x[i] += self.residual[i];
+        // With feedback `x` is built in place in the residual buffer, which
+        // is what it turns back into once the sent mass is taken out below.
+        let mut x = if feedback {
+            let mut carried = std::mem::take(&mut self.residual);
+            if carried.len() != dim {
+                carried.clear();
+                carried.resize(dim, 0.0);
             }
-        }
+            carried
+        } else {
+            self.scratch.take_vec(dim)
+        };
+        delta_domain(&mut x, update, cfg.delta.then_some(reference), feedback);
 
         // Stage 2: top-k gather.
         let sparse = cfg.topk.is_some();
         let n = self.kept(dim).min(dim);
         let mut kept = self.scratch.take_vec(if sparse { n } else { 0 });
         if sparse {
-            top_k_indices(&x, n, &mut self.idx);
+            top_k_indices_with(&x, n, &mut self.topk_keys, &mut self.idx);
             for (slot, &i) in kept.iter_mut().zip(&self.idx) {
                 *slot = x[i as usize];
             }
@@ -562,14 +655,14 @@ impl UpdateEncoder {
         // on the wire (dropped coordinates keep their full value; kept
         // coordinates keep only their quantization error).
         if feedback {
-            let sent: &[f32] = if cfg.quant.is_some() { &deq } else { values };
-            self.residual.copy_from_slice(&x);
+            // Lossy without quantization means top-k: `values` is `kept`.
+            let sent: &[f32] = if cfg.quant.is_some() { &deq } else { &kept };
             if sparse {
-                for (j, &i) in self.idx.iter().enumerate() {
-                    self.residual[i as usize] -= sent[j];
+                for (&i, &s) in self.idx.iter().zip(sent) {
+                    x[i as usize] -= s;
                 }
             } else {
-                for (r, &s) in self.residual.iter_mut().zip(sent) {
+                for (r, &s) in x.iter_mut().zip(sent) {
                     *r -= s;
                 }
             }
@@ -578,7 +671,11 @@ impl UpdateEncoder {
         self.updates += 1;
         self.scratch.recycle_vec(deq);
         self.scratch.recycle_vec(kept);
-        self.scratch.recycle_vec(x);
+        if feedback {
+            self.residual = x;
+        } else {
+            self.scratch.recycle_vec(x);
+        }
     }
 
     /// Records one sent update in the client's byte ledger: what the dense
@@ -866,6 +963,27 @@ mod tests {
         let mut out = Vec::new();
         dec.decode(&payload, Some(&reference), &mut out).unwrap();
         assert_eq!(out, vec![0.0, 0.2, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn a_diverged_round_does_not_mute_the_client() {
+        let dim = 1000;
+        let reference = vec![0.0f32; dim];
+        let mut enc = UpdateEncoder::new(CodecConfig::paper_pipeline());
+        let mut dec = UpdateDecoder::new();
+        let (mut payload, mut out) = (Vec::new(), Vec::new());
+        // One diverged local training: 20 NaN coordinates, twice the k = 10
+        // the pipeline keeps.
+        let diverged = model(dim, |i| if i < 20 { f32::NAN } else { 0.001 });
+        enc.encode(1, &diverged, &reference, 0, &mut payload);
+        assert!(enc.residual().iter().all(|v| v.is_finite()));
+        // The next, healthy round must get its k largest coordinates out.
+        let healthy = model(dim, |i| if i % 100 == 50 { 1.0 + i as f32 } else { 0.001 });
+        enc.encode(1, &healthy, &reference, 0, &mut payload);
+        assert!(enc.residual().iter().all(|v| v.is_finite()));
+        dec.decode(&payload, Some(&reference), &mut out).unwrap();
+        let sent: Vec<usize> = (0..dim).filter(|&i| out[i] != 0.0).collect();
+        assert_eq!(sent, (0..10).map(|j| 100 * j + 50).collect::<Vec<_>>());
     }
 
     #[test]

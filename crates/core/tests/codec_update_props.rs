@@ -15,6 +15,9 @@
 //! 4. **Hostile input**: truncated prefixes are rejected with typed
 //!    errors; single-byte corruption never panics; error feedback
 //!    conserves the dropped mass exactly.
+//! 5. **Reference id**: `param_hash` tells apart any two vectors of one
+//!    length that differ in one coordinate, by as little as one bit, and
+//!    vectors that differ only in length, order or the sign of a zero.
 
 use proptest::prelude::*;
 use spyker_core::update_codec::{
@@ -306,4 +309,43 @@ proptest! {
             carried = residual;
         }
     }
+
+    /// Flipping any single bit of any single coordinate changes the hash,
+    /// at every length up to and just past one 32-coordinate block.
+    #[test]
+    fn param_hash_sees_every_single_bit(seed in 0u64..u64::MAX) {
+        for len in 1usize..=40 {
+            let params: Vec<f32> = (0..len as u64)
+                .map(|i| f32::from_bits((seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)) as u32))
+                .collect();
+            let h = param_hash(&params);
+            for i in 0..len {
+                for bit in 0..32 {
+                    let mut flipped = params.clone();
+                    flipped[i] = f32::from_bits(params[i].to_bits() ^ 1 << bit);
+                    prop_assert_ne!(param_hash(&flipped), h, "len {} coordinate {} bit {}", len, i, bit);
+                }
+            }
+        }
+    }
+
+    /// Swapping two unequal coordinates changes the hash, wherever the
+    /// two sit relative to the hash's lanes and blocks.
+    #[test]
+    fn param_hash_sees_order(params in values(70), i in 0usize..70, j in 0usize..70) {
+        prop_assume!(params[i].to_bits() != params[j].to_bits());
+        let mut swapped = params.clone();
+        swapped.swap(i, j);
+        prop_assert_ne!(param_hash(&swapped), param_hash(&params));
+    }
+}
+
+#[test]
+fn param_hash_sees_length_and_the_sign_of_zero() {
+    assert_ne!(param_hash(&[0.0; 8]), param_hash(&[0.0; 9]));
+    assert_ne!(param_hash(&[0.0; 31]), param_hash(&[0.0; 32]));
+    assert_ne!(param_hash(&[0.0; 32]), param_hash(&[0.0; 33]));
+    assert_ne!(param_hash(&[]), param_hash(&[0.0]));
+    assert_ne!(param_hash(&[0.0]), param_hash(&[-0.0]));
+    assert_eq!(param_hash(&[1.5, -2.0]), param_hash(&[1.5, -2.0]));
 }

@@ -45,7 +45,9 @@ pub use ops::{
     log_softmax_rows, relu, relu_grad_mask, relu_into, scalar_sigmoid, sigmoid, softmax_rows,
     softmax_rows_into, tanh_deriv_from_output,
 };
-pub use quant::{dequantize_into, pack_nibbles, quantize_into, top_k_indices, unpack_nibbles};
+pub use quant::{
+    dequantize_into, pack_nibbles, quantize_into, top_k_indices, top_k_indices_with, unpack_nibbles,
+};
 pub use reduce::{
     coordinate_median, coordinate_trimmed_mean, median_inplace, trimmed_mean_inplace,
 };

@@ -15,25 +15,83 @@
 /// is fully deterministic even with repeated magnitudes. `k` is clamped
 /// to `values.len()`; `idx` is reused without reallocating once its
 /// capacity has converged.
+///
+/// Allocates the candidate buffer of [`top_k_indices_with`] on every call;
+/// a caller on a hot path keeps one and calls that instead.
 pub fn top_k_indices(values: &[f32], k: usize, idx: &mut Vec<u32>) {
+    top_k_indices_with(values, k, &mut Vec::new(), idx);
+}
+
+/// The sign-less bits of an `f32`: as integers they order like
+/// [`f32::total_cmp`] orders `|v|`, `NaN` above `+inf`.
+const MAGNITUDE: u32 = 0x7fff_ffff;
+/// [`top_k_indices_with`] buckets magnitudes by their top 12 bits — the
+/// exponent and four mantissa bits, sixteen buckets to a binade.
+const BUCKET_SHIFT: u32 = 19;
+const BUCKETS: usize = 1 << (31 - BUCKET_SHIFT);
+/// Entries the candidate gather tests at once before looking at any singly.
+const GATHER_CHUNK: usize = 8;
+
+/// [`top_k_indices`] with the selection's work buffer lent by the caller:
+/// `keys` is overwritten and reused without reallocating once its capacity
+/// has converged.
+///
+/// Two streaming passes narrow the input before anything is selected: a
+/// histogram of magnitude buckets finds the lowest bucket that, with the
+/// ones above it, holds at least `k` entries, and only entries from there
+/// up become candidates — a few times `k` of them when magnitudes are
+/// spread out, every entry when they all share one bucket. Candidate `i`
+/// packs to the key `(0x7fff_ffff − |bits|) << 32 | i`: a larger magnitude
+/// is a smaller key and the index breaks ties, so a plain integer
+/// quickselect over the keys picks the documented set with no comparator
+/// callback and no indirection through `values`.
+///
+/// # Panics
+///
+/// Panics if `values` has more than `u32::MAX` entries.
+pub fn top_k_indices_with(values: &[f32], k: usize, keys: &mut Vec<u64>, idx: &mut Vec<u32>) {
+    assert!(
+        u32::try_from(values.len()).is_ok(),
+        "top-k over more than u32::MAX entries"
+    );
     idx.clear();
-    idx.extend(0..values.len() as u32);
     let k = k.min(values.len());
     if k == 0 {
-        idx.clear();
         return;
     }
-    if k < values.len() {
-        // Descending by |value| (total order, so NaNs cannot panic the
-        // comparator), ascending index on ties.
-        idx.select_nth_unstable_by(k - 1, |&a, &b| {
-            values[b as usize]
-                .abs()
-                .total_cmp(&values[a as usize].abs())
-                .then(a.cmp(&b))
-        });
+    if k == values.len() {
+        idx.extend(0..k as u32);
+        return;
     }
-    idx.truncate(k);
+    let magnitude = |v: &f32| v.to_bits() & MAGNITUDE;
+
+    let mut counts = [0u32; BUCKETS];
+    for v in values {
+        counts[(magnitude(v) >> BUCKET_SHIFT) as usize] += 1;
+    }
+    let mut bucket = BUCKETS;
+    let mut covered = 0;
+    while covered < k {
+        bucket -= 1;
+        covered += counts[bucket] as usize;
+    }
+    let floor = (bucket as u32) << BUCKET_SHIFT;
+
+    keys.clear();
+    for (c, chunk) in values.chunks(GATHER_CHUNK).enumerate() {
+        // Most chunks hold no candidate; one vector `max` says so.
+        if chunk.iter().map(magnitude).fold(0, u32::max) < floor {
+            continue;
+        }
+        for (i, v) in chunk.iter().enumerate() {
+            if magnitude(v) >= floor {
+                let rank = u64::from(MAGNITUDE - magnitude(v));
+                keys.push(rank << 32 | (c * GATHER_CHUNK + i) as u64);
+            }
+        }
+    }
+    keys.select_nth_unstable(k - 1);
+    idx.extend(keys[..k].iter().map(|&key| key as u32));
     idx.sort_unstable();
 }
 

@@ -1,14 +1,143 @@
 //! Property-based tests for the tensor kernels.
 
 use proptest::prelude::*;
-use spyker_tensor::{col2im, cross_entropy_from_logits, im2col, softmax_rows, Conv2dShape, Matrix};
+use proptest::test_runner::TestCaseError;
+use spyker_tensor::{
+    col2im, coordinate_median, coordinate_trimmed_mean, cross_entropy_from_logits, im2col,
+    median_inplace, softmax_rows, top_k_indices, trimmed_mean_inplace, Conv2dShape, Matrix,
+};
 
 fn small_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-10.0f32..10.0, rows * cols)
         .prop_map(move |v| Matrix::from_vec(rows, cols, v))
 }
 
+/// Values that stress an order statistic: both NaN signs, both infinities,
+/// both zeros, a subnormal, and a handful of ordinary values few enough
+/// that most columns hold ties.
+const SALTED: [f32; 14] = [
+    f32::NAN,
+    -f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    0.0,
+    -0.0,
+    1e-40,
+    1.0,
+    -1.0,
+    0.1,
+    0.7,
+    -2.5,
+    3.0e8,
+    -1.0e-3,
+];
+
+/// `rows` vectors of `dim` salted values each.
+fn salted_rows(rows: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
+    prop::collection::vec(
+        prop::collection::vec((0..SALTED.len()).prop_map(|i| SALTED[i]), dim),
+        rows,
+    )
+}
+
+/// Holds a `coordinate_*` driver to the scalar kernel applied column by
+/// column, bit for bit.
+fn assert_columns_match(
+    rows: &[Vec<f32>],
+    what: &str,
+    driver: impl Fn(&[&[f32]], &mut [f32]),
+    scalar: impl Fn(&mut [f32]) -> f32,
+) -> Result<(), TestCaseError> {
+    let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+    let mut got = vec![0.0f32; rows[0].len()];
+    driver(&refs, &mut got);
+    for (j, got) in got.iter().enumerate() {
+        let mut column: Vec<f32> = rows.iter().map(|row| row[j]).collect();
+        let shown = column.clone();
+        let want = scalar(&mut column);
+        prop_assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{} of column {} {:?}: got {}, want {}",
+            what,
+            j,
+            shown,
+            got,
+            want
+        );
+    }
+    Ok(())
+}
+
+/// Every row count the network kernel takes (2..=16) and two beyond the
+/// cut-over to the per-coordinate path.
+fn row_counts() -> impl Iterator<Item = usize> {
+    (2..=16).chain([17, 40])
+}
+
 proptest! {
+    #[test]
+    fn coordinate_trimmed_mean_is_the_scalar_kernel_per_column(
+        pool in (1usize..40).prop_flat_map(|dim| salted_rows(40, dim)),
+    ) {
+        // Every legal trim, on dims that leave a ragged lane block.
+        for n in row_counts() {
+            for trim in 0..=(n - 1) / 2 {
+                assert_columns_match(
+                    &pool[..n],
+                    &format!("{n}-row trim-{trim} mean"),
+                    |r, out| coordinate_trimmed_mean(r, trim, out),
+                    |column| trimmed_mean_inplace(column, trim),
+                )?;
+            }
+        }
+    }
+
+    #[test]
+    fn coordinate_median_is_the_scalar_kernel_per_column(
+        pool in (1usize..40).prop_flat_map(|dim| salted_rows(40, dim)),
+    ) {
+        for n in row_counts() {
+            assert_columns_match(
+                &pool[..n],
+                &format!("{n}-row median"),
+                coordinate_median,
+                median_inplace,
+            )?;
+        }
+    }
+
+    #[test]
+    fn top_k_is_the_head_of_a_full_sort(
+        // Salted values, and a narrow band of near-equal magnitudes of both
+        // signs that crowd into a few of the selection's buckets.
+        values in prop::collection::vec(
+            (0..SALTED.len() + 48).prop_map(|i| match SALTED.get(i) {
+                Some(&v) => v,
+                None => (1.0 + i as f32 * 1e-3) * if i % 2 == 0 { 1.0 } else { -1.0 },
+            }),
+            1..200,
+        ),
+        pick in 0usize..5,
+    ) {
+        let n = values.len();
+        let k = [0, 1, n - 1, n, n + 3][pick];
+        // Reference: sort every index by descending magnitude, ascending
+        // index on ties, and keep the first k.
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by(|&a, &b| {
+            values[b as usize]
+                .abs()
+                .total_cmp(&values[a as usize].abs())
+                .then(a.cmp(&b))
+        });
+        order.truncate(k);
+        order.sort_unstable();
+        let mut idx = vec![99; 3];
+        top_k_indices(&values, k, &mut idx);
+        prop_assert_eq!(idx, order, "k = {} of {:?}", k, values);
+    }
+
     #[test]
     fn matmul_identity_is_neutral(m in small_matrix(4, 4)) {
         let id = Matrix::identity(4);

@@ -15,9 +15,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # simulator and the simulation-test harness: the oracle unit tests (each
 # invariant caught both ways), the old-vs-new differential over the pinned
 # corpus, 32 fuzz seeds and the token injection, the scale-runner and
-# shrinker tests, the wheel and preset property batteries.
+# shrinker tests, the wheel and preset property batteries. And the tensor
+# crate: the GEMM property battery and the bit-for-bit differential tests
+# that hold the lane-blocked order-statistic kernel and the bucketed top-k
+# to their scalar references (DESIGN.md §10.4).
 cargo test -q --offline -p spyker-core -p spyker-baselines
 cargo test -q --offline -p spyker-simtest -p spyker-simnet
+cargo test -q --offline -p spyker-tensor
 
 # The benchmark package is its own workspace: its tests are the API-drift
 # gate (it hand-wires the public server/deploy/agg/codec items) and the
@@ -38,9 +42,11 @@ cargo test -q --release -p spyker-obs --features trace --test span_model
 cargo test -q --release --test golden_report --test metric_catalog
 
 # Criterion benches must at least compile; the smoke runner then enforces
-# the GEMM regression gate (the paired blocked-vs-naive ratio on 128×128
-# must stay ≥ 0.75× the one recorded in BENCH_tensor.json, see DESIGN.md
-# §10) and, when it passes, refreshes BENCH_tensor.json at the repo root.
+# the kernel regression gates (the paired blocked-vs-naive GEMM ratio on
+# 128×128 and the paired network-vs-scalar trimmed-mean ratio on 8×65536
+# must each stay ≥ 0.75× the one recorded in BENCH_tensor.json, see
+# DESIGN.md §10) and, when they pass, refreshes BENCH_tensor.json at the
+# repo root.
 cargo bench --workspace --offline --no-run
 cargo run -q --release -p spyker-bench --bin bench_smoke BENCH_tensor.json
 
