@@ -1,11 +1,12 @@
 //! Non-Criterion smoke benchmark: times the GEMM family against the frozen
-//! naive kernel, one end-to-end client training step and the codec-path
-//! kernels at the `des_bigmodel_codec` dimension, and writes the results to
-//! `BENCH_tensor.json`.
+//! naive kernel, the products and the whole step of the `des_train_4s100c`
+//! model, one end-to-end client round per dense scenario model and the
+//! codec-path kernels at the `des_bigmodel_codec` dimension, and writes the
+//! results to `BENCH_tensor.json`.
 //!
 //! Criterion's statistical machinery is overkill for a CI gate; this runner
 //! exists so `scripts/check.sh` can assert the headline regression bounds in
-//! a few seconds: the blocked-vs-naive GEMM ratio on 128×128 and the
+//! a few seconds: the tiled-vs-naive GEMM ratio on 128×128 and the
 //! network-vs-scalar trimmed-mean ratio on 8 × 65 536 must not fall below
 //! 0.75× the ratios recorded in the output file it is about to replace (the
 //! committed `BENCH_tensor.json`). A ratio is a property of the host as much
@@ -23,6 +24,8 @@ use spyker_bench::random_params;
 use spyker_data::synth::{SynthImages, SynthImagesSpec};
 use spyker_models::bridge::DenseShardTrainer;
 use spyker_models::linear::SoftmaxRegression;
+use spyker_models::mlp::Mlp;
+use spyker_models::model::DenseModel;
 use spyker_tensor::{
     coordinate_trimmed_mean, im2col_into, top_k_indices, trimmed_mean_inplace, Conv2dShape, Matrix,
 };
@@ -154,13 +157,14 @@ fn main() {
     let baselines = GATED.map(|key| recorded(&out_path, key));
     let mut samples = Vec::new();
 
-    // --- GEMM: blocked vs the frozen pre-optimisation kernel. -------------
+    // --- GEMM vs the frozen pre-optimisation kernel: 64² and 128² run the
+    // in-place regime, 256² the blocked one. ---------------------------------
     let mut speedups = Vec::new();
     for &n in &[64usize, 128, 256] {
         let a = fill(n, n, 1);
         let b = fill(n, n, 2);
         let mut out = Matrix::zeros(n, n);
-        let (blocked, naive, speedup) = time_paired(
+        let (tiled, naive, speedup) = time_paired(
             &format!("matmul_{n}x{n}"),
             &format!("matmul_naive_{n}x{n}"),
             || a.matmul_into(&b, &mut out),
@@ -169,10 +173,10 @@ fn main() {
             },
         );
         println!(
-            "matmul_{n}x{n}: blocked {:>10.0} ns  naive {:>10.0} ns  speedup {speedup:.2}x",
-            blocked.ns_per_iter, naive.ns_per_iter
+            "matmul_{n}x{n}: tiled {:>10.0} ns  naive {:>10.0} ns  speedup {speedup:.2}x",
+            tiled.ns_per_iter, naive.ns_per_iter
         );
-        samples.push(blocked);
+        samples.push(tiled);
         samples.push(naive);
         speedups.push((format!("matmul_{n}x{n}_speedup_vs_naive"), speedup));
     }
@@ -189,6 +193,33 @@ fn main() {
     let mut out2 = Matrix::zeros(128, 64);
     samples.push(time_it("matmul_nt_128x32_64x32", || {
         d.matmul_nt_into(&w, &mut out2)
+    }));
+
+    // --- One `Mlp [192, 32, 10]` step at batch 10: `des_train_4s100c`. -------
+    // The forward product is the shape `bench_e2e` times as
+    // `tensor.matmul_us`; the two backward ones and the whole step are rows
+    // its ledger cannot see.
+    let x = fill(10, 192, 30);
+    let w0 = fill(192, 32, 31);
+    let mut z = Matrix::zeros(10, 32);
+    samples.push(time_it("matmul_10x192_192x32", || {
+        x.matmul_into(&w0, &mut z)
+    }));
+    let delta0 = fill(10, 32, 32);
+    let mut dw0 = Matrix::zeros(192, 32);
+    samples.push(time_it("matmul_tn_10x192_10x32", || {
+        x.matmul_tn_into(&delta0, &mut dw0)
+    }));
+    let delta1 = fill(10, 10, 33);
+    let w1 = fill(32, 10, 34);
+    let mut back = Matrix::zeros(10, 32);
+    samples.push(time_it("matmul_nt_10x10_32x10", || {
+        delta1.matmul_nt_into(&w1, &mut back)
+    }));
+    let mut mlp = Mlp::new(&[192, 32, 10], 35);
+    let labels: Vec<usize> = (0..10).collect();
+    samples.push(time_it("mlp_step_192x32x10_b10", || {
+        std::hint::black_box(mlp.train_batch(&x, &labels, 0.05));
     }));
 
     // --- Blocked transpose. -------------------------------------------------
@@ -217,10 +248,21 @@ fn main() {
     // number the DES charges a client for, now measured on the real stack.
     let ds = SynthImages::generate(&SynthImagesSpec::mnist_like_scaled(400), 1);
     let model = SoftmaxRegression::new(ds.train.feature_len(), 10, 1);
-    let num_params = spyker_models::model::DenseModel::num_params(&model);
+    let num_params = model.num_params();
     let mut trainer = DenseShardTrainer::new(model, ds.train.clone(), 40, 7);
     let mut params = ParamVec::from_vec(random_params(num_params, 8).into_vec());
     samples.push(time_it("client_step_softmax_mnist400_b40", || {
+        trainer.train(&mut params, 0.05, 1);
+    }));
+
+    // The same for the benchmark's client: one local round of the MLP over
+    // a 40-sample CIFAR-like shard in batches of 10 (`Scenario::cifar` at
+    // 100 clients).
+    let ds = SynthImages::generate(&SynthImagesSpec::cifar_like_scaled(40), 2);
+    let model = Mlp::new(&[ds.train.feature_len(), 32, 10], 2);
+    let mut params = ParamVec::from_vec(model.params_vec());
+    let mut trainer = DenseShardTrainer::new(model, ds.train.clone(), 10, 9);
+    samples.push(time_it("client_round_mlp_cifar40_b10", || {
         trainer.train(&mut params, 0.05, 1);
     }));
 

@@ -210,10 +210,7 @@ impl Scenario {
                 let spec = SynthTextSpec::wikitext_like(8000);
                 let text = SynthText::generate(&spec, seed);
                 scenario.text_shards = text.train.shards(n_clients);
-                let model = scenario.fresh_seq_model();
-                let mut flat = Vec::with_capacity(model.num_params());
-                model.write_params(&mut flat);
-                scenario.init_params = ParamVec::from_vec(flat);
+                scenario.init_params = ParamVec::from_vec(scenario.fresh_seq_model().params_vec());
                 scenario.text = Some(text);
             }
         }

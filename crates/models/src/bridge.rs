@@ -32,7 +32,6 @@ pub struct DenseShardTrainer<M> {
     batch_x: Matrix,
     batch_y: Vec<usize>,
     idx: Vec<usize>,
-    params_out: Vec<f32>,
 }
 
 impl<M: DenseModel> DenseShardTrainer<M> {
@@ -52,7 +51,6 @@ impl<M: DenseModel> DenseShardTrainer<M> {
             batch_x: Matrix::default(),
             batch_y: Vec::new(),
             idx: Vec::new(),
-            params_out: Vec::new(),
         }
     }
 }
@@ -70,9 +68,7 @@ impl<M: DenseModel> LocalTrainer for DenseShardTrainer<M> {
                 self.model.train_batch(&self.batch_x, &self.batch_y, lr);
             }
         }
-        self.params_out.clear();
-        self.model.write_params(&mut self.params_out);
-        params.as_mut_slice().copy_from_slice(&self.params_out);
+        self.model.write_params(params.as_mut_slice());
     }
 
     fn num_samples(&self) -> usize {
@@ -104,7 +100,6 @@ pub struct DenseClusterTrainer<M> {
     batch_y: Vec<usize>,
     idx: Vec<usize>,
     losses: Vec<f32>,
-    params_out: Vec<f32>,
 }
 
 impl<M: DenseModel> DenseClusterTrainer<M> {
@@ -128,7 +123,6 @@ impl<M: DenseModel> DenseClusterTrainer<M> {
             batch_y: Vec::new(),
             idx: Vec::new(),
             losses: Vec::new(),
-            params_out: Vec::new(),
         }
     }
 }
@@ -205,11 +199,7 @@ impl<M: DenseModel> ClusterTrainer for DenseClusterTrainer<M> {
                 self.model.train_batch(&self.batch_x, &self.batch_y, lr);
             }
         }
-        self.params_out.clear();
-        self.model.write_params(&mut self.params_out);
-        candidates[best]
-            .as_mut_slice()
-            .copy_from_slice(&self.params_out);
+        self.model.write_params(candidates[best].as_mut_slice());
         best
     }
 
@@ -288,7 +278,6 @@ pub struct SeqShardTrainer<M> {
     model: M,
     shard: TextDataset,
     window: usize,
-    params_out: Vec<f32>,
 }
 
 impl<M: SeqModel> SeqShardTrainer<M> {
@@ -304,7 +293,6 @@ impl<M: SeqModel> SeqShardTrainer<M> {
             model,
             shard,
             window,
-            params_out: Vec::new(),
         }
     }
 }
@@ -319,9 +307,7 @@ impl<M: SeqModel> LocalTrainer for SeqShardTrainer<M> {
                 }
             }
         }
-        self.params_out.clear();
-        self.model.write_params(&mut self.params_out);
-        params.as_mut_slice().copy_from_slice(&self.params_out);
+        self.model.write_params(params.as_mut_slice());
     }
 
     fn num_samples(&self) -> usize {
@@ -418,9 +404,7 @@ mod tests {
         let ds = SynthText::generate(&SynthTextSpec::wikitext_like(3000), 3);
         let model = CharLstm::new(28, 12, 16, 1);
         let evaluator = SeqEvaluator::new(CharLstm::new(28, 12, 16, 1), ds.test.clone(), 400);
-        let mut tmp = Vec::new();
-        model.write_params(&mut tmp);
-        let mut params = ParamVec::from_vec(tmp);
+        let mut params = ParamVec::from_vec(model.params_vec());
         let before = evaluator.evaluate(&params);
         assert_eq!(before.kind, MetricKind::Perplexity);
         let mut trainer = SeqShardTrainer::new(model, ds.train.clone(), 32);

@@ -298,14 +298,16 @@ impl DenseModel for Cnn {
             + self.fc_b.iter().map(Vec::len).sum::<usize>()
     }
 
-    fn write_params(&self, out: &mut Vec<f32>) {
+    fn write_params(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.num_params(), "parameter length mismatch");
+        let mut off = 0;
         for (w, b) in self.conv_w.iter().zip(&self.conv_b) {
-            push_matrix(out, w);
-            push_vec(out, b);
+            push_matrix(out, &mut off, w);
+            push_vec(out, &mut off, b);
         }
         for (w, b) in self.fc_w.iter().zip(&self.fc_b) {
-            push_matrix(out, w);
-            push_vec(out, b);
+            push_matrix(out, &mut off, w);
+            push_vec(out, &mut off, b);
         }
     }
 

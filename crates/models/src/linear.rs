@@ -59,9 +59,11 @@ impl DenseModel for SoftmaxRegression {
         self.w.len() + self.b.len()
     }
 
-    fn write_params(&self, out: &mut Vec<f32>) {
-        push_matrix(out, &self.w);
-        push_vec(out, &self.b);
+    fn write_params(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.num_params(), "parameter length mismatch");
+        let mut off = 0;
+        push_matrix(out, &mut off, &self.w);
+        push_vec(out, &mut off, &self.b);
     }
 
     fn read_params(&mut self, src: &[f32]) {

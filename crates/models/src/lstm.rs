@@ -194,13 +194,15 @@ impl SeqModel for CharLstm {
             + self.b_o.len()
     }
 
-    fn write_params(&self, out: &mut Vec<f32>) {
-        push_matrix(out, &self.embed);
-        push_matrix(out, &self.w_x);
-        push_matrix(out, &self.w_h);
-        push_vec(out, &self.b);
-        push_matrix(out, &self.w_o);
-        push_vec(out, &self.b_o);
+    fn write_params(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.num_params(), "parameter length mismatch");
+        let mut off = 0;
+        push_matrix(out, &mut off, &self.embed);
+        push_matrix(out, &mut off, &self.w_x);
+        push_matrix(out, &mut off, &self.w_h);
+        push_vec(out, &mut off, &self.b);
+        push_matrix(out, &mut off, &self.w_o);
+        push_vec(out, &mut off, &self.b_o);
     }
 
     fn read_params(&mut self, src: &[f32]) {
@@ -449,14 +451,11 @@ mod tests {
     #[test]
     fn params_round_trip() {
         let m = CharLstm::new(6, 3, 4, 1);
-        let mut flat = Vec::new();
-        m.write_params(&mut flat);
+        let flat = m.params_vec();
         assert_eq!(flat.len(), m.num_params());
         let mut m2 = CharLstm::new(6, 3, 4, 2);
         m2.read_params(&flat);
-        let mut flat2 = Vec::new();
-        m2.write_params(&mut flat2);
-        assert_eq!(flat, flat2);
+        assert_eq!(flat, m2.params_vec());
     }
 
     #[test]
@@ -464,14 +463,12 @@ mod tests {
         let mut model = CharLstm::new(5, 3, 4, 9);
         model.clip = 1e9; // disable clipping for the check
         let window = [0u8, 2, 4, 1, 3, 0];
-        let mut before = Vec::new();
-        model.write_params(&mut before);
+        let before = model.params_vec();
         let mut stepped = CharLstm::new(5, 3, 4, 9);
         stepped.clip = 1e9;
         stepped.read_params(&before);
         stepped.train_window(&window, 1.0);
-        let mut after = Vec::new();
-        stepped.write_params(&mut after);
+        let after = stepped.params_vec();
         let analytic: Vec<f32> = before.iter().zip(&after).map(|(b, a)| b - a).collect();
         let mut probe = CharLstm::new(5, 3, 4, 9);
         check_gradient(

@@ -103,10 +103,12 @@ impl DenseModel for Mlp {
             + self.biases.iter().map(Vec::len).sum::<usize>()
     }
 
-    fn write_params(&self, out: &mut Vec<f32>) {
+    fn write_params(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.num_params(), "parameter length mismatch");
+        let mut off = 0;
         for (w, b) in self.weights.iter().zip(&self.biases) {
-            push_matrix(out, w);
-            push_vec(out, b);
+            push_matrix(out, &mut off, w);
+            push_vec(out, &mut off, b);
         }
     }
 

@@ -12,8 +12,12 @@ pub trait DenseModel: Send {
     /// Total number of scalar parameters.
     fn num_params(&self) -> usize;
 
-    /// Appends all parameters (in a fixed, stable order) to `out`.
-    fn write_params(&self, out: &mut Vec<f32>);
+    /// Writes all parameters (in a fixed, stable order) into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.num_params()`.
+    fn write_params(&self, out: &mut [f32]);
 
     /// Loads parameters previously produced by [`DenseModel::write_params`].
     ///
@@ -32,7 +36,7 @@ pub trait DenseModel: Send {
 
     /// Convenience: parameters as a fresh vector.
     fn params_vec(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_params());
+        let mut out = vec![0.0; self.num_params()];
         self.write_params(&mut out);
         out
     }
@@ -43,8 +47,12 @@ pub trait SeqModel: Send {
     /// Total number of scalar parameters.
     fn num_params(&self) -> usize;
 
-    /// Appends all parameters to `out`.
-    fn write_params(&self, out: &mut Vec<f32>);
+    /// Writes all parameters (in a fixed, stable order) into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.num_params()`.
+    fn write_params(&self, out: &mut [f32]);
 
     /// Loads parameters previously produced by [`SeqModel::write_params`].
     ///
@@ -65,11 +73,19 @@ pub trait SeqModel: Send {
     /// parameters. Takes `&mut self` for the same scratch-reuse reason as
     /// [`DenseModel::eval_batch`].
     fn eval_stream(&mut self, tokens: &[u8]) -> f64;
+
+    /// Convenience: parameters as a fresh vector.
+    fn params_vec(&self) -> Vec<f32> {
+        let mut out = vec![0.0; self.num_params()];
+        self.write_params(&mut out);
+        out
+    }
 }
 
-/// Copies `m`'s values into `out` (helper for `write_params`).
-pub(crate) fn push_matrix(out: &mut Vec<f32>, m: &Matrix) {
-    out.extend_from_slice(m.as_slice());
+/// Writes `m`'s values into `out` at `*offset`, advancing the offset
+/// (helper for `write_params`).
+pub(crate) fn push_matrix(out: &mut [f32], offset: &mut usize, m: &Matrix) {
+    push_vec(out, offset, m.as_slice());
 }
 
 /// Reads `m.len()` values from `src` at `*offset` into `m`, advancing the
@@ -81,9 +97,10 @@ pub(crate) fn pull_matrix(src: &[f32], offset: &mut usize, m: &mut Matrix) {
     *offset += len;
 }
 
-/// Copies a plain vector (bias) into `out`.
-pub(crate) fn push_vec(out: &mut Vec<f32>, v: &[f32]) {
-    out.extend_from_slice(v);
+/// Writes a plain vector (bias) into `out` at `*offset`.
+pub(crate) fn push_vec(out: &mut [f32], offset: &mut usize, v: &[f32]) {
+    out[*offset..*offset + v.len()].copy_from_slice(v);
+    *offset += v.len();
 }
 
 /// Reads `v.len()` values from `src` at `*offset` into `v`.
@@ -134,9 +151,11 @@ mod tests {
     #[test]
     fn push_pull_matrix_round_trips() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let mut flat = Vec::new();
-        push_matrix(&mut flat, &m);
-        push_vec(&mut flat, &[5.0, 6.0]);
+        let mut flat = [0.0; 6];
+        let mut off = 0;
+        push_matrix(&mut flat, &mut off, &m);
+        push_vec(&mut flat, &mut off, &[5.0, 6.0]);
+        assert_eq!(off, 6);
         let mut m2 = Matrix::zeros(2, 2);
         let mut b = [0.0; 2];
         let mut off = 0;

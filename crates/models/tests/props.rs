@@ -44,14 +44,11 @@ proptest! {
         seed in 0u64..100,
     ) {
         let mut model = CharLstm::new(vocab, embed, hidden, seed);
-        let mut flat = Vec::new();
-        model.write_params(&mut flat);
+        let flat = model.params_vec();
         prop_assert_eq!(flat.len(), model.num_params());
         let doubled: Vec<f32> = flat.iter().map(|v| v * 2.0).collect();
         model.read_params(&doubled);
-        let mut out = Vec::new();
-        model.write_params(&mut out);
-        prop_assert_eq!(out, doubled);
+        prop_assert_eq!(model.params_vec(), doubled);
     }
 
     /// Evaluation is pure w.r.t. the parameters: calling it twice gives

@@ -120,8 +120,7 @@ fn char_lstm_windows_are_pinned() {
     let ds = SynthText::generate(&SynthTextSpec::wikitext_like(1500), 8);
     let run = || {
         let model = CharLstm::new(28, 12, 16, 8);
-        let mut init = Vec::new();
-        model.write_params(&mut init);
+        let init = model.params_vec();
         trained(
             SeqShardTrainer::new(model, ds.train.clone(), 32),
             init,

@@ -1,32 +1,51 @@
-//! Cache-blocked, register-tiled GEMM — the compute core of the crate.
+//! Register-tiled GEMM in two regimes — the compute core of the crate.
 //!
 //! All three matrix products the model zoo needs (`A·B`, `Aᵀ·B`, `A·Bᵀ`)
-//! funnel into one kernel, [`gemm_into`], parameterised by strided operand
-//! views so no transpose is ever materialised. The kernel follows the
-//! classic GotoBLAS/BLIS decomposition:
+//! funnel into one entry, `gemm_into`, parameterised by operand views so
+//! no transpose is ever materialised, and both regimes drive the same
+//! `MR × NR` register-tile kernels (`fma_row` over named accumulator
+//! rows). What differs is how the operands reach the tile:
 //!
-//! * the output is swept in `NC`-wide column blocks and `KC`-deep panels;
-//! * each `KC × NC` block of B is packed once into contiguous `NR`-wide
-//!   micro-panels, each `MC × KC` block of A into `MR`-tall micro-panels;
-//! * an `MR × NR` register-tile micro-kernel walks a packed A panel against
-//!   a packed B panel with a branch-free, fully unrollable inner loop the
-//!   compiler auto-vectorises.
+//! * **In place** (`m·n·k ≤ 2²¹`, i.e. up to 128³): nothing is packed. A's
+//!   elements are broadcast scalars, so they are read where they lie — a
+//!   row-major A as pre-sliced rows walked along `k`, a transposed A as one
+//!   `&[f32; R]` column per k-step. B's rows are read in place whenever
+//!   they are unit-stride and a full `NR`-wide tile exists; a ragged last
+//!   tile (`n = 10`) or a transposed B is copied once per `KC` panel into
+//!   the zero-padded thread-local panel. The last row band runs the kernel
+//!   monomorphised for its 1..=8 live rows, so `m = 10` costs 10 rows, not
+//!   16. This is the regime every per-step product of the model zoo lands
+//!   in: at those sizes both operands sit in cache, and a pack is a copy of
+//!   B that is never reused (the weights change every step).
+//! * **Blocked** (everything larger): the GotoBLAS/BLIS decomposition. The
+//!   output is swept in `NC`-wide column blocks and `KC`-deep panels; each
+//!   `KC × NC` block of B is packed once into contiguous `NR`-wide
+//!   micro-panels, each `MC × KC` block of A into `MR`-tall ones, and the
+//!   tile kernel streams the packed panels. Packing pays once B no longer
+//!   fits in cache beside A and C, and this regime splits rows across the
+//!   worker pool.
+//!
+//! The regime is a pure function of `(m, n, k)` ([`Regime::for_shape`]);
+//! the boundary is measured (DESIGN.md §10.1), not configurable.
 //!
 //! # Determinism
 //!
-//! For every output element, partial products are accumulated in a fixed
-//! order: `KC`-panels in ascending `k`, ascending `k` inside each panel.
-//! That order depends only on the problem shape — not on how many threads
-//! run the kernel, because parallelism only splits the *rows* of the output
-//! into bands and every row is computed start-to-finish by exactly one
-//! task. Parallel results are therefore bit-identical to the serial kernel
-//! at any thread count (enforced by `tests/gemm_props.rs`).
+//! For every output element, both regimes do the same arithmetic: the
+//! output starts at `0.0`, each `KC` panel (ascending `k`) is one fused
+//! chain from `0.0` in ascending `k`, and the panel sums are added to the
+//! output in order. That order depends only on the problem shape — not on
+//! the regime, and not on how many threads run the blocked one, because
+//! parallelism only splits the *rows* of the output into bands and every
+//! row is computed start-to-finish by exactly one task. Results are
+//! therefore bit-identical across regimes and thread counts (enforced by
+//! `tests/gemm_props.rs`).
 //!
-//! Packing buffers are thread-local and grown once, so steady-state calls
-//! perform no heap allocation on the serial path.
+//! Packing buffers are thread-local and grown on first use, so steady-state
+//! calls perform no heap allocation on the calling thread.
 
 use std::cell::RefCell;
 
+use crate::matrix::Matrix;
 use crate::pool;
 
 /// Rows of the register tile (micro-panel height of packed A).
@@ -35,24 +54,26 @@ pub const MR: usize = 8;
 pub const NR: usize = 32;
 /// Rows of A packed per L2-resident block (multiple of `MR`).
 const MC: usize = 64;
-/// Depth of one packed panel pair.
+/// Depth of one panel: the length of one fused accumulation chain.
 const KC: usize = 128;
 /// Columns of B packed per outer block (multiple of `NR`).
 const NC: usize = 128;
 
-/// Minimum multiply-add count before the row-band parallel driver engages;
-/// below this the dispatch overhead outweighs the win (64³ stays serial,
-/// 128³ parallelises).
-const PAR_MIN_MULADDS: usize = 1 << 20;
+/// Largest multiply-add count the in-place regime takes (128³). Measured:
+/// 128³ runs in place in about half the blocked time, 256³ is the
+/// crossover, and a product this small is below the point where the
+/// blocked regime's row bands pay for their dispatch.
+const IN_PLACE_MAX_MULADDS: usize = 1 << 21;
 
-/// A strided read-only operand view: element `(i, j)` lives at
-/// `data[i * rs + j * cs]`. Plain row-major is `rs = cols, cs = 1`; a
-/// transposed operand swaps the strides instead of moving data.
+/// A read-only operand view over row-major storage with rows of `ld`
+/// elements: logical element `(i, j)` lives at `data[i * ld + j]`, or at
+/// `data[j * ld + i]` when `transposed` — a transposed operand flips the
+/// flag instead of moving data.
 #[derive(Clone, Copy)]
 pub(crate) struct View<'a> {
     data: &'a [f32],
-    rs: usize,
-    cs: usize,
+    ld: usize,
+    transposed: bool,
 }
 
 impl<'a> View<'a> {
@@ -60,8 +81,8 @@ impl<'a> View<'a> {
     pub(crate) fn normal(data: &'a [f32], cols: usize) -> Self {
         Self {
             data,
-            rs: cols,
-            cs: 1,
+            ld: cols,
+            transposed: false,
         }
     }
 
@@ -70,26 +91,41 @@ impl<'a> View<'a> {
     pub(crate) fn transposed(data: &'a [f32], cols: usize) -> Self {
         Self {
             data,
-            rs: 1,
-            cs: cols,
+            ld: cols,
+            transposed: true,
         }
     }
+}
 
-    #[inline(always)]
-    fn at(&self, i: usize, j: usize) -> f32 {
-        self.data[i * self.rs + j * self.cs]
+/// Which of the two drivers computes a product.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Regime {
+    /// Operands read where they lie; serial.
+    InPlace,
+    /// Operands packed into micro-panels; row bands across the pool.
+    Blocked,
+}
+
+impl Regime {
+    /// The regime the `matmul` family uses for an `m x k` by `k x n` product.
+    pub fn for_shape(m: usize, n: usize, k: usize) -> Self {
+        if m.saturating_mul(n).saturating_mul(k) <= IN_PLACE_MAX_MULADDS {
+            Self::InPlace
+        } else {
+            Self::Blocked
+        }
     }
 }
 
 thread_local! {
-    /// Per-thread packing scratch: (A panels, B panels). Sized for the
-    /// largest block the loops can request, allocated on first use.
+    /// Per-thread packing scratch: (A panels, B panels), grown on first
+    /// use to the largest block the regime in use can request.
     static PACK: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// `out = A · B` over strided views; `out` is row-major `m x n` and is
-/// fully overwritten. `threads` is the *requested* band count; the driver
-/// may use fewer when the problem is small.
+/// `out = A · B` over operand views; `out` is row-major `m x n` and is
+/// fully overwritten. `threads` is the *requested* band count of the
+/// blocked regime (which may use fewer); the in-place regime ignores it.
 pub(crate) fn gemm_into(
     out: &mut [f32],
     m: usize,
@@ -99,12 +135,72 @@ pub(crate) fn gemm_into(
     b: View<'_>,
     threads: usize,
 ) {
+    gemm_in_regime(Regime::for_shape(m, n, k), out, m, n, k, a, b, threads);
+}
+
+/// Differential-test entry: `op(a) · op(b)` through `regime` whatever the
+/// shape, where `op` transposes when the flag is set. Production code goes
+/// through [`Matrix::matmul_into`] and friends, which pick the regime from
+/// the shape; this is the only way to force one.
+///
+/// # Panics
+///
+/// Panics if the inner dimensions differ.
+#[doc(hidden)]
+pub fn product_in_regime(
+    regime: Regime,
+    a: &Matrix,
+    a_transposed: bool,
+    b: &Matrix,
+    b_transposed: bool,
+    threads: usize,
+) -> Matrix {
+    // (view, logical rows, logical cols) of `op(mat)`.
+    fn operand(mat: &Matrix, transposed: bool) -> (View<'_>, usize, usize) {
+        let view = View {
+            data: mat.as_slice(),
+            ld: mat.cols(),
+            transposed,
+        };
+        if transposed {
+            (view, mat.cols(), mat.rows())
+        } else {
+            (view, mat.rows(), mat.cols())
+        }
+    }
+    let (a, m, k) = operand(a, a_transposed);
+    let (b, kb, n) = operand(b, b_transposed);
+    assert_eq!(k, kb, "inner dimensions differ");
+    let mut out = Matrix::zeros(m, n);
+    gemm_in_regime(regime, out.as_mut_slice(), m, n, k, a, b, threads);
+    out
+}
+
+#[allow(clippy::too_many_arguments)]
+fn gemm_in_regime(
+    regime: Regime,
+    out: &mut [f32],
+    m: usize,
+    n: usize,
+    k: usize,
+    a: View<'_>,
+    b: View<'_>,
+    threads: usize,
+) {
     assert_eq!(out.len(), m * n, "output buffer shape mismatch");
+    // The tile kernels walk their operands with iterators that stop at the
+    // end of the data; these two lengths are what makes them run full count.
+    assert_eq!(a.data.len(), m * k, "left operand shape mismatch");
+    assert_eq!(b.data.len(), k * n, "right operand shape mismatch");
     out.fill(0.0);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let threads = effective_bands(m, n, k, threads);
+    if regime == Regime::InPlace {
+        gemm_in_place(out, m, n, k, a, b);
+        return;
+    }
+    let threads = effective_bands(m, threads);
     if threads <= 1 {
         gemm_band(out, 0, m, n, k, a, b);
         return;
@@ -126,17 +222,57 @@ pub(crate) fn gemm_into(
     pool::global().run_scoped(jobs);
 }
 
-/// How many row bands to actually use for an `m x n x k` problem.
-fn effective_bands(m: usize, n: usize, k: usize, requested: usize) -> usize {
-    if requested <= 1 || m < 2 * MR || m.saturating_mul(n).saturating_mul(k) < PAR_MIN_MULADDS {
+/// How many row bands the blocked regime actually uses for `m` rows.
+fn effective_bands(m: usize, requested: usize) -> usize {
+    if requested <= 1 || m < 2 * MR {
         1
     } else {
         requested.min(m.div_ceil(MR))
     }
 }
 
-/// Computes rows `[row0, row0 + rows)` of the product into `band` (the
-/// row-major slice for exactly those rows, already zeroed).
+/// The in-place regime: the whole product on the calling thread, no
+/// operand packed unless a B tile is ragged or strided (`out` zeroed).
+fn gemm_in_place(out: &mut [f32], m: usize, n: usize, k: usize, a: View<'_>, b: View<'_>) {
+    let tiles = if a.transposed { &TILE_COLS } else { &TILE_ROWS };
+    PACK.with(|pack| {
+        let bpanel = &mut pack.borrow_mut().1;
+        for pc in (0..k).step_by(KC) {
+            let kc = KC.min(k - pc);
+            for jr in (0..n).step_by(NR) {
+                let n_live = NR.min(n - jr);
+                let b_tile = if !b.transposed && n_live == NR {
+                    Strided {
+                        data: &b.data[pc * b.ld + jr..],
+                        ld: b.ld,
+                    }
+                } else {
+                    grow(bpanel, KC * NR);
+                    pack_panels::<NR>(bpanel, b, !b.transposed, jr, n_live, pc, kc);
+                    Strided {
+                        data: &bpanel[..kc * NR],
+                        ld: NR,
+                    }
+                };
+                for ir in (0..m).step_by(MR) {
+                    let a_tile = Strided {
+                        data: if a.transposed {
+                            &a.data[pc * a.ld + ir..]
+                        } else {
+                            &a.data[ir * a.ld + pc..]
+                        },
+                        ld: a.ld,
+                    };
+                    let c = &mut out[ir * n + jr..];
+                    tiles[MR.min(m - ir) - 1](kc, a_tile, b_tile, c, n, n_live);
+                }
+            }
+        }
+    });
+}
+
+/// The blocked regime for rows `[row0, row0 + rows)` of the product, into
+/// `band` (the row-major slice for exactly those rows, already zeroed).
 fn gemm_band(
     band: &mut [f32],
     row0: usize,
@@ -149,16 +285,16 @@ fn gemm_band(
     PACK.with(|pack| {
         let mut pack = pack.borrow_mut();
         let (apack, bpack) = &mut *pack;
-        apack.resize(MC * KC, 0.0);
-        bpack.resize(KC * NC, 0.0);
+        grow(apack, MC * KC);
+        grow(bpack, KC * NC);
         for jc in (0..n).step_by(NC) {
             let nc = NC.min(n - jc);
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
-                pack_b(bpack, b, pc, kc, jc, nc);
+                pack_panels::<NR>(bpack, b, !b.transposed, jc, nc, pc, kc);
                 for ic in (0..rows).step_by(MC) {
                     let mc = MC.min(rows - ic);
-                    pack_a(apack, a, row0 + ic, mc, pc, kc);
+                    pack_panels::<MR>(apack, a, a.transposed, row0 + ic, mc, pc, kc);
                     block_kernel(band, ic, mc, jc, nc, n, kc, apack, bpack);
                 }
             }
@@ -166,48 +302,55 @@ fn gemm_band(
     });
 }
 
-/// Packs the `mc x kc` block of A starting at `(row0, k0)` into `MR`-tall
-/// micro-panels: panel `p` holds rows `p*MR..p*MR+MR`, stored k-major so
-/// the micro-kernel streams it contiguously. Rows past `mc` are zero.
-fn pack_a(apack: &mut [f32], a: View<'_>, row0: usize, mc: usize, k0: usize, kc: usize) {
-    let panels = mc.div_ceil(MR);
-    for p in 0..panels {
-        let dst = &mut apack[p * kc * MR..(p + 1) * kc * MR];
-        let live = MR.min(mc - p * MR);
-        for kk in 0..kc {
-            let at = &mut dst[kk * MR..kk * MR + MR];
-            for (r, slot) in at.iter_mut().enumerate() {
-                *slot = if r < live {
-                    a.at(row0 + p * MR + r, k0 + kk)
-                } else {
-                    0.0
-                };
+fn grow(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+}
+
+/// Packs lanes `[lane0, lane0 + lanes)` (rows of A, columns of B) over
+/// depth `[k0, k0 + kc)` into `W`-wide micro-panels, k-major: panel `p`
+/// holds lanes `p*W..p*W+W`, one `W`-slot group per k-step, so the tile
+/// kernel streams it contiguously. Slots past `lanes` are zero.
+///
+/// `k_major` says how the source lies: one contiguous run of lanes per
+/// k-step (a transposed A, a row-major B — copied run by run), or each lane
+/// contiguous along `k` (a row-major A, a transposed B — gathered down its
+/// slot column).
+fn pack_panels<const W: usize>(
+    dst: &mut [f32],
+    src: View<'_>,
+    k_major: bool,
+    lane0: usize,
+    lanes: usize,
+    k0: usize,
+    kc: usize,
+) {
+    let panels = dst[..lanes.div_ceil(W) * kc * W].chunks_exact_mut(kc * W);
+    for (p, panel) in panels.enumerate() {
+        let first = lane0 + p * W;
+        let live = W.min(lanes - p * W);
+        if live < W {
+            panel.fill(0.0);
+        }
+        if k_major {
+            for (kk, slots) in panel.chunks_exact_mut(W).enumerate() {
+                let at = (k0 + kk) * src.ld + first;
+                slots[..live].copy_from_slice(&src.data[at..at + live]);
+            }
+        } else {
+            for c in 0..live {
+                let at = (first + c) * src.ld + k0;
+                let lane = &src.data[at..at + kc];
+                for (slots, &v) in panel.chunks_exact_mut(W).zip(lane) {
+                    slots[c] = v;
+                }
             }
         }
     }
 }
 
-/// Packs the `kc x nc` block of B starting at `(k0, col0)` into `NR`-wide
-/// micro-panels, k-major. Columns past `nc` are zero.
-fn pack_b(bpack: &mut [f32], b: View<'_>, k0: usize, kc: usize, col0: usize, nc: usize) {
-    let panels = nc.div_ceil(NR);
-    for q in 0..panels {
-        let dst = &mut bpack[q * kc * NR..(q + 1) * kc * NR];
-        let live = NR.min(nc - q * NR);
-        for kk in 0..kc {
-            let at = &mut dst[kk * NR..kk * NR + NR];
-            for (c, slot) in at.iter_mut().enumerate() {
-                *slot = if c < live {
-                    b.at(k0 + kk, col0 + q * NR + c)
-                } else {
-                    0.0
-                };
-            }
-        }
-    }
-}
-
-/// All micro-kernel invocations for one packed (A block, B block) pair.
+/// All tile-kernel invocations for one packed (A block, B block) pair.
 #[allow(clippy::too_many_arguments)]
 fn block_kernel(
     band: &mut [f32],
@@ -221,21 +364,18 @@ fn block_kernel(
     bpack: &[f32],
 ) {
     for q in 0..nc.div_ceil(NR) {
-        let bp = &bpack[q * kc * NR..(q + 1) * kc * NR];
+        let b_tile = Strided {
+            data: &bpack[q * kc * NR..(q + 1) * kc * NR],
+            ld: NR,
+        };
         let n_live = NR.min(nc - q * NR);
         for p in 0..mc.div_ceil(MR) {
-            let ap = &apack[p * kc * MR..(p + 1) * kc * MR];
-            let m_live = MR.min(mc - p * MR);
-            let mut acc = [[0.0f32; NR]; MR];
-            micro_kernel(kc, ap, bp, &mut acc);
-            // Accumulate the live part of the register tile into C.
-            for (r, acc_row) in acc.iter().enumerate().take(m_live) {
-                let row = ic + p * MR + r;
-                let dst = &mut band[row * ldc + jc + q * NR..][..n_live];
-                for (d, &v) in dst.iter_mut().zip(acc_row) {
-                    *d += v;
-                }
-            }
+            let a_tile = Strided {
+                data: &apack[p * kc * MR..(p + 1) * kc * MR],
+                ld: MR,
+            };
+            let c = &mut band[(ic + p * MR) * ldc + jc + q * NR..];
+            TILE_COLS[MR.min(mc - p * MR) - 1](kc, a_tile, b_tile, c, ldc, n_live);
         }
     }
 }
@@ -249,7 +389,8 @@ fn block_kernel(
 /// lowers to a (correctly-rounded, ~100× slower) libm call, so the
 /// portable build keeps the separate mul+add form. The two forms round
 /// differently; determinism is guaranteed *per build*, which is all the
-/// bit-exactness tests (serial vs parallel within one binary) require.
+/// bit-exactness tests (regimes and thread counts within one binary)
+/// require.
 #[inline(always)]
 fn fma_row(acc: &mut [f32; NR], ar: f32, b: &[f32; NR]) {
     if cfg!(target_feature = "fma") {
@@ -263,50 +404,110 @@ fn fma_row(acc: &mut [f32; NR], ar: f32, b: &[f32; NR]) {
     }
 }
 
-/// The `MR x NR` register tile: `acc += Ap · Bp` over one packed panel
-/// pair. Branch-free, and each accumulator row is an independent named
-/// local: a 2D `acc[r][c]` indexed inside a loop over `r` defeats LLVM's
-/// scalar replacement once the tile outgrows ~64 floats, spilling every
-/// accumulator to the stack per iteration. Named rows keep the whole tile
-/// in vector registers at any `NR`.
+/// The one write-back: a finished panel sum joins its output row.
 #[inline(always)]
-fn micro_kernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    const { assert!(MR == 8, "micro_kernel hand-unrolls exactly MR = 8 rows") };
-    let mut acc0 = [0.0f32; NR];
-    let mut acc1 = [0.0f32; NR];
-    let mut acc2 = [0.0f32; NR];
-    let mut acc3 = [0.0f32; NR];
-    let mut acc4 = [0.0f32; NR];
-    let mut acc5 = [0.0f32; NR];
-    let mut acc6 = [0.0f32; NR];
-    let mut acc7 = [0.0f32; NR];
-    // `chunks_exact` instead of manual slicing: the iterator proves the
-    // chunk length to LLVM once, keeping bounds checks out of the loop.
-    // Eight rows × one k-step per iteration gives 16 independent FMA
-    // chains — enough to cover the FMA units' latency×throughput product
-    // with slack, which a 4-row tile (8 chains) only just saturates.
-    let a_chunks = ap[..kc * MR].chunks_exact(MR);
-    let b_chunks = bp[..kc * NR].chunks_exact(NR);
-    for (ak, bk) in a_chunks.zip(b_chunks) {
-        let a: &[f32; MR] = ak.try_into().expect("MR chunk");
-        let b: &[f32; NR] = bk.try_into().expect("NR chunk");
-        fma_row(&mut acc0, a[0], b);
-        fma_row(&mut acc1, a[1], b);
-        fma_row(&mut acc2, a[2], b);
-        fma_row(&mut acc3, a[3], b);
-        fma_row(&mut acc4, a[4], b);
-        fma_row(&mut acc5, a[5], b);
-        fma_row(&mut acc6, a[6], b);
-        fma_row(&mut acc7, a[7], b);
+fn add_row(c_row: &mut [f32], acc: &[f32; NR]) {
+    for (c, &v) in c_row.iter_mut().zip(acc) {
+        *c += v;
     }
-    acc[0] = acc0;
-    acc[1] = acc1;
-    acc[2] = acc2;
-    acc[3] = acc3;
-    acc[4] = acc4;
-    acc[5] = acc5;
-    acc[6] = acc6;
-    acc[7] = acc7;
+}
+
+/// Equal-width runs at a fixed stride: run `i` is `data[i * ld..][..W]`.
+/// Covers a packed panel (`ld == W`) and an operand read in place
+/// (`ld` = its storage row length) alike.
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    data: &'a [f32],
+    ld: usize,
+}
+
+impl<'a> Strided<'a> {
+    /// The first `count` runs. `chunks` proves each run's start to LLVM
+    /// once, so the tile loop carries no index arithmetic.
+    #[inline(always)]
+    fn runs<const W: usize>(self, count: usize) -> impl Iterator<Item = &'a [f32; W]> {
+        self.data
+            .chunks(self.ld)
+            .take(count)
+            .map(|run| run.first_chunk::<W>().expect("run narrower than the tile"))
+    }
+}
+
+/// A register-tile kernel for `R` live rows: adds `A_tile · B_tile` over
+/// one `kc`-deep panel into the `R x n_live` corner of `c` (row stride
+/// `ldc`). `b` holds `kc` runs of `NR`; what `a` holds depends on the
+/// family — see `tile_kernels!`.
+type TileKernel = fn(usize, Strided<'_>, Strided<'_>, &mut [f32], usize, usize);
+
+/// Generates the tile kernels for 1..=`MR` live rows, in two families that
+/// differ only in how A's broadcast scalars are found:
+///
+/// * `cols`: `a` holds `kc` runs of `R` — one column of the tile per
+///   k-step (a packed A panel, or a transposed A in place);
+/// * `rows`: `a` holds `R` runs of `kc` — one pre-sliced row per tile row,
+///   walked along `k` (a row-major A in place).
+///
+/// Each accumulator row is an independent named local: a 2D `acc[r][c]`
+/// indexed in a loop over `r` defeats LLVM's scalar replacement once the
+/// tile outgrows ~64 floats, spilling accumulators to the stack per
+/// iteration, and a const-generic `[[f32; NR]; R]` does not escape that
+/// (1.7× slower on the 10×192·192×32 product). Named rows keep the whole
+/// tile in vector registers, eight rows × one k-step per iteration giving
+/// 16 independent FMA chains. A's rows are sliced to the panel before the
+/// k-loop, so each broadcast is a load, not an index computation.
+macro_rules! tile_kernels {
+    ($( $cols:ident $rows:ident $r:literal: $( $i:literal $acc:ident $a:ident ),+ ; )+) => {
+        $(
+            fn $cols(
+                kc: usize,
+                a: Strided<'_>,
+                b: Strided<'_>,
+                c: &mut [f32],
+                ldc: usize,
+                n_live: usize,
+            ) {
+                $( let mut $acc = [0.0f32; NR]; )+
+                for (ak, bk) in a.runs::<$r>(kc).zip(b.runs::<NR>(kc)) {
+                    $( fma_row(&mut $acc, ak[$i], bk); )+
+                }
+                $( add_row(&mut c[$i * ldc..][..n_live], &$acc); )+
+            }
+
+            fn $rows(
+                kc: usize,
+                a: Strided<'_>,
+                b: Strided<'_>,
+                c: &mut [f32],
+                ldc: usize,
+                n_live: usize,
+            ) {
+                $(
+                    let mut $acc = [0.0f32; NR];
+                    let $a = &a.data[$i * a.ld..][..kc];
+                )+
+                for (kk, bk) in b.runs::<NR>(kc).enumerate() {
+                    $( fma_row(&mut $acc, $a[kk], bk); )+
+                }
+                $( add_row(&mut c[$i * ldc..][..n_live], &$acc); )+
+            }
+        )+
+
+        /// `TILE_COLS[r - 1]` is the `cols` kernel for `r` live rows.
+        const TILE_COLS: [TileKernel; MR] = [$( $cols ),+];
+        /// `TILE_ROWS[r - 1]` is the `rows` kernel for `r` live rows.
+        const TILE_ROWS: [TileKernel; MR] = [$( $rows ),+];
+    };
+}
+
+tile_kernels! {
+    cols1 rows1 1: 0 c0 a0;
+    cols2 rows2 2: 0 c0 a0, 1 c1 a1;
+    cols3 rows3 3: 0 c0 a0, 1 c1 a1, 2 c2 a2;
+    cols4 rows4 4: 0 c0 a0, 1 c1 a1, 2 c2 a2, 3 c3 a3;
+    cols5 rows5 5: 0 c0 a0, 1 c1 a1, 2 c2 a2, 3 c3 a3, 4 c4 a4;
+    cols6 rows6 6: 0 c0 a0, 1 c1 a1, 2 c2 a2, 3 c3 a3, 4 c4 a4, 5 c5 a5;
+    cols7 rows7 7: 0 c0 a0, 1 c1 a1, 2 c2 a2, 3 c3 a3, 4 c4 a4, 5 c5 a5, 6 c6 a6;
+    cols8 rows8 8: 0 c0 a0, 1 c1 a1, 2 c2 a2, 3 c3 a3, 4 c4 a4, 5 c5 a5, 6 c6 a6, 7 c7 a7;
 }
 
 #[cfg(test)]
@@ -339,7 +540,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_reference_on_awkward_shapes() {
+    fn both_regimes_match_reference_on_awkward_shapes() {
         for &(m, n, k) in &[
             (1, 1, 1),
             (1, 17, 5),
@@ -352,19 +553,17 @@ mod tests {
         ] {
             let a = dense(m, k, 1);
             let b = dense(k, n, 2);
-            let mut out = vec![0.0f32; m * n];
-            gemm_into(
-                &mut out,
-                m,
-                n,
-                k,
-                View::normal(&a, k),
-                View::normal(&b, n),
-                1,
-            );
             let want = reference(m, n, k, &a, &b);
-            for (got, want) in out.iter().zip(&want) {
-                assert!((got - want).abs() <= 1e-4, "{m}x{n}x{k}: {got} vs {want}");
+            for regime in [Regime::InPlace, Regime::Blocked] {
+                let mut out = vec![0.0f32; m * n];
+                let (av, bv) = (View::normal(&a, k), View::normal(&b, n));
+                gemm_in_regime(regime, &mut out, m, n, k, av, bv, 1);
+                for (got, want) in out.iter().zip(&want) {
+                    assert!(
+                        (got - want).abs() <= 1e-4,
+                        "{regime:?} {m}x{n}x{k}: {got} vs {want}"
+                    );
+                }
             }
         }
     }
@@ -406,9 +605,19 @@ mod tests {
     }
 
     #[test]
-    fn band_split_is_shape_only() {
-        assert_eq!(effective_bands(4, 4, 4, 8), 1, "tiny stays serial");
-        assert_eq!(effective_bands(128, 128, 128, 2), 2);
-        assert_eq!(effective_bands(128, 128, 128, 999), 16, "capped by rows/MR");
+    fn band_split_depends_on_rows_and_request_only() {
+        assert_eq!(effective_bands(4, 8), 1, "too few rows to split");
+        assert_eq!(effective_bands(256, 1), 1);
+        assert_eq!(effective_bands(256, 2), 2);
+        assert_eq!(effective_bands(128, 999), 16, "capped by rows/MR");
+    }
+
+    #[test]
+    fn regime_is_chosen_from_the_shape_alone() {
+        assert_eq!(Regime::for_shape(10, 32, 192), Regime::InPlace);
+        assert_eq!(Regime::for_shape(128, 128, 128), Regime::InPlace);
+        assert_eq!(Regime::for_shape(128, 128, 129), Regime::Blocked);
+        assert_eq!(Regime::for_shape(256, 256, 256), Regime::Blocked);
+        assert_eq!(Regime::for_shape(usize::MAX, 2, 2), Regime::Blocked);
     }
 }

@@ -173,9 +173,10 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Runs the cache-blocked, register-tiled kernel in [`crate::gemm`];
-    /// large products are split into row bands across the persistent worker
-    /// pool with bit-identical results at any thread count.
+    /// Runs the register-tiled kernel in [`crate::gemm`]: small products
+    /// read their operands in place, large ones are packed, cache-blocked
+    /// and split into row bands across the persistent worker pool — with
+    /// bit-identical results in either regime and at any thread count.
     ///
     /// # Panics
     ///
@@ -196,9 +197,9 @@ impl Matrix {
         self.matmul_into_threads(rhs, out, pool::configured_threads());
     }
 
-    /// [`Matrix::matmul_into`] with an explicit thread budget (the
-    /// determinism tests pin 1, 2 and 4 threads; results are bit-identical
-    /// across budgets).
+    /// [`Matrix::matmul_into`] with an explicit thread budget for the
+    /// blocked regime (the determinism tests pin 1, 2 and 4 threads;
+    /// results are bit-identical across budgets).
     ///
     /// # Panics
     ///

@@ -1,18 +1,23 @@
-//! Property-based tests for the blocked GEMM engine.
+//! Property-based and differential tests for the GEMM engine.
 //!
-//! Two invariants matter:
+//! Three invariants matter:
 //!
-//! 1. **Accuracy** — the blocked kernel agrees with the frozen naive
-//!    reference within `1e-4` across random shapes, including degenerate
-//!    ones (`1 x N`, `N x 1`) and sizes that are not multiples of any tile
+//! 1. **Accuracy** — the kernel agrees with the frozen naive reference
+//!    within `1e-4` across random shapes, including degenerate ones
+//!    (`1 x N`, `N x 1`) and sizes that are not multiples of any tile
 //!    dimension.
-//! 2. **Determinism** — the parallel row-band driver is *bit-identical* to
-//!    the serial kernel at every thread count, because parallelism only
-//!    partitions output rows and never changes any element's accumulation
-//!    order.
+//! 2. **Determinism across threads** — the parallel row-band driver is
+//!    *bit-identical* to the serial kernel at every thread count, because
+//!    parallelism only partitions output rows and never changes any
+//!    element's accumulation order.
+//! 3. **Determinism across regimes** — the in-place regime is
+//!    *bit-identical* to the blocked one on every shape and every
+//!    normal/transposed operand combination, so which side of the cut-over
+//!    a product falls on can never move a trained parameter.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use spyker_tensor::gemm::{product_in_regime, Regime};
 use spyker_tensor::Matrix;
 
 /// Deterministic pseudo-random matrix (avoids depending on an RNG here).
@@ -137,5 +142,111 @@ fn parallel_bands_are_bit_identical_on_a_large_product() {
             serial.as_slice(),
             "thread count {threads} changed results"
         );
+    }
+}
+
+/// Like `mk`, salted with exact `+0.0` runs (what a ReLU leaves behind),
+/// `-0.0` and forced negatives, so products of every sign — `-0.0` among
+/// them — enter the chains. Both regimes start each chain at `+0.0` and
+/// write back `0.0 + sum`, which keeps every zero positive; a shortcut that
+/// seeds a chain with its first product or skips the zeroed output shows
+/// up here as a sign bit.
+fn mk_salted(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut m = mk(rows, cols, seed);
+    for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+        match (i as u64 * 31 + seed) % 11 {
+            0 | 1 | 2 => *v = 0.0,
+            3 => *v = -0.0,
+            4 => *v = -v.abs(),
+            _ => {}
+        }
+    }
+    m
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// `op(a) · op(b)` through both regimes, for all four operand layouts,
+/// compared bit for bit.
+fn assert_regimes_agree(m: usize, n: usize, k: usize, seed: u64) {
+    for (a_t, b_t) in [(false, false), (true, false), (false, true), (true, true)] {
+        let a = if a_t {
+            mk_salted(k, m, seed)
+        } else {
+            mk_salted(m, k, seed)
+        };
+        let b = if b_t {
+            mk_salted(n, k, seed + 1)
+        } else {
+            mk_salted(k, n, seed + 1)
+        };
+        let in_place = product_in_regime(Regime::InPlace, &a, a_t, &b, b_t, 1);
+        let blocked = product_in_regime(Regime::Blocked, &a, a_t, &b, b_t, 1);
+        assert_eq!(in_place.shape(), (m, n));
+        assert!(
+            bits(&in_place) == bits(&blocked),
+            "{m}x{n}x{k} (A transposed: {a_t}, B transposed: {b_t}): regimes disagree"
+        );
+    }
+}
+
+/// Every live-row count of the last band (1..=8, and 9..=17 for a full
+/// band plus a ragged one) against tile-edge widths and panel-edge depths.
+#[test]
+fn in_place_regime_is_bit_identical_to_blocked_on_the_shape_grid() {
+    for m in 1..=17 {
+        for n in [1, 5, 31, 32, 33, 64, 65] {
+            for k in [1, 2, 127, 128, 129, 260] {
+                assert_regimes_agree(m, n, k, (m * 1000 + n * 10 + k) as u64);
+            }
+        }
+    }
+}
+
+/// The five products of one `Mlp [192, 32, 10]` step at batch 10 (forward
+/// ×2, `dW` ×2, the back-propagated delta), the `bench_smoke` squares, and
+/// one shape either side of the cut-over.
+#[test]
+fn in_place_regime_is_bit_identical_to_blocked_on_the_training_shapes() {
+    for (m, n, k) in [
+        (10, 32, 192),
+        (10, 10, 32),
+        (32, 10, 10),
+        (10, 32, 10),
+        (192, 32, 10),
+        (64, 64, 64),
+        (128, 128, 128),
+        (128, 128, 129),
+    ] {
+        assert_regimes_agree(m, n, k, (m + n + k) as u64);
+    }
+    assert_eq!(Regime::for_shape(128, 128, 128), Regime::InPlace);
+    assert_eq!(Regime::for_shape(128, 128, 129), Regime::Blocked);
+}
+
+/// The shape-driven entry points land on the regime `for_shape` names, and
+/// the blocked regime forced onto a small product is still band-invariant.
+#[test]
+fn public_products_match_the_forced_regimes() {
+    for (m, n, k) in [
+        (10, 32, 192),
+        (128, 128, 128),
+        (128, 128, 129),
+        (40, 70, 800),
+    ] {
+        let a = mk_salted(m, k, 3);
+        let b = mk_salted(k, n, 4);
+        let at = a.transpose();
+        let bt = b.transpose();
+        for regime in [Regime::InPlace, Regime::Blocked] {
+            for threads in [1, 2, 4] {
+                let forced = product_in_regime(regime, &a, false, &b, false, threads);
+                assert_eq!(bits(&forced), bits(&a.matmul(&b)));
+                assert_eq!(bits(&forced), bits(&at.matmul_tn(&b)));
+                assert_eq!(bits(&forced), bits(&a.matmul_nt(&bt)));
+            }
+        }
     }
 }

@@ -18,10 +18,14 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # shrinker tests, the wheel and preset property batteries. And the tensor
 # crate: the GEMM property battery and the bit-for-bit differential tests
 # that hold the lane-blocked order-statistic kernel and the bucketed top-k
-# to their scalar references (DESIGN.md §10.4).
+# to their scalar references (DESIGN.md §10.4), and the in-place GEMM
+# regime to the blocked one (§10.2). And what sits on top of the kernels —
+# the model zoo (gradient checks, the zero-allocation step, the pinned
+# training fingerprints), the datasets and the experiment runners.
 cargo test -q --offline -p spyker-core -p spyker-baselines
 cargo test -q --offline -p spyker-simtest -p spyker-simnet
 cargo test -q --offline -p spyker-tensor
+cargo test -q --offline -p spyker-models -p spyker-data -p spyker-experiments
 
 # The benchmark package is its own workspace: its tests are the API-drift
 # gate (it hand-wires the public server/deploy/agg/codec items) and the
@@ -42,7 +46,7 @@ cargo test -q --release -p spyker-obs --features trace --test span_model
 cargo test -q --release --test golden_report --test metric_catalog
 
 # Criterion benches must at least compile; the smoke runner then enforces
-# the kernel regression gates (the paired blocked-vs-naive GEMM ratio on
+# the kernel regression gates (the paired tiled-vs-naive GEMM ratio on
 # 128×128 and the paired network-vs-scalar trimmed-mean ratio on 8×65536
 # must each stay ≥ 0.75× the one recorded in BENCH_tensor.json, see
 # DESIGN.md §10) and, when they pass, refreshes BENCH_tensor.json at the
