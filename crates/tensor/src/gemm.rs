@@ -59,10 +59,10 @@ const KC: usize = 128;
 /// Columns of B packed per outer block (multiple of `NR`).
 const NC: usize = 128;
 
-/// Largest multiply-add count the in-place regime takes (128³). Measured:
-/// 128³ runs in place in about half the blocked time, 256³ is the
-/// crossover, and a product this small is below the point where the
-/// blocked regime's row bands pay for their dispatch.
+/// Largest multiply-add count the in-place regime takes (128³). Measured
+/// (DESIGN.md §10.1): at 128³ in place runs in 34 µs against 46 µs blocked
+/// on one thread and 85 µs across two, where the pool dispatch alone costs
+/// more than the product; at 256³ the packed, parallel path is ahead.
 const IN_PLACE_MAX_MULADDS: usize = 1 << 21;
 
 /// A read-only operand view over row-major storage with rows of `ld`

@@ -155,7 +155,7 @@ fn mk_salted(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut m = mk(rows, cols, seed);
     for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
         match (i as u64 * 31 + seed) % 11 {
-            0 | 1 | 2 => *v = 0.0,
+            0..=2 => *v = 0.0,
             3 => *v = -0.0,
             4 => *v = -v.abs(),
             _ => {}
