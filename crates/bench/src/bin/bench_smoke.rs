@@ -1,8 +1,9 @@
 //! Non-Criterion smoke benchmark: times the GEMM family against the frozen
 //! naive kernel, the products and the whole step of the `des_train_4s100c`
-//! model, one end-to-end client round per dense scenario model and the
-//! codec-path kernels at the `des_bigmodel_codec` dimension, and writes the
-//! results to `BENCH_tensor.json`.
+//! model, one end-to-end client round per dense scenario model, the
+//! codec-path kernels and the server's model hand-out at the
+//! `des_bigmodel_codec` dimension, and writes the results to
+//! `BENCH_tensor.json`.
 //!
 //! Criterion's statistical machinery is overkill for a CI gate; this runner
 //! exists so `scripts/check.sh` can assert the headline regression bounds in
@@ -32,9 +33,13 @@ use spyker_tensor::{
     coordinate_trimmed_mean, im2col_into, top_k_indices, trimmed_mean_inplace, Conv2dShape, Matrix,
 };
 
+use spyker_core::config::SpykerConfig;
+use spyker_core::ingest::UpdateIngest;
+use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
 use spyker_core::training::LocalTrainer;
 use spyker_core::update_codec::{param_hash, CodecConfig, UpdateEncoder};
+use spyker_simnet::{Env, NodeId, SimTime};
 
 /// One timed benchmark: median-ish ns/iter over an adaptive iteration count.
 struct Sample {
@@ -122,6 +127,29 @@ fn time_paired(
         ns_per_iter: best_b,
     };
     (sa, sb, ratios[ROUNDS / 2])
+}
+
+/// An [`Env`] that swallows everything: the server-side rows time what a
+/// handler does up to and including building its messages.
+struct Sink;
+
+impl Env<FlMsg> for Sink {
+    fn now(&self) -> SimTime {
+        SimTime::ZERO
+    }
+    fn me(&self) -> NodeId {
+        0
+    }
+    fn num_nodes(&self) -> usize {
+        1
+    }
+    fn send(&mut self, _to: NodeId, msg: FlMsg) {
+        std::hint::black_box(msg);
+    }
+    fn set_timer(&mut self, _delay: SimTime, _tag: u64) {}
+    fn busy(&mut self, _duration: SimTime) {}
+    fn record(&mut self, _series: &str, _value: f64) {}
+    fn add_counter(&mut self, _name: &str, _delta: u64) {}
 }
 
 fn fill(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -324,6 +352,27 @@ fn main() {
     let mut payload = Vec::new();
     samples.push(time_it("codec_encode_paper_65536", || {
         encoder.encode(7, &trained, &model, ref_hash, &mut payload)
+    }));
+
+    // --- Handing the model out, under the delta codec. -----------------------
+    // Every send records the model in the receiver's reference history and
+    // builds a `ModelToClient`. A reply re-sends a version the server
+    // already handed out (the robust buffer steps the model every 8th
+    // update); a broadcast here is of a version nobody has seen yet, so it
+    // also pays for the server's step having to leave the old version
+    // intact for whoever still refers to it.
+    let clients: Vec<NodeId> = (1..=32).collect();
+    let delta = CodecConfig::parse("delta").expect("valid spec");
+    let cfg = SpykerConfig::paper_defaults(clients.len(), 1).with_codec(delta);
+    let mut ingest = UpdateIngest::from_config(clients, &cfg);
+    let mut current = random_params(CODEC_DIM, 21);
+    ingest.broadcast(&mut Sink, &current, 0.0);
+    samples.push(time_it("reply_delta_65536", || {
+        ingest.reply(&mut Sink, 1, &current, 0.0)
+    }));
+    samples.push(time_it("broadcast_delta_32x65536", || {
+        current.as_mut_slice()[0] += 1.0;
+        ingest.broadcast(&mut Sink, &current, 0.0);
     }));
 
     // --- Hand-rolled JSON (no serde in the image). ---------------------------

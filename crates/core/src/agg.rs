@@ -26,7 +26,7 @@
 //! | `agg.rejected.nonfinite` | … carrying `NaN`/`Inf` parameters or age   |
 //! | `agg.rejected.norm`      | … whose delta norm exceeded the bound      |
 //! | `agg.rejected.stale`     | … staler than the configured maximum       |
-//! | `agg.rejected.peer`      | non-finite *server* models dropped at merge|
+//! | `agg.rejected.peer`      | unmergeable *server* models dropped at merge|
 //! | `agg.robust.flushes`     | robust batches folded into the model       |
 
 use spyker_tensor::{coordinate_median, coordinate_trimmed_mean, Scratch};
@@ -235,7 +235,7 @@ pub struct RobustBuffer {
     deltas: Vec<ParamVec>,
     weights: Vec<f32>,
     /// Recycles the dim-sized delta buffers across flushes so a long run
-    /// stops allocating once the buffer has seen one full batch.
+    /// stops allocating them once the buffer has seen one full batch.
     scratch: Scratch,
 }
 
@@ -327,7 +327,7 @@ impl RobustBuffer {
     /// their aggregation weights, clearing the buffer. The flushed deltas'
     /// storage is recycled for future [`take_delta`](Self::take_delta)
     /// calls, so a server that builds deltas from recycled buffers and
-    /// reuses `out` flushes with zero steady-state heap traffic.
+    /// reuses `out` flushes without allocating a dim-sized buffer.
     ///
     /// # Panics
     ///

@@ -195,8 +195,8 @@ impl Node<FlMsg> for FlClient {
         // Local training: real gradient computation plus the emulated
         // heterogeneous training delay in virtual time.
         env.span_enter("client.round");
-        // Delta encoding needs the exact model the server sent, so snapshot
-        // it before training mutates the parameters in place.
+        // Delta encoding needs the exact model the server sent: keep a handle
+        // to it, so training below writes to storage of its own.
         let reference = match &self.codec {
             Some(enc) if enc.config().delta => Some(params.clone()),
             _ => None,

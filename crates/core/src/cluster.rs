@@ -153,6 +153,11 @@ impl KCenters {
     /// clients are stuck flapping between undifferentiated centers can
     /// only be bootstrapped from a peer that has already separated. The
     /// merge applies the peer's update in the matched center's own frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `peer_init` is not a center index or `peer` has another
+    /// dimension than the centers (the server checks both on arrival).
     pub fn merge_peer(
         &mut self,
         peer: &ParamVec,
@@ -166,8 +171,7 @@ impl KCenters {
         /// A local update this small relative to the peer's marks a
         /// center as virgin (safe to adopt an ambiguous peer).
         const VIRGIN_FRAC: f32 = 0.25;
-        debug_assert!(peer_init < self.inits.len(), "peer init out of range");
-        let peer_base = &self.inits[peer_init.min(self.inits.len() - 1)];
+        let peer_base = &self.inits[peer_init];
         let delta_norm = |c: &ParamVec, init: &ParamVec| -> f32 {
             c.as_slice()
                 .iter()
@@ -487,10 +491,17 @@ impl Node<FlMsg> for ClusteredSpykerServer {
                     return;
                 }
                 // Unlike the token exchange, nothing waits on this merge:
-                // a non-finite peer center can be dropped outright.
-                if self.cfg.validation.reject_nonfinite && !(age.is_finite() && params.is_finite())
-                {
+                // a peer center that cannot be merged — grown from an init
+                // this server does not have, of another dimension, or
+                // non-finite — can be dropped outright.
+                if center >= self.centers.k() {
                     self.ingest.reject(env, "agg.rejected.peer");
+                    return;
+                }
+                if !self
+                    .ingest
+                    .admit_peer(env, self.centers.center(center), &params, age)
+                {
                     return;
                 }
                 env.busy(self.cfg.agg_cost);
@@ -784,6 +795,46 @@ mod tests {
             .unwrap();
         assert_eq!(c0.last_choice(), Some(0));
         assert!(c0.updates_sent() > 0);
+    }
+
+    #[test]
+    fn unmergeable_peer_center_is_a_counted_drop() {
+        use crate::test_support::MockEnv;
+        let inits = vec![ParamVec::from_vec(vec![0.5, -0.5]); 2];
+        let cfg = SpykerConfig::paper_defaults(1, 2);
+        let mut s = ClusteredSpykerServer::new(
+            0,
+            vec![0, 1],
+            vec![2],
+            inits.clone(),
+            cfg,
+            SimTime::from_secs(1),
+        );
+        let mut env = MockEnv::new(0, 3);
+        // Another dimension, an init index this server does not have, a
+        // poisoned center: any frame can carry each of them.
+        for (peer, center) in [
+            (vec![1.0, 1.0, 1.0], 0),
+            (vec![], 1),
+            (vec![1.0, 1.0], 2),
+            (vec![1.0, 1.0], usize::MAX),
+            (vec![f32::NAN, 1.0], 0),
+        ] {
+            s.on_message(
+                &mut env,
+                1,
+                FlMsg::ClusterModel {
+                    params: ParamVec::from_vec(peer),
+                    age: 3.0,
+                    center,
+                    server_idx: 1,
+                },
+            );
+        }
+        assert_eq!(env.counter("agg.rejected.peer"), 5);
+        assert_eq!(s.centers().centers(), &inits[..]);
+        assert_eq!(env.counter("server.aggs"), 0);
+        assert_eq!(env.counter("cluster.merge_deferred"), 0);
     }
 
     #[test]

@@ -65,8 +65,14 @@ pub struct UpdateIngest {
     /// here between uploads (see [`UpdateIngest::recycle_update`]).
     decode_buf: Vec<f32>,
     /// Per-client history of recently-sent models, keyed by content hash.
-    /// Only populated when the codec uses delta encoding.
+    /// Only populated when the codec uses delta encoding. The entries are
+    /// handles: every client sent one model version refers to the same
+    /// storage, which is also the reply's.
     sent_models: HashMap<NodeId, VecDeque<(u64, ParamVec)>>,
+    /// The model [`param_hash`] last ran over, and its hash: the model
+    /// changes far less often than it is sent, and a handle to the same
+    /// storage has the same contents (see [`ParamVec`]).
+    last_hashed: Option<(u64, ParamVec)>,
 
     validation: ValidationConfig,
     /// `None` for the paper-exact [`AggregationStrategy::Mean`].
@@ -109,6 +115,7 @@ impl UpdateIngest {
             decoder: UpdateDecoder::new(),
             decode_buf: Vec::new(),
             sent_models: HashMap::new(),
+            last_hashed: None,
             validation,
             robust: RobustBuffer::from_strategy(aggregation),
             flush_buf: ParamVec::zeros(0),
@@ -169,6 +176,7 @@ impl UpdateIngest {
     /// client can arrive any more).
     pub fn forget_sent_models(&mut self) {
         self.sent_models.clear();
+        self.last_hashed = None;
     }
 
     /// Per-client update counts (local-index order) and their mean `ū`.
@@ -249,6 +257,26 @@ impl UpdateIngest {
         }
     }
 
+    /// The gate for a *peer server's* model about to be merged into
+    /// `current`: `false`, counted as `agg.rejected.peer`, for one of
+    /// another dimension — any frame can declare one, and no merge step
+    /// takes it — or, under `reject_nonfinite`, a non-finite one (a peer
+    /// poisoned before this layer existed, or one whose own gate is off).
+    pub fn admit_peer(
+        &mut self,
+        env: &mut dyn Env<FlMsg>,
+        current: &ParamVec,
+        peer: &ParamVec,
+        peer_age: f64,
+    ) -> bool {
+        let ok = peer.len() == current.len()
+            && !(self.validation.reject_nonfinite && !(peer_age.is_finite() && peer.is_finite()));
+        if !ok {
+            self.reject(env, "agg.rejected.peer");
+        }
+        ok
+    }
+
     /// Alg. 1 ll. 17–18 for an integrated update of client `k`: count it
     /// and decay the learning rate the client is handed next.
     pub fn complete(&mut self, env: &mut dyn Env<FlMsg>, k: usize) {
@@ -288,7 +316,7 @@ impl UpdateIngest {
                 // into the model at the batch's mean weight. Deltas are
                 // built in buffers recycled from earlier flushes and the
                 // estimate lands in `flush_buf`, so a long run's flush path
-                // stops touching the heap after the first full batch.
+                // allocates no dim-sized buffer after the first full batch.
                 buf.push_difference(update, params, w);
                 if buf.is_ready() {
                     let n = buf.len();
@@ -427,7 +455,14 @@ impl UpdateIngest {
         age: f64,
     ) {
         if self.codec.is_some_and(|c| c.delta) {
-            let h = param_hash(params.as_slice());
+            let h = match &self.last_hashed {
+                Some((h, hashed)) if hashed.shares_storage(params) => *h,
+                _ => {
+                    let h = param_hash(params.as_slice());
+                    self.last_hashed = params.share().map(|hashed| (h, hashed));
+                    h
+                }
+            };
             let hist = self.sent_models.entry(to).or_default();
             if let Some(pos) = hist.iter().position(|(hh, _)| *hh == h) {
                 // Same model re-sent (e.g. a watchdog re-poke of an

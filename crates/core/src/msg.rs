@@ -428,6 +428,15 @@ mod tests {
     }
 
     #[test]
+    fn sharing_model_storage_did_not_grow_the_message() {
+        // Every queue slot, timer-wheel entry and channel cell holds an
+        // `FlMsg` by value: the copy-on-write handle must cost what the
+        // plain `Vec` did.
+        assert_eq!(std::mem::size_of::<ParamVec>(), 24);
+        assert_eq!(std::mem::size_of::<FlMsg>(), 104);
+    }
+
+    #[test]
     fn scale_noise_and_nan_attacks_transform_the_payload() {
         let base = || FlMsg::ClientUpdate {
             params: ParamVec::from_vec(vec![1.0, 2.0, 3.0, 4.0]),

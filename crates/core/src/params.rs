@@ -1,6 +1,12 @@
 //! Flat model parameter vectors.
 
 use std::fmt;
+use std::sync::Arc;
+
+/// Vectors of at least this many coordinates share their storage between
+/// clones; shorter ones are plain owned `Vec`s, for which a copy is cheaper
+/// than the reference counting (measured: DESIGN.md §10.3).
+const SHARE_FROM: usize = 1024;
 
 /// A model's parameters as a flat `f32` vector.
 ///
@@ -8,6 +14,21 @@ use std::fmt;
 /// merging) is expressed over `ParamVec`, keeping the protocol independent
 /// of the model architecture. `spyker-models` flattens its networks into
 /// and out of this representation.
+///
+/// # Cost of `clone` and of mutation
+///
+/// A model is handed out far more often than it changes — to every client
+/// after every update, to every peer on every exchange — so the storage of
+/// a large vector is shared and copy-on-write: `clone()` is a
+/// reference-count bump, and the first mutation (`as_mut_slice`,
+/// `lerp_toward`, `axpy`, `scale`, `resize`) through a handle that is not
+/// the only one copies the values once, after which that handle is unique
+/// again. A model version therefore exists once however many messages,
+/// histories and peers hold it. Small vectors are copied outright, which is
+/// cheaper than counting references to them. Which of the two a value is
+/// follows from its dimension alone, is not observable through any API, and
+/// never changes what an operation computes: handles behave as independent
+/// values.
 ///
 /// # Example
 ///
@@ -18,49 +39,99 @@ use std::fmt;
 /// w.lerp_toward(&target, 0.5);
 /// assert_eq!(w.as_slice(), &[0.5, 1.0, 1.5]);
 /// ```
-#[derive(Clone, PartialEq)]
-pub struct ParamVec(Vec<f32>);
+#[derive(Clone)]
+pub struct ParamVec(Store);
+
+#[derive(Clone)]
+enum Store {
+    Owned(Vec<f32>),
+    /// `Arc<Vec<f32>>`, not `Arc<[f32]>`: a unique handle must give its
+    /// `Vec` back without a copy ([`ParamVec::into_vec`] feeds the
+    /// buffer-recycling paths).
+    Shared(Arc<Vec<f32>>),
+}
+
+impl PartialEq for ParamVec {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
 
 impl ParamVec {
     /// Creates a zeroed vector of dimension `n`.
     pub fn zeros(n: usize) -> Self {
-        Self(vec![0.0; n])
+        Self::from_vec(vec![0.0; n])
     }
 
     /// Wraps an existing vector.
     pub fn from_vec(v: Vec<f32>) -> Self {
-        Self(v)
+        Self(if v.len() < SHARE_FROM {
+            Store::Owned(v)
+        } else {
+            Store::Shared(Arc::new(v))
+        })
     }
 
     /// Dimension of the vector.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
 
     /// Returns `true` for the zero-dimensional vector.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// Immutable view of the raw values.
     pub fn as_slice(&self) -> &[f32] {
-        &self.0
+        match &self.0 {
+            Store::Owned(v) => v,
+            Store::Shared(v) => v,
+        }
     }
 
-    /// Mutable view of the raw values.
+    /// Mutable view of the raw values (copies them first if another handle
+    /// shares them).
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.0
+        match &mut self.0 {
+            Store::Owned(v) => v,
+            Store::Shared(v) => Arc::make_mut(v).as_mut_slice(),
+        }
     }
 
-    /// Consumes self and returns the raw vector.
+    /// Consumes self and returns the raw vector — without a copy unless
+    /// another handle shares the values.
     pub fn into_vec(self) -> Vec<f32> {
-        self.0
+        match self.0 {
+            Store::Owned(v) => v,
+            Store::Shared(v) => Arc::try_unwrap(v).unwrap_or_else(|shared| (*shared).clone()),
+        }
     }
 
     /// Resizes to dimension `n` in place (new coordinates are zero),
     /// reusing the existing capacity where possible.
     pub fn resize(&mut self, n: usize) {
-        self.0.resize(n, 0.0);
+        if n != self.len() {
+            let mut v = std::mem::replace(self, Self::zeros(0)).into_vec();
+            v.resize(n, 0.0);
+            *self = Self::from_vec(v);
+        }
+    }
+
+    /// A second handle to `self`'s storage, or `None` where `clone` would
+    /// copy the values instead.
+    pub(crate) fn share(&self) -> Option<ParamVec> {
+        matches!(self.0, Store::Shared(_)).then(|| self.clone())
+    }
+
+    /// `true` when `self` and `other` are handles to one allocation, which
+    /// implies equal contents for as long as both are held: a writer that
+    /// is not the only handle copies first.
+    pub(crate) fn shares_storage(&self, other: &ParamVec) -> bool {
+        match (&self.0, &other.0) {
+            (Store::Shared(a), Store::Shared(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Moves `self` a fraction `t` of the way toward `other`:
@@ -76,7 +147,7 @@ impl ParamVec {
     /// Panics if the dimensions differ.
     pub fn lerp_toward(&mut self, other: &ParamVec, t: f32) {
         assert_eq!(self.len(), other.len(), "dimension mismatch in lerp");
-        for (a, &b) in self.0.iter_mut().zip(&other.0) {
+        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a += t * (b - *a);
         }
     }
@@ -88,14 +159,14 @@ impl ParamVec {
     /// Panics if the dimensions differ.
     pub fn axpy(&mut self, alpha: f32, other: &ParamVec) {
         assert_eq!(self.len(), other.len(), "dimension mismatch in axpy");
-        for (a, &b) in self.0.iter_mut().zip(&other.0) {
+        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a += alpha * b;
         }
     }
 
     /// Multiplies every component by `factor`.
     pub fn scale(&mut self, factor: f32) {
-        for a in &mut self.0 {
+        for a in self.as_mut_slice() {
             *a *= factor;
         }
     }
@@ -114,11 +185,11 @@ impl ParamVec {
         for (v, w) in items {
             assert_eq!(v.len(), dim, "dimension mismatch in weighted_mean");
             let c = (*w / total) as f32;
-            for (o, &x) in out.iter_mut().zip(&v.0) {
+            for (o, &x) in out.iter_mut().zip(v.as_slice()) {
                 *o += c * x;
             }
         }
-        ParamVec(out)
+        ParamVec::from_vec(out)
     }
 
     /// Euclidean distance to `other`.
@@ -128,9 +199,9 @@ impl ParamVec {
     /// Panics if the dimensions differ.
     pub fn l2_distance(&self, other: &ParamVec) -> f32 {
         assert_eq!(self.len(), other.len(), "dimension mismatch in l2_distance");
-        self.0
+        self.as_slice()
             .iter()
-            .zip(&other.0)
+            .zip(other.as_slice())
             .map(|(a, b)| (a - b) * (a - b))
             .sum::<f32>()
             .sqrt()
@@ -138,7 +209,7 @@ impl ParamVec {
 
     /// Euclidean norm.
     pub fn l2_norm(&self) -> f32 {
-        self.0.iter().map(|v| v * v).sum::<f32>().sqrt()
+        self.as_slice().iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// `true` when every component is finite (no `NaN`/`Inf`).
@@ -150,7 +221,7 @@ impl ParamVec {
     /// vector cheap to reject.
     pub fn is_finite(&self) -> bool {
         const EXPONENT: u32 = 0x7f80_0000;
-        self.0.chunks(256).all(|chunk| {
+        self.as_slice().chunks(256).all(|chunk| {
             !chunk
                 .iter()
                 .fold(false, |bad, v| bad | (v.to_bits() & EXPONENT == EXPONENT))
@@ -160,19 +231,19 @@ impl ParamVec {
     /// Serialized size in bytes (4 bytes per component plus a small header),
     /// used for bandwidth accounting and the wire codec.
     pub fn wire_size(&self) -> usize {
-        4 * self.0.len() + 8
+        4 * self.len() + 8
     }
 }
 
 impl fmt::Debug for ParamVec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.len() <= 8 {
-            write!(f, "ParamVec({:?})", self.0)
+        if self.len() <= 8 {
+            write!(f, "ParamVec({:?})", self.as_slice())
         } else {
             write!(
                 f,
                 "ParamVec(dim={}, norm={:.4})",
-                self.0.len(),
+                self.len(),
                 self.l2_norm()
             )
         }

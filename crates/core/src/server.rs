@@ -475,14 +475,13 @@ impl SpykerServer {
                 self.cnt.insert(bid, 1);
                 self.syncs_triggered += 1;
                 env.add_counter("syncs.triggered", 1);
-                let msg_params = self.params.clone();
                 let age = self.age;
                 let idx = self.server_idx;
                 for peer in self.ring.peers_of(self.server_idx) {
                     env.send(
                         peer,
                         FlMsg::ServerModel {
-                            params: msg_params.clone(),
+                            params: self.params.clone(),
                             age,
                             bid,
                             server_idx: idx,
@@ -617,14 +616,13 @@ impl SpykerServer {
         if !self.did_broadcast.contains(&bid) {
             self.did_broadcast.insert(bid);
             self.age_prev = self.age;
-            let params = self.params.clone();
             let age = self.age;
             let idx = self.server_idx;
             for peer in self.ring.peers_of(self.server_idx) {
                 env.send(
                     peer,
                     FlMsg::ServerModel {
-                        params: params.clone(),
+                        params: self.params.clone(),
                         age,
                         bid,
                         server_idx: idx,
@@ -632,18 +630,13 @@ impl SpykerServer {
                 );
             }
         }
-        // Gate non-finite peer models (a peer poisoned before this layer
-        // existed, or one whose own gate was disabled). Only the merge is
-        // skipped: the echo above and the token bookkeeping below must
-        // still run, or the token holder waits forever on this bid.
-        // Likewise a model of another dimension, which the lerp below
-        // cannot take: any frame can declare one.
-        if peer_params.len() != self.params.len()
-            || (self.cfg.validation.reject_nonfinite
-                && !(peer_age.is_finite() && peer_params.is_finite()))
+        // A peer model the gate turns away only skips the merge: the echo
+        // above and the token bookkeeping below must still run, or the
+        // token holder waits forever on this bid.
+        if self
+            .ingest
+            .admit_peer(env, &self.params, &peer_params, peer_age)
         {
-            self.ingest.reject(env, "agg.rejected.peer");
-        } else {
             // `ServerAgg` (ll. 45-50): sigmoid-weighted merge plus age blend.
             env.busy(self.cfg.agg_cost);
             let w = server_agg_weight(self.cfg.phi, self.age, peer_age);

@@ -41,8 +41,9 @@ pub struct SyncSpykerServer {
 
     round: u64,
     collecting: bool,
-    /// Models received per round: `round -> server_idx -> (params, age)`.
-    incoming: HashMap<u64, HashMap<usize, (ParamVec, f64)>>,
+    /// Models received per round: `round -> server_idx -> (params, age)`;
+    /// `None` for a slot that answered with a model the mean cannot take.
+    incoming: HashMap<u64, HashMap<usize, Option<(ParamVec, f64)>>>,
     /// Client updates buffered while an exchange is in flight.
     buffered: Vec<(NodeId, ParamVec, f64)>,
 
@@ -144,18 +145,17 @@ impl SyncSpykerServer {
         self.collecting = true;
         env.span_enter("server.exchange");
         let round = self.round;
-        let params = self.params.clone();
         let age = self.age;
         let idx = self.server_idx;
         self.incoming
             .entry(round)
             .or_default()
-            .insert(idx, (params.clone(), age));
+            .insert(idx, Some((self.params.clone(), age)));
         for peer in self.ring.peers_of(idx) {
             env.send(
                 peer,
                 FlMsg::ServerModel {
-                    params: params.clone(),
+                    params: self.params.clone(),
                     age,
                     bid: round,
                     server_idx: idx,
@@ -177,8 +177,12 @@ impl SyncSpykerServer {
         let models = self.incoming.remove(&self.round).expect("checked above");
         // Deterministic aggregation: age-weighted mean in server-idx order.
         // Every server computes the same result, so after the round all
-        // servers hold the same model.
-        let mut ordered: Vec<(usize, (ParamVec, f64))> = models.into_iter().collect();
+        // servers hold the same model. Rejected peer models filled the
+        // barrier but stay out of the mean (our own is always in it).
+        let mut ordered: Vec<(usize, (ParamVec, f64))> = models
+            .into_iter()
+            .filter_map(|(idx, model)| Some((idx, model?)))
+            .collect();
         ordered.sort_by_key(|(idx, _)| *idx);
         let weighted: Vec<(&ParamVec, f64)> =
             ordered.iter().map(|(_, (p, age))| (p, age + 1.0)).collect();
@@ -192,7 +196,7 @@ impl SyncSpykerServer {
         env.span_exit("server.exchange");
         self.round += 1;
         self.rounds_completed += 1;
-        env.add_counter("server.aggs", n as u64);
+        env.add_counter("server.aggs", ordered.len() as u64);
         // Drain the updates buffered during the exchange.
         for (from, update, update_age) in std::mem::take(&mut self.buffered) {
             self.on_client_update(env, from, update, update_age);
@@ -241,10 +245,22 @@ impl Node<FlMsg> for SyncSpykerServer {
                     env.add_counter("membership.stale_slot", 1);
                     return;
                 }
+                if bid < self.round {
+                    // That round's barrier is gone; parked, the model
+                    // would never be looked at again.
+                    env.add_counter("net.unexpected", 1);
+                    return;
+                }
+                // Any frame can declare a model of another dimension or
+                // carry a poisoned one, and `weighted_mean` takes neither.
+                // Only the model is dropped: its slot still fills the
+                // barrier, or this server would buffer client updates
+                // behind it forever.
+                let usable = self.ingest.admit_peer(env, &self.params, &params, age);
                 self.incoming
                     .entry(bid)
                     .or_default()
-                    .insert(server_idx, (params, age));
+                    .insert(server_idx, usable.then_some((params, age)));
                 if bid == self.round {
                     self.try_complete_round(env);
                 }
@@ -361,6 +377,44 @@ mod tests {
         // at the end of the run).
         assert!(processed > 0);
         assert!(sent - processed < 10, "sent {sent} processed {processed}");
+    }
+
+    #[test]
+    fn unusable_peer_model_fills_the_barrier_but_stays_out_of_the_mean() {
+        use crate::test_support::MockEnv;
+        let peer_model = |params: Vec<f32>, bid| FlMsg::ServerModel {
+            params: ParamVec::from_vec(params),
+            age: 4.0,
+            bid,
+            server_idx: 1,
+        };
+        // Another dimension, or poisoned: any frame can carry either.
+        for bad in [vec![1.0, 1.0, 1.0], vec![], vec![f32::NAN, 1.0]] {
+            let cfg = SpykerConfig::paper_defaults(1, 2);
+            let init = ParamVec::from_vec(vec![0.5, -0.5]);
+            let mut s = SyncSpykerServer::new(
+                0,
+                vec![0, 1],
+                vec![2],
+                init.clone(),
+                cfg,
+                SimTime::from_secs(1),
+            );
+            let mut env = MockEnv::new(0, 3);
+            s.on_timer(&mut env, ROUND_TIMER);
+            assert!(s.collecting);
+            s.on_message(&mut env, 1, peer_model(bad, 0));
+            assert_eq!(env.counter("agg.rejected.peer"), 1);
+            // The round closed on this server's own model alone, so client
+            // updates are no longer buffered behind it.
+            assert_eq!((s.rounds_completed(), s.collecting), (1, false));
+            assert_eq!((s.params(), s.age()), (&init, 0.0));
+            assert_eq!(env.counter("server.aggs"), 1);
+            // A model for the round that just closed is not parked.
+            s.on_message(&mut env, 1, peer_model(vec![1.0, 1.0], 0));
+            assert_eq!(env.counter("net.unexpected"), 1);
+            assert!(s.incoming.is_empty());
+        }
     }
 
     #[test]

@@ -254,3 +254,123 @@ proptest! {
         prop_assert_eq!(encode(&back), frame);
     }
 }
+
+/// Dimensions on, and on both sides of, every power of two the storage
+/// cut-over of `ParamVec` could plausibly be (the constant is private:
+/// nothing outside `params.rs` may depend on which it is).
+const DIMS: [usize; 17] = [
+    0, 1, 8, 255, 256, 257, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4096, 4097, 8192, 8193,
+];
+
+fn tiled(seed: &[f32], n: usize) -> Vec<f32> {
+    seed.iter().cycle().take(n).copied().collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    /// The aliasing contract: handles behave as independent values. Clone
+    /// a vector, mutate one of the two handles through each mutator; the
+    /// other handle is bit-unchanged and the mutated one equals the same
+    /// operation on a plain `Vec<f32>`.
+    #[test]
+    fn mutating_one_handle_never_shows_through_its_clone(
+        seed in prop::collection::vec(-100.0f32..100.0, 1..16),
+        other_seed in prop::collection::vec(-100.0f32..100.0, 1..16),
+        t in -1.0f32..2.0,
+        mutate_the_clone in 0u8..2,
+        target_dim in 0usize..DIMS.len(),
+    ) {
+        // Each mutator, and the same operation on a plain `Vec<f32>`.
+        type OnParams = fn(&mut ParamVec, &ParamVec, f32, usize);
+        type OnVec = fn(&mut Vec<f32>, &[f32], f32, usize);
+        let mutators: [(&str, OnParams, OnVec); 5] = [
+            (
+                "as_mut_slice",
+                |p, _, t, _| p.as_mut_slice().iter_mut().for_each(|v| *v = t - *v),
+                |v, _, t, _| v.iter_mut().for_each(|v| *v = t - *v),
+            ),
+            (
+                "lerp_toward",
+                |p, o, t, _| p.lerp_toward(o, t),
+                |v, o, t, _| v.iter_mut().zip(o).for_each(|(a, b)| *a += t * (b - *a)),
+            ),
+            (
+                "axpy",
+                |p, o, t, _| p.axpy(t, o),
+                |v, o, t, _| v.iter_mut().zip(o).for_each(|(a, b)| *a += t * b),
+            ),
+            ("scale", |p, _, t, _| p.scale(t), |v, _, t, _| v.iter_mut().for_each(|v| *v *= t)),
+            ("resize", |p, _, _, n| p.resize(n), |v, _, _, n| v.resize(n, 0.0)),
+        ];
+        let resize_to = DIMS[target_dim];
+        for dim in DIMS {
+            let values = tiled(&seed, dim);
+            let other = tiled(&other_seed, dim);
+            for (name, on_params, on_vec) in mutators {
+                let mut a = ParamVec::from_vec(values.clone());
+                let mut b = a.clone();
+                let (written, kept) = if mutate_the_clone == 1 { (&mut b, &a) } else { (&mut a, &b) };
+                on_params(written, &ParamVec::from_vec(other.clone()), t, resize_to);
+                let mut want = values.clone();
+                on_vec(&mut want, &other, t, resize_to);
+                prop_assert_eq!(bits(written.as_slice()), bits(&want), "{} at dim {}", name, dim);
+                prop_assert_eq!(bits(kept.as_slice()), bits(&values), "{} at dim {}", name, dim);
+            }
+        }
+    }
+
+    /// `into_vec` returns the contents whether or not the handle is the
+    /// only one, and leaves the other handle intact; of a unique handle it
+    /// returns the very buffer it was built from.
+    #[test]
+    fn into_vec_of_unique_and_shared_handles(
+        seed in prop::collection::vec(-100.0f32..100.0, 1..16),
+    ) {
+        for dim in DIMS {
+            let values = tiled(&seed, dim);
+            let buffer = values.clone();
+            let at = buffer.as_ptr();
+            let back = ParamVec::from_vec(buffer).into_vec();
+            prop_assert_eq!(bits(&back), bits(&values));
+            prop_assert!(dim == 0 || back.as_ptr() == at, "unique into_vec copied at dim {}", dim);
+
+            let a = ParamVec::from_vec(values.clone());
+            let b = a.clone();
+            prop_assert_eq!(bits(&b.into_vec()), bits(&values));
+            prop_assert_eq!(bits(a.as_slice()), bits(&values));
+            prop_assert_eq!(bits(&a.into_vec()), bits(&values));
+        }
+    }
+
+    /// Equality is by contents, however a value came to hold them.
+    #[test]
+    fn equality_is_by_contents(
+        seed in prop::collection::vec(-100.0f32..100.0, 1..16),
+        grow_to in 0usize..DIMS.len(),
+    ) {
+        for dim in DIMS {
+            let values = tiled(&seed, dim);
+            let built = ParamVec::from_vec(values.clone());
+            let cloned = built.clone();
+            let mut written = ParamVec::zeros(dim);
+            written.as_mut_slice().copy_from_slice(&values);
+            let mut resized = built.clone();
+            resized.resize(dim.max(DIMS[grow_to]));
+            resized.resize(dim);
+            for same in [&cloned, &written, &resized] {
+                prop_assert!(&built == same, "dim {}", dim);
+            }
+            if dim > 0 {
+                let mut differs = built.clone();
+                differs.as_mut_slice()[dim - 1] += 1.0;
+                prop_assert!(built != differs, "dim {}", dim);
+            }
+            let mut longer = built.clone();
+            longer.resize(dim + 1);
+            prop_assert!(built != longer, "dim {}", dim);
+        }
+    }
+}

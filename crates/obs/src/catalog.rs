@@ -72,8 +72,8 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "agg.rejected.peer",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server on_server_model, cluster (via ingest reject)",
-        help: "non-finite peer models skipped during an exchange",
+        site: "core ingest admit_peer (spyker, sync-spyker, cluster)",
+        help: "peer server models skipped at merge: non-finite, wrong dimension or unknown center",
     },
     CatalogEntry {
         name: "agg.rejected.stale",

@@ -21,11 +21,16 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # to their scalar references (DESIGN.md §10.4), and the in-place GEMM
 # regime to the blocked one (§10.2). And what sits on top of the kernels —
 # the model zoo (gradient checks, the zero-allocation step, the pinned
-# training fingerprints), the datasets and the experiment runners.
+# training fingerprints), the datasets and the experiment runners. And the
+# transport crate's own unit tests (thread-cluster delivery, fault
+# injection and timers; the TCP envelope, hello frames, class-aware queue
+# shedding and reconnect back-off): the root `tcp_live`/`transport_live`
+# suites drive it only from outside.
 cargo test -q --offline -p spyker-core -p spyker-baselines
 cargo test -q --offline -p spyker-simtest -p spyker-simnet
 cargo test -q --offline -p spyker-tensor
 cargo test -q --offline -p spyker-models -p spyker-data -p spyker-experiments
+cargo test -q --offline -p spyker-transport
 
 # The benchmark package is its own workspace: its tests are the API-drift
 # gate (it hand-wires the public server/deploy/agg/codec items) and the
