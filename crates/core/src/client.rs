@@ -187,10 +187,13 @@ impl Node<FlMsg> for FlClient {
         };
         // With failover a late reply from a previous home is still a fresh
         // model worth training on — the update goes to the *current* home.
+        // Without failover a model from any other node is as unexpected as
+        // a wrong message kind, and just as reachable from the network.
         if self.failover.is_some() {
             self.heard = true;
-        } else {
-            debug_assert_eq!(from, self.server, "model from unexpected server");
+        } else if from != self.server {
+            env.add_counter("net.unexpected", 1);
+            return;
         }
         // Local training: real gradient computation plus the emulated
         // heterogeneous training delay in virtual time.
@@ -303,6 +306,7 @@ impl Node<FlMsg> for FlClient {
 mod tests {
     use super::*;
     use crate::params::ParamVec;
+    use crate::test_support::MockEnv;
     use crate::training::MeanTargetTrainer;
     use spyker_simnet::{NetworkConfig, Region, Simulation};
 
@@ -382,6 +386,30 @@ mod tests {
             "got {t}"
         );
         assert_eq!(sim.metrics().counter("updates.sent"), 1);
+    }
+
+    #[test]
+    fn model_from_another_server_is_a_counted_drop() {
+        // Node 5 of a 6-node deployment, reporting to server 0.
+        let mut env = MockEnv::new(5, 6);
+        let trainer = MeanTargetTrainer::new(vec![1.0, 1.0], 3);
+        let mut client = FlClient::new(0, Box::new(trainer), 1, SimTime::ZERO);
+        let model = || FlMsg::ModelToClient {
+            params: ParamVec::zeros(2),
+            age: 1.0,
+            lr: 0.5,
+        };
+        client.on_message(&mut env, 1, model());
+        assert_eq!(env.counter("net.unexpected"), 1);
+        assert_eq!(env.counter("updates.sent"), 0);
+        assert!(env.sent.is_empty(), "no update may answer a stranger");
+        // Its own server's model still trains and is answered.
+        client.on_message(&mut env, 0, model());
+        assert_eq!(env.counter("updates.sent"), 1);
+        assert!(matches!(
+            env.sent.as_slice(),
+            [(0, FlMsg::ClientUpdate { .. })]
+        ));
     }
 
     #[test]
