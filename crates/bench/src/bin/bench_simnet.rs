@@ -1,4 +1,4 @@
-//! Non-Criterion scheduler benchmark: heap vs timer wheel at 1k/10k/100k
+//! Scheduler benchmark: heap vs timer wheel at 1k/10k/100k
 //! clients, written to `BENCH_simnet.json`.
 //!
 //! The workload mirrors the million-client regime the simulator targets:

@@ -1,13 +1,12 @@
-//! Non-Criterion smoke benchmark: times the GEMM family against the frozen
-//! naive kernel, the products and the whole step of the `des_train_4s100c`
-//! model, one end-to-end client round per dense scenario model, the
-//! codec-path kernels and the server's model hand-out at the
-//! `des_bigmodel_codec` dimension, and writes the results to
-//! `BENCH_tensor.json`.
+//! Smoke benchmark: times the GEMM family against the frozen naive kernel,
+//! the products and the whole step of the `des_train_4s100c` model, one
+//! end-to-end client round per dense scenario model, the codec-path kernels
+//! and the server's model hand-out at the `des_bigmodel_codec` dimension,
+//! the aggregation procedures of paper Tab. 3, and a loss and an LSTM step,
+//! and writes the results to `BENCH_tensor.json`.
 //!
-//! Criterion's statistical machinery is overkill for a CI gate; this runner
-//! exists so `scripts/check.sh` can assert the headline regression bounds in
-//! a few seconds: the tiled-vs-naive GEMM ratio on 128×128, the
+//! `scripts/check.sh` asserts the headline regression bounds in a few
+//! seconds: the tiled-vs-naive GEMM ratio on 128×128, the
 //! network-vs-scalar trimmed-mean ratio on 8 × 65 536 and the
 //! sampled-vs-full-histogram top-k ratio on an encoder's 65 536-entry input
 //! must not fall below 0.75× the ratios recorded in the output file it is
@@ -29,17 +28,19 @@ use spyker_bench::random_params;
 use spyker_data::synth::{SynthImages, SynthImagesSpec};
 use spyker_models::bridge::DenseShardTrainer;
 use spyker_models::linear::SoftmaxRegression;
+use spyker_models::lstm::CharLstm;
 use spyker_models::mlp::Mlp;
-use spyker_models::model::DenseModel;
+use spyker_models::model::{DenseModel, SeqModel};
 use spyker_tensor::{
-    coordinate_trimmed_mean, im2col_into, top_k_indices, top_k_indices_with, trimmed_mean_inplace,
-    Conv2dShape, Matrix,
+    coordinate_trimmed_mean, cross_entropy_from_logits, im2col_into, top_k_indices,
+    top_k_indices_with, trimmed_mean_inplace, Conv2dShape, Matrix,
 };
 
 use spyker_core::config::SpykerConfig;
 use spyker_core::ingest::UpdateIngest;
 use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
+use spyker_core::staleness::{blended_age, server_agg_weight};
 use spyker_core::training::{LocalTrainer, MeanTargetTrainer};
 use spyker_core::update_codec::{param_hash, CodecConfig, UpdateDecoder, UpdateEncoder};
 use spyker_simnet::{Env, NodeId, SimTime};
@@ -59,8 +60,7 @@ fn time_it(name: &str, mut f: impl FnMut()) -> Sample {
     f();
     let once = t0.elapsed().as_nanos().max(1) as u64;
     let iters = (150_000_000 / once).clamp(3, 10_000);
-    // Best-of-3 batches shields the figure from scheduler noise without
-    // criterion's full sampling apparatus.
+    // Best-of-3 batches shields the figure from scheduler noise.
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let t = Instant::now();
@@ -174,6 +174,9 @@ const GATED: [&str; 3] = [
 const REGRESS_SHARE: f64 = 0.75;
 /// Model dimension of the codec-path rows (`des_bigmodel_codec`'s).
 const CODEC_DIM: usize = 65_536;
+/// Model dimension of the Tab. 3 procedure rows (the order of the paper's
+/// small CNNs).
+const TAB3_DIM: usize = 100_000;
 
 /// The number recorded under top-level key `key` of a JSON file this
 /// runner wrote earlier, if the file and the key exist.
@@ -223,7 +226,10 @@ fn encoder_input(dim: usize, rounds: usize) -> Vec<f32> {
 
 /// The top-k kernel before the sampled floor, frozen as this runner's
 /// reference: a histogram of every entry's magnitude bucket sets the floor,
-/// and the gather tests eight entries at a time, then each singly.
+/// and the gather tests eight entries at a time, then each singly. Kept out
+/// of line: inlined into its timing loop, its time moved between 75 and
+/// 102 µs with edits elsewhere in this file.
+#[inline(never)]
 fn top_k_full_histogram(values: &[f32], k: usize, keys: &mut Vec<u64>, idx: &mut Vec<u32>) {
     const MAGNITUDE: u32 = 0x7fff_ffff;
     const BUCKET_SHIFT: u32 = 19;
@@ -280,6 +286,51 @@ fn full_sort_head(values: &[f32], k: usize) -> Vec<u32> {
     order.truncate(k);
     order.sort_unstable();
     order
+}
+
+/// The aggregation procedures of paper Tab. 3 at 100 000 parameters —
+/// Spyker/FedAsync integrate one update or one peer model at a time,
+/// FedAvg/HierFAVG and Sync-Spyker average a whole round — then a loss and
+/// an LSTM step no other row covers. Timed after every gated pair, so the
+/// gated kernels keep the heap layout they were recorded with.
+fn procedure_and_step_rows() -> Vec<Sample> {
+    let mut rows = Vec::new();
+    let mut model = random_params(TAB3_DIM, 2);
+    let update = random_params(TAB3_DIM, 1);
+    rows.push(time_it("tab3_client_update_lerp_100000", || {
+        model.lerp_toward(&update, 0.6 * 0.5)
+    }));
+    let peer = random_params(TAB3_DIM, 3);
+    let mut model = random_params(TAB3_DIM, 4);
+    rows.push(time_it("tab3_spyker_server_merge_100000", || {
+        let age = 120.0;
+        let w = server_agg_weight(1.5, age, 150.0);
+        model.lerp_toward(&peer, 0.6 * w);
+        std::hint::black_box(blended_age(0.6, w, age, 150.0));
+    }));
+    let updates: Vec<ParamVec> = (0..100).map(|i| random_params(TAB3_DIM, 10 + i)).collect();
+    rows.push(time_it("tab3_fedavg_round_100x100000", || {
+        let weighted: Vec<(&ParamVec, f64)> = updates.iter().map(|p| (p, 1.0)).collect();
+        std::hint::black_box(ParamVec::weighted_mean(&weighted));
+    }));
+    let models: Vec<ParamVec> = (0..4).map(|i| random_params(TAB3_DIM, 200 + i)).collect();
+    rows.push(time_it("tab3_sync_spyker_round_4x100000", || {
+        let weighted: Vec<(&ParamVec, f64)> = models.iter().map(|p| (p, 1.0)).collect();
+        std::hint::black_box(ParamVec::weighted_mean(&weighted));
+    }));
+
+    let logits = fill(32, 10, 40);
+    let targets: Vec<usize> = (0..32).map(|i| i % 10).collect();
+    rows.push(time_it("cross_entropy_32x10", || {
+        std::hint::black_box(cross_entropy_from_logits(&logits, &targets));
+    }));
+    // One BPTT window of the WikiText scenario's LSTM.
+    let window: Vec<u8> = (0..32u8).map(|i| i % 28).collect();
+    let mut lstm = CharLstm::new(28, 12, 16, 1);
+    rows.push(time_it("char_lstm_train_window32", || {
+        std::hint::black_box(lstm.train_window(&window, 1.0));
+    }));
+    rows
 }
 
 fn main() {
@@ -510,6 +561,8 @@ fn main() {
         current.as_mut_slice()[0] += 1.0;
         ingest.broadcast(&mut Sink, &current, 0.0);
     }));
+
+    samples.extend(procedure_and_step_rows());
 
     // --- Hand-rolled JSON (no serde in the image). ---------------------------
     let mut json = String::from("{\n  \"benchmarks\": [\n");

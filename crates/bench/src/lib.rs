@@ -1,12 +1,8 @@
-//! Shared helpers for the Criterion benches.
+//! Shared helpers for the micro-benchmark runners in `src/bin/`:
 //!
-//! The benches live in `benches/`:
-//!
-//! * `tab3_procedures` — real cost of each algorithm's aggregation
-//!   procedure (the measured counterpart of paper Tab. 3);
-//! * `tensor_ops` — training-substrate kernels;
-//! * `simulator` — DES event throughput;
-//! * `figures` — scaled-down end-to-end runs of every figure/table.
+//! * `bench_smoke` — kernel, procedure-cost (the measured counterpart of
+//!   paper Tab. 3) and client-step timings, with regress-only CI gates;
+//! * `bench_simnet` — scheduler throughput, heap vs timer wheel.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -752,8 +752,8 @@ fn ablate_config(
 
 /// Paper Tab. 3 companion: the aggregation *procedure costs* are inputs to
 /// the simulation (charged via `Env::busy`), not measurements of this
-/// machine. This prints the configured values; the Criterion bench
-/// `tab3_procedures` measures the real cost of our implementations.
+/// machine. This prints the configured values; the `tab3_*` rows of
+/// `bench_smoke` measure the real cost of our implementations.
 pub fn tab3_procedure_costs() -> String {
     let mut table = Table::new(&["procedure", "virtual cost (ms)"]);
     table.row(&["Local training (mean, N(150, 7.5^2))".into(), "150".into()]);

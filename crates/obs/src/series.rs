@@ -4,7 +4,7 @@
 ///
 /// Appends from a single deterministic clock are `O(1)`; an out-of-order
 /// stamp (possible only when merging independently-clocked collectors,
-/// e.g. the thread transport's per-node locals) is sorted in at its
+/// e.g. the per-node reports of a TCP deployment) is sorted in at its
 /// timestamp — after any sample already carrying the same stamp, so the
 /// result matches a stable sort of the arrival order — and counted in
 /// [`TimeSeries::out_of_order`].

@@ -224,9 +224,7 @@ impl FaultPlan {
     }
 
     /// `true` when any probabilistic or scripted message-drop rule exists
-    /// (crash-only plans skip the per-send checks entirely). Public so
-    /// other executors of the same actors (the thread cluster in
-    /// `spyker-transport`) can interpret the same plan.
+    /// (crash-only plans skip the per-send checks entirely).
     pub fn has_message_faults(&self) -> bool {
         self.loss_prob > 0.0
             || !self.link_loss.is_empty()

@@ -9,7 +9,7 @@
 //!
 //! * [`time::SimTime`] — virtual time with microsecond resolution;
 //! * [`runtime::Node`] / [`runtime::Env`] — the actor interface protocol
-//!   code is written against (the thread transport in `spyker-transport`
+//!   code is written against (the TCP transport in `spyker-transport`
 //!   drives the *same* actors);
 //! * [`net`] — regions, the AWS latency matrix, bandwidth and jitter;
 //! * [`fault`] — deterministic fault injection (message loss, partitions,

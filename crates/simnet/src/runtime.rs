@@ -1,8 +1,8 @@
-//! The actor interface shared by the simulator and the thread transport.
+//! The actor interface shared by the simulator and the TCP transport.
 //!
 //! Protocol code (Spyker, the baselines) is written once against
 //! [`Node`]/[`Env`]; `spyker_simnet::des::Simulation` drives it in virtual
-//! time and `spyker-transport` drives the very same actors on real threads.
+//! time and `spyker-transport` drives the very same actors over sockets.
 
 use std::any::Any;
 
@@ -49,7 +49,7 @@ pub trait WireSize {
 /// The environment handle a [`Node`] uses to interact with the world.
 ///
 /// All effects are expressed through this trait so the same actor code runs
-/// under the deterministic simulator and under the thread transport.
+/// under the deterministic simulator and under the TCP transport.
 ///
 /// Within a single handler invocation, [`Env::busy`] models CPU time spent
 /// *before* any subsequent effect: a send issued after `busy(d)` leaves the
@@ -132,7 +132,7 @@ pub trait Env<M> {
 /// A protocol actor: one client or one server.
 ///
 /// Handlers are invoked sequentially per node; a node never runs two
-/// handlers concurrently (in the thread transport each node owns a thread).
+/// handlers concurrently (over TCP each node's handlers run on one thread).
 pub trait Node<M>: Send {
     /// Invoked once at time zero, before any message delivery.
     fn on_start(&mut self, env: &mut dyn Env<M>);

@@ -1,7 +1,6 @@
 //! Multi-process TCP deployment of the protocol actors.
 //!
-//! Where [`crate::ThreadCluster`] runs every node in one process, this
-//! module runs ONE node per OS process over real sockets, speaking the
+//! This module runs ONE node per OS process over real sockets, speaking the
 //! canonical `spyker-core::codec` frames with a 4-byte little-endian
 //! length prefix (reassembled by `codec::FrameAccumulator`). Robustness is
 //! the design center — see `DESIGN.md` §13:
@@ -51,7 +50,18 @@ use spyker_simnet::runtime::{Env, Node, NodeId, WireSize};
 use spyker_simnet::time::SimTime;
 use spyker_tensor::Scratch;
 
-use crate::splitmix_unit;
+/// One uniform draw in `[0, 1)` advancing a splitmix64 stream:
+/// self-contained, no RNG dependency. The transport is wall-clock driven
+/// and thus not bit-reproducible anyway, so stream quality matters more
+/// than replay.
+fn splitmix_unit(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
 
 /// Transport envelope kinds (first payload byte inside a length-prefixed
 /// frame).
