@@ -19,6 +19,11 @@
 //! rejected, and trailing garbage after a complete message is an error —
 //! no code path reachable from network bytes panics.
 //!
+//! A model is copied once in user space per side: encoding converts
+//! coordinates a block at a time, one `put_slice` per block, and [`decode`]
+//! reads a borrowed `&[u8]`, so a reader decodes each frame where
+//! [`FrameAccumulator::read_from`] put it.
+//!
 //! # Example
 //!
 //! ```
@@ -34,6 +39,7 @@
 //! ```
 
 use std::fmt;
+use std::io::{self, Read};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -297,12 +303,9 @@ fn encode_body<B: BufMut>(msg: &FlMsg, buf: &mut B) {
 ///
 /// Returns a [`DecodeError`] as described above; never panics, whatever
 /// the input bytes.
-pub fn decode(frame: &Bytes) -> Result<FlMsg, DecodeError> {
-    let mut buf = frame.clone();
-    if buf.remaining() < 1 {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
+pub fn decode(frame: &[u8]) -> Result<FlMsg, DecodeError> {
+    let mut buf = frame;
+    let [tag] = take_n(&mut buf)?;
     let msg = match tag {
         TAG_MODEL_TO_CLIENT => {
             let params = get_params(&mut buf)?;
@@ -453,10 +456,7 @@ pub fn decode(frame: &Bytes) -> Result<FlMsg, DecodeError> {
             // The payload is opaque here; the length is still validated
             // against the remaining bytes before any allocation (the
             // update codec re-validates the contents when decoding).
-            if buf.remaining() < n {
-                return Err(DecodeError::Truncated);
-            }
-            let payload: Vec<u8> = (0..n).map(|_| buf.get_u8()).collect();
+            let payload = take(&mut buf, n)?.to_vec();
             let age = get_f64(&mut buf)?;
             let num_samples = get_u64(&mut buf)? as usize;
             FlMsg::EncodedUpdate {
@@ -473,17 +473,27 @@ pub fn decode(frame: &Bytes) -> Result<FlMsg, DecodeError> {
     Ok(msg)
 }
 
+/// Room [`FrameAccumulator::read_from`] makes before each read.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Reassembles length-prefixed frames from arbitrarily-chunked stream
 /// reads.
 ///
-/// Feed raw bytes as they arrive with [`feed`](Self::feed), then drain
-/// complete frames with [`next_frame`](Self::next_frame). The accumulator
-/// never trusts a length prefix beyond its configured cap, so a malicious
-/// peer cannot force an unbounded buffer.
+/// Read a stream straight into the accumulator with
+/// [`read_from`](Self::read_from), or push bytes with [`feed`](Self::feed),
+/// then drain complete frames in place with
+/// [`next_frame_ref`](Self::next_frame_ref) or as owned copies with
+/// [`next_frame`](Self::next_frame). The accumulator never trusts a length
+/// prefix beyond its configured cap, and its buffer grows only with the
+/// bytes that arrived plus one read chunk, never towards a claimed length,
+/// so a malicious peer cannot force an unbounded buffer.
 #[derive(Debug)]
 pub struct FrameAccumulator {
+    /// `buf[start..end]` arrived and is not yet returned as a frame; the
+    /// initialised space after `end` is room for the next read.
     buf: Vec<u8>,
     start: usize,
+    end: usize,
     max_frame: usize,
 }
 
@@ -493,18 +503,34 @@ impl FrameAccumulator {
         Self {
             buf: Vec::new(),
             start: 0,
+            end: 0,
             max_frame,
         }
     }
 
     /// Appends freshly-read bytes to the internal buffer.
     pub fn feed(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
+        self.make_room(chunk.len());
+        self.buf[self.end..self.end + chunk.len()].copy_from_slice(chunk);
+        self.end += chunk.len();
+    }
+
+    /// Performs one `read` from `src` straight into the internal buffer and
+    /// returns its byte count (0 at end of stream).
+    ///
+    /// # Errors
+    ///
+    /// Whatever `src.read` returns; the buffered bytes are kept.
+    pub fn read_from(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        self.make_room(READ_CHUNK);
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Number of buffered bytes not yet returned as a frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Pops the next complete frame payload, if one has fully arrived.
@@ -517,13 +543,19 @@ impl FrameAccumulator {
     /// cap; the stream is desynchronised at that point and the connection
     /// should be dropped.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, DecodeError> {
-        if self.buffered() < 4 {
-            self.compact();
+        Ok(self.next_frame_ref()?.map(<[u8]>::to_vec))
+    }
+
+    /// [`next_frame`](Self::next_frame) without the copy: the payload is
+    /// borrowed where it lies in the buffer.
+    ///
+    /// # Errors
+    ///
+    /// As for [`next_frame`](Self::next_frame).
+    pub fn next_frame_ref(&mut self) -> Result<Option<&[u8]>, DecodeError> {
+        let Ok(header) = take_n(&mut &self.buf[self.start..self.end]) else {
             return Ok(None);
-        }
-        let header: [u8; 4] = self.buf[self.start..self.start + 4]
-            .try_into()
-            .expect("4-byte slice");
+        };
         let len = u32::from_le_bytes(header) as usize;
         if len > self.max_frame {
             return Err(DecodeError::Oversize {
@@ -532,24 +564,30 @@ impl FrameAccumulator {
             });
         }
         if self.buffered() < 4 + len {
-            self.compact();
             return Ok(None);
         }
-        let frame = self.buf[self.start + 4..self.start + 4 + len].to_vec();
-        self.start += 4 + len;
-        self.compact();
-        Ok(Some(frame))
+        let at = self.start + 4;
+        self.start = at + len;
+        if self.start == self.end {
+            // Drained: the next read starts at the front, nothing to move.
+            (self.start, self.end) = (0, 0);
+        }
+        Ok(Some(&self.buf[at..at + len]))
     }
 
-    /// Reclaims consumed prefix space once it grows past a threshold (or
-    /// for free when the buffer is fully drained).
-    fn compact(&mut self) {
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start >= 64 * 1024 {
-            self.buf.drain(..self.start);
-            self.start = 0;
+    /// Makes room for `k` bytes after the write cursor, first by moving
+    /// the unconsumed tail to the front, then by growing to the bytes held
+    /// plus `k`.
+    fn make_room(&mut self, k: usize) {
+        if self.buf.len() - self.end >= k {
+            return;
+        }
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        if self.buf.len() - self.end < k {
+            self.buf.resize(self.end + k, 0);
         }
     }
 }
@@ -570,7 +608,7 @@ fn put_ring<B: BufMut>(buf: &mut B, ring: &RingView) {
     }
 }
 
-fn get_ring(buf: &mut Bytes) -> Result<RingView, DecodeError> {
+fn get_ring(buf: &mut &[u8]) -> Result<RingView, DecodeError> {
     let epoch = get_u64(buf)?;
     let slots = get_u64(buf)? as usize;
     let n = get_u32(buf)? as usize;
@@ -597,48 +635,55 @@ fn get_ring(buf: &mut Bytes) -> Result<RingView, DecodeError> {
     })
 }
 
+/// Coordinates converted per `put_slice` by [`put_params`].
+const PARAM_BLOCK: usize = 256;
+
 fn put_params<B: BufMut>(buf: &mut B, params: &ParamVec) {
     buf.put_u32_le(params.len() as u32);
-    for &v in params.as_slice() {
-        buf.put_f32_le(v);
+    let mut block = [[0u8; 4]; PARAM_BLOCK];
+    for coords in params.as_slice().chunks(PARAM_BLOCK) {
+        for (le, v) in block.iter_mut().zip(coords) {
+            *le = v.to_le_bytes();
+        }
+        buf.put_slice(block[..coords.len()].as_flattened());
     }
 }
 
-fn get_params(buf: &mut Bytes) -> Result<ParamVec, DecodeError> {
+fn get_params(buf: &mut &[u8]) -> Result<ParamVec, DecodeError> {
     let n = get_u32(buf)? as usize;
-    if buf.remaining() < n.saturating_mul(4) {
-        return Err(DecodeError::Truncated);
-    }
-    let data = (0..n).map(|_| buf.get_f32_le()).collect();
+    let (coords, _) = take(buf, n.saturating_mul(4))?.as_chunks::<4>();
+    let data = coords.iter().map(|&le| f32::from_le_bytes(le)).collect();
     Ok(ParamVec::from_vec(data))
 }
 
-fn get_f64(buf: &mut Bytes) -> Result<f64, DecodeError> {
-    if buf.remaining() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_f64_le())
+/// Splits the next `n` bytes off `buf`, or fails without consuming any.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
+    let (head, rest) = buf.split_at_checked(n).ok_or(DecodeError::Truncated)?;
+    *buf = rest;
+    Ok(head)
 }
 
-fn get_f32(buf: &mut Bytes) -> Result<f32, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_f32_le())
+/// [`take`] for a fixed-width field.
+fn take_n<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(DecodeError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
 }
 
-fn get_u64(buf: &mut Bytes) -> Result<u64, DecodeError> {
-    if buf.remaining() < 8 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_u64_le())
+fn get_f64(buf: &mut &[u8]) -> Result<f64, DecodeError> {
+    take_n(buf).map(f64::from_le_bytes)
 }
 
-fn get_u32(buf: &mut Bytes) -> Result<u32, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_u32_le())
+fn get_f32(buf: &mut &[u8]) -> Result<f32, DecodeError> {
+    take_n(buf).map(f32::from_le_bytes)
+}
+
+fn get_u64(buf: &mut &[u8]) -> Result<u64, DecodeError> {
+    take_n(buf).map(u64::from_le_bytes)
+}
+
+fn get_u32(buf: &mut &[u8]) -> Result<u32, DecodeError> {
+    take_n(buf).map(u32::from_le_bytes)
 }
 
 #[cfg(test)]

@@ -31,17 +31,18 @@
 //!
 //! Outbound frames are staged in buffers rented from a
 //! [`Scratch`](spyker_tensor::Scratch) byte pool, so steady-state sends
-//! perform no heap allocation.
+//! perform no heap allocation. Inbound, a reader reads the socket straight
+//! into its `FrameAccumulator` and decodes each payload where it lies, so
+//! a model is copied once in user space on either side.
 
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use spyker_core::codec::{self, FrameAccumulator};
 use spyker_core::msg::FlMsg;
@@ -474,7 +475,7 @@ fn handle_payload(payload: &[u8], peer: NodeId, ctx: &ConnCtx) {
         return;
     };
     match kind {
-        FRAME_MSG => match codec::decode(&Bytes::from(body.to_vec())) {
+        FRAME_MSG => match codec::decode(body) {
             Ok(msg) => {
                 let _ = ctx.inbox.send((peer, msg));
             }
@@ -495,11 +496,10 @@ fn handle_payload(payload: &[u8], peer: NodeId, ctx: &ConnCtx) {
 /// and skipped; only a desynchronised stream severs the connection.
 fn reader_loop(mut stream: TcpStream, peer: NodeId, mut acc: FrameAccumulator, ctx: &ConnCtx) {
     let _ = stream.set_read_timeout(Some(ctx.liveness));
-    let mut chunk = [0u8; 16 * 1024];
     loop {
         loop {
-            match acc.next_frame() {
-                Ok(Some(payload)) => handle_payload(&payload, peer, ctx),
+            match acc.next_frame_ref() {
+                Ok(Some(payload)) => handle_payload(payload, peer, ctx),
                 Ok(None) => break,
                 Err(_) => {
                     // The length prefix itself is garbage: every byte
@@ -512,9 +512,9 @@ fn reader_loop(mut stream: TcpStream, peer: NodeId, mut acc: FrameAccumulator, c
         if ctx.stopping() {
             return;
         }
-        match stream.read(&mut chunk) {
+        match acc.read_from(&mut stream) {
             Ok(0) => return,
-            Ok(n) => acc.feed(&chunk[..n]),
+            Ok(_) => {}
             // A liveness timeout surfaces as WouldBlock/TimedOut
             // depending on the platform; both mean the peer went silent.
             Err(_) => return,
@@ -556,15 +556,17 @@ fn run_connection(
 }
 
 /// Handles one inbound connection: the first frame must be a valid Hello
-/// naming the peer, everything after that is a normal connection.
+/// naming the peer, everything after that is a normal connection. The
+/// Hello must arrive within the liveness timeout; the wait wakes every
+/// heartbeat so that shutdown never waits out a silent peer.
 fn handle_accepted(mut stream: TcpStream, ctx: ConnCtx) {
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(ctx.liveness));
+    let _ = stream.set_read_timeout(Some(ctx.heartbeat.min(ctx.liveness)));
+    let deadline = Instant::now() + ctx.liveness;
     let mut acc = FrameAccumulator::new(ctx.max_frame);
-    let mut chunk = [0u8; 1024];
     let peer = loop {
-        match acc.next_frame() {
-            Ok(Some(payload)) => match parse_hello(&payload, ctx.num_nodes) {
+        match acc.next_frame_ref() {
+            Ok(Some(payload)) => match parse_hello(payload, ctx.num_nodes) {
                 Some(peer) => break peer,
                 None => {
                     ctx.net.add("net.frames.corrupt", 1);
@@ -577,9 +579,13 @@ fn handle_accepted(mut stream: TcpStream, ctx: ConnCtx) {
                 return;
             }
         }
-        match stream.read(&mut chunk) {
+        if ctx.stopping() || Instant::now() >= deadline {
+            return;
+        }
+        match acc.read_from(&mut stream) {
             Ok(0) => return,
-            Ok(n) => acc.feed(&chunk[..n]),
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(_) => return,
         }
     };
@@ -588,17 +594,22 @@ fn handle_accepted(mut stream: TcpStream, ctx: ConnCtx) {
     run_connection(stream, peer, acc, &ctx, q);
 }
 
-/// Accepts inbound connections until shutdown.
+/// Accepts inbound connections until shutdown, then joins their threads.
 fn acceptor_loop(listener: TcpListener, ctx: ConnCtx) {
     let _ = listener.set_nonblocking(true);
+    let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
     while !ctx.stopping() {
         match listener.accept() {
             Ok((stream, _)) => {
+                conns.retain(|c| !c.is_finished());
                 let cctx = ctx.clone();
-                thread::spawn(move || handle_accepted(stream, cctx));
+                conns.push(thread::spawn(move || handle_accepted(stream, cctx)));
             }
             Err(_) => thread::sleep(Duration::from_millis(25)),
         }
+    }
+    for c in conns {
+        let _ = c.join();
     }
 }
 
@@ -1072,9 +1083,9 @@ mod tests {
         encode_frame(&OutFrame::Msg(msg), &mut buf);
         let mut acc = FrameAccumulator::new(1024);
         acc.feed(&buf);
-        let payload = acc.next_frame().unwrap().unwrap();
+        let payload = acc.next_frame_ref().unwrap().unwrap();
         assert_eq!(payload[0], FRAME_MSG);
-        let back = codec::decode(&Bytes::from(payload[1..].to_vec())).unwrap();
+        let back = codec::decode(&payload[1..]).unwrap();
         assert!(matches!(back, FlMsg::AgeGossip { server_idx: 1, .. }));
     }
 }

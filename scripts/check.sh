@@ -31,6 +31,9 @@ cargo test -q --offline -p spyker-simtest -p spyker-simnet
 cargo test -q --offline -p spyker-tensor
 cargo test -q --offline -p spyker-models -p spyker-data -p spyker-experiments
 cargo test -q --offline -p spyker-transport
+# The vendored stand-ins are workspace members with unit tests of their
+# own; the wire codec reads through `bytes`' `Buf for &[u8]`.
+cargo test -q --offline -p bytes -p crossbeam -p rand -p proptest
 
 # The benchmark package is its own workspace: its tests are the API-drift
 # gate (it hand-wires the public server/deploy/agg/codec items) and the

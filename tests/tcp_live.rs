@@ -5,9 +5,10 @@
 
 mod common;
 
-use std::net::SocketAddr;
+use std::io::Read;
+use std::net::{SocketAddr, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use spyker_repro::core::client::{FailoverConfig, FlClient};
 use spyker_repro::core::config::{RecoveryConfig, SpykerConfig};
@@ -351,4 +352,45 @@ fn dialing_a_dead_peer_retries_with_backoff() {
     assert!(
         report.metrics.counter("fault.dropped.conn") <= report.metrics.counter("fault.dropped")
     );
+}
+
+/// A socket that connects but never sends its Hello must not outlive the
+/// server. `run_node` ends the handshake at shutdown instead of waiting out
+/// the liveness timeout, so the socket sees EOF by the time `run_node`
+/// returns, and `run_node` returns on time.
+#[test]
+fn a_silent_handshake_ends_with_run_node() {
+    let addr = free_addr();
+    let node = Box::new(SpykerServer::new(
+        0,
+        vec![0],
+        vec![1],
+        ParamVec::zeros(1),
+        config(1, 1),
+    ));
+    let mut ncfg = node_cfg(0, 2);
+    ncfg.listen = Some(addr);
+    ncfg.liveness_timeout = Duration::from_secs(5);
+    let budget = ncfg.connect_grace + Duration::from_millis(800) + Duration::from_secs(1);
+    let started = Instant::now();
+    let server = thread::spawn(move || {
+        run_node(node, &ncfg, Duration::from_millis(800)).expect("server bind");
+        Instant::now()
+    });
+    thread::sleep(Duration::from_millis(400));
+    let mut silent = TcpStream::connect(addr).expect("connect to the server");
+    silent
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let got = silent.read(&mut [0u8; 1]);
+    let eof_at = Instant::now();
+    let returned_at = server.join().expect("server panicked");
+    assert!(matches!(got, Ok(0)), "expected EOF, got {got:?}");
+    let late = eof_at.saturating_duration_since(returned_at);
+    assert!(
+        late < Duration::from_secs(1),
+        "EOF came {late:?} after run_node returned"
+    );
+    let took = returned_at - started;
+    assert!(took < budget, "run_node took {took:?}");
 }
