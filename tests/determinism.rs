@@ -8,16 +8,21 @@ use spyker_repro::core::cluster::{
     ClusterTrainer, ClusteredFlClient, ClusteredSpykerServer, MeanTargetClusterTrainer,
 };
 use spyker_repro::core::config::{RecoveryConfig, SpykerConfig};
-use spyker_repro::core::deploy::{sync_spyker_deployment, SpykerDeploymentSpec};
+use spyker_repro::core::deploy::{
+    elastic_spyker_deployment, spyker_deployment, sync_spyker_deployment, ElasticSpec,
+    SpykerDeploymentSpec,
+};
+use spyker_repro::core::membership::MembershipConfig;
 use spyker_repro::core::msg::FlMsg;
 use spyker_repro::core::params::ParamVec;
+use spyker_repro::core::server::SpykerServer;
 use spyker_repro::core::sync_spyker::SyncSpykerServer;
 use spyker_repro::core::training::{LocalTrainer, MeanTargetTrainer};
 use spyker_repro::core::update_codec::CodecConfig;
 use spyker_repro::experiments::runner::default_spyker_config;
 use spyker_repro::experiments::{run_algorithm, Algorithm, RunOptions, Scenario};
 use spyker_repro::simnet::{
-    ByzantineAttack, FaultPlan, NetworkConfig, Region, SimTime, Simulation,
+    ByzantineAttack, FaultPlan, NetworkConfig, NodeId, Region, SimTime, Simulation,
 };
 
 fn opts() -> RunOptions {
@@ -316,6 +321,174 @@ fn non_spyker_servers_reproduce_their_pinned_end_states() {
         0x5c7f_8afe_7f01_a713,
         0x976b_23a4_01a8_c6db,
         0xe774_387b_af2d_f7d4,
+    ];
+    let drifted: Vec<String> = got
+        .iter()
+        .zip(pinned)
+        .filter(|((_, fp), want)| fp != want)
+        .map(|((name, fp), want)| format!("{name}: got {fp:#018x}, pinned {want:#018x}"))
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "end state drifted:\n{}",
+        drifted.join("\n")
+    );
+}
+
+// ---- End-state fingerprints of Spyker's elastic and recovery paths ----
+//
+// The golden traces and the scenario presets run fixed rings without
+// membership, so nothing else pins what a join, a leave with drain, a
+// crash eviction or a token regeneration does to the servers. These were
+// recorded before the server actor was split into its exchange and
+// membership parts; a change here means a later edit altered one of
+// those paths.
+
+/// FNV-1a over every server's model bits, age knowledge and ring epoch,
+/// then every touched `membership.*`, `token.*` and `sync*` counter (name
+/// and value, in name order) and the two per-update counters.
+fn elastic_fingerprint(sim: &Simulation<FlMsg>, servers: &[NodeId]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for &id in servers {
+        let s = sim
+            .node(id)
+            .as_any()
+            .downcast_ref::<SpykerServer>()
+            .expect("Spyker server");
+        for v in s.params().as_slice() {
+            eat(&v.to_bits().to_le_bytes());
+        }
+        for a in s.known_ages() {
+            eat(&a.to_bits().to_le_bytes());
+        }
+        eat(&s.ring_epoch().to_le_bytes());
+    }
+    let m = sim.metrics();
+    for (name, value) in m.counters() {
+        if ["membership.", "token.", "sync"]
+            .iter()
+            .any(|p| name.starts_with(p))
+        {
+            eat(name.as_bytes());
+            eat(&value.to_le_bytes());
+        }
+    }
+    eat(&m.counter("updates.processed").to_le_bytes());
+    eat(&m.counter("server.aggs").to_le_bytes());
+    h
+}
+
+fn elastic_spec(num_servers: usize) -> SpykerDeploymentSpec {
+    let n = 6;
+    SpykerDeploymentSpec {
+        config: SpykerConfig::paper_defaults(n, num_servers)
+            .with_thresholds(2.0, 10.0)
+            .with_recovery(RecoveryConfig::default())
+            .with_membership(MembershipConfig::default()),
+        trainers: mean_target_trainers(n),
+        num_servers,
+        init_params: ParamVec::zeros(PIN_DIM),
+        train_delay: pin_delays(n),
+    }
+}
+
+/// An elastic deployment of `num_servers` base servers and six clients,
+/// with `standbys` and `leave_at` as given, run for `secs` under `plan`.
+fn run_elastic(
+    num_servers: usize,
+    standbys: Vec<(Region, Option<SimTime>)>,
+    leave_at: Vec<(usize, SimTime)>,
+    plan: FaultPlan,
+    secs: u64,
+) -> (Simulation<FlMsg>, Vec<NodeId>) {
+    let (standby_regions, join_after) = standbys.into_iter().unzip();
+    let deployment = elastic_spyker_deployment(
+        NetworkConfig::aws(),
+        53,
+        elastic_spec(num_servers),
+        ElasticSpec {
+            standby_regions,
+            join_after,
+            leave_at,
+            failover_timeout: SimTime::from_secs(4),
+            autoscaler: None,
+        },
+    );
+    let servers = (0..num_servers).chain(deployment.standby_ids).collect();
+    let mut sim = deployment.sim.with_faults(plan);
+    sim.run(SimTime::from_secs(secs));
+    assert!(sim.metrics().counter("updates.processed") > 50);
+    (sim, servers)
+}
+
+fn timed_join_fingerprint() -> u64 {
+    let standby = vec![(Region::California, Some(SimTime::from_secs(3)))];
+    let (sim, servers) = run_elastic(2, standby, Vec::new(), FaultPlan::none(), 20);
+    assert_eq!(sim.metrics().counter("membership.joins"), 1);
+    elastic_fingerprint(&sim, &servers)
+}
+
+fn voluntary_leave_fingerprint() -> u64 {
+    let leave = vec![(2, SimTime::from_secs(6))];
+    let (sim, servers) = run_elastic(3, Vec::new(), leave, FaultPlan::none(), 20);
+    assert_eq!(sim.metrics().counter("membership.leaves"), 1);
+    assert!(sim.metrics().counter("membership.client_rehomes") > 0);
+    elastic_fingerprint(&sim, &servers)
+}
+
+fn crash_eviction_fingerprint() -> u64 {
+    let plan = FaultPlan::none().crash(2, SimTime::from_secs(5), None);
+    let (sim, servers) = run_elastic(3, Vec::new(), Vec::new(), plan, 40);
+    assert!(sim.metrics().counter("membership.evictions") > 0);
+    assert!(sim.metrics().counter("membership.client_failovers") > 0);
+    elastic_fingerprint(&sim, &servers)
+}
+
+/// A fixed two-server ring that loses every `TokenPass` from server 0 to
+/// server 1 for its first 12 s: the token watchdog has to regenerate it.
+fn token_regeneration_fingerprint() -> u64 {
+    let n = 6;
+    let config = SpykerConfig::paper_defaults(n, 2)
+        .with_thresholds(3.0, 20.0)
+        .with_recovery(RecoveryConfig {
+            token_timeout: SimTime::from_secs(2),
+            exchange_timeout: SimTime::from_secs(1),
+            client_timeout: SimTime::from_secs(1),
+        });
+    let spec = SpykerDeploymentSpec {
+        config,
+        trainers: mean_target_trainers(n),
+        num_servers: 2,
+        init_params: ParamVec::zeros(PIN_DIM),
+        train_delay: pin_delays(n),
+    };
+    let plan = FaultPlan::none().drop_link_window(0, 1, SimTime::ZERO, SimTime::from_secs(12));
+    let mut sim = spyker_deployment(NetworkConfig::aws(), 59, spec).with_faults(plan);
+    sim.run(SimTime::from_secs(30));
+    assert!(sim.metrics().counter("token.regenerated") > 0);
+    assert!(sim.metrics().counter("syncs.triggered") > 5);
+    elastic_fingerprint(&sim, &[0, 1])
+}
+
+#[test]
+fn elastic_and_recovery_runs_reproduce_their_pinned_end_states() {
+    let got = [
+        ("timed join", timed_join_fingerprint()),
+        ("voluntary leave", voluntary_leave_fingerprint()),
+        ("crash eviction", crash_eviction_fingerprint()),
+        ("token regeneration", token_regeneration_fingerprint()),
+    ];
+    let pinned: [u64; 4] = [
+        0xecb3_120d_0a31_3a1d,
+        0x9a62_51fc_c81f_a2a3,
+        0xcf35_6edb_8609_c5dc,
+        0x720c_4ef9_4776_bd36,
     ];
     let drifted: Vec<String> = got
         .iter()
