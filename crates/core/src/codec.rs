@@ -92,6 +92,10 @@ pub enum DecodeError {
     },
     /// The frame decoded to a complete message with bytes left over.
     TrailingBytes(usize),
+    /// A ring view whose members are not strictly increasing by slot, or
+    /// name a slot outside the view, or whose slot space would not fit
+    /// one frame's age vector.
+    BadRing,
 }
 
 impl fmt::Display for DecodeError {
@@ -105,6 +109,7 @@ impl fmt::Display for DecodeError {
             DecodeError::TrailingBytes(n) => {
                 write!(f, "{n} trailing bytes after complete message")
             }
+            DecodeError::BadRing => write!(f, "malformed ring view"),
         }
     }
 }
@@ -627,6 +632,16 @@ fn get_ring(buf: &mut &[u8]) -> Result<RingView, DecodeError> {
             .get(r as usize)
             .ok_or(DecodeError::UnknownTag(r))?;
         members.push(RingMember { slot, node, region });
+    }
+    // The trust boundary for ring views: every receiver indexes its age
+    // vectors by member slot after growing them to `slots`, so members
+    // must be sorted by slot without repeats and below `slots`, and a
+    // `slots`-long age vector must fit in one frame (a `TokenPass` carries
+    // one). Every view `fixed`, `splice` and `unsplice` build passes.
+    let sorted = members.windows(2).all(|w| w[0].slot < w[1].slot);
+    let in_range = members.last().is_none_or(|m| m.slot < slots);
+    if !sorted || !in_range || slots > MAX_FRAME_LEN / 8 {
+        return Err(DecodeError::BadRing);
     }
     Ok(RingView {
         epoch,

@@ -16,8 +16,12 @@
 //! * [`ingest::UpdateIngest`] — Alg. 1 `Aggregation`, the one update-ingest
 //!   path (decode → gate → weight → integrate → reply) every per-update
 //!   server shares;
-//! * [`server::SpykerServer`] — the Spyker server actor (that path plus
-//!   Alg. 2);
+//! * [`exchange::Exchange`] — Alg. 2, the token-triggered exchange of
+//!   server models;
+//! * [`membership`] — the epoch-versioned server ring and the elastic
+//!   membership phase machine;
+//! * [`server::SpykerServer`] — the Spyker server actor, a dispatcher over
+//!   that path, the exchange and the membership machine;
 //! * [`agg`] — Byzantine-robust aggregation strategies (trimmed mean,
 //!   median, norm clipping) and the server-side update validation gate;
 //! * [`sync_spyker::SyncSpykerServer`] — the partially synchronous variant
@@ -66,6 +70,7 @@ pub mod cohort;
 pub mod config;
 pub mod decay;
 pub mod deploy;
+pub mod exchange;
 pub mod ingest;
 pub mod membership;
 pub mod msg;

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use spyker_core::codec::{
     decode, encode, frame_into, DecodeError, FrameAccumulator, MAX_FRAME_LEN,
 };
-use spyker_core::membership::RingView;
+use spyker_core::membership::{RingMember, RingView};
 use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
 use spyker_core::token::Token;
@@ -419,6 +419,62 @@ fn wire_bytes_are_pinned() {
         (0x10ad_c636_7d6b_6a85, 0x2ed2_dd86_9b11_59b5),
         "wire bytes moved ({folded:#018x}, {framed:#018x})"
     );
+}
+
+/// A ring view is checked where it enters the process: members out of
+/// slot order, a repeated slot, a member on a slot the view does not
+/// have, or a slot space no frame could carry ages for are a typed error
+/// in both messages that carry a view. Every shape the membership
+/// protocol builds still decodes.
+#[test]
+fn adversarial_ring_views_are_refused_at_decode() {
+    let member = |slot, node| RingMember {
+        slot,
+        node,
+        region: Region::Paris,
+    };
+    let view = |members, slots| RingView {
+        epoch: 1,
+        members,
+        slots,
+    };
+    let hostile = [
+        // The frame that used to panic a standby server: it is placed on
+        // slot 7 of a one-slot ring.
+        view(vec![member(7, 0)], 1),
+        view(vec![member(1, 0), member(0, 1)], 2),
+        view(vec![member(0, 0), member(0, 1)], 2),
+        view(Vec::new(), MAX_FRAME_LEN),
+    ];
+    for ring in hostile {
+        let accept = FlMsg::JoinAccept {
+            ring: ring.clone(),
+            params: ParamVec::zeros(2),
+            age: 1.0,
+            ages: vec![0.0],
+            bid_floor: 3,
+        };
+        let update = FlMsg::RingUpdate { ring, bid_floor: 3 };
+        for msg in [accept, update] {
+            assert_eq!(decode(&encode(&msg)).unwrap_err(), DecodeError::BadRing);
+        }
+    }
+    let mut ring = RingView::fixed(&[0, 1, 2]);
+    for step in 0..8 {
+        ring = match step % 3 {
+            0 => ring.splice(10 + step, Region::Sydney),
+            _ => ring.unsplice(step),
+        };
+        let msg = FlMsg::RingUpdate {
+            ring: ring.clone(),
+            bid_floor: step as u64,
+        };
+        let bytes = encode(&msg);
+        assert_eq!(
+            encode(&decode(&bytes).expect("a built ring decodes")),
+            bytes
+        );
+    }
 }
 
 /// `feed` and `read_from` append to one buffer: alternating them on one

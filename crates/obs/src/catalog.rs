@@ -303,63 +303,63 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "membership.epoch",
         kind: Gauge,
         unit: Unit::Value,
-        site: "core server membership",
+        site: "core membership",
         help: "highest ring epoch adopted by any server",
     },
     CatalogEntry {
         name: "membership.evictions",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server note_exchange_miss",
+        site: "core membership note_miss",
         help: "unresponsive servers evicted after the exchange-miss budget",
     },
     CatalogEntry {
         name: "membership.joins",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server on_join_request",
+        site: "core membership on_join_request",
         help: "servers spliced into the ring by a sponsor",
     },
     CatalogEntry {
         name: "membership.late",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server phase routing",
+        site: "core membership route",
         help: "messages dropped as stale for the receiver's membership phase",
     },
     CatalogEntry {
         name: "membership.leaves",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server begin_leave",
+        site: "core membership begin_leave",
         help: "voluntary leaves (token handoff + client re-homing + drain)",
     },
     CatalogEntry {
         name: "membership.redirected",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server draining",
+        site: "core membership route (draining)",
         help: "in-flight client updates redirected by a draining server",
     },
     CatalogEntry {
         name: "membership.ring_size",
         kind: Gauge,
         unit: Unit::Count,
-        site: "core server membership",
+        site: "core membership",
         help: "live servers on the ring in the current epoch",
     },
     CatalogEntry {
         name: "membership.stale_slot",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server/sync_spyker/cluster",
+        site: "core exchange/sync_spyker/cluster",
         help: "frames naming a retired or never-spliced ring slot, dropped",
     },
     CatalogEntry {
         name: "membership.stand_downs",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server stand_down",
+        site: "core membership stand_down",
         help: "live servers that found themselves evicted and went standby",
     },
     CatalogEntry {
@@ -548,7 +548,7 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "server.aggs",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server/sync_spyker/cluster",
+        site: "core exchange/sync_spyker/cluster",
         help: "peer models merged during exchanges",
     },
     CatalogEntry {
@@ -618,49 +618,49 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "sync.degraded",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server on_exchange_timeout",
+        site: "core exchange on_exchange_timeout",
         help: "exchanges completed without every peer's model",
     },
     CatalogEntry {
         name: "sync.superseded",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server on_token",
+        site: "core exchange on_token",
         help: "open exchanges closed by an overtaking token",
     },
     CatalogEntry {
         name: "sync.token_holder",
         kind: Gauge,
         unit: Unit::Value,
-        site: "core server on_token",
+        site: "core exchange on_token",
         help: "server index that last received the token",
     },
     CatalogEntry {
         name: "syncs.triggered",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server/sync_spyker/cluster",
+        site: "core exchange/sync_spyker/cluster",
         help: "server-server exchanges triggered",
     },
     CatalogEntry {
         name: "token.forward_spurious",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server forward_token",
+        site: "core exchange forward_token",
         help: "token forwards attempted while not holding the token",
     },
     CatalogEntry {
         name: "token.regenerated",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server on_token_watchdog",
+        site: "core exchange on_token_watchdog",
         help: "tokens regenerated after presumed loss",
     },
     CatalogEntry {
         name: "token.stale_dropped",
         kind: Counter,
         unit: Unit::Count,
-        site: "core server on_token",
+        site: "core exchange on_token",
         help: "stale token copies dropped after a regeneration",
     },
     CatalogEntry {

@@ -5,14 +5,16 @@
 
 mod common;
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use spyker_repro::core::client::{FailoverConfig, FlClient};
+use spyker_repro::core::codec;
 use spyker_repro::core::config::{RecoveryConfig, SpykerConfig};
-use spyker_repro::core::membership::MembershipConfig;
+use spyker_repro::core::membership::{MembershipConfig, RingMember, RingView};
+use spyker_repro::core::msg::FlMsg;
 use spyker_repro::core::params::ParamVec;
 use spyker_repro::core::server::SpykerServer;
 use spyker_repro::core::training::{LocalTrainer, MeanTargetTrainer};
@@ -101,6 +103,73 @@ fn malformed_frames_do_not_panic_the_server() {
     for c in clients {
         c.join().expect("client panicked");
     }
+}
+
+/// Any socket that says Hello to an elastic standby server can hand it a
+/// `JoinAccept`. One whose ring places the standby on a slot the ring does
+/// not have must be refused as a corrupt frame at decode, not reach the
+/// server (which indexes its age vector by that slot).
+#[test]
+fn a_hostile_ring_view_does_not_panic_a_standby_server() {
+    let addr = free_addr();
+    let cfg = config(1, 1).with_membership(MembershipConfig::default());
+    let node = Box::new(SpykerServer::standby(
+        Region::Paris,
+        ParamVec::zeros(1),
+        cfg,
+        None,
+        None,
+    ));
+    let mut ncfg = node_cfg(0, 2);
+    ncfg.listen = Some(addr);
+    let server = thread::spawn(move || {
+        run_node(node, &ncfg, Duration::from_millis(1500)).expect("server bind")
+    });
+    let ring = RingView {
+        epoch: 1,
+        members: vec![RingMember {
+            slot: 7,
+            node: 0,
+            region: Region::Paris,
+        }],
+        slots: 1,
+    };
+    let accept = codec::encode(&FlMsg::JoinAccept {
+        ring,
+        params: ParamVec::zeros(1),
+        age: 1.0,
+        ages: vec![0.0],
+        bid_floor: 1,
+    });
+    // The envelope: `[u32 LE length][kind][body]`, kind 1 a Hello naming
+    // the sender's node id, kind 0 a protocol message.
+    let mut bytes = 5u32.to_le_bytes().to_vec();
+    bytes.push(1);
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&(accept.len() as u32 + 1).to_le_bytes());
+    bytes.push(0);
+    bytes.extend_from_slice(&accept);
+    // The standby may not be listening yet: retry until it is.
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let mut peer = loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => break stream,
+            Err(_) if Instant::now() < deadline => thread::sleep(Duration::from_millis(10)),
+            Err(e) => panic!("the standby never listened: {e}"),
+        }
+    };
+    peer.write_all(&bytes).expect("send Hello and JoinAccept");
+    let report = server.join().expect("standby server panicked");
+    assert!(
+        report.metrics.counter("net.frames.corrupt") >= 1,
+        "the hostile ring view was not refused at decode"
+    );
+    let standby = report
+        .node
+        .as_any()
+        .downcast_ref::<SpykerServer>()
+        .expect("server");
+    assert_eq!(standby.membership_phase(), "standby");
 }
 
 /// The elastic acceptance path over real sockets: a standby server joins
