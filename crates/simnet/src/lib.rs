@@ -16,8 +16,8 @@
 //!   crashes, churn) driven by a seeded [`fault::FaultPlan`];
 //! * [`avail`] — client availability schedules (offline windows, compute
 //!   tiers) via an [`avail::AvailabilityPlan`], distinct from faults;
-//! * [`des::Simulation`] — the event loop with per-node busy/queue
-//!   accounting and FIFO links;
+//! * [`des`] — the event loop ([`des::Simulation`]): busy queues, FIFO or
+//!   flow-shared links, crashes and offline windows on one absence path;
 //! * [`metrics`] — counters and time series (bytes transferred, queue
 //!   lengths, accuracy curves).
 //!
