@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Size gate: no source file of `core`, `simnet` or `transport` over 1,200
+# lines, tests included (ROADMAP item 1). `simtest`'s `scenario.rs` and
+# `oracle.rs` are over and not gated yet (ROADMAP 1(d)).
+scripts/loc.sh --gate
+
 # Workspace-member unit, property and handler-level tests: the root
 # `cargo test` only runs the umbrella crate's integration tests, so the
 # suites guarding the protocol core (`core::ingest` and the servers built on
