@@ -79,16 +79,14 @@ impl<V> PairMap<V> {
         (self.keys[i] == key).then(|| &self.vals[self.idx[i] as usize])
     }
 
-    /// Mutable reference to the pair's value, inserting `default()` first
-    /// if absent (the `entry().or_insert_with()` shape the simulator
+    /// Mutable reference to the pair's value, inserting `V::default()`
+    /// first if absent (the `entry().or_default()` shape the simulator
     /// uses).
     #[inline]
-    pub(crate) fn get_or_insert_with(
-        &mut self,
-        from: usize,
-        to: usize,
-        default: impl FnOnce() -> V,
-    ) -> &mut V {
+    pub(crate) fn get_or_default(&mut self, from: usize, to: usize) -> &mut V
+    where
+        V: Default,
+    {
         let key = pack(from, to);
         let mut i = self.probe(key);
         if self.keys[i] != key {
@@ -98,7 +96,7 @@ impl<V> PairMap<V> {
             }
             self.keys[i] = key;
             self.idx[i] = u32::try_from(self.vals.len()).expect("pair map overflow");
-            self.vals.push(default());
+            self.vals.push(V::default());
         }
         &mut self.vals[self.idx[i] as usize]
     }
@@ -132,7 +130,7 @@ mod tests {
         assert!(m.get(0, 1).is_none());
         for from in 0..40usize {
             for to in 0..40usize {
-                *m.get_or_insert_with(from, to, || 0) += (from * 1000 + to) as u64;
+                *m.get_or_default(from, to) += (from * 1000 + to) as u64;
             }
         }
         // Growth preserved every entry.
@@ -143,16 +141,16 @@ mod tests {
         }
         assert!(m.get(40, 0).is_none());
         // Directed: (a, b) and (b, a) are distinct.
-        *m.get_or_insert_with(3, 7, || 0) += 1;
+        *m.get_or_default(3, 7) += 1;
         assert_ne!(m.get(3, 7), m.get(7, 3));
     }
 
     #[test]
-    fn entry_semantics_match_hashmap_or_insert() {
+    fn entry_semantics_match_hashmap_or_default() {
         let mut m: PairMap<u32> = PairMap::new();
-        let v = m.get_or_insert_with(5, 6, || 42);
-        assert_eq!(*v, 42);
+        let v = m.get_or_default(5, 6);
+        assert_eq!(*v, 0);
         *v = 7;
-        assert_eq!(*m.get_or_insert_with(5, 6, || 42), 7);
+        assert_eq!(*m.get_or_default(5, 6), 7);
     }
 }
