@@ -7,10 +7,10 @@
 //! [`crate::fault::FaultPlan`] fault machinery:
 //!
 //! - **Offline windows** take a node off the air for `[start, end)` of
-//!   virtual time. While offline the node's events (deliveries, timers)
-//!   are silently discarded — it neither trains nor transmits — and at
-//!   `end` it comes back with its state intact and gets a
-//!   [`crate::Node::on_restart`] call. Unlike a crash, an offline window
+//!   virtual time. The node's events (deliveries, timers) waiting for it
+//!   or due while offline are silently discarded — it neither trains nor
+//!   transmits — and at `end` it comes back with its state intact and gets
+//!   a [`crate::Node::on_restart`] call. Unlike a crash, an offline window
 //!   is an *expected* absence: it is scheduled up front, counted under
 //!   `sim.availability.*` rather than `fault.*`, and never interacts with
 //!   the fault RNG stream.
