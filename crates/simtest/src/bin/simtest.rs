@@ -35,9 +35,9 @@
 //!
 //! The pinned regression corpus: `--check-pinned` replays every preset's
 //! committed scenario file from `--scenarios DIR` (default `scenarios/`),
-//! verifies the file still matches its generator, and compares the run's
-//! end-state fingerprint against the constant pinned in the catalog —
-//! exit 1 on any drift. After an *intentional* behavior change, regenerate
+//! verifies the file is still byte-for-byte its generator's RON, and
+//! compares the run's end-state fingerprint against the constant pinned in
+//! the catalog — exit 1 on any drift. After an *intentional* behavior change, regenerate
 //! with `--write-scenarios DIR` and refresh the constants printed by
 //! `--check-pinned --update-pinned`.
 //!
@@ -247,7 +247,8 @@ fn write_scenarios(dir: &Path, budget_events: u64) -> ExitCode {
 }
 
 /// Replays the committed corpus: every `scenarios/<name>.ron` must still
-/// match its generator and reproduce its pinned fingerprint.
+/// be byte-for-byte its generator's RON and reproduce its pinned
+/// fingerprint.
 fn check_pinned(dir: &Path, budget_events: u64, update: bool) -> ExitCode {
     let mut drifted = false;
     for p in ScenarioPreset::ALL {
@@ -266,10 +267,11 @@ fn check_pinned(dir: &Path, budget_events: u64, update: bool) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        if sc != p.generate(p.pinned_seed()) {
+        let generated = p.generate(p.pinned_seed());
+        if sc != generated || generated.to_ron() != text {
             println!(
-                "{}: {} no longer matches generate({}) — the preset generator changed; \
-                 regenerate with --write-scenarios",
+                "{}: {} is no longer byte-for-byte generate({}) — the preset generator \
+                 or the RON writer changed; regenerate with --write-scenarios",
                 p.name(),
                 path.display(),
                 p.pinned_seed()
