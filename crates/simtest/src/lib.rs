@@ -35,6 +35,7 @@ pub mod harness;
 pub mod oracle;
 pub mod presets;
 pub mod repro;
+mod ron;
 pub mod scale;
 pub mod scenario;
 pub mod shrink;

@@ -5,9 +5,13 @@
 #
 # For `core`, `simnet`, `transport` and every crate under crates/ together:
 # the total lines of the `.rs` files under `src/`, and their non-test
-# lines, each file counted up to its first `#[cfg(test)]` line. Then every
-# `src` file over 1,200 lines. Files given as arguments are listed one by
-# one with the same two counts.
+# lines. Test lines are those of an item under `#[cfg(test)]`: an item
+# that ends on its own line (`#[cfg(test)] mod reference;`, `use …;`)
+# counts alone; an item that spans lines (the trailing `mod tests { … }`)
+# counts with the rest of the file. The file a `#[cfg(test)] mod name;`
+# declares counts as test throughout. Then every `src` file over 1,200
+# lines. Files given as arguments are listed one by one with the same two
+# counts.
 #
 # With --gate it prints nothing else: it lists the files over 1,200 lines
 # under the `src` of `core`, `simnet` and `transport`, and exits 1 if
@@ -15,12 +19,44 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Prints the files that `#[cfg(test)] mod name;` declarations make
+# test-only: `name.rs` and `name/mod.rs` beside a `lib.rs`, `main.rs` or
+# `mod.rs`, else in the directory named after the declaring file. A
+# `#[path]` attribute points elsewhere, so those declarations are skipped.
+test_modules() {
+    find crates/*/src src -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { cfg = 0; path = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { cfg = 1 }
+        /^[[:space:]]*#\[path/ { path = 1 }
+        cfg && !path && match($0, /mod[[:space:]]+[A-Za-z0-9_]+[[:space:]]*;/) {
+            name = substr($0, RSTART, RLENGTH)
+            sub(/^mod[[:space:]]+/, "", name)
+            sub(/[[:space:]]*;$/, "", name)
+            dir = FILENAME
+            sub(/[^\/]*$/, "", dir)
+            base = FILENAME
+            sub(/^.*\//, "", base)
+            sub(/\.rs$/, "", base)
+            if (base != "lib" && base != "main" && base != "mod") dir = dir base "/"
+            print dir name ".rs"
+            print dir name "/mod.rs"
+        }
+        !/^[[:space:]]*#\[[^]]*\][[:space:]]*$/ { cfg = 0; path = 0 }
+    '
+}
+TEST_MODULES=$(test_modules)
+
 # Prints "<total> <non-test>" for the files named on stdin.
 count() {
-    xargs -r awk '
-        FNR == 1 { in_test = 0 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
-        { total++; if (!in_test) code++ }
+    xargs -r awk -v modules="$TEST_MODULES" '
+        BEGIN { n = split(modules, m, "\n"); for (i = 1; i <= n; i++) module[m[i]] = 1 }
+        FNR == 1 { in_test = (FILENAME in module); item = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { item = 1 }
+        { total++; if (!in_test && !item) code++ }
+        item && !/^[[:space:]]*#\[[^]]*\][[:space:]]*$/ {
+            if (!/;[[:space:]]*$/) in_test = 1
+            item = 0
+        }
         END { printf "%d %d\n", total, code }
     '
 }
