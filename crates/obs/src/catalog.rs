@@ -464,7 +464,7 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "net.frames.sent",
         kind: Counter,
         unit: Unit::Count,
-        site: "transport tcp writer",
+        site: "transport tcp sender, writer",
         help: "length-delimited frames written to a socket",
     },
     CatalogEntry {

@@ -1,0 +1,700 @@
+//! Multi-process TCP deployment of the protocol actors.
+//!
+//! This module runs ONE node per OS process over real sockets, speaking the
+//! canonical `spyker-core::codec` frames with a 4-byte little-endian
+//! length prefix (reassembled by `codec::FrameAccumulator`). Robustness is
+//! the design center — see `DESIGN.md` §13:
+//!
+//! * **Bounded backpressure.** The sending thread writes a frame to the
+//!   socket itself when nothing is ahead of it, for at most about a
+//!   millisecond; what the socket does not take waits on the peer's
+//!   bounded outbound queue for the connection's writer thread. Control
+//!   traffic (token passes, age gossip) blocks for a bounded time when the
+//!   queue is full; bulk model traffic is shed immediately
+//!   (`net.queue.shed`). Nothing grows without bound.
+//! * **Reconnect with capped exponential backoff + jitter.** The dialing
+//!   side of every connection retries forever (`net.conn.retries`) with a
+//!   [`BackoffConfig`] schedule; connections are asymmetric (servers dial
+//!   lower-indexed servers, clients dial their server) so exactly one
+//!   side owns re-establishment.
+//! * **Heartbeat liveness.** A writer pings after a heartbeat interval in
+//!   which the socket took no bytes; a reader that sees nothing for the
+//!   liveness timeout declares the peer dead and severs the connection.
+//! * **Disconnects are faults.** A severed connection surfaces as
+//!   `fault.conn.drop` / `net.conn.dropped`, and messages addressed to an
+//!   unconnected peer, or lost with a connection while queued or half
+//!   written, count as `fault.dropped` + `fault.dropped.conn` — the same
+//!   accounting the simulator's `conn.drop` fault windows produce, so the
+//!   `SpykerConfig::recovery` self-healing path (token watchdog, degraded
+//!   exchanges, client repokes) absorbs a crashed peer with no
+//!   transport-specific protocol code.
+//! * **Hostile bytes are survivable.** Corrupt payloads are counted
+//!   (`net.frames.corrupt`) and skipped; a desynchronised stream
+//!   (oversize length prefix) drops the connection. Decoding never
+//!   panics.
+//!
+//! Handlers run on the thread that called [`run_node`], which encodes each
+//! frame into a buffer rented from a [`Scratch`](spyker_tensor::Scratch)
+//! byte pool and gets it back after an inline write, so steady-state sends
+//! perform no heap allocation. Inbound, a reader reads the socket straight
+//! into its `FrameAccumulator` and decodes each payload where it lies, so
+//! a model is copied once in user space on either side. The sockets,
+//! queues and connection threads are in `conn`; this file holds the
+//! [`Env`] and the event loop.
+
+mod conn;
+
+use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::io::{self, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread;
+use std::time::{Duration, Instant};
+
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use spyker_core::codec;
+use spyker_core::msg::FlMsg;
+use spyker_simnet::metrics::Metrics;
+use spyker_simnet::runtime::{Env, Node, NodeId, WireSize};
+use spyker_simnet::time::SimTime;
+use spyker_tensor::Scratch;
+
+use conn::{
+    acceptor_loop, count_lost, count_written, dialer_loop, ConnCtx, Frame, OutFrame, PeerTable,
+    Sent, SharedMetrics, FRAME_HELLO,
+};
+
+/// One uniform draw in `[0, 1)` advancing a splitmix64 stream:
+/// self-contained, no RNG dependency. The transport is wall-clock driven
+/// and thus not bit-reproducible anyway, so stream quality matters more
+/// than replay.
+fn splitmix_unit(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Reconnect schedule: capped exponential backoff with multiplicative
+/// jitter.
+#[derive(Debug, Clone)]
+pub struct BackoffConfig {
+    /// Delay before the first retry.
+    pub initial: Duration,
+    /// Upper bound on the delay between retries.
+    pub max: Duration,
+    /// Factor applied per failed attempt.
+    pub multiplier: f64,
+    /// Jitter fraction: the delay is scaled by a uniform draw from
+    /// `[1 - jitter, 1 + jitter]`.
+    pub jitter: f64,
+}
+
+impl Default for BackoffConfig {
+    fn default() -> Self {
+        Self {
+            initial: Duration::from_millis(50),
+            max: Duration::from_secs(2),
+            multiplier: 2.0,
+            jitter: 0.2,
+        }
+    }
+}
+
+impl BackoffConfig {
+    /// The delay to sleep after the `attempt`-th consecutive failure
+    /// (0-based), advancing the caller's jitter stream.
+    pub fn delay(&self, attempt: u32, rng: &mut u64) -> Duration {
+        let base = self.initial.as_secs_f64() * self.multiplier.powi(attempt.min(63) as i32);
+        let capped = base.min(self.max.as_secs_f64());
+        let jitter = 1.0 + self.jitter * (2.0 * splitmix_unit(rng) - 1.0);
+        Duration::from_secs_f64((capped * jitter).max(0.0))
+    }
+}
+
+/// Configuration of one TCP node process.
+#[derive(Debug, Clone)]
+pub struct TcpNodeConfig {
+    /// This node's id in the deployment.
+    pub me: NodeId,
+    /// Total number of nodes (servers + clients) in the deployment.
+    pub num_nodes: usize,
+    /// Address to accept inbound connections on (servers); `None` for
+    /// dial-only nodes (clients).
+    pub listen: Option<SocketAddr>,
+    /// Peers this node dials (and keeps re-dialing): servers dial every
+    /// lower-indexed server, clients dial their server.
+    pub peers: Vec<(NodeId, SocketAddr)>,
+    /// Addresses of peers this node does NOT dial at startup but may need
+    /// later — elastic-membership joiners and failover candidates. The
+    /// first send to such a peer lazily starts a dialer for it
+    /// (`net.conn.ondemand`); until the connection is up, sends degrade
+    /// into counted drops exactly like a `conn.drop` fault window.
+    pub addr_book: Vec<(NodeId, SocketAddr)>,
+    /// Idle interval after which a writer sends a ping.
+    pub heartbeat: Duration,
+    /// Silence interval after which a reader declares the peer dead. Must
+    /// comfortably exceed `heartbeat`.
+    pub liveness_timeout: Duration,
+    /// Reconnect schedule for dialed peers.
+    pub backoff: BackoffConfig,
+    /// Outbound queue capacity per peer (frames).
+    pub queue_capacity: usize,
+    /// Maximum accepted frame length in bytes.
+    pub max_frame: usize,
+    /// Start the node via [`Node::on_restart`] instead of
+    /// [`Node::on_start`] — the restart-rejoin path for a process that
+    /// was killed and relaunched mid-training.
+    pub rejoin: bool,
+    /// Grace period between spawning the connection threads and starting
+    /// the node, so first-contact messages find established connections.
+    pub connect_grace: Duration,
+    /// Seed for the backoff jitter stream.
+    pub seed: u64,
+}
+
+impl TcpNodeConfig {
+    /// A config with production-shaped defaults; fill in `listen` and
+    /// `peers` before use.
+    pub fn new(me: NodeId, num_nodes: usize) -> Self {
+        Self {
+            me,
+            num_nodes,
+            listen: None,
+            peers: Vec::new(),
+            addr_book: Vec::new(),
+            heartbeat: Duration::from_millis(500),
+            liveness_timeout: Duration::from_secs(2),
+            backoff: BackoffConfig::default(),
+            queue_capacity: 64,
+            max_frame: codec::MAX_FRAME_LEN,
+            rejoin: false,
+            connect_grace: Duration::from_millis(300),
+            seed: me as u64,
+        }
+    }
+}
+
+/// What [`run_node`] hands back when the run window closes.
+pub struct TcpReport {
+    /// The node actor with its final state.
+    pub node: Box<dyn Node<FlMsg>>,
+    /// Protocol and transport metrics, merged across all connection
+    /// threads.
+    pub metrics: Metrics,
+    /// Wall-clock run length as virtual time (scale 1:1).
+    pub end: SimTime,
+}
+
+/// What the reader threads hand to the node's event loop.
+type Inbound = (NodeId, FlMsg);
+
+/// Control traffic keeps the ring alive and must not be shed lightly;
+/// everything model-bearing is bulk.
+fn is_control(msg: &FlMsg) -> bool {
+    matches!(msg, FlMsg::AgeGossip { .. } | FlMsg::TokenPass(_))
+}
+
+struct TimerEntry {
+    at: Instant,
+    seq: u64,
+    tag: u64,
+}
+
+impl PartialEq for TimerEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl Eq for TimerEntry {}
+impl PartialOrd for TimerEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for TimerEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Reversed: BinaryHeap becomes a min-heap on (at, seq).
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// The [`Env`] a TCP-deployed node runs against: wall-clock time mapped
+/// 1:1 onto [`SimTime`]; each send is encoded here and written to the
+/// peer's socket, or queued for its writer when the socket is busy.
+struct TcpEnv {
+    me: NodeId,
+    num_nodes: usize,
+    start: Instant,
+    peers: Arc<PeerTable>,
+    metrics: Metrics,
+    timers: BinaryHeap<TimerEntry>,
+    timer_seq: u64,
+    liveness: Duration,
+    /// Known addresses of peers not dialed at startup (elastic joiners,
+    /// failover candidates); consulted on the first send to each.
+    addr_book: HashMap<NodeId, SocketAddr>,
+    /// Peers a dialer already runs for (startup peers plus on-demand).
+    dialed: HashSet<NodeId>,
+    ctx: ConnCtx,
+    backoff: BackoffConfig,
+    seed: u64,
+    /// Dialer threads started on demand; joined at shutdown.
+    dynamic: Vec<thread::JoinHandle<()>>,
+    /// Staging buffers for outbound frames, back after each inline write.
+    scratch: Scratch,
+}
+
+impl TcpEnv {
+    /// First send to a peer that did not exist at startup (an elastic
+    /// joiner spliced in mid-run, or a failover candidate): start a
+    /// dialer for it if the address book knows it. The triggering message
+    /// is still dropped — the connection is not up yet — and the protocol
+    /// watchdogs retry, exactly as across a `conn.drop` fault window.
+    fn dial_on_demand(&mut self, to: NodeId) {
+        if self.dialed.contains(&to) {
+            return;
+        }
+        let Some(&addr) = self.addr_book.get(&to) else {
+            return;
+        };
+        self.dialed.insert(to);
+        self.metrics.add_counter("net.conn.ondemand", 1);
+        let ctx = self.ctx.clone();
+        let backoff = self.backoff.clone();
+        let seed = self.seed ^ (to as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.dynamic.push(thread::spawn(move || {
+            dialer_loop(to, addr, &ctx, &backoff, seed)
+        }));
+    }
+}
+
+fn to_duration(t: SimTime) -> Duration {
+    Duration::from_micros(t.as_micros())
+}
+
+impl Env<FlMsg> for TcpEnv {
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
+    }
+
+    fn me(&self) -> NodeId {
+        self.me
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    fn send(&mut self, to: NodeId, msg: FlMsg) {
+        let bytes = msg.wire_size() as u64;
+        self.metrics.add_counter("net.bytes", bytes);
+        self.metrics
+            .add_counter_suffixed("net.bytes.", msg.kind(), bytes);
+        self.metrics.add_counter("net.messages", 1);
+        let Some(q) = self.peers.get(to) else {
+            // No live connection: the message is eaten exactly like a
+            // `conn.drop` fault window in the simulator; the recovery
+            // watchdogs are what heals the protocol. If the address book
+            // knows this peer, a dialer starts now so the retry lands.
+            self.dial_on_demand(to);
+            count_lost(&mut self.metrics, 1);
+            return;
+        };
+        let wait = is_control(&msg).then_some(self.liveness);
+        let frame = Frame::encode(&OutFrame::Msg(&msg), self.scratch.take_bytes());
+        match q.send(frame, wait) {
+            Sent::Written(buf) => {
+                count_written(&mut self.metrics, &buf);
+                self.scratch.recycle_bytes(buf);
+            }
+            Sent::Queued => {}
+            Sent::Shed => self.metrics.add_counter("net.queue.shed", 1),
+            Sent::Lost(n) => count_lost(&mut self.metrics, n),
+        }
+    }
+
+    fn set_timer(&mut self, delay: SimTime, tag: u64) {
+        let seq = self.timer_seq;
+        self.timer_seq += 1;
+        self.timers.push(TimerEntry {
+            at: Instant::now() + to_duration(delay),
+            seq,
+            tag,
+        });
+    }
+
+    fn busy(&mut self, duration: SimTime) {
+        thread::sleep(to_duration(duration));
+    }
+
+    fn record(&mut self, series: &str, value: f64) {
+        let at = self.now();
+        self.metrics.record(series, at, value);
+    }
+
+    fn add_counter(&mut self, name: &str, delta: u64) {
+        self.metrics.add_counter(name, delta);
+    }
+
+    fn add_counter_suffixed(&mut self, prefix: &str, suffix: &str, delta: u64) {
+        self.metrics.add_counter_suffixed(prefix, suffix, delta);
+    }
+
+    fn observe(&mut self, name: &str, value: f64) {
+        self.metrics.observe(name, value);
+    }
+
+    fn gauge_set(&mut self, name: &str, value: f64) {
+        self.metrics.gauge_set(name, value);
+    }
+
+    /// Own-node gauges only: a TCP process cannot observe its peers'
+    /// metrics, so an autoscaler on this transport sees just the gauges
+    /// the local node published.
+    fn gauge(&self, name: &str) -> Option<f64> {
+        self.metrics.gauge(name)
+    }
+
+    fn span_enter(&mut self, name: &'static str) {
+        let at = self.now();
+        self.metrics.span_enter(self.me as u32, name, at);
+    }
+
+    fn span_exit(&mut self, name: &'static str) {
+        let at = self.now();
+        self.metrics.span_exit(self.me as u32, name, at);
+    }
+}
+
+/// Runs one protocol node over TCP for `run_for` of wall-clock time,
+/// then shuts the connections down and returns the node and its metrics.
+///
+/// With `cfg.rejoin` the node starts via [`Node::on_restart`] — the path
+/// a relaunched process takes to re-announce itself and re-arm its
+/// watchdogs after a crash.
+///
+/// # Errors
+///
+/// Returns an error when `cfg.listen` is set and the address cannot be
+/// bound. Connection failures after that are not errors — they are faults
+/// the transport retries and the protocol absorbs.
+pub fn run_node(
+    mut node: Box<dyn Node<FlMsg>>,
+    cfg: &TcpNodeConfig,
+    run_for: Duration,
+) -> io::Result<TcpReport> {
+    let stop = Arc::new(AtomicBool::new(false));
+    let peers = PeerTable::new();
+    let net = SharedMetrics::new();
+    let (tx, rx): (Sender<Inbound>, Receiver<Inbound>) = unbounded();
+    let ctx = ConnCtx {
+        me: cfg.me,
+        num_nodes: cfg.num_nodes,
+        peers: Arc::clone(&peers),
+        inbox: tx,
+        net: net.clone(),
+        heartbeat: cfg.heartbeat,
+        liveness: cfg.liveness_timeout,
+        max_frame: cfg.max_frame,
+        queue_capacity: cfg.queue_capacity,
+        stop: Arc::clone(&stop),
+    };
+    let mut joins = Vec::new();
+    if let Some(addr) = cfg.listen {
+        let listener = TcpListener::bind(addr)?;
+        let actx = ctx.clone();
+        joins.push(thread::spawn(move || acceptor_loop(listener, actx)));
+    }
+    for &(peer, addr) in &cfg.peers {
+        let dctx = ctx.clone();
+        let backoff = cfg.backoff.clone();
+        let seed = cfg.seed ^ (peer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        joins.push(thread::spawn(move || {
+            dialer_loop(peer, addr, &dctx, &backoff, seed)
+        }));
+    }
+    if !cfg.connect_grace.is_zero() {
+        thread::sleep(cfg.connect_grace);
+    }
+    let mut env = TcpEnv {
+        me: cfg.me,
+        num_nodes: cfg.num_nodes,
+        start: Instant::now(),
+        peers: Arc::clone(&peers),
+        metrics: Metrics::new(),
+        timers: BinaryHeap::new(),
+        timer_seq: 0,
+        liveness: cfg.liveness_timeout,
+        addr_book: cfg.addr_book.iter().copied().collect(),
+        dialed: cfg.peers.iter().map(|&(peer, _)| peer).collect(),
+        ctx: ctx.clone(),
+        backoff: cfg.backoff.clone(),
+        seed: cfg.seed,
+        dynamic: Vec::new(),
+        scratch: Scratch::new(),
+    };
+    if cfg.rejoin {
+        node.on_restart(&mut env);
+    } else {
+        node.on_start(&mut env);
+    }
+    let deadline = Instant::now() + run_for;
+    loop {
+        while let Some(entry) = env.timers.peek() {
+            if entry.at <= Instant::now() {
+                let tag = entry.tag;
+                env.timers.pop();
+                node.on_timer(&mut env, tag);
+            } else {
+                break;
+            }
+        }
+        let now = Instant::now();
+        if now >= deadline {
+            break;
+        }
+        let wake = env.timers.peek().map_or(deadline, |e| e.at.min(deadline));
+        let timeout = wake
+            .saturating_duration_since(now)
+            .min(Duration::from_millis(100));
+        match rx.recv_timeout(timeout) {
+            Ok((from, msg)) => node.on_message(&mut env, from, msg),
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    peers.close_all();
+    joins.append(&mut env.dynamic);
+    for j in joins {
+        let _ = j.join();
+    }
+    let end = env.now();
+    let mut metrics = env.metrics;
+    metrics.merge(&net.take());
+    Ok(TcpReport { node, metrics, end })
+}
+
+/// A hostile client for soak testing: connects to `addr` and pumps
+/// malformed frames (bogus Hellos, garbage payloads, truncated frames,
+/// oversize length prefixes), reconnecting as the server drops it. The
+/// server under attack must keep training and must not panic.
+pub fn run_malformed_client(addr: SocketAddr, run_for: Duration, seed: u64) -> Metrics {
+    let mut metrics = Metrics::new();
+    let mut rng = seed;
+    let deadline = Instant::now() + run_for;
+    while Instant::now() < deadline {
+        let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(500)) else {
+            metrics.add_counter("net.conn.retries", 1);
+            thread::sleep(Duration::from_millis(100));
+            continue;
+        };
+        metrics.add_counter("net.conn.dialed", 1);
+        for _ in 0..16 {
+            if Instant::now() >= deadline {
+                break;
+            }
+            let mut buf = Vec::new();
+            let roll = splitmix_unit(&mut rng);
+            if roll < 0.3 {
+                // A well-formed Hello claiming an out-of-range node id.
+                buf.extend_from_slice(&5u32.to_le_bytes());
+                buf.push(FRAME_HELLO);
+                buf.extend_from_slice(&u32::MAX.to_le_bytes());
+            } else if roll < 0.6 {
+                // Random garbage behind a plausible length prefix.
+                let n = 1 + (splitmix_unit(&mut rng) * 64.0) as usize;
+                buf.extend_from_slice(&(n as u32).to_le_bytes());
+                for _ in 0..n {
+                    buf.push((splitmix_unit(&mut rng) * 256.0) as u8);
+                }
+            } else if roll < 0.8 {
+                // Truncated: claim more bytes than will ever arrive, so
+                // the server's liveness timeout has to reap us.
+                buf.extend_from_slice(&1024u32.to_le_bytes());
+                buf.extend_from_slice(&[0xAB; 16]);
+            } else {
+                // Oversize length prefix: a deliberate stream desync.
+                buf.extend_from_slice(&u32::MAX.to_le_bytes());
+            }
+            if stream.write_all(&buf).is_err() {
+                break;
+            }
+            metrics.add_counter("net.frames.sent", 1);
+            thread::sleep(Duration::from_millis(20));
+        }
+        let _ = stream.shutdown(Shutdown::Both);
+        thread::sleep(Duration::from_millis(50));
+    }
+    metrics
+}
+
+#[cfg(test)]
+mod tests {
+    use std::any::Any;
+
+    use spyker_core::codec::FrameAccumulator;
+    use spyker_core::params::ParamVec;
+
+    use super::conn::{FRAME_MSG, FRAME_PING, INLINE_BOUND};
+    use super::*;
+
+    /// Small frames sent one every `BUSY_EVERY` keep the connection busy.
+    const BUSY_FRAMES: u64 = 40;
+    const BUSY_EVERY: SimTime = SimTime::from_millis(10);
+    /// 64 KiB frames sent back to back into a receiver that stopped
+    /// reading: more than the socket buffers and the queue hold.
+    const BURST: usize = 240;
+    const BIG_DIM: usize = 16_384;
+    /// How long the receiver stops reading.
+    const STALL: Duration = Duration::from_millis(1000);
+    /// Scheduling noise allowed on top of the inline bound.
+    const SLACK: Duration = Duration::from_millis(100);
+
+    /// Idle until its first timer, then `BUSY_FRAMES` small bulk frames
+    /// one every `BUSY_EVERY`, then, a little later, a burst of `BURST`
+    /// big ones, timing each `send`.
+    #[derive(Default)]
+    struct Scripted {
+        burst_sends: Vec<Duration>,
+    }
+
+    impl Node<FlMsg> for Scripted {
+        fn on_start(&mut self, env: &mut dyn Env<FlMsg>) {
+            env.set_timer(SimTime::from_millis(900), 0);
+        }
+
+        fn on_message(&mut self, _: &mut dyn Env<FlMsg>, _: NodeId, _: FlMsg) {}
+
+        fn on_timer(&mut self, env: &mut dyn Env<FlMsg>, tag: u64) {
+            if tag < BUSY_FRAMES {
+                let params = ParamVec::zeros(1);
+                env.send(
+                    0,
+                    FlMsg::ClientUpdate {
+                        params,
+                        age: 0.0,
+                        num_samples: 1,
+                    },
+                );
+                let next = if tag + 1 < BUSY_FRAMES {
+                    BUSY_EVERY
+                } else {
+                    SimTime::from_millis(200)
+                };
+                env.set_timer(next, tag + 1);
+                return;
+            }
+            let params = ParamVec::zeros(BIG_DIM);
+            for _ in 0..BURST {
+                let msg = FlMsg::ModelToClient {
+                    params: params.clone(),
+                    age: 0.0,
+                    lr: 0.1,
+                };
+                let t = Instant::now();
+                env.send(0, msg);
+                self.burst_sends.push(t.elapsed());
+            }
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// The kinds of the complete frames in `acc`, every message decoded.
+    fn drain_kinds(acc: &mut FrameAccumulator, kinds: &mut Vec<u8>) {
+        while let Some(payload) = acc.next_frame_ref().expect("no torn frame") {
+            let (&kind, body) = payload.split_first().expect("no torn frame");
+            if kind == FRAME_MSG {
+                codec::decode(body).expect("every message decodes");
+            }
+            kinds.push(kind);
+        }
+    }
+
+    #[test]
+    fn a_stalled_receiver_bounds_sends_sheds_bulk_and_tears_no_frame() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut cfg = TcpNodeConfig::new(1, 2);
+        cfg.peers = vec![(0, listener.local_addr().unwrap())];
+        cfg.heartbeat = Duration::from_millis(200);
+        // Longer than the run: the receiver never writes back.
+        cfg.liveness_timeout = Duration::from_secs(10);
+        cfg.queue_capacity = 8;
+        let node = thread::spawn(move || {
+            run_node(
+                Box::<Scripted>::default(),
+                &cfg,
+                Duration::from_millis(3400),
+            )
+            .unwrap()
+        });
+        let (mut sock, _) = listener.accept().unwrap();
+        let mut acc = FrameAccumulator::new(codec::MAX_FRAME_LEN);
+        let mut kinds = Vec::new();
+        // Read until the last small frame, then stop reading.
+        while kinds.iter().filter(|&&k| k == FRAME_MSG).count() < BUSY_FRAMES as usize {
+            acc.read_from(&mut sock).unwrap();
+            drain_kinds(&mut acc, &mut kinds);
+        }
+        let first = kinds.iter().position(|&k| k == FRAME_MSG).unwrap();
+        let idle_pings = kinds[..first].iter().filter(|&&k| k == FRAME_PING).count();
+        let busy_pings = kinds[first..].iter().filter(|&&k| k == FRAME_PING).count();
+        thread::sleep(STALL);
+        let mut rest = Vec::new();
+        while acc.read_from(&mut sock).unwrap() > 0 {
+            drain_kinds(&mut acc, &mut rest);
+        }
+        let report = node.join().unwrap();
+
+        assert!(
+            idle_pings >= 3,
+            "an idle connection pings each heartbeat: {idle_pings}"
+        );
+        assert_eq!(busy_pings, 0, "inline writes count as traffic");
+        let node = report.node.as_any().downcast_ref::<Scripted>().unwrap();
+        let slowest = node.burst_sends.iter().max().unwrap();
+        assert!(*slowest < INLINE_BOUND + SLACK, "a send took {slowest:?}");
+        let shed = report.metrics.counter("net.queue.shed");
+        assert!(shed > 0, "a full queue sheds bulk");
+        let delivered = rest.iter().filter(|&&k| k == FRAME_MSG).count() as u64;
+        assert_eq!(
+            delivered + shed,
+            BURST as u64,
+            "every frame not shed arrives whole"
+        );
+        assert_eq!(report.metrics.counter("fault.dropped"), 0);
+    }
+
+    #[test]
+    fn backoff_is_capped_and_jittered() {
+        let b = BackoffConfig {
+            initial: Duration::from_millis(100),
+            max: Duration::from_secs(1),
+            multiplier: 2.0,
+            jitter: 0.2,
+        };
+        let mut rng = 7u64;
+        for attempt in 0..40 {
+            let d = b.delay(attempt, &mut rng).as_secs_f64();
+            let base = (0.1 * 2f64.powi(attempt as i32)).min(1.0);
+            assert!(
+                d >= base * 0.8 - 1e-9 && d <= base * 1.2 + 1e-9,
+                "attempt {attempt}: {d} outside jitter band of {base}"
+            );
+        }
+        // Deep attempts saturate at the cap (within jitter).
+        let d = b.delay(1000, &mut rng).as_secs_f64();
+        assert!(d <= 1.2 + 1e-9);
+    }
+}
