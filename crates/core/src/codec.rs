@@ -7,9 +7,9 @@
 //! per-message header), so the bandwidth numbers measured in the simulator
 //! carry over to a wire deployment.
 //!
-//! Frame layout: a 1-byte message tag followed by the message fields in
-//! declaration order; parameter vectors are a `u32` length followed by
-//! `f32` little-endian values.
+//! Frame layout: a 1-byte message tag followed by the message fields, in
+//! the order one table in this module (`wire_table!`) lists them; every
+//! vector is a `u32` count followed by its little-endian elements.
 //!
 //! For stream transports (TCP), [`frame_into`] prefixes a frame with its
 //! `u32` little-endian length and [`FrameAccumulator`] reassembles frames
@@ -49,25 +49,6 @@ use crate::membership::{RingMember, RingView};
 use crate::msg::FlMsg;
 use crate::params::ParamVec;
 use crate::token::Token;
-
-const TAG_MODEL_TO_CLIENT: u8 = 0;
-const TAG_CLIENT_UPDATE: u8 = 1;
-const TAG_SERVER_MODEL: u8 = 2;
-const TAG_AGE_GOSSIP: u8 = 3;
-const TAG_TOKEN_PASS: u8 = 4;
-const TAG_HIER_MODEL: u8 = 5;
-const TAG_CLUSTER_MODEL: u8 = 6;
-const TAG_CENTERS_TO_CLIENT: u8 = 7;
-const TAG_CLUSTER_UPDATE: u8 = 8;
-const TAG_JOIN_REQUEST: u8 = 9;
-const TAG_JOIN_ACCEPT: u8 = 10;
-const TAG_RING_UPDATE: u8 = 11;
-const TAG_REHOME: u8 = 12;
-const TAG_CLIENT_HELLO: u8 = 13;
-const TAG_REDIRECTED_UPDATE: u8 = 14;
-const TAG_SCALE_UP: u8 = 15;
-const TAG_SCALE_DOWN: u8 = 16;
-const TAG_ENCODED_UPDATE: u8 = 17;
 
 /// Hard upper bound on the length of a single frame (64 MiB).
 ///
@@ -143,158 +124,101 @@ pub fn frame_into(msg: &FlMsg, out: &mut Vec<u8>) {
     out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-fn encode_body<B: BufMut>(msg: &FlMsg, buf: &mut B) {
-    match msg {
-        FlMsg::ModelToClient { params, age, lr } => {
-            buf.put_u8(TAG_MODEL_TO_CLIENT);
-            put_params(buf, params);
-            buf.put_f64_le(*age);
-            buf.put_f32_le(*lr);
-        }
-        FlMsg::ClientUpdate {
-            params,
-            age,
-            num_samples,
-        } => {
-            buf.put_u8(TAG_CLIENT_UPDATE);
-            put_params(buf, params);
-            buf.put_f64_le(*age);
-            buf.put_u64_le(*num_samples as u64);
-        }
-        FlMsg::ServerModel {
-            params,
-            age,
-            bid,
-            server_idx,
-        } => {
-            buf.put_u8(TAG_SERVER_MODEL);
-            put_params(buf, params);
-            buf.put_f64_le(*age);
-            buf.put_u64_le(*bid);
-            buf.put_u32_le(*server_idx as u32);
-        }
-        FlMsg::AgeGossip { age, server_idx } => {
-            buf.put_u8(TAG_AGE_GOSSIP);
-            buf.put_f64_le(*age);
-            buf.put_u32_le(*server_idx as u32);
-        }
-        FlMsg::TokenPass(token) => {
-            buf.put_u8(TAG_TOKEN_PASS);
-            buf.put_u64_le(token.bid);
-            buf.put_u32_le(token.ages.len() as u32);
-            for &a in &token.ages {
-                buf.put_f64_le(a);
+/// Tags of the two variants `wire_table!` writes out by hand.
+const TOKEN_PASS: u8 = 4;
+const CENTERS_TO_CLIENT: u8 = 7;
+
+/// Writes `encode_body` and `decode_body` from one table. A row gives a
+/// variant's tag byte and its fields in wire order; each field is written
+/// and read by its type's [`Field`] impl, and a `usize` field names its
+/// wire width (`as u32`, `as u64`). `TokenPass`, a tuple variant, and
+/// `CentersToClient`, whose centers and ages share one count, are written
+/// out by hand.
+macro_rules! wire_table {
+    ($($tag:literal => $variant:ident { $($field:ident: $ty:ty $(as $wire:ty)?),* },)*) => {
+        fn encode_body<B: BufMut>(msg: &FlMsg, buf: &mut B) {
+            match msg {
+                $(FlMsg::$variant { $($field),* } => {
+                    buf.put_u8($tag);
+                    $(wire_field!(put buf, $field: $ty $(as $wire)?);)*
+                })*
+                FlMsg::TokenPass(token) => {
+                    buf.put_u8(TOKEN_PASS);
+                    token.put(buf);
+                }
+                FlMsg::CentersToClient { centers, ages, lr } => {
+                    buf.put_u8(CENTERS_TO_CLIENT);
+                    (centers.len() as u32).put(buf);
+                    for c in centers {
+                        c.put(buf);
+                    }
+                    for a in ages {
+                        a.put(buf);
+                    }
+                    lr.put(buf);
+                }
             }
         }
-        FlMsg::HierModel {
-            params,
-            round,
-            weight,
-        } => {
-            buf.put_u8(TAG_HIER_MODEL);
-            put_params(buf, params);
-            buf.put_u64_le(*round);
-            buf.put_f64_le(*weight);
+
+        fn decode_body(tag: u8, buf: &mut &[u8]) -> Result<FlMsg, DecodeError> {
+            Ok(match tag {
+                $($tag => {
+                    $(let $field = wire_field!(get buf, $ty $(as $wire)?);)*
+                    FlMsg::$variant { $($field),* }
+                })*
+                TOKEN_PASS => FlMsg::TokenPass(Token::get(buf)?),
+                CENTERS_TO_CLIENT => {
+                    let k = u32::get(buf)? as usize;
+                    // Each centre costs at least a 4-byte length plus an
+                    // 8-byte age; a hostile `k` fails here, before any
+                    // allocation.
+                    if buf.len() < k.saturating_mul(12) {
+                        return Err(DecodeError::Truncated);
+                    }
+                    let centers = (0..k).map(|_| ParamVec::get(buf)).collect::<Result<_, _>>()?;
+                    let ages = (0..k).map(|_| f64::get(buf)).collect::<Result<_, _>>()?;
+                    let lr = f32::get(buf)?;
+                    FlMsg::CentersToClient { centers, ages, lr }
+                }
+                other => return Err(DecodeError::UnknownTag(other)),
+            })
         }
-        FlMsg::ClusterModel {
-            params,
-            age,
-            center,
-            server_idx,
-        } => {
-            buf.put_u8(TAG_CLUSTER_MODEL);
-            put_params(buf, params);
-            buf.put_f64_le(*age);
-            buf.put_u32_le(*center as u32);
-            buf.put_u32_le(*server_idx as u32);
-        }
-        FlMsg::CentersToClient { centers, ages, lr } => {
-            buf.put_u8(TAG_CENTERS_TO_CLIENT);
-            buf.put_u32_le(centers.len() as u32);
-            for c in centers {
-                put_params(buf, c);
-            }
-            for &a in ages {
-                buf.put_f64_le(a);
-            }
-            buf.put_f32_le(*lr);
-        }
-        FlMsg::ClusterUpdate {
-            params,
-            age,
-            center,
-            num_samples,
-        } => {
-            buf.put_u8(TAG_CLUSTER_UPDATE);
-            put_params(buf, params);
-            buf.put_f64_le(*age);
-            buf.put_u32_le(*center as u32);
-            buf.put_u64_le(*num_samples as u64);
-        }
-        FlMsg::JoinRequest { region } => {
-            buf.put_u8(TAG_JOIN_REQUEST);
-            buf.put_u32_le(*region as u32);
-        }
-        FlMsg::JoinAccept {
-            ring,
-            params,
-            age,
-            ages,
-            bid_floor,
-        } => {
-            buf.put_u8(TAG_JOIN_ACCEPT);
-            put_ring(buf, ring);
-            put_params(buf, params);
-            buf.put_f64_le(*age);
-            buf.put_u32_le(ages.len() as u32);
-            for &a in ages {
-                buf.put_f64_le(a);
-            }
-            buf.put_u64_le(*bid_floor);
-        }
-        FlMsg::RingUpdate { ring, bid_floor } => {
-            buf.put_u8(TAG_RING_UPDATE);
-            put_ring(buf, ring);
-            buf.put_u64_le(*bid_floor);
-        }
-        FlMsg::Rehome { server } => {
-            buf.put_u8(TAG_REHOME);
-            buf.put_u32_le(*server as u32);
-        }
-        FlMsg::ClientHello => {
-            buf.put_u8(TAG_CLIENT_HELLO);
-        }
-        FlMsg::RedirectedUpdate {
-            client,
-            params,
-            age,
-            num_samples,
-        } => {
-            buf.put_u8(TAG_REDIRECTED_UPDATE);
-            buf.put_u32_le(*client as u32);
-            put_params(buf, params);
-            buf.put_f64_le(*age);
-            buf.put_u64_le(*num_samples as u64);
-        }
-        FlMsg::ScaleUp { sponsor } => {
-            buf.put_u8(TAG_SCALE_UP);
-            buf.put_u32_le(*sponsor as u32);
-        }
-        FlMsg::ScaleDown => {
-            buf.put_u8(TAG_SCALE_DOWN);
-        }
-        FlMsg::EncodedUpdate {
-            payload,
-            age,
-            num_samples,
-        } => {
-            buf.put_u8(TAG_ENCODED_UPDATE);
-            buf.put_u32_le(payload.len() as u32);
-            buf.put_slice(payload);
-            buf.put_f64_le(*age);
-            buf.put_u64_le(*num_samples as u64);
-        }
-    }
+    };
+}
+
+/// One field of a [`wire_table!`] row: `put` writes it, `get` reads it.
+macro_rules! wire_field {
+    (put $buf:ident, $f:ident: $ty:ty as $wire:ty) => {
+        (*$f as $wire).put($buf)
+    };
+    (put $buf:ident, $f:ident: $ty:ty) => {
+        Field::put($f, $buf)
+    };
+    (get $buf:ident, $ty:ty as $wire:ty) => {
+        <$wire>::get($buf)? as $ty
+    };
+    (get $buf:ident, $ty:ty) => {
+        <$ty>::get($buf)?
+    };
+}
+
+wire_table! {
+    0 => ModelToClient { params: ParamVec, age: f64, lr: f32 },
+    1 => ClientUpdate { params: ParamVec, age: f64, num_samples: usize as u64 },
+    2 => ServerModel { params: ParamVec, age: f64, bid: u64, server_idx: usize as u32 },
+    3 => AgeGossip { age: f64, server_idx: usize as u32 },
+    5 => HierModel { params: ParamVec, round: u64, weight: f64 },
+    6 => ClusterModel { params: ParamVec, age: f64, center: usize as u32, server_idx: usize as u32 },
+    8 => ClusterUpdate { params: ParamVec, age: f64, center: usize as u32, num_samples: usize as u64 },
+    9 => JoinRequest { region: usize as u32 },
+    10 => JoinAccept { ring: RingView, params: ParamVec, age: f64, ages: Vec<f64>, bid_floor: u64 },
+    11 => RingUpdate { ring: RingView, bid_floor: u64 },
+    12 => Rehome { server: usize as u32 },
+    13 => ClientHello {},
+    14 => RedirectedUpdate { client: usize as u32, params: ParamVec, age: f64, num_samples: usize as u64 },
+    15 => ScaleUp { sponsor: usize as u32 },
+    16 => ScaleDown {},
+    17 => EncodedUpdate { payload: Vec<u8>, age: f64, num_samples: usize as u64 },
 }
 
 /// Decodes one frame produced by [`encode`].
@@ -311,169 +235,9 @@ fn encode_body<B: BufMut>(msg: &FlMsg, buf: &mut B) {
 pub fn decode(frame: &[u8]) -> Result<FlMsg, DecodeError> {
     let mut buf = frame;
     let [tag] = take_n(&mut buf)?;
-    let msg = match tag {
-        TAG_MODEL_TO_CLIENT => {
-            let params = get_params(&mut buf)?;
-            let age = get_f64(&mut buf)?;
-            let lr = get_f32(&mut buf)?;
-            FlMsg::ModelToClient { params, age, lr }
-        }
-        TAG_CLIENT_UPDATE => {
-            let params = get_params(&mut buf)?;
-            let age = get_f64(&mut buf)?;
-            let num_samples = get_u64(&mut buf)? as usize;
-            FlMsg::ClientUpdate {
-                params,
-                age,
-                num_samples,
-            }
-        }
-        TAG_SERVER_MODEL => {
-            let params = get_params(&mut buf)?;
-            let age = get_f64(&mut buf)?;
-            let bid = get_u64(&mut buf)?;
-            let server_idx = get_u32(&mut buf)? as usize;
-            FlMsg::ServerModel {
-                params,
-                age,
-                bid,
-                server_idx,
-            }
-        }
-        TAG_AGE_GOSSIP => {
-            let age = get_f64(&mut buf)?;
-            let server_idx = get_u32(&mut buf)? as usize;
-            FlMsg::AgeGossip { age, server_idx }
-        }
-        TAG_TOKEN_PASS => {
-            let bid = get_u64(&mut buf)?;
-            let n = get_u32(&mut buf)? as usize;
-            if buf.remaining() < n.saturating_mul(8) {
-                return Err(DecodeError::Truncated);
-            }
-            let ages = (0..n).map(|_| buf.get_f64_le()).collect();
-            FlMsg::TokenPass(Token { bid, ages })
-        }
-        TAG_HIER_MODEL => {
-            let params = get_params(&mut buf)?;
-            let round = get_u64(&mut buf)?;
-            let weight = get_f64(&mut buf)?;
-            FlMsg::HierModel {
-                params,
-                round,
-                weight,
-            }
-        }
-        TAG_CLUSTER_MODEL => {
-            let params = get_params(&mut buf)?;
-            let age = get_f64(&mut buf)?;
-            let center = get_u32(&mut buf)? as usize;
-            let server_idx = get_u32(&mut buf)? as usize;
-            FlMsg::ClusterModel {
-                params,
-                age,
-                center,
-                server_idx,
-            }
-        }
-        TAG_CENTERS_TO_CLIENT => {
-            let k = get_u32(&mut buf)? as usize;
-            // Each centre costs at least a 4-byte length plus an 8-byte
-            // age; checking before `with_capacity` keeps a hostile `k`
-            // from reserving gigabytes off a five-byte frame.
-            if buf.remaining() < k.saturating_mul(12) {
-                return Err(DecodeError::Truncated);
-            }
-            let mut centers = Vec::with_capacity(k);
-            for _ in 0..k {
-                centers.push(get_params(&mut buf)?);
-            }
-            let mut ages = Vec::with_capacity(k);
-            for _ in 0..k {
-                ages.push(get_f64(&mut buf)?);
-            }
-            let lr = get_f32(&mut buf)?;
-            FlMsg::CentersToClient { centers, ages, lr }
-        }
-        TAG_CLUSTER_UPDATE => {
-            let params = get_params(&mut buf)?;
-            let age = get_f64(&mut buf)?;
-            let center = get_u32(&mut buf)? as usize;
-            let num_samples = get_u64(&mut buf)? as usize;
-            FlMsg::ClusterUpdate {
-                params,
-                age,
-                center,
-                num_samples,
-            }
-        }
-        TAG_JOIN_REQUEST => {
-            let region = get_u32(&mut buf)? as usize;
-            FlMsg::JoinRequest { region }
-        }
-        TAG_JOIN_ACCEPT => {
-            let ring = get_ring(&mut buf)?;
-            let params = get_params(&mut buf)?;
-            let age = get_f64(&mut buf)?;
-            let n = get_u32(&mut buf)? as usize;
-            if buf.remaining() < n.saturating_mul(8) {
-                return Err(DecodeError::Truncated);
-            }
-            let ages = (0..n).map(|_| buf.get_f64_le()).collect();
-            let bid_floor = get_u64(&mut buf)?;
-            FlMsg::JoinAccept {
-                ring,
-                params,
-                age,
-                ages,
-                bid_floor,
-            }
-        }
-        TAG_RING_UPDATE => {
-            let ring = get_ring(&mut buf)?;
-            let bid_floor = get_u64(&mut buf)?;
-            FlMsg::RingUpdate { ring, bid_floor }
-        }
-        TAG_REHOME => {
-            let server = get_u32(&mut buf)? as usize;
-            FlMsg::Rehome { server }
-        }
-        TAG_CLIENT_HELLO => FlMsg::ClientHello,
-        TAG_REDIRECTED_UPDATE => {
-            let client = get_u32(&mut buf)? as usize;
-            let params = get_params(&mut buf)?;
-            let age = get_f64(&mut buf)?;
-            let num_samples = get_u64(&mut buf)? as usize;
-            FlMsg::RedirectedUpdate {
-                client,
-                params,
-                age,
-                num_samples,
-            }
-        }
-        TAG_SCALE_UP => {
-            let sponsor = get_u32(&mut buf)? as usize;
-            FlMsg::ScaleUp { sponsor }
-        }
-        TAG_SCALE_DOWN => FlMsg::ScaleDown,
-        TAG_ENCODED_UPDATE => {
-            let n = get_u32(&mut buf)? as usize;
-            // The payload is opaque here; the length is still validated
-            // against the remaining bytes before any allocation (the
-            // update codec re-validates the contents when decoding).
-            let payload = take(&mut buf, n)?.to_vec();
-            let age = get_f64(&mut buf)?;
-            let num_samples = get_u64(&mut buf)? as usize;
-            FlMsg::EncodedUpdate {
-                payload,
-                age,
-                num_samples,
-            }
-        }
-        other => return Err(DecodeError::UnknownTag(other)),
-    };
-    if buf.remaining() > 0 {
-        return Err(DecodeError::TrailingBytes(buf.remaining()));
+    let msg = decode_body(tag, &mut buf)?;
+    if !buf.is_empty() {
+        return Err(DecodeError::TrailingBytes(buf.len()));
     }
     Ok(msg)
 }
@@ -602,73 +366,147 @@ fn frame_capacity(msg: &FlMsg) -> usize {
     msg.wire_size() + 16
 }
 
-fn put_ring<B: BufMut>(buf: &mut B, ring: &RingView) {
-    buf.put_u64_le(ring.epoch);
-    buf.put_u64_le(ring.slots as u64);
-    buf.put_u32_le(ring.members.len() as u32);
-    for m in &ring.members {
-        buf.put_u32_le(m.slot as u32);
-        buf.put_u32_le(m.node as u32);
-        buf.put_u8(m.region.index() as u8);
+/// How one field type travels. `get` checks every length against the
+/// bytes left before it allocates, so a peer's length field can reserve
+/// no more memory than its frame holds.
+trait Field: Sized {
+    fn put<B: BufMut>(&self, buf: &mut B);
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError>;
+}
+
+/// Fixed-width little-endian scalars.
+macro_rules! le_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn put<B: BufMut>(&self, buf: &mut B) {
+                buf.put_slice(&self.to_le_bytes());
+            }
+
+            fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+                take_n(buf).map(<$t>::from_le_bytes)
+            }
+        }
+    )*};
+}
+
+le_field!(u32, u64, f32, f64);
+
+/// Ages: a `u32` count, then that many `f64`s.
+impl Field for Vec<f64> {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        (self.len() as u32).put(buf);
+        for a in self {
+            a.put(buf);
+        }
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let n = u32::get(buf)? as usize;
+        let (ages, _) = take(buf, n.saturating_mul(8))?.as_chunks::<8>();
+        Ok(ages.iter().map(|&le| f64::from_le_bytes(le)).collect())
     }
 }
 
-fn get_ring(buf: &mut &[u8]) -> Result<RingView, DecodeError> {
-    let epoch = get_u64(buf)?;
-    let slots = get_u64(buf)? as usize;
-    let n = get_u32(buf)? as usize;
-    // Each member costs 9 bytes; validate before allocating.
-    if buf.remaining() < n.saturating_mul(9) {
-        return Err(DecodeError::Truncated);
+/// An opaque payload: a `u32` length, then the bytes. The update codec
+/// checks the contents when it decodes them.
+impl Field for Vec<u8> {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        (self.len() as u32).put(buf);
+        buf.put_slice(self);
     }
-    let mut members = Vec::with_capacity(n);
-    for _ in 0..n {
-        let slot = buf.get_u32_le() as usize;
-        let node = buf.get_u32_le() as usize;
-        let r = buf.get_u8();
-        // A region byte outside the enum is an unknown discriminant, the
-        // same class of violation as an unknown message tag.
-        let region = *Region::ALL
-            .get(r as usize)
-            .ok_or(DecodeError::UnknownTag(r))?;
-        members.push(RingMember { slot, node, region });
+
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let n = u32::get(buf)? as usize;
+        Ok(take(buf, n)?.to_vec())
     }
-    // The trust boundary for ring views: every receiver indexes its age
-    // vectors by member slot after growing them to `slots`, so members
-    // must be sorted by slot without repeats and below `slots`, and a
-    // `slots`-long age vector must fit in one frame (a `TokenPass` carries
-    // one). Every view `fixed`, `splice` and `unsplice` build passes.
-    let sorted = members.windows(2).all(|w| w[0].slot < w[1].slot);
-    let in_range = members.last().is_none_or(|m| m.slot < slots);
-    if !sorted || !in_range || slots > MAX_FRAME_LEN / 8 {
-        return Err(DecodeError::BadRing);
-    }
-    Ok(RingView {
-        epoch,
-        members,
-        slots,
-    })
 }
 
-/// Coordinates converted per `put_slice` by [`put_params`].
+impl Field for Token {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        self.bid.put(buf);
+        self.ages.put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let bid = u64::get(buf)?;
+        let ages = Vec::get(buf)?;
+        Ok(Token { bid, ages })
+    }
+}
+
+impl Field for RingView {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        self.epoch.put(buf);
+        (self.slots as u64).put(buf);
+        (self.members.len() as u32).put(buf);
+        for m in &self.members {
+            (m.slot as u32).put(buf);
+            (m.node as u32).put(buf);
+            buf.put_u8(m.region.index() as u8);
+        }
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let epoch = u64::get(buf)?;
+        let slots = u64::get(buf)? as usize;
+        let n = u32::get(buf)? as usize;
+        // Each member costs 9 bytes; validate before allocating.
+        if buf.len() < n.saturating_mul(9) {
+            return Err(DecodeError::Truncated);
+        }
+        let mut members = Vec::with_capacity(n);
+        for _ in 0..n {
+            let slot = buf.get_u32_le() as usize;
+            let node = buf.get_u32_le() as usize;
+            let r = buf.get_u8();
+            // A region byte outside the enum is an unknown discriminant, the
+            // same class of violation as an unknown message tag.
+            let region = *Region::ALL
+                .get(r as usize)
+                .ok_or(DecodeError::UnknownTag(r))?;
+            members.push(RingMember { slot, node, region });
+        }
+        // The trust boundary for ring views: every receiver indexes its age
+        // vectors by member slot after growing them to `slots`, so members
+        // must be sorted by slot without repeats and below `slots`, and a
+        // `slots`-long age vector must fit in one frame (a `TokenPass`
+        // carries one). Every view `fixed`, `splice` and `unsplice` build
+        // passes.
+        let sorted = members.windows(2).all(|w| w[0].slot < w[1].slot);
+        let in_range = members.last().is_none_or(|m| m.slot < slots);
+        if !sorted || !in_range || slots > MAX_FRAME_LEN / 8 {
+            return Err(DecodeError::BadRing);
+        }
+        Ok(RingView {
+            epoch,
+            members,
+            slots,
+        })
+    }
+}
+
+/// Coordinates converted per `put_slice` by the [`ParamVec`] writer.
 const PARAM_BLOCK: usize = 256;
 
-fn put_params<B: BufMut>(buf: &mut B, params: &ParamVec) {
-    buf.put_u32_le(params.len() as u32);
-    let mut block = [[0u8; 4]; PARAM_BLOCK];
-    for coords in params.as_slice().chunks(PARAM_BLOCK) {
-        for (le, v) in block.iter_mut().zip(coords) {
-            *le = v.to_le_bytes();
+/// A `u32` count, then that many `f32`s.
+impl Field for ParamVec {
+    fn put<B: BufMut>(&self, buf: &mut B) {
+        (self.len() as u32).put(buf);
+        let mut block = [[0u8; 4]; PARAM_BLOCK];
+        for coords in self.as_slice().chunks(PARAM_BLOCK) {
+            for (le, v) in block.iter_mut().zip(coords) {
+                *le = v.to_le_bytes();
+            }
+            buf.put_slice(block[..coords.len()].as_flattened());
         }
-        buf.put_slice(block[..coords.len()].as_flattened());
     }
-}
 
-fn get_params(buf: &mut &[u8]) -> Result<ParamVec, DecodeError> {
-    let n = get_u32(buf)? as usize;
-    let (coords, _) = take(buf, n.saturating_mul(4))?.as_chunks::<4>();
-    let data = coords.iter().map(|&le| f32::from_le_bytes(le)).collect();
-    Ok(ParamVec::from_vec(data))
+    fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
+        let n = u32::get(buf)? as usize;
+        let (coords, _) = take(buf, n.saturating_mul(4))?.as_chunks::<4>();
+        let data = coords.iter().map(|&le| f32::from_le_bytes(le)).collect();
+        Ok(ParamVec::from_vec(data))
+    }
 }
 
 /// Splits the next `n` bytes off `buf`, or fails without consuming any.
@@ -683,22 +521,6 @@ fn take_n<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
     let (head, rest) = buf.split_first_chunk().ok_or(DecodeError::Truncated)?;
     *buf = rest;
     Ok(*head)
-}
-
-fn get_f64(buf: &mut &[u8]) -> Result<f64, DecodeError> {
-    take_n(buf).map(f64::from_le_bytes)
-}
-
-fn get_f32(buf: &mut &[u8]) -> Result<f32, DecodeError> {
-    take_n(buf).map(f32::from_le_bytes)
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64, DecodeError> {
-    take_n(buf).map(u64::from_le_bytes)
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32, DecodeError> {
-    take_n(buf).map(u32::from_le_bytes)
 }
 
 #[cfg(test)]
@@ -851,7 +673,7 @@ mod tests {
     fn hostile_length_prefix_does_not_allocate() {
         // CentersToClient claiming u32::MAX centres off a tiny frame must
         // fail fast instead of reserving memory for 4 billion entries.
-        let mut frame = vec![TAG_CENTERS_TO_CLIENT];
+        let mut frame = vec![CENTERS_TO_CLIENT];
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
         frame.extend_from_slice(&[0u8; 8]);
         assert_eq!(
@@ -863,7 +685,7 @@ mod tests {
     #[test]
     fn hostile_ring_member_count_and_region_are_rejected() {
         // A RingUpdate claiming u32::MAX members off a short frame.
-        let mut frame = vec![TAG_RING_UPDATE];
+        let mut frame = vec![11]; // RingUpdate
         frame.extend_from_slice(&0u64.to_le_bytes()); // epoch
         frame.extend_from_slice(&3u64.to_le_bytes()); // slots
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -887,8 +709,11 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_reported() {
-        let frame = Bytes::from_static(&[250, 0, 0, 0]);
-        assert_eq!(decode(&frame).unwrap_err(), DecodeError::UnknownTag(250));
+        // Tags 0..=17 name the 18 variants; every other byte is unknown.
+        for tag in 18..=u8::MAX {
+            let frame = [tag, 0, 0, 0];
+            assert_eq!(decode(&frame).unwrap_err(), DecodeError::UnknownTag(tag));
+        }
     }
 
     #[test]

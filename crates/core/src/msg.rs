@@ -172,20 +172,6 @@ pub enum FlMsg {
 }
 
 impl FlMsg {
-    /// `true` for the client–server message types.
-    pub fn is_client_server(&self) -> bool {
-        matches!(
-            self,
-            FlMsg::ModelToClient { .. }
-                | FlMsg::ClientUpdate { .. }
-                | FlMsg::EncodedUpdate { .. }
-                | FlMsg::CentersToClient { .. }
-                | FlMsg::ClusterUpdate { .. }
-                | FlMsg::Rehome { .. }
-                | FlMsg::ClientHello
-        )
-    }
-
     /// `true` for the small protocol-control messages (token, gossip,
     /// membership signalling) that transports must not shed under
     /// backpressure — losing one can wedge the ring, while a bulk model
@@ -358,13 +344,12 @@ mod tests {
             server_idx: 0,
         };
         assert_eq!(server.kind(), "server-server");
-        assert!(!server.is_client_server());
         let client = FlMsg::ClientUpdate {
             params: ParamVec::zeros(4),
             age: 0.0,
             num_samples: 10,
         };
-        assert!(client.is_client_server());
+        assert_eq!(client.kind(), "client-server");
     }
 
     #[test]
@@ -384,8 +369,8 @@ mod tests {
         let update = FlMsg::RingUpdate { ring, bid_floor: 7 };
         assert!(update.is_control());
         assert!(update.wire_size() < 100);
-        assert!(FlMsg::Rehome { server: 3 }.is_client_server());
-        assert!(FlMsg::ClientHello.is_client_server());
+        assert_eq!(FlMsg::Rehome { server: 3 }.kind(), "client-server");
+        assert_eq!(FlMsg::ClientHello.kind(), "client-server");
         assert!(FlMsg::ScaleDown.is_control());
         assert!(FlMsg::TokenPass(Token::initial(2)).is_control());
         assert!(!FlMsg::ModelToClient {

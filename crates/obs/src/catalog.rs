@@ -486,7 +486,7 @@ pub const CATALOG: &[CatalogEntry] = &[
         kind: Counter,
         unit: Unit::Count,
         site: "transport tcp",
-        help: "bulk messages shed by a full bounded peer queue",
+        help: "messages shed by a full bounded peer queue: bulk at once, control after the liveness timeout",
     },
     CatalogEntry {
         name: "net.unexpected",

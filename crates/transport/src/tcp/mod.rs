@@ -9,9 +9,11 @@
 //!   socket itself when nothing is ahead of it, for at most about a
 //!   millisecond; what the socket does not take waits on the peer's
 //!   bounded outbound queue for the connection's writer thread. Control
-//!   traffic (token passes, age gossip) blocks for a bounded time when the
-//!   queue is full; bulk model traffic is shed immediately
-//!   (`net.queue.shed`). Nothing grows without bound.
+//!   traffic ([`FlMsg::is_control`]: the token, age gossip, membership
+//!   signalling) waits up to the liveness timeout for room when the queue
+//!   is full; bulk model traffic is shed at once. Either way a frame that
+//!   finds no room counts as `net.queue.shed`. Nothing grows without
+//!   bound.
 //! * **Reconnect with capped exponential backoff + jitter.** The dialing
 //!   side of every connection retries forever (`net.conn.retries`) with a
 //!   [`BackoffConfig`] schedule; connections are asymmetric (servers dial
@@ -44,6 +46,7 @@
 
 mod conn;
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -192,36 +195,6 @@ pub struct TcpReport {
 /// What the reader threads hand to the node's event loop.
 type Inbound = (NodeId, FlMsg);
 
-/// Control traffic keeps the ring alive and must not be shed lightly;
-/// everything model-bearing is bulk.
-fn is_control(msg: &FlMsg) -> bool {
-    matches!(msg, FlMsg::AgeGossip { .. } | FlMsg::TokenPass(_))
-}
-
-struct TimerEntry {
-    at: Instant,
-    seq: u64,
-    tag: u64,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap becomes a min-heap on (at, seq).
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// The [`Env`] a TCP-deployed node runs against: wall-clock time mapped
 /// 1:1 onto [`SimTime`]; each send is encoded here and written to the
 /// peer's socket, or queued for its writer when the socket is busy.
@@ -231,7 +204,9 @@ struct TcpEnv {
     start: Instant,
     peers: Arc<PeerTable>,
     metrics: Metrics,
-    timers: BinaryHeap<TimerEntry>,
+    /// Pending timers as `(at, seq, tag)`, earliest first; `seq` is
+    /// unique, so timers due at one instant fire in the order set.
+    timers: BinaryHeap<Reverse<(Instant, u64, u64)>>,
     timer_seq: u64,
     liveness: Duration,
     /// Known addresses of peers not dialed at startup (elastic joiners,
@@ -304,7 +279,7 @@ impl Env<FlMsg> for TcpEnv {
             count_lost(&mut self.metrics, 1);
             return;
         };
-        let wait = is_control(&msg).then_some(self.liveness);
+        let wait = msg.is_control().then_some(self.liveness);
         let frame = Frame::encode(&OutFrame::Msg(&msg), self.scratch.take_bytes());
         match q.send(frame, wait) {
             Sent::Written(buf) => {
@@ -320,11 +295,8 @@ impl Env<FlMsg> for TcpEnv {
     fn set_timer(&mut self, delay: SimTime, tag: u64) {
         let seq = self.timer_seq;
         self.timer_seq += 1;
-        self.timers.push(TimerEntry {
-            at: Instant::now() + to_duration(delay),
-            seq,
-            tag,
-        });
+        let at = Instant::now() + to_duration(delay);
+        self.timers.push(Reverse((at, seq, tag)));
     }
 
     fn busy(&mut self, duration: SimTime) {
@@ -444,20 +416,21 @@ pub fn run_node(
     }
     let deadline = Instant::now() + run_for;
     loop {
-        while let Some(entry) = env.timers.peek() {
-            if entry.at <= Instant::now() {
-                let tag = entry.tag;
-                env.timers.pop();
-                node.on_timer(&mut env, tag);
-            } else {
+        while let Some(&Reverse((at, _, tag))) = env.timers.peek() {
+            if at > Instant::now() {
                 break;
             }
+            env.timers.pop();
+            node.on_timer(&mut env, tag);
         }
         let now = Instant::now();
         if now >= deadline {
             break;
         }
-        let wake = env.timers.peek().map_or(deadline, |e| e.at.min(deadline));
+        let wake = env
+            .timers
+            .peek()
+            .map_or(deadline, |&Reverse((at, ..))| at.min(deadline));
         let timeout = wake
             .saturating_duration_since(now)
             .min(Duration::from_millis(100));
@@ -538,6 +511,7 @@ mod tests {
     use std::any::Any;
 
     use spyker_core::codec::FrameAccumulator;
+    use spyker_core::membership::RingView;
     use spyker_core::params::ParamVec;
 
     use super::conn::{FRAME_MSG, FRAME_PING, INLINE_BOUND};
@@ -557,10 +531,11 @@ mod tests {
 
     /// Idle until its first timer, then `BUSY_FRAMES` small bulk frames
     /// one every `BUSY_EVERY`, then, a little later, a burst of `BURST`
-    /// big ones, timing each `send`.
+    /// big ones, timing each `send`, then `then`, if set.
     #[derive(Default)]
     struct Scripted {
         burst_sends: Vec<Duration>,
+        then: Option<FlMsg>,
     }
 
     impl Node<FlMsg> for Scripted {
@@ -599,6 +574,9 @@ mod tests {
                 let t = Instant::now();
                 env.send(0, msg);
                 self.burst_sends.push(t.elapsed());
+            }
+            if let Some(msg) = self.then.take() {
+                env.send(0, msg);
             }
         }
 
@@ -674,6 +652,51 @@ mod tests {
             "every frame not shed arrives whole"
         );
         assert_eq!(report.metrics.counter("fault.dropped"), 0);
+    }
+
+    #[test]
+    fn a_ring_update_behind_a_full_queue_waits_for_room_and_arrives() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut cfg = TcpNodeConfig::new(1, 2);
+        cfg.peers = vec![(0, listener.local_addr().unwrap())];
+        cfg.liveness_timeout = Duration::from_secs(10);
+        cfg.queue_capacity = 8;
+        let node = Scripted {
+            then: Some(FlMsg::RingUpdate {
+                ring: RingView::fixed(&[0, 1]),
+                bid_floor: 7,
+            }),
+            ..Scripted::default()
+        };
+        let node = thread::spawn(move || {
+            run_node(Box::new(node), &cfg, Duration::from_millis(3400)).unwrap()
+        });
+        let (mut sock, _) = listener.accept().unwrap();
+        let mut acc = FrameAccumulator::new(codec::MAX_FRAME_LEN);
+        let mut kinds = Vec::new();
+        // Read until the last small frame, then stop reading while the
+        // burst fills the queue and the ring update finds it full.
+        while kinds.iter().filter(|&&k| k == FRAME_MSG).count() < BUSY_FRAMES as usize {
+            acc.read_from(&mut sock).unwrap();
+            drain_kinds(&mut acc, &mut kinds);
+        }
+        thread::sleep(STALL);
+        let mut updates = 0;
+        while acc.read_from(&mut sock).unwrap() > 0 {
+            while let Some(payload) = acc.next_frame_ref().expect("no torn frame") {
+                if let [FRAME_MSG, body @ ..] = payload {
+                    let msg = codec::decode(body).expect("every message decodes");
+                    updates += usize::from(matches!(msg, FlMsg::RingUpdate { .. }));
+                }
+            }
+        }
+        let report = node.join().unwrap();
+
+        assert!(
+            report.metrics.counter("net.queue.shed") > 0,
+            "the burst fills the queue"
+        );
+        assert_eq!(updates, 1, "control waits for room instead of being shed");
     }
 
     #[test]

@@ -133,13 +133,17 @@ fi
 # baseline by more than its bound, and says `unresolved`, not `regressed`,
 # when the runs spread wider than the bound. A PR that claims a gain
 # refreshes the baseline: cp bench_e2e/out/results.json BENCH_e2e.json.
-# Skippable where wall-clock throughput means nothing: SPYKER_SKIP_E2E=1.
+# Skippable where wall-clock throughput means nothing: SPYKER_SKIP_E2E=1,
+# which still builds the benchmark.
 if [[ "${SPYKER_SKIP_E2E:-0}" != "1" ]]; then
     cargo run -q --release --offline --locked --manifest-path bench_e2e/Cargo.toml -- run
     cargo run -q --release --offline --locked --manifest-path bench_e2e/Cargo.toml -- \
         compare BENCH_e2e.json bench_e2e/out/results.json
 else
-    echo "SPYKER_SKIP_E2E=1 — skipping the bench_e2e regression gate"
+    echo "SPYKER_SKIP_E2E=1 — skipping the bench_e2e regression gate; building it only"
+    # The benchmark's lock file is frozen: an API rename, or a
+    # `[dependencies]` edit in any crate it reaches, breaks this build.
+    cargo build -q --release --offline --locked --manifest-path bench_e2e/Cargo.toml
 fi
 
 # Multi-process TCP soak (see DESIGN.md §13): 2 servers + 6 clients + a
