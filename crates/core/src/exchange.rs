@@ -2,16 +2,20 @@
 //! plus its recovery watchdogs. The ring comes from [`Membership`]; the
 //! model, its age and the peer gate from the server, lent to each handler.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use spyker_simnet::Env;
 
-use crate::membership::{fan_out, Membership, Phase};
+use crate::membership::{fan_out, join_bid, Membership, Phase};
 use crate::msg::FlMsg;
 use crate::params::ParamVec;
 use crate::server::{tag, Cx, Local, KIND_EXCHANGE_TIMEOUT, TAG_PAYLOAD_MASK};
 use crate::staleness::{blended_age, live_age_spread, server_agg_weight};
 use crate::token::Token;
+
+/// How far below `highest_bid_seen` a bid is still echoed (Alg. 2's
+/// `didBroadcast`): the exchange an older one answers is long overtaken.
+const ECHO_WINDOW: u64 = 64;
 
 /// One server's side of Alg. 2. The default holds no token, knows no
 /// ages and has seen no bid.
@@ -21,26 +25,37 @@ pub struct Exchange {
     /// The freshest age seen for each slot; our own entry tracks our age.
     pub(crate) ages: Vec<f64>,
     /// Our age when we last sent our model (`checkSynchronization`'s base).
-    pub(crate) age_prev: f64,
-    pub(crate) did_broadcast: HashSet<u64>,
-    pub(crate) cnt: HashMap<u64, usize>,
+    age_prev: f64,
+    /// The bids we sent our model under, within [`ECHO_WINDOW`].
+    echoed: BTreeSet<u64>,
+    held: Ledger,
     /// `true` while an exchange this server triggered is open.
     pub(crate) ongoing: bool,
-    /// Slots that answered each exchange bid we drove (holder-side record
-    /// for crash-eviction miss counting; kept only with membership).
-    pub(crate) answered: HashMap<u64, Vec<usize>>,
-    pub(crate) last_gossip_at: u64,
+    last_gossip_at: u64,
     /// Highest synchronisation id this server has observed (its own token,
     /// received tokens, and peer model broadcasts). Tokens arriving with a
     /// lower bid are stale copies and are dropped when recovery is on.
     pub(crate) highest_bid_seen: u64,
     /// `highest_bid_seen` at the last token-watchdog check; no advance
     /// between two checks means the token is presumed lost.
-    pub(crate) bid_at_last_watchdog: u64,
+    bid_at_last_watchdog: u64,
     pub(crate) syncs_triggered: u64,
     pub(crate) server_aggs: u64,
     pub(crate) tokens_regenerated: u64,
     pub(crate) degraded_syncs: u64,
+}
+
+/// Alg. 2's `cnt[bid]` and the slots that answered `bid` (for crash
+/// eviction), kept only for the bid of the token we hold: nothing reads
+/// another. Held bids strictly increase — stale tokens are dropped, a
+/// received one gains 1, a regeneration or restart jumps a lap and a lift
+/// only raises — so an earlier bid's ledger is never read again, and the
+/// next held bid resets it.
+#[derive(Debug, Default)]
+struct Ledger {
+    bid: u64,
+    models: usize,
+    answered: Vec<usize>,
 }
 
 /// Lifts `token` over a ring epoch's bid floor and slot space, so every
@@ -52,6 +67,16 @@ pub(crate) fn lift(token: &mut Token, bid_floor: u64, slots: usize) -> u64 {
 }
 
 impl Exchange {
+    /// A fresh exchange over `slots` slots, holding `token` if given.
+    pub(crate) fn new(slots: usize, token: Option<Token>) -> Self {
+        Self {
+            ages: vec![0.0; slots],
+            highest_bid_seen: token.as_ref().map_or(0, |t| t.bid),
+            token,
+            ..Self::default()
+        }
+    }
+
     /// Absorbs a peer's claim that `slot`'s model has reached `age`. Peer
     /// entries only ever move up, and a non-finite claim — which no honest
     /// server makes — is ignored: one would keep `sync_wanted` true forever.
@@ -75,6 +100,80 @@ impl Exchange {
     pub(crate) fn fresh_bid(&self, m: &Membership) -> u64 {
         let base = self.highest_bid_seen.max(m.bid_floor);
         base.saturating_add(m.ring.len() as u64)
+    }
+
+    /// The [`join_bid`] of a ring shape we propose to replace `m`'s.
+    pub(crate) fn join_floor(&self, m: &Membership) -> u64 {
+        join_bid(self.highest_bid_seen, m.ring.len())
+    }
+
+    /// Starts holding a new token under `bid`, carrying our ages.
+    pub(crate) fn hold(&mut self, bid: u64) {
+        let ages = self.ages.clone();
+        self.token = Some(Token { bid, ages });
+        self.highest_bid_seen = self.highest_bid_seen.max(bid);
+    }
+
+    /// Our own slot's entry follows our model's `age`.
+    pub(crate) fn track_own_age(&mut self, m: &Membership, age: f64) {
+        self.ages[m.slot] = age;
+    }
+
+    /// Our age knowledge, grown to `slots` for a joiner's bootstrap.
+    pub(crate) fn ages_for(&self, slots: usize) -> Vec<f64> {
+        let mut ages = self.ages.clone();
+        ages.resize(slots.max(ages.len()), 0.0);
+        ages
+    }
+
+    /// A joiner installs its sponsor's `ages`: our model *is* the sponsor's,
+    /// so our slot starts at its `age`, and bids below `floor` are stale.
+    pub(crate) fn install(&mut self, mut ages: Vec<f64>, m: &Membership, age: f64, floor: u64) {
+        ages.resize(ages.len().max(m.ring.slots), 0.0);
+        ages[m.slot] = age;
+        self.ages = ages;
+        self.age_prev = age;
+        self.highest_bid_seen = self.highest_bid_seen.max(floor);
+    }
+
+    /// Evicted while alive: close, drop any (by construction stale) token
+    /// and treat bids below the new epoch's `floor` as stale.
+    pub(crate) fn stand_down(&mut self, env: &mut dyn Env<FlMsg>, floor: u64) {
+        self.close(env, false);
+        self.token = None;
+        self.highest_bid_seen = self.highest_bid_seen.max(floor);
+    }
+
+    /// The ledger of the held `bid`, reset if an earlier bid left it.
+    fn ledger(&mut self, bid: u64) -> &mut Ledger {
+        if self.held.bid != bid {
+            self.held = Ledger::default();
+            self.held.bid = bid;
+        }
+        &mut self.held
+    }
+
+    /// Models counted toward `bid`: zero for any but the last held bid.
+    pub(crate) fn models_counted(&self, bid: u64) -> usize {
+        Some(&self.held)
+            .filter(|h| h.bid == bid)
+            .map_or(0, |h| h.models)
+    }
+
+    /// `true` once we sent our model under `bid`, or if it is too old to.
+    pub(crate) fn has_broadcast(&self, bid: u64) -> bool {
+        bid < self.highest_bid_seen.saturating_sub(ECHO_WINDOW) || self.echoed.contains(&bid)
+    }
+
+    /// Records a broadcast under `bid`, `false` if [`Self::has_broadcast`].
+    /// Old bids go first, never a bid just added: two servers would echo
+    /// that one to each other for ever.
+    fn note_broadcast(&mut self, bid: u64) -> bool {
+        let floor = self.highest_bid_seen.saturating_sub(ECHO_WINDOW);
+        while self.echoed.first().is_some_and(|&b| b < floor) {
+            self.echoed.pop_first();
+        }
+        bid >= floor && self.echoed.insert(bid)
     }
 
     /// Sends our model to every peer under synchronisation `bid`.
@@ -132,8 +231,9 @@ impl Exchange {
                 let bid = token.bid;
                 self.ongoing = true;
                 cx.env.span_enter("server.exchange");
-                self.did_broadcast.insert(bid);
-                self.cnt.insert(bid, 1);
+                self.note_broadcast(bid);
+                // A peer's model for this bid may have counted already.
+                self.ledger(bid).models = 1;
                 self.syncs_triggered += 1;
                 cx.env.add_counter("syncs.triggered", 1);
                 self.send_model(cx, m, bid);
@@ -183,7 +283,7 @@ impl Exchange {
             return;
         }
         self.absorb(slot, age);
-        m.peer_misses.remove(&slot);
+        m.heard_from(slot);
         self.check(cx, m);
     }
 
@@ -240,16 +340,10 @@ impl Exchange {
         self.highest_bid_seen = self.highest_bid_seen.max(bid);
         self.absorb(slot, age);
         if cx.l.cfg.membership.is_some() {
-            m.peer_misses.remove(&slot);
-            // Holder-side exchange record for crash eviction.
-            let slots = self.answered.entry(bid).or_default();
-            if !slots.contains(&slot) {
-                slots.push(slot);
-            }
+            m.heard_from(slot);
         }
         // l. 32–35: echo our model once per synchronisation id.
-        if !self.did_broadcast.contains(&bid) {
-            self.did_broadcast.insert(bid);
+        if self.note_broadcast(bid) {
             self.send_model(cx, m, bid);
         }
         // A peer model the gate turns away only skips the merge: the echo
@@ -262,17 +356,21 @@ impl Exchange {
             let w = server_agg_weight(l.cfg.phi, l.age, age);
             l.params.lerp_toward(&model, l.cfg.eta_a * w);
             l.age = blended_age(l.cfg.eta_a, w, l.age, age);
-            self.ages[m.slot] = l.age;
+            self.track_own_age(m, l.age);
             self.server_aggs += 1;
             cx.env.add_counter("server.aggs", 1);
         }
         // l. 37–43: the token holder forwards the token once it has seen
-        // every server's model for its bid.
+        // every server's model for its bid. Who answered feeds crash
+        // eviction.
         if self.token.as_ref().is_some_and(|t| t.bid == bid) {
-            let seen = self.cnt.entry(bid).or_insert(0);
-            *seen += 1;
+            let held = self.ledger(bid);
+            held.models += 1;
+            if !held.answered.contains(&slot) {
+                held.answered.push(slot);
+            }
             // `>=`, not `==`: the ring may have shrunk mid-exchange.
-            if *seen >= m.ring.len() {
+            if held.models >= m.ring.len() {
                 self.forward_token(cx.env, m);
             }
         }
@@ -285,7 +383,6 @@ impl Exchange {
         // the normal completion after recovery — must not abort the run:
         // log the spurious call and keep serving.
         if let Some(mut token) = self.token.take() {
-            self.answered.remove(&token.bid);
             token.ages = self.ages.clone();
             match m.ring.next_after(env.me()).map(|n| n.node) {
                 Some(next) => env.send(next, FlMsg::TokenPass(token)),
@@ -306,11 +403,12 @@ impl Exchange {
     /// regardless of how many in-flight increments that copy still
     /// receives before being dropped.
     pub(crate) fn on_token_watchdog(&mut self, cx: &mut Cx, m: &Membership) {
-        let Some(rec) = cx.l.cfg.recovery else {
+        if cx.l.cfg.recovery.is_none() {
             return;
-        };
+        }
         // A server that left the ring stops guarding its token.
         if m.phase != Phase::Live {
+            cx.l.token_watch_armed = false;
             return;
         }
         let stalled = self.highest_bid_seen == self.bid_at_last_watchdog;
@@ -320,15 +418,12 @@ impl Exchange {
         // legitimately produces no bid traffic, and regenerating then
         // would breed one idle token per server.
         if stalled && self.token.is_none() && self.sync_wanted(m, cx.l) {
-            let bid = self.fresh_bid(m);
-            self.highest_bid_seen = bid;
-            let ages = self.ages.clone();
-            self.token = Some(Token { bid, ages });
+            self.hold(self.fresh_bid(m));
             self.tokens_regenerated += 1;
             cx.env.add_counter("token.regenerated", 1);
             self.check(cx, m);
         }
-        m.arm_token_watchdog(cx.env, &rec);
+        cx.l.arm_token_watchdog(cx.env, m);
     }
 
     /// Exchange timeout: the holder stops waiting for peers that never
@@ -343,7 +438,7 @@ impl Exchange {
         // exchange takes a miss; enough consecutive misses and the holder
         // unsplices it (the existing recovery path — degraded forward +
         // watchdogs — carries the ring meanwhile).
-        let answered = self.answered.remove(&bid).unwrap_or_default();
+        let answered = std::mem::take(&mut self.ledger(bid).answered);
         let peers: Vec<usize> = m.ring.live_slots().filter(|&s| s != m.slot).collect();
         for slot in peers.into_iter().filter(|s| !answered.contains(s)) {
             m.note_miss(cx, self, slot);
@@ -358,8 +453,11 @@ impl Exchange {
 mod tests {
     use super::*;
     use crate::config::{RecoveryConfig, SpykerConfig};
-    use crate::membership::MembershipConfig;
-    use crate::server::tests::{build_faulty_sim, drive, member, recovery_cfg, server, tight_cfg};
+    use crate::membership::{MembershipConfig, RingView};
+    use crate::server::tests::{
+        build_faulty_sim, build_two_server_sim, drive, exchange_of, member, recovery_cfg, server,
+        tight_cfg,
+    };
     use crate::server::{SpykerServer, KIND_TOKEN_WATCHDOG};
     use crate::test_support::MockEnv;
     use spyker_simnet::{FaultPlan, Node, NodeId, SimTime};
@@ -445,13 +543,17 @@ mod tests {
     fn a_received_token_is_lifted_over_the_floor_and_stale_copies_drop() {
         let cfg = SpykerConfig::paper_defaults(2, 2)
             .with_thresholds(1e12, 1e12)
-            .with_recovery(RECOVERY);
+            .with_recovery(RECOVERY)
+            .with_membership(MembershipConfig::default());
         let mut s = member(1, 2, cfg);
         let mut env = MockEnv::new(1, 4);
-        drive(&mut s, &mut env, |x, m, cx| {
-            m.bid_floor = 10;
-            x.on_token(cx, m, Token::initial(2));
-        });
+        let ring = RingView {
+            epoch: 1,
+            ..RingView::fixed(&[0, 1])
+        };
+        let bid_floor = 10;
+        s.on_message(&mut env, 0, FlMsg::RingUpdate { ring, bid_floor });
+        s.on_message(&mut env, 0, FlMsg::TokenPass(Token::initial(2)));
         assert_eq!(s.token_bid(), Some(10));
         assert_eq!(s.highest_bid_seen(), 10);
         assert_eq!(env.gauge("sync.token_holder"), Some(1.0));
@@ -511,8 +613,50 @@ mod tests {
     }
 
     #[test]
+    fn a_model_far_below_the_highest_bid_is_merged_but_never_echoed() {
+        let mut s = member(1, 3, eager_cfg(3));
+        let mut env = MockEnv::new(1, 6);
+        s.on_message(&mut env, 0, model(&[1.0, 1.0], 1.0, 200, 0));
+        let old = 200 - ECHO_WINDOW - 1;
+        for aggs in [2, 3] {
+            s.on_message(&mut env, 2, model(&[1.0, 1.0], 1.0, old, 2));
+            assert_eq!(s.server_aggs(), aggs);
+        }
+        assert_eq!(models_sent(&env), [(0, 200), (2, 200)]);
+        assert!(s.has_broadcast(old) && !s.has_broadcast(old + 1));
+        // The edge of the window is still answered.
+        s.on_message(&mut env, 2, model(&[1.0, 1.0], 1.0, old + 1, 2));
+        assert_eq!(models_sent(&env)[2..], [(0, old + 1), (2, old + 1)]);
+    }
+
+    #[test]
+    fn a_long_run_keeps_one_held_bid_ledger_and_a_bounded_echo_set() {
+        let cfg = recovery_cfg().with_membership(MembershipConfig::default());
+        let mut sim = build_two_server_sim(cfg);
+        sim.run(SimTime::from_secs(1000));
+        for id in 0..2 {
+            let x = exchange_of(server(&sim, id));
+            assert!(x.highest_bid_seen > 10 * ECHO_WINDOW, "too few exchanges");
+            assert!(
+                x.echoed.len() as u64 <= ECHO_WINDOW + 1,
+                "{}",
+                x.echoed.len()
+            );
+            assert!(x
+                .echoed
+                .iter()
+                .all(|&b| b + ECHO_WINDOW >= x.highest_bid_seen));
+            assert!(x.held.bid <= x.highest_bid_seen && x.held.answered.len() <= 1);
+        }
+    }
+
+    #[test]
     fn the_token_watchdog_regenerates_a_silent_ring_once() {
-        let mut s = member(1, 2, eager_cfg(2));
+        let mut s = member(
+            1,
+            2,
+            eager_cfg(2).with_membership(MembershipConfig::default()),
+        );
         let mut env = MockEnv::new(1, 4);
         let watchdog = tag(KIND_TOKEN_WATCHDOG, 0);
         s.on_timer(&mut env, watchdog);
@@ -527,11 +671,9 @@ mod tests {
         s.on_timer(&mut env, watchdog);
         assert_eq!(s.tokens_regenerated(), 1);
         // Off the ring, the chain stops.
+        s.on_message(&mut env, 9, FlMsg::ScaleDown);
         let armed = env.timers.len();
-        drive(&mut s, &mut env, |x, m, cx| {
-            m.phase = Phase::Draining;
-            x.on_token_watchdog(cx, m);
-        });
+        s.on_timer(&mut env, watchdog);
         assert_eq!(env.timers.len(), armed);
     }
 

@@ -21,11 +21,10 @@ use std::collections::HashMap;
 
 use spyker_simnet::{Env, NodeId, Region, SimTime};
 
-use crate::config::RecoveryConfig;
 use crate::exchange::{lift, Exchange};
 use crate::msg::FlMsg;
 use crate::params::ParamVec;
-use crate::server::{tag, Cx, KIND_DRAIN, KIND_JOIN_RETRY, KIND_TOKEN_WATCHDOG};
+use crate::server::{tag, Cx, KIND_DRAIN, KIND_JOIN_RETRY};
 
 /// One server on the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,12 +259,42 @@ pub struct Membership {
 }
 
 impl Membership {
-    /// Arms our token watchdog, staggered by ring position so the first
-    /// live server regenerates first.
-    pub(crate) fn arm_token_watchdog(&self, env: &mut dyn Env<FlMsg>, rec: &RecoveryConfig) {
-        let position = self.ring.members.iter().position(|m| m.slot == self.slot);
-        let delay = rec.token_timeout * (position.unwrap_or(self.slot) as u64 + 1);
-        env.set_timer(delay, tag(KIND_TOKEN_WATCHDOG, 0));
+    /// A live member on `slot` of `ring`.
+    pub(crate) fn member(slot: usize, ring: RingView) -> Self {
+        Self {
+            slot,
+            ring,
+            ..Self::default()
+        }
+    }
+
+    /// Off the ring until a join trigger (see `SpykerServer::standby`).
+    pub(crate) fn standby(sponsor: Option<NodeId>, join_after: Option<SimTime>) -> Self {
+        Self {
+            phase: Phase::Standby,
+            slot: usize::MAX,
+            sponsor,
+            join_after,
+            ..Self::default()
+        }
+    }
+
+    /// Leaves the ring voluntarily at `at` (armed at start).
+    pub(crate) fn schedule_leave(&mut self, at: SimTime) {
+        self.leave_at = Some(at);
+    }
+
+    /// A sign of life from `slot`: its consecutive misses start over.
+    pub(crate) fn heard_from(&mut self, slot: usize) {
+        self.peer_misses.remove(&slot);
+    }
+
+    /// Drain timer: no more in-flight encoded updates to resolve.
+    pub(crate) fn on_drain(&mut self, cx: &mut Cx) {
+        if self.phase == Phase::Draining {
+            self.phase = Phase::Departed;
+            cx.l.ingest.forget_sent_models();
+        }
     }
 
     /// Advertises our `age` to every peer (Alg. 2 l. 29).
@@ -316,7 +345,7 @@ impl Membership {
             return;
         };
         let evicted = member.node;
-        let floor = join_bid(x.highest_bid_seen, self.ring.len());
+        let floor = x.join_floor(self);
         let ring = self.ring.unsplice(slot);
         cx.env.add_counter("membership.evictions", 1);
         self.adopt_ring(cx, x, ring, floor);
@@ -326,13 +355,11 @@ impl Membership {
 
     /// Bootstraps `joiner` onto `ring` from our model, ages and bid floor.
     fn accept(&self, cx: &mut Cx, x: &Exchange, joiner: NodeId, ring: RingView, floor: u64) {
-        let mut ages = x.ages.clone();
-        ages.resize(ring.slots.max(ages.len()), 0.0);
         let accept = FlMsg::JoinAccept {
+            ages: x.ages_for(ring.slots),
             ring,
             params: cx.l.params.clone(),
             age: cx.l.age,
-            ages,
             bid_floor: self.bid_floor.max(floor),
         };
         cx.env.send(joiner, accept);
@@ -349,7 +376,7 @@ impl Membership {
         }
         let region = *Region::ALL.get(region).unwrap_or(&Region::ALL[0]);
         cx.env.span_enter("membership.join");
-        let floor = join_bid(x.highest_bid_seen, self.ring.len());
+        let floor = x.join_floor(self);
         let ring = self.ring.splice(from, region);
         cx.env.add_counter("membership.joins", 1);
         let to = ring
@@ -365,15 +392,6 @@ impl Membership {
         cx.env.span_exit("membership.join");
     }
 
-    /// Re-homes every client to the member of `ring` nearest to us.
-    fn rehome(&self, cx: &mut Cx, ring: &RingView) -> Option<NodeId> {
-        let target = ring.nearest_to(cx.l.region, cx.env.me())?.node;
-        for &client in cx.l.ingest.clients() {
-            cx.env.send(client, FlMsg::Rehome { server: target });
-        }
-        Some(target)
-    }
-
     /// Evicted while alive: shed clients toward the nearest survivor, drop
     /// any (by-construction stale) token, and go standby to re-join.
     fn stand_down(&mut self, cx: &mut Cx, x: &mut Exchange, ring: RingView, floor: u64) {
@@ -381,19 +399,14 @@ impl Membership {
             return;
         };
         cx.env.add_counter("membership.stand_downs", 1);
-        x.close(cx.env, false);
-        x.token = None;
-        self.rehome(cx, &ring);
-        cx.env.gauge_set(&format!("scale.load.s{}", self.slot), 0.0);
-        cx.l.ingest.clear_clients();
+        x.stand_down(cx.env, floor);
+        cx.l.shed_clients(cx.env, &ring, self.slot);
         cx.l.ingest.forget_sent_models();
-        cx.l.client_watch.clear();
         self.phase = Phase::Standby;
         self.sponsor = ring.members.first().map(|m| m.node);
         self.slot = usize::MAX;
         self.ring = ring;
         self.bid_floor = self.bid_floor.max(floor);
-        x.highest_bid_seen = x.highest_bid_seen.max(floor);
         cx.env
             .set_timer(mcfg.client_failover_timeout, tag(KIND_JOIN_RETRY, 0));
     }
@@ -410,26 +423,16 @@ impl Membership {
         }
         cx.env.span_enter("membership.leave");
         cx.env.add_counter("membership.leaves", 1);
-        let succ = self.ring.next_after(cx.env.me()).map(|m| m.node);
-        let floor = join_bid(x.highest_bid_seen, self.ring.len());
+        let floor = x.join_floor(self);
         let ring = self.ring.unsplice(self.slot);
         x.restamp(cx.env, floor, 0);
-        if let Some(mut token) = x.token.take() {
-            token.ages = x.ages.clone();
-            if let Some(succ) = succ {
-                cx.env.send(succ, FlMsg::TokenPass(token));
-            }
+        if x.token.is_some() {
+            x.forward_token(cx.env, self);
         }
-        let target = self.rehome(cx, &ring);
+        let target = cx.l.shed_clients(cx.env, &ring, self.slot);
         let target = target.expect("a ring of >= 2 leaves a survivor");
         let members = ring.members.iter().map(|m| m.node);
         fan_out(cx.env, members, ring_update(&ring, floor));
-        cx.env.gauge_set(&format!("scale.load.s{}", self.slot), 0.0);
-        // The clients are gone (re-homed): drop their state so a later
-        // recommission starts clean.
-        cx.l.ingest.clear_clients();
-        cx.l.client_watch.clear();
-        cx.l.client_watch_armed = false;
         self.phase = Phase::Draining;
         self.drain_target = Some(target);
         self.ring = ring;
@@ -522,7 +525,7 @@ impl Membership {
                     ring,
                     params,
                     age,
-                    mut ages,
+                    ages,
                     bid_floor,
                 },
             ) => {
@@ -539,17 +542,10 @@ impl Membership {
                 cx.l.age = age;
                 self.ring = ring;
                 self.bid_floor = self.bid_floor.max(bid_floor);
-                // Our model *is* the sponsor's model, so our slot starts at
-                // its age. Any token below the floor predates our epoch:
-                // refuse it outright (with recovery) — the exchange's floor
-                // re-stamp covers the rest.
-                ages.resize(ages.len().max(self.ring.slots), 0.0);
-                ages[self.slot] = age;
-                x.ages = ages;
-                x.age_prev = age;
-                x.highest_bid_seen = x.highest_bid_seen.max(bid_floor);
+                x.install(ages, self, age, bid_floor);
                 self.gauge_ring(cx.env);
                 cx.env.gauge_set(&format!("scale.load.s{}", self.slot), 0.0);
+                // Chains from before a leave or a stand-down may still run.
                 cx.l.arm_watchdogs(cx.env, self);
                 self.gossip_age(cx.env, age);
             }
@@ -654,7 +650,7 @@ mod tests {
     use crate::client::{FailoverConfig, FlClient};
     use crate::config::{RecoveryConfig, SpykerConfig};
     use crate::server::tests::{drive, member, num_clients, server};
-    use crate::server::{SpykerServer, KIND_LEAVE};
+    use crate::server::{SpykerServer, KIND_LEAVE, KIND_TOKEN_WATCHDOG};
     use crate::test_support::MockEnv;
     use crate::token::Token;
     use crate::training::MeanTargetTrainer;

@@ -31,7 +31,7 @@ pub(crate) fn tag(kind: u64, payload: u64) -> u64 {
 }
 
 /// A server's own state, lent to its parts' handlers: configuration,
-/// region, model, age, Alg. 1's ingest path and the client watchdog.
+/// region, model, age, Alg. 1's ingest path and the watchdog chains.
 pub(crate) struct Local {
     pub(crate) cfg: SpykerConfig,
     pub(crate) region: Region,
@@ -40,9 +40,10 @@ pub(crate) struct Local {
     pub(crate) ingest: UpdateIngest,
     /// Per-client update counts at the last client-watchdog check.
     pub(crate) client_watch: Vec<u64>,
-    /// Whether the client watchdog timer chain is running (it must be
-    /// started at most once; client adoption may start it late).
+    /// Whether the client and the token watchdog chains run, each at most
+    /// once: a crash ends both, a tick off the ring the token one.
     pub(crate) client_watch_armed: bool,
+    pub(crate) token_watch_armed: bool,
 }
 
 /// One handler call's environment and its server's own state.
@@ -61,23 +62,58 @@ impl Local {
             params,
             age: 0.0,
             client_watch_armed: false,
+            token_watch_armed: false,
         }
     }
 
-    /// Arms (or re-arms after a restart) the recovery watchdog timers.
-    /// No-op without a [`crate::config::RecoveryConfig`].
+    /// Starts the recovery watchdog chains that do not run yet: the token
+    /// watchdog's on a ring of peers, the client watchdog's for clients.
     pub(crate) fn arm_watchdogs(&mut self, env: &mut dyn Env<FlMsg>, m: &Membership) {
-        let Some(rec) = self.cfg.recovery else {
-            return;
-        };
-        if m.ring.len() > 1 {
-            m.arm_token_watchdog(env, &rec);
+        if m.ring.len() > 1 && !self.token_watch_armed {
+            self.arm_token_watchdog(env, m);
         }
-        // Recomputed, not just set: a crash killed any previous chain.
-        self.client_watch_armed = !self.ingest.clients().is_empty();
-        if self.client_watch_armed {
+        if !self.ingest.clients().is_empty() {
+            self.arm_client_watchdog(env);
+        }
+    }
+
+    /// Starts the client-watchdog chain (with recovery) unless it runs.
+    fn arm_client_watchdog(&mut self, env: &mut dyn Env<FlMsg>) {
+        if let Some(rec) = self.cfg.recovery.filter(|_| !self.client_watch_armed) {
             env.set_timer(rec.client_timeout, tag(KIND_CLIENT_WATCHDOG, 0));
+            self.client_watch_armed = true;
         }
+    }
+
+    /// Arms our token watchdog (with recovery), staggered by ring position
+    /// so the first live server regenerates first.
+    pub(crate) fn arm_token_watchdog(&mut self, env: &mut dyn Env<FlMsg>, m: &Membership) {
+        if let Some(rec) = self.cfg.recovery {
+            let position = m.ring.members.iter().position(|x| x.slot == m.slot);
+            let delay = rec.token_timeout * (position.unwrap_or(m.slot) as u64 + 1);
+            env.set_timer(delay, tag(KIND_TOKEN_WATCHDOG, 0));
+            self.token_watch_armed = true;
+        }
+    }
+
+    /// Sends every client to the member of `ring` nearest to us, forgets
+    /// them (`slot`'s load drops to zero) and returns where they went.
+    pub(crate) fn shed_clients(
+        &mut self,
+        env: &mut dyn Env<FlMsg>,
+        ring: &RingView,
+        slot: usize,
+    ) -> Option<NodeId> {
+        let target = ring.nearest_to(self.region, env.me()).map(|m| m.node);
+        if let Some(server) = target {
+            for &client in self.ingest.clients() {
+                env.send(client, FlMsg::Rehome { server });
+            }
+        }
+        env.gauge_set(&format!("scale.load.s{slot}"), 0.0);
+        self.ingest.clear_clients();
+        self.client_watch.clear();
+        target
     }
 
     /// Registers a walk-in client (re-homed from a leaver or failed over
@@ -92,12 +128,7 @@ impl Local {
         env.add_counter("membership.adoptions", 1);
         let load = self.ingest.clients().len() as f64;
         env.gauge_set(&format!("scale.load.s{slot}"), load);
-        if !self.client_watch_armed {
-            if let Some(rec) = self.cfg.recovery {
-                env.set_timer(rec.client_timeout, tag(KIND_CLIENT_WATCHDOG, 0));
-                self.client_watch_armed = true;
-            }
-        }
+        self.arm_client_watchdog(env);
         k
     }
 
@@ -155,7 +186,7 @@ fn client_update(
     if l.ingest
         .client_update(cx.env, params, age, k, update, update_age, reply)
     {
-        x.ages[m.slot] = l.age;
+        x.track_own_age(m, l.age);
         // l. 20 (the client never waits on server-server synchronisation:
         // its reply is already on the wire).
         x.check(cx, m);
@@ -202,17 +233,8 @@ impl SpykerServer {
         let token = (server_idx == 0).then(|| Token::initial(ring.slots));
         Self {
             local: Local::new(cfg, region, clients, init_params),
-            exchange: Exchange {
-                ages: vec![0.0; ring.slots],
-                highest_bid_seen: token.as_ref().map_or(0, |t| t.bid),
-                token,
-                ..Exchange::default()
-            },
-            membership: Membership {
-                slot: server_idx,
-                ring,
-                ..Membership::default()
-            },
+            exchange: Exchange::new(ring.slots, token),
+            membership: Membership::member(server_idx, ring),
         }
     }
 
@@ -239,13 +261,7 @@ impl SpykerServer {
         Self {
             local: Local::new(cfg, region, Vec::new(), init_params),
             exchange: Exchange::default(),
-            membership: Membership {
-                phase: Phase::Standby,
-                slot: usize::MAX,
-                sponsor,
-                join_after,
-                ..Membership::default()
-            },
+            membership: Membership::standby(sponsor, join_after),
         }
     }
 
@@ -261,7 +277,7 @@ impl SpykerServer {
             self.local.cfg.membership.is_some(),
             "voluntary leave needs membership enabled"
         );
-        self.membership.leave_at = Some(at);
+        self.membership.schedule_leave(at);
         self
     }
 
@@ -369,16 +385,17 @@ impl SpykerServer {
         self.exchange.ongoing
     }
 
-    /// Exchange ledger: how many peer models this server has collected for
-    /// synchronisation `bid` (Alg. 2's `cnt`).
+    /// Exchange ledger: how many models this server has counted toward the
+    /// bid it holds (Alg. 2's `cnt`); zero for any other bid.
     pub fn models_counted(&self, bid: u64) -> usize {
-        self.exchange.cnt.get(&bid).copied().unwrap_or(0)
+        self.exchange.models_counted(bid)
     }
 
     /// Exchange ledger: `true` if this server has already broadcast its
-    /// model for synchronisation `bid` (it answers each bid at most once).
+    /// model for synchronisation `bid` (it answers each bid at most once),
+    /// or `bid` is too far below the highest bid seen to be answered.
     pub fn has_broadcast(&self, bid: u64) -> bool {
-        self.exchange.did_broadcast.contains(&bid)
+        self.exchange.has_broadcast(bid)
     }
 
     /// Test-only fault hook: hands this server a forged token, regardless
@@ -390,10 +407,7 @@ impl SpykerServer {
     /// token (see `spyker-simtest`). Never call it from protocol code.
     #[doc(hidden)]
     pub fn debug_force_token(&mut self, bid: u64) {
-        let x = &mut self.exchange;
-        let ages = x.ages.clone();
-        x.token = Some(Token { bid, ages });
-        x.highest_bid_seen = x.highest_bid_seen.max(bid);
+        self.exchange.hold(bid);
     }
 }
 
@@ -490,13 +504,7 @@ impl Node<FlMsg> for SpykerServer {
             KIND_CLIENT_WATCHDOG => cx.l.on_client_watchdog(cx.env),
             KIND_JOIN_RETRY => m.on_join_retry(cx),
             KIND_LEAVE => m.begin_leave(cx, x),
-            KIND_DRAIN if m.phase == Phase::Draining => {
-                m.phase = Phase::Departed;
-                // The drain window is over: no more in-flight encoded
-                // updates to resolve.
-                cx.l.ingest.forget_sent_models();
-            }
-            KIND_DRAIN => {}
+            KIND_DRAIN => m.on_drain(cx),
             _ => debug_assert!(false, "unexpected timer tag {tag:#x}"),
         }
     }
@@ -505,6 +513,10 @@ impl Node<FlMsg> for SpykerServer {
         let (x, m, l) = (&mut self.exchange, &self.membership, &mut self.local);
         // The node keeps its model and ages but every armed timer fired
         // into the void while it was down: re-arm what the phase needs.
+        // That ended both watchdog chains too; off the ring, a rejoin and
+        // the next client adoption restart them.
+        l.client_watch_armed = false;
+        l.token_watch_armed = false;
         match (m.phase, l.cfg.membership) {
             (Phase::Live, _) => {}
             (Phase::Standby, Some(mcfg)) => {
@@ -620,6 +632,11 @@ pub(crate) mod tests {
     /// Number of clients homed on `s`.
     pub(crate) fn num_clients(s: &SpykerServer) -> usize {
         s.local.ingest.clients().len()
+    }
+
+    /// `s`'s side of Alg. 2.
+    pub(crate) fn exchange_of(s: &SpykerServer) -> &Exchange {
+        &s.exchange
     }
 
     /// Runs `f` on `s`'s parts as one handler call in `env`.
@@ -784,6 +801,58 @@ pub(crate) mod tests {
             updates_with_recovery > 25,
             "rejoined client with recovery froze at {updates_with_recovery}"
         );
+    }
+
+    /// Pending watchdog timers of `kind`: MockEnv fires none by itself.
+    fn armed(env: &MockEnv, kind: u64) -> usize {
+        env.timers
+            .iter()
+            .filter(|(_, t)| *t == tag(kind, 0))
+            .count()
+    }
+
+    #[test]
+    fn a_rejoining_server_runs_one_chain_of_each_watchdog() {
+        use crate::membership::MembershipConfig;
+        let cfg = recovery_cfg().with_membership(MembershipConfig::default());
+        // Node 1 of an `n`-ring, back on it on a fresh slot.
+        let rejoin = |n: usize| {
+            let ring = RingView::fixed(&(0..n).collect::<Vec<_>>()).unsplice(1);
+            let ring = ring.splice(1, Region::Sydney);
+            let params = ParamVec::zeros(2);
+            let ages = vec![1.0; n];
+            let (age, bid_floor) = (1.0, 9);
+            FlMsg::JoinAccept {
+                ring,
+                params,
+                age,
+                ages,
+                bid_floor,
+            }
+        };
+        // Leave, depart, be recommissioned, rejoin, adopt a client.
+        let mut s = member(1, 2, cfg.clone());
+        let mut env = MockEnv::new(1, 8);
+        s.on_start(&mut env);
+        s.on_timer(&mut env, tag(KIND_LEAVE, 0));
+        s.on_timer(&mut env, tag(KIND_DRAIN, 0));
+        s.on_message(&mut env, 9, FlMsg::ScaleUp { sponsor: 0 });
+        s.on_message(&mut env, 0, rejoin(2));
+        s.on_message(&mut env, 7, FlMsg::ClientHello);
+        assert_eq!(s.membership_phase(), "live");
+        assert_eq!(armed(&env, KIND_CLIENT_WATCHDOG), 1);
+        // Stand down while the first chains run, then rejoin.
+        let mut s = member(1, 3, cfg);
+        let mut env = MockEnv::new(1, 8);
+        s.on_start(&mut env);
+        let ring = RingView::fixed(&[0, 1, 2]).unsplice(1);
+        let bid_floor = 5;
+        s.on_message(&mut env, 0, FlMsg::RingUpdate { ring, bid_floor });
+        s.on_message(&mut env, 0, rejoin(3));
+        s.on_message(&mut env, 7, FlMsg::ClientHello);
+        assert_eq!(s.membership_phase(), "live");
+        assert_eq!(armed(&env, KIND_CLIENT_WATCHDOG), 1);
+        assert_eq!(armed(&env, KIND_TOKEN_WATCHDOG), 1);
     }
 
     #[test]

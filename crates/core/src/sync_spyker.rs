@@ -41,8 +41,9 @@ pub struct SyncSpykerServer {
 
     round: u64,
     collecting: bool,
-    /// Models received per round: `round -> server_idx -> (params, age)`;
-    /// `None` for a slot that answered with a model the mean cannot take.
+    /// Models received for this round and the next: `round -> server_idx
+    /// -> (params, age)`; `None` for a slot that answered with a model the
+    /// mean cannot take.
     incoming: HashMap<u64, HashMap<usize, Option<(ParamVec, f64)>>>,
     /// Client updates buffered while an exchange is in flight.
     buffered: Vec<(NodeId, ParamVec, f64)>,
@@ -245,9 +246,11 @@ impl Node<FlMsg> for SyncSpykerServer {
                     env.add_counter("membership.stale_slot", 1);
                     return;
                 }
-                if bid < self.round {
-                    // That round's barrier is gone; parked, the model
-                    // would never be looked at again.
+                // A closed round's model would never be looked at again,
+                // and an honest peer is at most one round ahead (it needs
+                // ours to close this one): parking more lets a liar grow
+                // `incoming` without bound.
+                if bid < self.round || bid - self.round > 1 {
                     env.add_counter("net.unexpected", 1);
                     return;
                 }
@@ -415,6 +418,29 @@ mod tests {
             assert_eq!(env.counter("net.unexpected"), 1);
             assert!(s.incoming.is_empty());
         }
+    }
+
+    #[test]
+    fn a_peer_model_more_than_one_round_ahead_is_dropped() {
+        use crate::test_support::MockEnv;
+        let cfg = SpykerConfig::paper_defaults(1, 2);
+        let period = SimTime::from_secs(1);
+        let mut s = SyncSpykerServer::new(0, vec![0, 1], vec![2], ParamVec::zeros(1), cfg, period);
+        let mut env = MockEnv::new(0, 3);
+        let ahead = |bid| FlMsg::ServerModel {
+            params: ParamVec::zeros(1),
+            age: 1.0,
+            bid,
+            server_idx: 1,
+        };
+        for bid in [s.round + 2, u64::MAX] {
+            s.on_message(&mut env, 1, ahead(bid));
+        }
+        assert_eq!(env.counter("net.unexpected"), 2);
+        assert!(s.incoming.is_empty());
+        // The next round is parked: an honest peer may be there already.
+        s.on_message(&mut env, 1, ahead(s.round + 1));
+        assert_eq!(s.incoming.keys().collect::<Vec<_>>(), [&1]);
     }
 
     #[test]
