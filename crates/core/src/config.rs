@@ -207,12 +207,6 @@ impl SpykerConfig {
         self
     }
 
-    /// Sets the server rate for client updates (builder style).
-    pub fn with_server_lr(mut self, server_lr: f32) -> Self {
-        self.server_lr = server_lr;
-        self
-    }
-
     /// Sets the aggregation strategy (builder style). See [`crate::agg`].
     pub fn with_aggregation(mut self, aggregation: AggregationStrategy) -> Self {
         self.aggregation = aggregation;

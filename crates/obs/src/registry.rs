@@ -409,16 +409,6 @@ impl Registry {
         }
     }
 
-    /// Iterates the names of all non-empty series in order.
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.names.iter().filter_map(|(name, &id)| {
-            if id.kind() != MetricKind::Series {
-                return None;
-            }
-            (!self.series[id.index()].is_empty()).then_some(&**name)
-        })
-    }
-
     /// Iterates all non-empty series in name order.
     pub fn series_iter(&self) -> impl Iterator<Item = (&str, &TimeSeries)> {
         self.names.iter().filter_map(|(name, &id)| {

@@ -218,16 +218,6 @@ impl<M> TapCtx<'_, M> {
         self.state[node].inbox
     }
 
-    /// `true` while `node` is crashed.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.state[node].absent[Absence::Crash as usize]
-    }
-
-    /// `true` while `node` is inside an availability offline window.
-    pub fn is_offline(&self, node: NodeId) -> bool {
-        self.state[node].absent[Absence::Offline as usize]
-    }
-
     /// The metrics collected so far.
     pub fn metrics(&self) -> &Metrics {
         self.metrics

@@ -155,11 +155,6 @@ impl Metrics {
         self.registry.counters()
     }
 
-    /// Iterates over all non-empty series names in order.
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.registry.series_names()
-    }
-
     /// First time at which `series` reaches `threshold` (values are compared
     /// with `>=`), if it ever does. The workhorse behind every
     /// "time to reach 90% accuracy" number in the evaluation.
@@ -169,30 +164,6 @@ impl Metrics {
             .iter()
             .find(|(_, v)| *v >= threshold)
             .map(|&(t, _)| SimTime::from_micros(t))
-    }
-
-    /// First time at which `series` drops to or below `threshold` (for
-    /// lower-is-better metrics such as perplexity).
-    pub fn time_to_threshold_below(&self, series: &str, threshold: f64) -> Option<SimTime> {
-        self.registry
-            .series(series)
-            .iter()
-            .find(|(_, v)| *v <= threshold)
-            .map(|&(t, _)| SimTime::from_micros(t))
-    }
-
-    /// Last recorded value of `series`, if any.
-    pub fn last_value(&self, series: &str) -> Option<f64> {
-        self.registry.series(series).last().map(|&(_, v)| v)
-    }
-
-    /// Maximum recorded value of `series`, if any.
-    pub fn max_value(&self, series: &str) -> Option<f64> {
-        self.registry
-            .series(series)
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 
     /// Merges another collector into this one (counters add, series sort
@@ -223,8 +194,6 @@ mod tests {
         m.record("acc", SimTime::from_secs(1), 0.5);
         m.record("acc", SimTime::from_secs(2), 0.92);
         assert_eq!(m.series("acc").len(), 2);
-        assert_eq!(m.last_value("acc"), Some(0.92));
-        assert_eq!(m.max_value("acc"), Some(0.92));
     }
 
     #[test]
@@ -236,17 +205,6 @@ mod tests {
         m.record("acc", SimTime::from_secs(4), 0.95);
         assert_eq!(m.time_to_threshold("acc", 0.9), Some(SimTime::from_secs(2)));
         assert_eq!(m.time_to_threshold("acc", 0.99), None);
-    }
-
-    #[test]
-    fn time_to_threshold_below_for_perplexity() {
-        let mut m = Metrics::new();
-        m.record("ppl", SimTime::from_secs(1), 20.0);
-        m.record("ppl", SimTime::from_secs(2), 8.0);
-        assert_eq!(
-            m.time_to_threshold_below("ppl", 10.0),
-            Some(SimTime::from_secs(2))
-        );
     }
 
     #[test]

@@ -166,13 +166,6 @@ impl NetworkConfig {
         }
     }
 
-    /// The mean of the AWS matrix entries (used by Tab. 6 to build a
-    /// latency-free network with "equal average" delay).
-    pub fn aws_mean_latency() -> SimTime {
-        let total: f64 = AWS_LATENCY_MS.iter().flatten().sum();
-        SimTime::from_millis_f64(total / 16.0)
-    }
-
     /// Sets the jitter bound (builder style).
     pub fn with_jitter(mut self, jitter_max: SimTime) -> Self {
         self.jitter_max = jitter_max;
@@ -203,12 +196,6 @@ impl NetworkConfig {
     pub fn serialization_delay(&self, bytes: usize) -> SimTime {
         SimTime::from_micros((bytes as u64 * 8).saturating_mul(1_000_000) / self.bandwidth_bps)
     }
-}
-
-/// Assigns `n` nodes round-robin to the four regions (the paper spreads
-/// servers over the four regions and splits clients equally among them).
-pub fn round_robin_regions(n: usize) -> Vec<Region> {
-    (0..n).map(|i| Region::ALL[i % 4]).collect()
 }
 
 #[cfg(test)]
@@ -297,20 +284,5 @@ mod tests {
         assert_eq!(net.link_model, LinkModel::PerMessage);
         let net = net.with_flow_shared_links();
         assert_eq!(net.link_model, LinkModel::FlowShared);
-    }
-
-    #[test]
-    fn aws_mean_latency_is_around_120ms() {
-        let mean = NetworkConfig::aws_mean_latency();
-        assert!(mean > SimTime::from_millis(100) && mean < SimTime::from_millis(140));
-    }
-
-    #[test]
-    fn round_robin_spreads_over_four_regions() {
-        let regions = round_robin_regions(10);
-        assert_eq!(regions[0], Region::Hongkong);
-        assert_eq!(regions[5], Region::Paris);
-        let hk = regions.iter().filter(|r| **r == Region::Hongkong).count();
-        assert_eq!(hk, 3);
     }
 }

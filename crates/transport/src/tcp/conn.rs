@@ -8,7 +8,8 @@
 //! is writing; the queue holds encoded frames only when the socket is
 //! busy, and the connection's writer thread drains them. Whoever writes
 //! holds the queue's `writing` flag, so frames never interleave on the
-//! wire.
+//! wire. Readers only read: the node thread's inline send and the
+//! writer thread are the only writers of a socket.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, ErrorKind, Write};
@@ -24,14 +25,13 @@ use spyker_core::msg::FlMsg;
 use spyker_simnet::metrics::Metrics;
 use spyker_simnet::runtime::NodeId;
 
-use super::BackoffConfig;
+use super::backoff_delay;
 
 /// Transport envelope kinds (first payload byte inside a length-prefixed
 /// frame).
 pub(super) const FRAME_MSG: u8 = 0;
 pub(super) const FRAME_HELLO: u8 = 1;
 pub(super) const FRAME_PING: u8 = 2;
-const FRAME_PONG: u8 = 3;
 
 /// How long a sending thread may spend writing one frame before it hands
 /// the unwritten tail to the connection's writer thread. It is also the
@@ -40,15 +40,11 @@ const FRAME_PONG: u8 = 3;
 /// is a few milliseconds on common configurations.
 pub(super) const INLINE_BOUND: Duration = Duration::from_millis(1);
 
-/// How long the reader waits for room to queue a PONG it could not write.
-const PONG_WAIT: Duration = Duration::from_millis(10);
-
 /// One envelope to encode.
 pub(super) enum OutFrame<'a> {
     Msg(&'a FlMsg),
     Hello(NodeId),
     Ping,
-    Pong,
 }
 
 /// One encoded envelope on its way out: `bytes[sent..]` is not on the
@@ -75,7 +71,6 @@ impl Frame {
                 out.extend_from_slice(&(*id as u32).to_le_bytes());
             }
             OutFrame::Ping => out.push(FRAME_PING),
-            OutFrame::Pong => out.push(FRAME_PONG),
         }
         let len = (out.len() - 4) as u32;
         out[..4].copy_from_slice(&len.to_le_bytes());
@@ -476,7 +471,6 @@ pub(super) struct ConnCtx {
     pub(super) net: SharedMetrics,
     pub(super) heartbeat: Duration,
     pub(super) liveness: Duration,
-    pub(super) max_frame: usize,
     pub(super) queue_capacity: usize,
     pub(super) stop: Arc<AtomicBool>,
 }
@@ -518,7 +512,7 @@ fn writer_loop(q: &PeerQueue, ctx: &ConnCtx) -> Metrics {
 }
 
 /// One decoded envelope from the wire.
-fn handle_payload(payload: &[u8], peer: NodeId, q: &PeerQueue, ctx: &ConnCtx, local: &mut Metrics) {
+fn handle_payload(payload: &[u8], peer: NodeId, ctx: &ConnCtx, local: &mut Metrics) {
     local.add_counter("net.frames.recv", 1);
     let Some((&kind, body)) = payload.split_first() else {
         local.add_counter("net.frames.corrupt", 1);
@@ -531,37 +525,34 @@ fn handle_payload(payload: &[u8], peer: NodeId, q: &PeerQueue, ctx: &ConnCtx, lo
             }
             Err(_) => local.add_counter("net.frames.corrupt", 1),
         },
-        FRAME_PING => {
-            let pong = Frame::encode(&OutFrame::Pong, Vec::new());
-            match q.send(pong, Some(PONG_WAIT)) {
-                Sent::Written(frame) => count_written(local, &frame),
-                // The PONG's own write broke the connection; the messages
-                // queued behind it meanwhile are lost with it.
-                Sent::Lost(n) if !ctx.stopping() => count_lost(local, n),
-                _ => {}
-            }
-        }
-        FRAME_PONG | FRAME_HELLO => {}
+        FRAME_PING | FRAME_HELLO => {}
         _ => local.add_counter("net.frames.corrupt", 1),
     }
 }
 
-/// Reads frames from an established connection until EOF, a read error,
-/// a liveness timeout, or a stream desync. Corrupt payloads are counted
-/// and skipped; only a desynchronised stream severs the connection.
-fn reader_loop(
-    mut stream: TcpStream,
-    peer: NodeId,
-    mut acc: FrameAccumulator,
-    q: &PeerQueue,
+/// Reads `stream` into `acc` and hands each complete payload to
+/// `on_frame` until it returns `false`, the peer closes or goes silent
+/// for the liveness timeout, a read fails, the stream desynchronises, the
+/// run stops, or `deadline` passes. Reads wake at least every
+/// min(heartbeat, liveness), so shutdown never waits out a silent peer.
+fn read_frames(
+    stream: &mut TcpStream,
+    acc: &mut FrameAccumulator,
     ctx: &ConnCtx,
+    deadline: Option<Instant>,
     local: &mut Metrics,
+    mut on_frame: impl FnMut(&[u8], &mut Metrics) -> bool,
 ) {
-    let _ = stream.set_read_timeout(Some(ctx.liveness));
+    let _ = stream.set_read_timeout(Some(ctx.heartbeat.min(ctx.liveness)));
+    let mut heard = Instant::now();
     loop {
         loop {
             match acc.next_frame_ref() {
-                Ok(Some(payload)) => handle_payload(payload, peer, q, ctx, local),
+                Ok(Some(payload)) => {
+                    if !on_frame(payload, local) {
+                        return;
+                    }
+                }
                 Ok(None) => break,
                 Err(_) => {
                     // The length prefix itself is garbage: every byte
@@ -571,14 +562,18 @@ fn reader_loop(
                 }
             }
         }
-        if ctx.stopping() {
+        if ctx.stopping()
+            || heard.elapsed() >= ctx.liveness
+            || deadline.is_some_and(|d| Instant::now() >= d)
+        {
             return;
         }
-        match acc.read_from(&mut stream) {
+        match acc.read_from(stream) {
             Ok(0) => return,
-            Ok(_) => {}
-            // A liveness timeout surfaces as WouldBlock/TimedOut
-            // depending on the platform; both mean the peer went silent.
+            Ok(_) => heard = Instant::now(),
+            // The read timeout surfaces as WouldBlock or TimedOut
+            // depending on the platform.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(_) => return,
         }
     }
@@ -589,9 +584,9 @@ fn reader_loop(
 /// connection dies, then cleans up and does the drop accounting. `acc`
 /// may already hold bytes read during the handshake.
 fn run_connection(
-    stream: TcpStream,
+    mut stream: TcpStream,
     peer: NodeId,
-    acc: FrameAccumulator,
+    mut acc: FrameAccumulator,
     ctx: &ConnCtx,
     hello: bool,
 ) {
@@ -615,7 +610,17 @@ fn run_connection(
         let (q, ctx) = (Arc::clone(&q), ctx.clone());
         thread::spawn(move || writer_loop(&q, &ctx))
     };
-    reader_loop(stream, peer, acc, &q, ctx, &mut local);
+    read_frames(
+        &mut stream,
+        &mut acc,
+        ctx,
+        None,
+        &mut local,
+        |payload, local| {
+            handle_payload(payload, peer, ctx, local);
+            true
+        },
+    );
     let lost = ctx.peers.unregister(peer, &q);
     if let Ok(written) = writer.join() {
         local.merge(&written);
@@ -630,40 +635,35 @@ fn run_connection(
 
 /// Handles one inbound connection: the first frame must be a valid Hello
 /// naming the peer, everything after that is a normal connection. The
-/// Hello must arrive within the liveness timeout; the wait wakes every
-/// heartbeat so that shutdown never waits out a silent peer.
+/// Hello must arrive within the liveness timeout of the accept, however
+/// the peer trickles its bytes.
 fn handle_accepted(mut stream: TcpStream, ctx: ConnCtx) {
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(ctx.heartbeat.min(ctx.liveness)));
     let deadline = Instant::now() + ctx.liveness;
-    let mut acc = FrameAccumulator::new(ctx.max_frame);
-    let peer = loop {
-        match acc.next_frame_ref() {
-            Ok(Some(payload)) => match parse_hello(payload, ctx.num_nodes) {
-                Some(peer) => break peer,
-                None => {
-                    ctx.net.add("net.frames.corrupt", 1);
-                    return;
-                }
-            },
-            Ok(None) => {}
-            Err(_) => {
-                ctx.net.add("net.frames.corrupt", 1);
-                return;
+    let mut acc = FrameAccumulator::new(codec::MAX_FRAME_LEN);
+    let mut local = Metrics::new();
+    let mut peer = None;
+    read_frames(
+        &mut stream,
+        &mut acc,
+        &ctx,
+        Some(deadline),
+        &mut local,
+        |payload, local| {
+            peer = parse_hello(payload, ctx.num_nodes);
+            if peer.is_none() {
+                local.add_counter("net.frames.corrupt", 1);
             }
+            false
+        },
+    );
+    match peer {
+        Some(peer) => {
+            ctx.net.add("net.conn.accepted", 1);
+            run_connection(stream, peer, acc, &ctx, false);
         }
-        if ctx.stopping() || Instant::now() >= deadline {
-            return;
-        }
-        match acc.read_from(&mut stream) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => return,
-        }
-    };
-    ctx.net.add("net.conn.accepted", 1);
-    run_connection(stream, peer, acc, &ctx, false);
+        None => ctx.net.merge(&local),
+    }
 }
 
 /// Accepts inbound connections until shutdown, then joins their threads.
@@ -697,22 +697,16 @@ fn sleep_interruptible(stop: &AtomicBool, total: Duration) {
 }
 
 /// Dials `peer` forever: connect (with capped backoff + jitter on
-/// failure), introduce ourselves with a Hello, run the connection, and
-/// redial when it drops.
-pub(super) fn dialer_loop(
-    peer: NodeId,
-    addr: SocketAddr,
-    ctx: &ConnCtx,
-    backoff: &BackoffConfig,
-    mut rng: u64,
-) {
+/// failure, drawn from the stream `rng`), introduce ourselves with a
+/// Hello, run the connection, and redial when it drops.
+pub(super) fn dialer_loop(peer: NodeId, addr: SocketAddr, ctx: &ConnCtx, mut rng: u64) {
     let mut attempt: u32 = 0;
     while !ctx.stopping() {
         let stream = match TcpStream::connect_timeout(&addr, ctx.liveness) {
             Ok(s) => s,
             Err(_) => {
                 ctx.net.add("net.conn.retries", 1);
-                let delay = backoff.delay(attempt, &mut rng);
+                let delay = backoff_delay(attempt, &mut rng);
                 attempt = attempt.saturating_add(1);
                 sleep_interruptible(&ctx.stop, delay);
                 continue;
@@ -720,13 +714,8 @@ pub(super) fn dialer_loop(
         };
         attempt = 0;
         ctx.net.add("net.conn.dialed", 1);
-        run_connection(
-            stream,
-            peer,
-            FrameAccumulator::new(ctx.max_frame),
-            ctx,
-            true,
-        );
+        let acc = FrameAccumulator::new(codec::MAX_FRAME_LEN);
+        run_connection(stream, peer, acc, ctx, true);
     }
 }
 
@@ -815,7 +804,6 @@ mod tests {
             net: SharedMetrics::new(),
             heartbeat: Duration::from_secs(5),
             liveness: Duration::from_secs(5),
-            max_frame: 1 << 20,
             queue_capacity: 8,
             stop: Arc::new(AtomicBool::new(false)),
         }
@@ -841,7 +829,7 @@ mod tests {
             let (near, far) = loopback();
             let run = {
                 let ctx = ctx.clone();
-                let acc = FrameAccumulator::new(ctx.max_frame);
+                let acc = FrameAccumulator::new(codec::MAX_FRAME_LEN);
                 thread::spawn(move || run_connection(near, 1, acc, &ctx, false))
             };
             let q = loop {
@@ -871,44 +859,6 @@ mod tests {
         near.shutdown(Shutdown::Write).unwrap();
         assert!(matches!(q.send(msg_frame(), None), Sent::Lost(1)));
         assert!(q.is_closed());
-    }
-
-    #[test]
-    fn messages_queued_behind_a_pong_that_breaks_are_counted() {
-        let (near, _far) = loopback();
-        // Fill the socket while the peer reads nothing, so that the
-        // PONG's write blocks.
-        near.set_nonblocking(true).unwrap();
-        for chunk in [1 << 16, 1] {
-            while (&near).write(&vec![0u8; chunk]).is_ok() {}
-        }
-        near.set_nonblocking(false).unwrap();
-        let q = PeerQueue::new(&near, 8).unwrap();
-        // Longer than the test takes, in place of the inline bound: the
-        // PONG is still blocked when the socket is shut down under it.
-        near.set_write_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let ctx = test_ctx();
-        let reader = {
-            let (q, ctx) = (Arc::clone(&q), ctx.clone());
-            thread::spawn(move || {
-                let mut local = Metrics::new();
-                handle_payload(&[FRAME_PING], 1, &q, &ctx, &mut local);
-                local
-            })
-        };
-        while !q.lock().writing {
-            assert!(!reader.is_finished(), "the PONG did not block");
-            thread::sleep(Duration::from_millis(1));
-        }
-        assert!(matches!(q.send(msg_frame(), None), Sent::Queued));
-        assert!(matches!(q.send(msg_frame(), None), Sent::Queued));
-        near.shutdown(Shutdown::Write).unwrap();
-        let local = reader.join().unwrap();
-        assert!(q.is_closed());
-        assert_eq!(local.counter("fault.dropped"), 2);
-        assert_eq!(local.counter("fault.dropped.conn"), 2);
-        assert_eq!(local.counter("net.frames.sent"), 0);
     }
 
     #[test]

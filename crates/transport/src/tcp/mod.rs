@@ -15,13 +15,17 @@
 //!   finds no room counts as `net.queue.shed`. Nothing grows without
 //!   bound.
 //! * **Reconnect with capped exponential backoff + jitter.** The dialing
-//!   side of every connection retries forever (`net.conn.retries`) with a
-//!   [`BackoffConfig`] schedule; connections are asymmetric (servers dial
-//!   lower-indexed servers, clients dial their server) so exactly one
-//!   side owns re-establishment.
+//!   side of every connection retries forever (`net.conn.retries`) on a
+//!   fixed schedule: 50 ms before the first retry, doubling per failed
+//!   attempt up to 2 s, each delay scaled by a uniform ±20 % jitter.
+//!   Connections are asymmetric (servers dial lower-indexed servers,
+//!   clients dial their server) so exactly one side owns
+//!   re-establishment.
 //! * **Heartbeat liveness.** A writer pings after a heartbeat interval in
 //!   which the socket took no bytes; a reader that sees nothing for the
 //!   liveness timeout declares the peer dead and severs the connection.
+//!   Readers never write, so each side's pings are all the other side's
+//!   liveness check needs.
 //! * **Disconnects are faults.** A severed connection surfaces as
 //!   `fault.conn.drop` / `net.conn.dropped`, and messages addressed to an
 //!   unconnected peer, or lost with a connection while queued or half
@@ -47,7 +51,7 @@
 mod conn;
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -55,8 +59,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use spyker_core::codec;
+use crossbeam::channel::{unbounded, RecvTimeoutError};
 use spyker_core::msg::FlMsg;
 use spyker_simnet::metrics::Metrics;
 use spyker_simnet::runtime::{Env, Node, NodeId, WireSize};
@@ -81,41 +84,13 @@ fn splitmix_unit(state: &mut u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Reconnect schedule: capped exponential backoff with multiplicative
-/// jitter.
-#[derive(Debug, Clone)]
-pub struct BackoffConfig {
-    /// Delay before the first retry.
-    pub initial: Duration,
-    /// Upper bound on the delay between retries.
-    pub max: Duration,
-    /// Factor applied per failed attempt.
-    pub multiplier: f64,
-    /// Jitter fraction: the delay is scaled by a uniform draw from
-    /// `[1 - jitter, 1 + jitter]`.
-    pub jitter: f64,
-}
-
-impl Default for BackoffConfig {
-    fn default() -> Self {
-        Self {
-            initial: Duration::from_millis(50),
-            max: Duration::from_secs(2),
-            multiplier: 2.0,
-            jitter: 0.2,
-        }
-    }
-}
-
-impl BackoffConfig {
-    /// The delay to sleep after the `attempt`-th consecutive failure
-    /// (0-based), advancing the caller's jitter stream.
-    pub fn delay(&self, attempt: u32, rng: &mut u64) -> Duration {
-        let base = self.initial.as_secs_f64() * self.multiplier.powi(attempt.min(63) as i32);
-        let capped = base.min(self.max.as_secs_f64());
-        let jitter = 1.0 + self.jitter * (2.0 * splitmix_unit(rng) - 1.0);
-        Duration::from_secs_f64((capped * jitter).max(0.0))
-    }
+/// The delay to sleep after the `attempt`-th consecutive failed dial
+/// (0-based): 50 ms doubling per attempt, capped at 2 s, scaled by a
+/// uniform draw from `[0.8, 1.2]` off the caller's jitter stream.
+fn backoff_delay(attempt: u32, rng: &mut u64) -> Duration {
+    let base = (0.05 * 2f64.powi(attempt.min(63) as i32)).min(2.0);
+    let jitter = 1.0 + 0.2 * (2.0 * splitmix_unit(rng) - 1.0);
+    Duration::from_secs_f64(base * jitter)
 }
 
 /// Configuration of one TCP node process.
@@ -142,12 +117,8 @@ pub struct TcpNodeConfig {
     /// Silence interval after which a reader declares the peer dead. Must
     /// comfortably exceed `heartbeat`.
     pub liveness_timeout: Duration,
-    /// Reconnect schedule for dialed peers.
-    pub backoff: BackoffConfig,
     /// Outbound queue capacity per peer (frames).
     pub queue_capacity: usize,
-    /// Maximum accepted frame length in bytes.
-    pub max_frame: usize,
     /// Start the node via [`Node::on_restart`] instead of
     /// [`Node::on_start`] — the restart-rejoin path for a process that
     /// was killed and relaunched mid-training.
@@ -171,9 +142,7 @@ impl TcpNodeConfig {
             addr_book: Vec::new(),
             heartbeat: Duration::from_millis(500),
             liveness_timeout: Duration::from_secs(2),
-            backoff: BackoffConfig::default(),
             queue_capacity: 64,
-            max_frame: codec::MAX_FRAME_LEN,
             rejoin: false,
             connect_grace: Duration::from_millis(300),
             seed: me as u64,
@@ -192,58 +161,37 @@ pub struct TcpReport {
     pub end: SimTime,
 }
 
-/// What the reader threads hand to the node's event loop.
-type Inbound = (NodeId, FlMsg);
-
 /// The [`Env`] a TCP-deployed node runs against: wall-clock time mapped
 /// 1:1 onto [`SimTime`]; each send is encoded here and written to the
 /// peer's socket, or queued for its writer when the socket is busy.
 struct TcpEnv {
-    me: NodeId,
-    num_nodes: usize,
+    /// When the node started: after the connect grace.
     start: Instant,
-    peers: Arc<PeerTable>,
     metrics: Metrics,
     /// Pending timers as `(at, seq, tag)`, earliest first; `seq` is
     /// unique, so timers due at one instant fire in the order set.
     timers: BinaryHeap<Reverse<(Instant, u64, u64)>>,
     timer_seq: u64,
-    liveness: Duration,
-    /// Known addresses of peers not dialed at startup (elastic joiners,
+    /// Known addresses of peers no dialer runs for yet (elastic joiners,
     /// failover candidates); consulted on the first send to each.
     addr_book: HashMap<NodeId, SocketAddr>,
-    /// Peers a dialer already runs for (startup peers plus on-demand).
-    dialed: HashSet<NodeId>,
     ctx: ConnCtx,
-    backoff: BackoffConfig,
     seed: u64,
-    /// Dialer threads started on demand; joined at shutdown.
-    dynamic: Vec<thread::JoinHandle<()>>,
+    /// The acceptor and the dialers; joined at shutdown.
+    threads: Vec<thread::JoinHandle<()>>,
     /// Staging buffers for outbound frames, back after each inline write.
     scratch: Scratch,
 }
 
 impl TcpEnv {
-    /// First send to a peer that did not exist at startup (an elastic
-    /// joiner spliced in mid-run, or a failover candidate): start a
-    /// dialer for it if the address book knows it. The triggering message
-    /// is still dropped — the connection is not up yet — and the protocol
-    /// watchdogs retry, exactly as across a `conn.drop` fault window.
-    fn dial_on_demand(&mut self, to: NodeId) {
-        if self.dialed.contains(&to) {
-            return;
-        }
-        let Some(&addr) = self.addr_book.get(&to) else {
-            return;
-        };
-        self.dialed.insert(to);
-        self.metrics.add_counter("net.conn.ondemand", 1);
+    /// Starts the thread that keeps `peer` dialed at `addr`, on its own
+    /// jitter stream.
+    fn dial(&mut self, peer: NodeId, addr: SocketAddr) {
+        self.addr_book.remove(&peer);
         let ctx = self.ctx.clone();
-        let backoff = self.backoff.clone();
-        let seed = self.seed ^ (to as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.dynamic.push(thread::spawn(move || {
-            dialer_loop(to, addr, &ctx, &backoff, seed)
-        }));
+        let seed = self.seed ^ (peer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.threads
+            .push(thread::spawn(move || dialer_loop(peer, addr, &ctx, seed)));
     }
 }
 
@@ -257,11 +205,11 @@ impl Env<FlMsg> for TcpEnv {
     }
 
     fn me(&self) -> NodeId {
-        self.me
+        self.ctx.me
     }
 
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.ctx.num_nodes
     }
 
     fn send(&mut self, to: NodeId, msg: FlMsg) {
@@ -270,16 +218,21 @@ impl Env<FlMsg> for TcpEnv {
         self.metrics
             .add_counter_suffixed("net.bytes.", msg.kind(), bytes);
         self.metrics.add_counter("net.messages", 1);
-        let Some(q) = self.peers.get(to) else {
+        let Some(q) = self.ctx.peers.get(to) else {
             // No live connection: the message is eaten exactly like a
             // `conn.drop` fault window in the simulator; the recovery
-            // watchdogs are what heals the protocol. If the address book
-            // knows this peer, a dialer starts now so the retry lands.
-            self.dial_on_demand(to);
+            // watchdogs are what heals the protocol. A peer that did not
+            // exist at startup (an elastic joiner spliced in mid-run, or
+            // a failover candidate) gets a dialer now if the address book
+            // knows it, so the retry lands.
+            if let Some(&addr) = self.addr_book.get(&to) {
+                self.metrics.add_counter("net.conn.ondemand", 1);
+                self.dial(to, addr);
+            }
             count_lost(&mut self.metrics, 1);
             return;
         };
-        let wait = msg.is_control().then_some(self.liveness);
+        let wait = msg.is_control().then_some(self.ctx.liveness);
         let frame = Frame::encode(&OutFrame::Msg(&msg), self.scratch.take_bytes());
         match q.send(frame, wait) {
             Sent::Written(buf) => {
@@ -333,12 +286,12 @@ impl Env<FlMsg> for TcpEnv {
 
     fn span_enter(&mut self, name: &'static str) {
         let at = self.now();
-        self.metrics.span_enter(self.me as u32, name, at);
+        self.metrics.span_enter(self.ctx.me as u32, name, at);
     }
 
     fn span_exit(&mut self, name: &'static str) {
         let at = self.now();
-        self.metrics.span_exit(self.me as u32, name, at);
+        self.metrics.span_exit(self.ctx.me as u32, name, at);
     }
 }
 
@@ -359,56 +312,39 @@ pub fn run_node(
     cfg: &TcpNodeConfig,
     run_for: Duration,
 ) -> io::Result<TcpReport> {
-    let stop = Arc::new(AtomicBool::new(false));
-    let peers = PeerTable::new();
-    let net = SharedMetrics::new();
-    let (tx, rx): (Sender<Inbound>, Receiver<Inbound>) = unbounded();
-    let ctx = ConnCtx {
-        me: cfg.me,
-        num_nodes: cfg.num_nodes,
-        peers: Arc::clone(&peers),
-        inbox: tx,
-        net: net.clone(),
-        heartbeat: cfg.heartbeat,
-        liveness: cfg.liveness_timeout,
-        max_frame: cfg.max_frame,
-        queue_capacity: cfg.queue_capacity,
-        stop: Arc::clone(&stop),
-    };
-    let mut joins = Vec::new();
-    if let Some(addr) = cfg.listen {
-        let listener = TcpListener::bind(addr)?;
-        let actx = ctx.clone();
-        joins.push(thread::spawn(move || acceptor_loop(listener, actx)));
-    }
-    for &(peer, addr) in &cfg.peers {
-        let dctx = ctx.clone();
-        let backoff = cfg.backoff.clone();
-        let seed = cfg.seed ^ (peer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        joins.push(thread::spawn(move || {
-            dialer_loop(peer, addr, &dctx, &backoff, seed)
-        }));
-    }
-    if !cfg.connect_grace.is_zero() {
-        thread::sleep(cfg.connect_grace);
-    }
+    let listener = cfg.listen.map(TcpListener::bind).transpose()?;
+    let (inbox, rx) = unbounded::<(NodeId, FlMsg)>();
     let mut env = TcpEnv {
-        me: cfg.me,
-        num_nodes: cfg.num_nodes,
         start: Instant::now(),
-        peers: Arc::clone(&peers),
         metrics: Metrics::new(),
         timers: BinaryHeap::new(),
         timer_seq: 0,
-        liveness: cfg.liveness_timeout,
         addr_book: cfg.addr_book.iter().copied().collect(),
-        dialed: cfg.peers.iter().map(|&(peer, _)| peer).collect(),
-        ctx: ctx.clone(),
-        backoff: cfg.backoff.clone(),
+        ctx: ConnCtx {
+            me: cfg.me,
+            num_nodes: cfg.num_nodes,
+            peers: PeerTable::new(),
+            inbox,
+            net: SharedMetrics::new(),
+            heartbeat: cfg.heartbeat,
+            liveness: cfg.liveness_timeout,
+            queue_capacity: cfg.queue_capacity,
+            stop: Arc::new(AtomicBool::new(false)),
+        },
         seed: cfg.seed,
-        dynamic: Vec::new(),
+        threads: Vec::new(),
         scratch: Scratch::new(),
     };
+    if let Some(listener) = listener {
+        let ctx = env.ctx.clone();
+        env.threads
+            .push(thread::spawn(move || acceptor_loop(listener, ctx)));
+    }
+    for &(peer, addr) in &cfg.peers {
+        env.dial(peer, addr);
+    }
+    thread::sleep(cfg.connect_grace);
+    env.start = Instant::now();
     if cfg.rejoin {
         node.on_restart(&mut env);
     } else {
@@ -440,15 +376,14 @@ pub fn run_node(
             Err(RecvTimeoutError::Disconnected) => break,
         }
     }
-    stop.store(true, Ordering::Relaxed);
-    peers.close_all();
-    joins.append(&mut env.dynamic);
-    for j in joins {
+    env.ctx.stop.store(true, Ordering::Relaxed);
+    env.ctx.peers.close_all();
+    for j in env.threads.drain(..) {
         let _ = j.join();
     }
     let end = env.now();
     let mut metrics = env.metrics;
-    metrics.merge(&net.take());
+    metrics.merge(&env.ctx.net.take());
     Ok(TcpReport { node, metrics, end })
 }
 
@@ -510,7 +445,7 @@ pub fn run_malformed_client(addr: SocketAddr, run_for: Duration, seed: u64) -> M
 mod tests {
     use std::any::Any;
 
-    use spyker_core::codec::FrameAccumulator;
+    use spyker_core::codec::{self, FrameAccumulator};
     use spyker_core::membership::RingView;
     use spyker_core::params::ParamVec;
 
@@ -701,23 +636,65 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_and_jittered() {
-        let b = BackoffConfig {
-            initial: Duration::from_millis(100),
-            max: Duration::from_secs(1),
-            multiplier: 2.0,
-            jitter: 0.2,
-        };
         let mut rng = 7u64;
         for attempt in 0..40 {
-            let d = b.delay(attempt, &mut rng).as_secs_f64();
-            let base = (0.1 * 2f64.powi(attempt as i32)).min(1.0);
+            let d = backoff_delay(attempt, &mut rng).as_secs_f64();
+            let base = (0.05 * 2f64.powi(attempt as i32)).min(2.0);
             assert!(
                 d >= base * 0.8 - 1e-9 && d <= base * 1.2 + 1e-9,
                 "attempt {attempt}: {d} outside jitter band of {base}"
             );
         }
         // Deep attempts saturate at the cap (within jitter).
-        let d = b.delay(1000, &mut rng).as_secs_f64();
-        assert!(d <= 1.2 + 1e-9);
+        let d = backoff_delay(1000, &mut rng).as_secs_f64();
+        assert!((1.6 - 1e-9..=2.4 + 1e-9).contains(&d));
+    }
+
+    /// Does nothing: the connection carries only the transport's pings.
+    struct Idle;
+
+    impl Node<FlMsg> for Idle {
+        fn on_start(&mut self, _: &mut dyn Env<FlMsg>) {}
+
+        fn on_message(&mut self, _: &mut dyn Env<FlMsg>, _: NodeId, _: FlMsg) {}
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn idle_peers_stay_connected_on_pings_alone() {
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let cfg = |me| {
+            let mut cfg = TcpNodeConfig::new(me, 2);
+            cfg.heartbeat = Duration::from_millis(100);
+            cfg.liveness_timeout = Duration::from_millis(400);
+            cfg
+        };
+        let mut listening = cfg(0);
+        listening.listen = Some(addr);
+        let mut dialing = cfg(1);
+        dialing.peers = vec![(0, addr)];
+        // The listener outlives the dialer, so the dialer never sees its
+        // peer shut down and redials.
+        let listener = thread::spawn(move || {
+            run_node(Box::new(Idle), &listening, Duration::from_millis(3500)).unwrap()
+        });
+        let dialer = run_node(Box::new(Idle), &dialing, Duration::from_secs(3)).unwrap();
+        let listener = listener.join().unwrap();
+
+        assert_eq!(listener.metrics.counter("net.conn.accepted"), 1);
+        assert_eq!(dialer.metrics.counter("net.conn.dialed"), 1);
+        for report in [&listener, &dialer] {
+            assert!(report.metrics.counter("net.heartbeats") > 0);
+        }
     }
 }

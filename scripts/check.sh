@@ -29,8 +29,10 @@ scripts/loc.sh --gate
 # the model zoo (gradient checks, the zero-allocation step, the pinned
 # training fingerprints), the datasets and the experiment runners. And the
 # transport crate's own unit tests (the TCP envelope, hello frames,
-# class-aware queue shedding and reconnect back-off): the root `tcp_live`
-# and `transport_live` suites drive it only from outside.
+# class-aware queue shedding, the fixed reconnect back-off schedule, and
+# idle peers kept connected by each side's own pings, which no reader
+# answers): the root `tcp_live` and `transport_live` suites drive it only
+# from outside.
 cargo test -q --offline -p spyker-core -p spyker-baselines
 cargo test -q --offline -p spyker-simtest -p spyker-simnet
 cargo test -q --offline -p spyker-tensor
