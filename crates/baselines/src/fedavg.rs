@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use spyker_core::agg::{validate_update, AggregationStrategy, RobustAggregator, ValidationConfig};
+use spyker_core::agg::{validate_update, AggregationStrategy, RobustBuffer, ValidationConfig};
 use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
 use spyker_simnet::{Env, Node, NodeId, SimTime};
@@ -24,7 +24,8 @@ pub struct FedAvgConfig {
     /// How the round's accepted updates are combined. The default,
     /// [`AggregationStrategy::Mean`], is Eq. 2's data-size weighted mean;
     /// robust variants combine per-round deltas with *uniform* weights,
-    /// since `num_samples` is attacker-controllable. See
+    /// since `num_samples` is attacker-controllable. A whole round is one
+    /// combine, so `batch` only has to be valid (at least 1). See
     /// [`spyker_core::agg`].
     pub aggregation: AggregationStrategy,
     /// Server-side update validation gate (default: reject non-finite
@@ -89,15 +90,18 @@ pub struct FedAvgServer {
     cfg: FedAvgConfig,
     round: u64,
     // BTreeMap: aggregation iterates values, and f32 summation order must
-    // be deterministic for reproducible runs. `None` marks an update the
-    // validation gate rejected: it still advances the round barrier but
-    // never reaches the aggregate.
+    // be deterministic for reproducible runs. `None` marks an update that
+    // cannot enter the aggregate (the validation gate rejected it, or its
+    // dimension or sample count is unusable): it still advances the round
+    // barrier but never reaches the aggregate.
     received: BTreeMap<NodeId, Option<(ParamVec, usize)>>,
     /// Clients selected for the current round.
     selected: Vec<NodeId>,
     rng: StdRng,
     /// Robust combiner; `None` for Eq. 2's weighted mean.
-    agg: Option<Box<dyn RobustAggregator>>,
+    robust: Option<RobustBuffer>,
+    /// The robust estimate, reused across rounds.
+    estimate: ParamVec,
     rejected_updates: u64,
 }
 
@@ -106,7 +110,7 @@ impl FedAvgServer {
     ///
     /// # Panics
     ///
-    /// Panics if `clients` is empty.
+    /// Panics if `clients` is empty, or on an invalid robust strategy.
     pub fn new(clients: Vec<NodeId>, init_params: ParamVec, cfg: FedAvgConfig) -> Self {
         Self::with_seed(clients, init_params, cfg, 0)
     }
@@ -116,7 +120,8 @@ impl FedAvgServer {
     ///
     /// # Panics
     ///
-    /// Panics if `clients` is empty.
+    /// Panics if `clients` is empty, or on an invalid robust strategy (see
+    /// [`RobustBuffer::from_strategy`]).
     pub fn with_seed(
         clients: Vec<NodeId>,
         init_params: ParamVec,
@@ -124,7 +129,6 @@ impl FedAvgServer {
         seed: u64,
     ) -> Self {
         assert!(!clients.is_empty(), "need at least one client");
-        let agg = cfg.aggregation.aggregator();
         Self {
             clients,
             params: init_params,
@@ -133,7 +137,8 @@ impl FedAvgServer {
             received: BTreeMap::new(),
             selected: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ 0xfeda_f60f_5eed),
-            agg,
+            robust: RobustBuffer::from_strategy(cfg.aggregation),
+            estimate: ParamVec::zeros(0),
             rejected_updates: 0,
         }
     }
@@ -201,22 +206,28 @@ impl Node<FlMsg> for FedAvgServer {
             env.add_counter("net.unexpected", 1);
             return;
         }
-        // Validation gate: a rejected update still counts toward round
+        // A wrong-dimension or zero-sample upload fits neither mean, and a
+        // gate reject must not reach one: each still counts toward round
         // completion (the barrier must not wait on an attacker) but is
         // dropped from the aggregate.
-        let entry = match validate_update(
-            &self.cfg.validation,
-            &self.params,
-            &params,
-            self.round as f64,
-            age,
-        ) {
-            Ok(()) => Some((params, num_samples)),
-            Err(reason) => {
-                self.rejected_updates += 1;
-                env.add_counter("agg.rejected", 1);
-                env.add_counter(reason.counter(), 1);
-                None
+        let entry = if params.len() != self.params.len() || num_samples == 0 {
+            env.add_counter("net.unexpected", 1);
+            None
+        } else {
+            match validate_update(
+                &self.cfg.validation,
+                &self.params,
+                &params,
+                self.round as f64,
+                age,
+            ) {
+                Ok(()) => Some((params, num_samples)),
+                Err(reason) => {
+                    self.rejected_updates += 1;
+                    env.add_counter("agg.rejected", 1);
+                    env.add_counter(reason.counter(), 1);
+                    None
+                }
             }
         };
         self.received.insert(from, entry);
@@ -226,33 +237,26 @@ impl Node<FlMsg> for FedAvgServer {
         // Round complete: aggregate the accepted updates.
         env.span_enter("server.aggregate");
         env.busy(self.cfg.agg_cost);
-        let valid: Vec<(&ParamVec, f64)> = self
-            .received
-            .values()
-            .flatten()
-            .map(|(p, n)| (p, *n as f64))
-            .collect();
-        let processed = valid.len() as u64;
-        if valid.is_empty() {
-            // Every update was rejected: keep the model as is.
-        } else if let Some(agg) = &self.agg {
+        let processed = self.received.values().flatten().count() as u64;
+        if processed == 0 {
+            // Nothing usable arrived: keep the model as is.
+        } else if let Some(robust) = &mut self.robust {
             // Robust path: combine per-round deltas with uniform weights
             // (`num_samples` is attacker-controllable) and step the model.
-            let deltas: Vec<ParamVec> = valid
-                .iter()
-                .map(|(p, _)| {
-                    let mut d = (*p).clone();
-                    d.axpy(-1.0, &self.params);
-                    d
-                })
-                .collect();
-            let rows: Vec<&[f32]> = deltas.iter().map(ParamVec::as_slice).collect();
-            let mut out = vec![0.0f32; self.params.len()];
-            agg.combine(&rows, &mut out);
-            self.params.axpy(1.0, &ParamVec::from_vec(out));
+            for (p, _) in self.received.values().flatten() {
+                robust.push_difference(p, &self.params, 1.0);
+            }
+            robust.flush_into(&mut self.estimate);
+            self.params.axpy(1.0, &self.estimate);
             env.add_counter("agg.robust.flushes", 1);
         } else {
             // Eq. 2: data-size weighted mean replaces the global model.
+            let valid: Vec<(&ParamVec, f64)> = self
+                .received
+                .values()
+                .flatten()
+                .map(|(p, n)| (p, *n as f64))
+                .collect();
             self.params = ParamVec::weighted_mean(&valid);
         }
         self.received.clear();
@@ -449,6 +453,26 @@ mod tests {
     #[should_panic(expected = "participation must be in (0, 1]")]
     fn participation_zero_is_rejected() {
         let _ = FedAvgConfig::paper_defaults().with_participation(0.0);
+    }
+
+    fn server_with(aggregation: AggregationStrategy) -> FedAvgServer {
+        let cfg = FedAvgConfig::paper_defaults().with_aggregation(aggregation);
+        FedAvgServer::new(vec![1], ParamVec::zeros(1), cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "robust batch must be at least 1")]
+    fn robust_batch_zero_is_rejected() {
+        server_with(AggregationStrategy::Median { batch: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "max_norm must be positive and finite")]
+    fn nonpositive_max_norm_is_rejected() {
+        server_with(AggregationStrategy::ClippedMean {
+            batch: 2,
+            max_norm: 0.0,
+        });
     }
 
     #[test]

@@ -53,7 +53,10 @@ pub struct EdgeServer {
     rounds_since_cloud: u64,
     cloud_round: u64,
     waiting_for_cloud: bool,
-    received: BTreeMap<NodeId, (ParamVec, usize)>,
+    /// This round's uploads by client; `None` marks one whose dimension or
+    /// sample count is unusable: it fills its sender's slot, nothing else.
+    received: BTreeMap<NodeId, Option<(ParamVec, usize)>>,
+    /// The samples behind the model, the weight of its next cloud upload.
     total_samples: usize,
 }
 
@@ -119,8 +122,13 @@ impl Node<FlMsg> for EdgeServer {
                 params,
                 num_samples,
                 ..
-            } => {
-                self.received.insert(from, (params, num_samples));
+            } if self.clients.contains(&from) => {
+                let usable = params.len() == self.params.len() && num_samples > 0;
+                if !usable {
+                    env.add_counter("net.unexpected", 1);
+                }
+                self.received
+                    .insert(from, usable.then_some((params, num_samples)));
                 if self.received.len() < self.clients.len() {
                     return;
                 }
@@ -129,14 +137,18 @@ impl Node<FlMsg> for EdgeServer {
                 let items: Vec<(&ParamVec, f64)> = self
                     .received
                     .values()
+                    .flatten()
                     .map(|(p, n)| (p, *n as f64))
                     .collect();
-                self.total_samples = self.received.values().map(|(_, n)| n).sum();
-                self.params = ParamVec::weighted_mean(&items);
+                // A round with nothing usable keeps the model and its weight.
+                if !items.is_empty() {
+                    self.total_samples = self.received.values().flatten().map(|(_, n)| n).sum();
+                    self.params = ParamVec::weighted_mean(&items);
+                }
+                env.add_counter("updates.processed", items.len() as u64);
                 self.received.clear();
                 self.round += 1;
                 self.rounds_since_cloud += 1;
-                env.add_counter("updates.processed", self.clients.len() as u64);
                 env.add_counter("rounds", 1);
                 env.span_exit("server.aggregate");
                 if self.rounds_since_cloud >= self.cfg.edge_rounds_per_cloud {
@@ -162,8 +174,8 @@ impl Node<FlMsg> for EdgeServer {
                 self.broadcast_round(env);
             }
             // Reachable from network bytes on the TCP transport — a stray
-            // frame, or a cloud model nobody is waiting for: count and drop
-            // rather than assert (DESIGN.md §13).
+            // frame, an update from a non-client, or a cloud model nobody is
+            // waiting for: count and drop rather than assert (DESIGN.md §13).
             _ => env.add_counter("net.unexpected", 1),
         }
     }
@@ -223,6 +235,18 @@ impl Node<FlMsg> for CloudServer {
             env.add_counter("net.unexpected", 1);
             return;
         };
+        // Only an edge's model with a usable weight and the round's
+        // dimension may fill a slot; anything else is a stray frame.
+        let dim = self
+            .received
+            .values()
+            .next()
+            .map_or(params.len(), |(p, _)| p.len());
+        let usable = weight > 0.0 && weight.is_finite() && params.len() == dim;
+        if !(usable && self.edges.contains(&from)) {
+            env.add_counter("net.unexpected", 1);
+            return;
+        }
         self.received.insert(from, (params, weight));
         if self.received.len() < self.edges.len() {
             return;

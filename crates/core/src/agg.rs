@@ -1,4 +1,4 @@
-//! Byzantine-robust aggregation: pluggable strategies and update validation.
+//! Byzantine-robust aggregation: robust strategies and update validation.
 //!
 //! The paper's Alg. 1 folds every client update into the server model with
 //! an age-weighted `lerp` and no checks — one client emitting `NaN`s or
@@ -13,6 +13,8 @@
 //!    replaces the per-update lerp with a batched robust estimator —
 //!    coordinate-wise trimmed mean, coordinate-wise median, or
 //!    norm-clipped mean — over the last `batch` accepted update deltas.
+//!    The set of strategies is closed: [`RobustBuffer`] is the one way to
+//!    apply one, for streaming servers and FedAvg's rounds alike.
 //!
 //! The default strategy, [`AggregationStrategy::Mean`], keeps the
 //! paper-exact per-update path: no buffering, no reordering, bit-identical
@@ -76,119 +78,16 @@ pub enum AggregationStrategy {
     },
 }
 
-impl AggregationStrategy {
-    /// Builds this strategy's combiner; `None` for the paper-exact
-    /// [`AggregationStrategy::Mean`]. Round-based algorithms (FedAvg)
-    /// combine one whole round at a time and therefore ignore `batch`;
-    /// streaming servers should use [`RobustBuffer::from_strategy`], which
-    /// honours it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a `trim_ratio` outside `[0, 0.5)` or a non-positive
-    /// `max_norm`.
-    pub fn aggregator(self) -> Option<Box<dyn RobustAggregator>> {
-        match self {
-            AggregationStrategy::Mean => None,
-            AggregationStrategy::TrimmedMean { trim_ratio, .. } => {
-                assert!(
-                    (0.0..0.5).contains(&trim_ratio),
-                    "trim_ratio must be in [0, 0.5)"
-                );
-                Some(Box::new(TrimmedMeanAgg { trim_ratio }))
-            }
-            AggregationStrategy::Median { .. } => Some(Box::new(MedianAgg)),
-            AggregationStrategy::ClippedMean { max_norm, .. } => {
-                assert!(
-                    max_norm > 0.0 && max_norm.is_finite(),
-                    "max_norm must be positive and finite"
-                );
-                Some(Box::new(ClippedMeanAgg { max_norm }))
-            }
+/// Combines `rows` (one delta per accepted update, all `out.len()` long)
+/// into the robust estimate `strategy` makes of them, written to `out`.
+fn combine(strategy: AggregationStrategy, rows: &[&[f32]], out: &mut [f32]) {
+    match strategy {
+        AggregationStrategy::Mean => unreachable!("Mean combines nothing"),
+        AggregationStrategy::TrimmedMean { trim_ratio, .. } => {
+            coordinate_trimmed_mean(rows, trim_count(rows.len(), trim_ratio), out);
         }
-    }
-}
-
-/// A pluggable combiner of accepted update deltas.
-///
-/// `rows` are the buffered deltas (one slice per accepted update, all the
-/// same length); `combine` writes the robust estimate into `out`.
-pub trait RobustAggregator: Send {
-    /// Strategy name for logs and metric labels.
-    fn name(&self) -> &'static str;
-
-    /// Combines `rows` into a single estimate written to `out`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if `rows` is empty or lengths mismatch.
-    fn combine(&self, rows: &[&[f32]], out: &mut [f32]);
-}
-
-/// Plain unweighted mean (used for [`AggregationStrategy::ClippedMean`]
-/// after clipping; exposed for completeness and tests).
-#[derive(Debug, Clone, Copy)]
-pub struct MeanAgg;
-
-impl RobustAggregator for MeanAgg {
-    fn name(&self) -> &'static str {
-        "mean"
-    }
-    fn combine(&self, rows: &[&[f32]], out: &mut [f32]) {
-        mean_into(rows, out, |_| 1.0);
-    }
-}
-
-/// Coordinate-wise trimmed mean (see [`AggregationStrategy::TrimmedMean`]).
-#[derive(Debug, Clone, Copy)]
-pub struct TrimmedMeanAgg {
-    /// Fraction trimmed from each tail, in `[0, 0.5)`.
-    pub trim_ratio: f32,
-}
-
-impl RobustAggregator for TrimmedMeanAgg {
-    fn name(&self) -> &'static str {
-        "trimmed-mean"
-    }
-    fn combine(&self, rows: &[&[f32]], out: &mut [f32]) {
-        let trim = trim_count(rows.len(), self.trim_ratio);
-        coordinate_trimmed_mean(rows, trim, out);
-    }
-}
-
-/// Coordinate-wise median (see [`AggregationStrategy::Median`]).
-#[derive(Debug, Clone, Copy)]
-pub struct MedianAgg;
-
-impl RobustAggregator for MedianAgg {
-    fn name(&self) -> &'static str {
-        "median"
-    }
-    fn combine(&self, rows: &[&[f32]], out: &mut [f32]) {
-        coordinate_median(rows, out);
-    }
-}
-
-/// Norm-clipped mean (see [`AggregationStrategy::ClippedMean`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ClippedMeanAgg {
-    /// Maximum L2 norm a single row may contribute.
-    pub max_norm: f32,
-}
-
-impl RobustAggregator for ClippedMeanAgg {
-    fn name(&self) -> &'static str {
-        "clipped-mean"
-    }
-    fn combine(&self, rows: &[&[f32]], out: &mut [f32]) {
-        mean_into(rows, out, |row| {
-            let norm = row.iter().map(|v| v * v).sum::<f32>().sqrt();
-            if norm > self.max_norm && norm.is_finite() {
-                self.max_norm / norm
-            } else {
-                1.0
-            }
-        });
+        AggregationStrategy::Median { .. } => coordinate_median(rows, out),
+        AggregationStrategy::ClippedMean { max_norm, .. } => clipped_mean(rows, max_norm, out),
     }
 }
 
@@ -214,13 +113,20 @@ fn trim_count(n: usize, ratio: f32) -> usize {
     trim.min(n.saturating_sub(1) / 2)
 }
 
-fn mean_into(rows: &[&[f32]], out: &mut [f32], scale_of: impl Fn(&[f32]) -> f32) {
+/// The mean of `rows`, each first rescaled to L2 norm at most `max_norm`.
+fn clipped_mean(rows: &[&[f32]], max_norm: f32, out: &mut [f32]) {
     assert!(!rows.is_empty(), "mean of no rows");
     out.fill(0.0);
     let inv = 1.0 / rows.len() as f32;
     for row in rows {
         assert_eq!(row.len(), out.len(), "row length differs from the output");
-        let c = scale_of(row) * inv;
+        let norm = row.iter().map(|v| v * v).sum::<f32>().sqrt();
+        let scale = if norm > max_norm && norm.is_finite() {
+            max_norm / norm
+        } else {
+            1.0
+        };
+        let c = scale * inv;
         for (o, &x) in out.iter_mut().zip(*row) {
             *o += c * x;
         }
@@ -230,7 +136,7 @@ fn mean_into(rows: &[&[f32]], out: &mut [f32], scale_of: impl Fn(&[f32]) -> f32)
 /// Buffers accepted update deltas for a robust [`AggregationStrategy`] and
 /// flushes a combined estimate once `batch` deltas have accumulated.
 pub struct RobustBuffer {
-    agg: Box<dyn RobustAggregator>,
+    strategy: AggregationStrategy,
     batch: usize,
     deltas: Vec<ParamVec>,
     weights: Vec<f32>,
@@ -248,16 +154,27 @@ impl RobustBuffer {
     /// Panics on a zero `batch`, a `trim_ratio` outside `[0, 0.5)`, or a
     /// non-positive `max_norm`.
     pub fn from_strategy(strategy: AggregationStrategy) -> Option<Self> {
-        let agg = strategy.aggregator()?;
         let batch = match strategy {
-            AggregationStrategy::Mean => unreachable!("Mean has no aggregator"),
-            AggregationStrategy::TrimmedMean { batch, .. }
-            | AggregationStrategy::Median { batch }
-            | AggregationStrategy::ClippedMean { batch, .. } => batch,
+            AggregationStrategy::Mean => return None,
+            AggregationStrategy::TrimmedMean { batch, trim_ratio } => {
+                assert!(
+                    (0.0..0.5).contains(&trim_ratio),
+                    "trim_ratio must be in [0, 0.5)"
+                );
+                batch
+            }
+            AggregationStrategy::Median { batch } => batch,
+            AggregationStrategy::ClippedMean { batch, max_norm } => {
+                assert!(
+                    max_norm > 0.0 && max_norm.is_finite(),
+                    "max_norm must be positive and finite"
+                );
+                batch
+            }
         };
         assert!(batch >= 1, "robust batch must be at least 1");
         Some(Self {
-            agg,
+            strategy,
             batch,
             deltas: Vec::with_capacity(batch),
             weights: Vec::with_capacity(batch),
@@ -271,11 +188,6 @@ impl RobustBuffer {
     /// [`RobustBuffer::push`].
     pub fn take_delta(&mut self, dim: usize) -> ParamVec {
         ParamVec::from_vec(self.scratch.take_vec(dim))
-    }
-
-    /// The strategy name (for logs and metric labels).
-    pub fn name(&self) -> &'static str {
-        self.agg.name()
     }
 
     /// Number of deltas currently buffered.
@@ -337,7 +249,7 @@ impl RobustBuffer {
         let dim = self.deltas[0].len();
         out.resize(dim);
         let rows: Vec<&[f32]> = self.deltas.iter().map(ParamVec::as_slice).collect();
-        self.agg.combine(&rows, out.as_mut_slice());
+        combine(self.strategy, &rows, out.as_mut_slice());
         drop(rows);
         let mean_w = self.weights.iter().sum::<f32>() / self.weights.len() as f32;
         for delta in self.deltas.drain(..) {

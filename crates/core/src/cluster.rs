@@ -305,10 +305,10 @@ impl Node<FlMsg> for ClusteredFlClient {
             env.add_counter("net.unexpected", 1);
             return;
         };
-        debug_assert_eq!(from, self.server, "centers from unexpected server");
-        if centers.is_empty() {
-            // An empty offer would panic `train_best`; a decoded frame
-            // can carry one, so reject it like any malformed message.
+        if from != self.server || centers.is_empty() {
+            // An offer from any other node, or an empty one (it would
+            // panic `train_best`): a decoded frame can carry either, so
+            // count and drop it like any malformed message.
             env.add_counter("net.unexpected", 1);
             return;
         }
@@ -795,6 +795,25 @@ mod tests {
             .unwrap();
         assert_eq!(c0.last_choice(), Some(0));
         assert!(c0.updates_sent() > 0);
+    }
+
+    #[test]
+    fn centers_from_a_stranger_are_a_counted_drop() {
+        use crate::test_support::MockEnv;
+        let trainer = Box::new(MeanTargetClusterTrainer::new(vec![1.0], 8));
+        let mut client = ClusteredFlClient::new(0, trainer, 1, SimTime::from_millis(10));
+        let mut env = MockEnv::new(2, 3);
+        let offer = || FlMsg::CentersToClient {
+            centers: vec![ParamVec::zeros(1)],
+            ages: vec![0.0],
+            lr: 0.5,
+        };
+        client.on_message(&mut env, 1, offer());
+        assert_eq!(env.counter("net.unexpected"), 1);
+        assert!(env.sent.is_empty(), "no update may answer a stranger");
+        client.on_message(&mut env, 0, offer());
+        assert_eq!(env.sent.len(), 1, "its own server's offer is answered");
+        assert_eq!(env.sent[0].0, 0);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub mod token;
 pub mod training;
 pub mod update_codec;
 
-pub use agg::{AggregationStrategy, RejectReason, RobustAggregator, ValidationConfig};
+pub use agg::{AggregationStrategy, RejectReason, ValidationConfig};
 pub use autoscale::{Autoscaler, AutoscalerConfig};
 pub use client::{FailoverConfig, FlClient};
 pub use cluster::{ClusterTrainer, ClusteredFlClient, ClusteredSpykerServer, KCenters};

@@ -263,45 +263,36 @@ impl WireSize for FlMsg {
             }
             _ => return false,
         };
-        let data = params.as_mut_slice();
-        if data.is_empty() {
-            return false;
-        }
-        match attack {
-            ByzantineAttack::SignFlip => {
-                for v in data.iter_mut() {
-                    *v = -*v;
-                }
-            }
-            ByzantineAttack::Scale { factor } => {
-                for v in data.iter_mut() {
-                    *v *= factor;
-                }
-            }
-            ByzantineAttack::GaussianNoise { sigma } => {
-                for v in data.iter_mut() {
-                    *v += sigma * standard_normal(draw);
-                }
-            }
-            ByzantineAttack::NanInject { prob } => {
-                let mut hit = false;
-                for v in data.iter_mut() {
-                    if draw() < *prob {
-                        *v = f32::NAN;
-                        hit = true;
-                    }
-                }
-                return hit;
+        let mut hit = false;
+        for v in params.as_mut_slice() {
+            if let Some(new) = attack_value(*v, attack, draw) {
+                *v = new;
+                hit = true;
             }
         }
-        true
+        hit
+    }
+}
+
+/// What a Byzantine `attack` makes of one uploaded value `v` — the single
+/// statement of each attack, for dense uploads and encoded payloads alike.
+/// `None` means a NaN injection's draw missed and `v` stays. Noise and NaN
+/// injection take their draws from `draw`, value by value in upload order.
+pub(crate) fn attack_value(
+    v: f32,
+    attack: &ByzantineAttack,
+    draw: &mut dyn FnMut() -> f64,
+) -> Option<f32> {
+    match attack {
+        ByzantineAttack::SignFlip => Some(-v),
+        ByzantineAttack::Scale { factor } => Some(v * factor),
+        ByzantineAttack::GaussianNoise { sigma } => Some(v + sigma * standard_normal(draw)),
+        ByzantineAttack::NanInject { prob } => (draw() < *prob).then_some(f32::NAN),
     }
 }
 
 /// One standard-normal sample via Box–Muller from two uniform draws.
-/// Shared with `crate::update_codec` so encoded-payload corruption draws
-/// from the same distribution as dense corruption.
-pub(crate) fn standard_normal(draw: &mut dyn FnMut() -> f64) -> f32 {
+fn standard_normal(draw: &mut dyn FnMut() -> f64) -> f32 {
     let u1 = draw().max(1e-12);
     let u2 = draw();
     ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()) as f32

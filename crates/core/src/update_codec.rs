@@ -32,6 +32,8 @@ use spyker_tensor::{
     dequantize_into, pack_nibbles, quantize_into, top_k_indices_with, unpack_nibbles, Scratch,
 };
 
+use crate::msg::attack_value;
+
 /// Hard cap on the model dimension a payload may declare — matches the
 /// wire codec's 64 MiB frame cap for dense f32 payloads, so a hostile
 /// length prefix cannot drive a huge allocation.
@@ -822,19 +824,8 @@ pub fn corrupt_payload(
             return true;
         }
         let scale = f32::from_le_bytes(payload[off..off + 4].try_into().expect("4 bytes"));
-        let new = match attack {
-            ByzantineAttack::SignFlip => unreachable!("handled above"),
-            ByzantineAttack::Scale { factor } => scale * factor,
-            ByzantineAttack::GaussianNoise { sigma } => {
-                scale + sigma * crate::msg::standard_normal(draw)
-            }
-            ByzantineAttack::NanInject { prob } => {
-                if draw() < *prob {
-                    f32::NAN
-                } else {
-                    return false;
-                }
-            }
+        let Some(new) = attack_value(scale, attack, draw) else {
+            return false;
         };
         payload[off..off + 4].copy_from_slice(&new.to_le_bytes());
         return true;
@@ -844,27 +835,12 @@ pub fn corrupt_payload(
     for j in 0..lay.n {
         let o = lay.vals_off + 4 * j;
         let v = f32::from_le_bytes(payload[o..o + 4].try_into().expect("4 bytes"));
-        let new = match attack {
-            ByzantineAttack::SignFlip => -v,
-            ByzantineAttack::Scale { factor } => v * factor,
-            ByzantineAttack::GaussianNoise { sigma } => {
-                v + sigma * crate::msg::standard_normal(draw)
-            }
-            ByzantineAttack::NanInject { prob } => {
-                if draw() < *prob {
-                    f32::NAN
-                } else {
-                    continue;
-                }
-            }
-        };
-        payload[o..o + 4].copy_from_slice(&new.to_le_bytes());
-        hit = true;
+        if let Some(new) = attack_value(v, attack, draw) {
+            payload[o..o + 4].copy_from_slice(&new.to_le_bytes());
+            hit = true;
+        }
     }
-    match attack {
-        ByzantineAttack::NanInject { .. } => hit,
-        _ => true,
-    }
+    hit
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@ use std::ops::ControlFlow;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spyker_obs::MetricId;
 
 use crate::avail::AvailabilityPlan;
 use crate::fault::FaultPlan;
@@ -54,11 +53,6 @@ struct Core<M> {
     link_sends: PairMap<u64>,
     /// Flow-shared bandwidth state.
     flow: FlowNet<M>,
-    /// Cached counter ids for the per-send hot path.
-    id_net_bytes: Option<MetricId>,
-    id_net_messages: Option<MetricId>,
-    /// Cached `net.bytes.<kind>` ids, keyed by the `&'static str` kind.
-    kind_ids: Vec<(&'static str, MetricId)>,
 }
 
 impl<M: WireSize> Core<M> {
@@ -77,20 +71,11 @@ impl<M: WireSize> Core<M> {
             }
         }
         let bytes = msg.wire_size();
-        let kind = msg.kind();
-        if let Some(id) = self.id_net_bytes {
-            self.metrics.add_counter_id(id, bytes as u64);
-        }
-        self.add_kind_bytes(kind, bytes as u64);
-        if let Some(id) = self.id_net_messages {
-            self.metrics.add_counter_id(id, 1);
-        }
+        self.metrics.count_sent(msg.kind(), bytes as u64);
         let regions = (self.state[from].region, self.state[to].region);
         let (sends, rng) = (&mut self.link_sends, &mut self.fault_rng);
         if let Some(cause) = self.faults.drop_cause(at, from, to, regions, sends, rng) {
-            self.metrics.add_counter("fault.dropped", 1);
-            self.metrics
-                .add_counter_suffixed("fault.dropped.", cause, 1);
+            self.metrics.count_dropped(cause, 1);
             return;
         }
         let mut latency = self.net.latency(regions.0, regions.1);
@@ -109,23 +94,6 @@ impl<M: WireSize> Core<M> {
         let delivery = (at + delay).max(*free);
         *free = delivery;
         self.push(delivery, to, EventBody::Input(Input::Deliver { from, msg }));
-    }
-
-    /// Adds to `net.bytes.<kind>` through a small per-kind id cache; kinds
-    /// are a handful of `&'static str`s, so a linear scan beats hashing.
-    fn add_kind_bytes(&mut self, kind: &'static str, delta: u64) {
-        for (k, id) in &self.kind_ids {
-            if *k == kind {
-                let id = *id;
-                self.metrics.add_counter_id(id, delta);
-                return;
-            }
-        }
-        let name = format!("net.bytes.{kind}");
-        if let Some(id) = self.metrics.counter_handle(&name) {
-            self.kind_ids.push((kind, id));
-            self.metrics.add_counter_id(id, delta);
-        }
     }
 }
 
@@ -300,10 +268,6 @@ impl<M: WireSize> Simulation<M> {
     /// the fault draws: probabilistic loss and Byzantine noise.
     pub fn new(net: NetworkConfig, seed: u64) -> Self {
         let mut metrics = Metrics::new();
-        // Cache catalog ids for the per-send hot path. Resolving never
-        // touches a counter, so golden traces are unaffected.
-        let id_net_bytes = metrics.counter_handle("net.bytes");
-        let id_net_messages = metrics.counter_handle("net.messages");
         let flows_gauge = match net.link_model {
             LinkModel::PerMessage => None,
             LinkModel::FlowShared => metrics.gauge_handle("sim.flows.active"),
@@ -324,9 +288,6 @@ impl<M: WireSize> Simulation<M> {
                 link_free: PairMap::new(),
                 link_sends: PairMap::new(),
                 flow: FlowNet::new(flows_gauge),
-                id_net_bytes,
-                id_net_messages,
-                kind_ids: Vec::new(),
             },
             started: false,
             events_processed: 0,

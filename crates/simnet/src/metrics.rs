@@ -20,6 +20,12 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     registry: Registry,
+    /// The `net.bytes` and `net.messages` ids [`Metrics::count_sent`]
+    /// books through, resolved on its first call.
+    sent_ids: Option<[MetricId; 2]>,
+    /// Its `net.bytes.<kind>` ids, keyed by the `&'static str` kind: kinds
+    /// are a handful, so a linear scan beats hashing.
+    kind_ids: Vec<(&'static str, MetricId)>,
 }
 
 impl Metrics {
@@ -44,17 +50,35 @@ impl Metrics {
         self.registry.counter(name)
     }
 
-    /// Resolves `name` as a counter and returns its interned id for
-    /// [`Metrics::add_counter_id`] — hot emission sites (the simulator's
-    /// per-send byte accounting) cache the id once and skip the
-    /// per-emission name lookup. Resolving does not touch the counter.
-    pub fn counter_handle(&mut self, name: &str) -> Option<MetricId> {
-        self.registry.counter_id(name)
+    /// Books one message of `kind` and `bytes` on the wire: `net.bytes`,
+    /// `net.bytes.<kind>` and `net.messages` — the one send ledger of the
+    /// simulator and the TCP transport. The ids are cached, so the per-send
+    /// path looks no name up after the first message of each kind.
+    pub fn count_sent(&mut self, kind: &'static str, bytes: u64) {
+        let registry = &mut self.registry;
+        let [total, messages] = *self.sent_ids.get_or_insert_with(|| {
+            ["net.bytes", "net.messages"].map(|name| registry.counter_id(name).expect("a counter"))
+        });
+        let by_kind = match self.kind_ids.iter().find(|(k, _)| *k == kind) {
+            Some(&(_, id)) => id,
+            None => {
+                let name = format!("net.bytes.{kind}");
+                let id = registry.counter_id(&name).expect("a counter");
+                self.kind_ids.push((kind, id));
+                id
+            }
+        };
+        for (id, delta) in [(total, bytes), (by_kind, bytes), (messages, 1)] {
+            registry.counter_add_id(id, delta);
+        }
     }
 
-    /// Adds `delta` to the counter behind a cached handle.
-    pub fn add_counter_id(&mut self, id: MetricId, delta: u64) {
-        self.registry.counter_add_id(id, delta);
+    /// Books `n` messages lost to `cause`: `fault.dropped` and
+    /// `fault.dropped.<cause>`, on either runtime.
+    pub fn count_dropped(&mut self, cause: &str, n: u64) {
+        self.registry.counter_add("fault.dropped", n);
+        self.registry
+            .counter_add_suffixed("fault.dropped.", cause, n);
     }
 
     /// Current value of the counter behind `id` — for readers (the simtest

@@ -456,8 +456,7 @@ pub(super) fn count_written(m: &mut Metrics, frame: &[u8]) {
 /// Counts `n` messages lost for want of a connection.
 pub(super) fn count_lost(m: &mut Metrics, n: u64) {
     if n > 0 {
-        m.add_counter("fault.dropped", n);
-        m.add_counter("fault.dropped.conn", n);
+        m.count_dropped("conn", n);
     }
 }
 

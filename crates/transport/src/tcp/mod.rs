@@ -213,11 +213,7 @@ impl Env<FlMsg> for TcpEnv {
     }
 
     fn send(&mut self, to: NodeId, msg: FlMsg) {
-        let bytes = msg.wire_size() as u64;
-        self.metrics.add_counter("net.bytes", bytes);
-        self.metrics
-            .add_counter_suffixed("net.bytes.", msg.kind(), bytes);
-        self.metrics.add_counter("net.messages", 1);
+        self.metrics.count_sent(msg.kind(), msg.wire_size() as u64);
         let Some(q) = self.ctx.peers.get(to) else {
             // No live connection: the message is eaten exactly like a
             // `conn.drop` fault window in the simulator; the recovery

@@ -7,9 +7,8 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Size gate: no source file of `core`, `simnet` or `transport` over 1,200
-# lines, tests included (ROADMAP item 5). `simtest`'s `oracle.rs` is the
-# only `src` file still over, and is not gated yet (ROADMAP 2(a)).
+# Size gate: no `src` file of any workspace crate or of the umbrella crate
+# over 1,200 lines, tests included (ROADMAP item 5).
 scripts/loc.sh --gate
 
 # Workspace-member unit, property and handler-level tests: the root
