@@ -1,12 +1,18 @@
 //! The asynchronous FL client actor (Alg. 1, `LocalTraining`).
 
 use std::any::Any;
+use std::sync::{Arc, Mutex};
 
 use spyker_simnet::{Env, Node, NodeId, SimTime};
 
 use crate::msg::FlMsg;
+use crate::params::{JobHandle, ParamVec, SHARE_FROM};
 use crate::training::LocalTrainer;
 use crate::update_codec::{param_hash, CodecConfig, UpdateEncoder};
+
+/// A round that panicked poisons its client's trainer: a dropped update's
+/// panic fails the run at the client's next round.
+const POISONED: &str = "an earlier training round of this client panicked";
 
 /// Opt-in client-side failover (the elastic-membership extension's answer
 /// to a *crashed* server — a voluntary leaver re-homes its clients itself
@@ -37,9 +43,20 @@ pub struct FailoverConfig {
 /// The same actor serves Spyker and every baseline: in synchronous
 /// algorithms (FedAvg, HierFAVG) the server simply chooses *when* to send
 /// models; the client's behaviour is identical.
+///
+/// A round is one job: train the received model with this client's
+/// trainer. Where the runtime allows it ([`Env::may_overlap_compute`]), the
+/// update carries no codec and the model has at least 1 024 coordinates,
+/// the update leaves as a [`ParamVec::pending`] value that a pool worker
+/// fills while the event loop goes on; otherwise the job runs inline.
+/// Either way the run computes the same bits (DESIGN.md §10.5).
 pub struct FlClient {
     server: NodeId,
-    trainer: Box<dyn LocalTrainer>,
+    /// Shared with the round's job, which may run on a pool worker.
+    trainer: Arc<Mutex<Box<dyn LocalTrainer>>>,
+    /// The previous round's job while it may still be pending: the next
+    /// round waits for it, so the trainer advances in round order.
+    last_round: Option<JobHandle>,
     epochs: usize,
     train_delay: SimTime,
     updates_sent: u64,
@@ -73,7 +90,8 @@ impl FlClient {
         assert!(epochs > 0, "epochs must be positive");
         Self {
             server,
-            trainer,
+            trainer: Arc::new(Mutex::new(trainer)),
+            last_round: None,
             epochs,
             train_delay,
             updates_sent: 0,
@@ -204,11 +222,36 @@ impl Node<FlMsg> for FlClient {
             Some(enc) if enc.config().delta => Some(params.clone()),
             _ => None,
         };
-        self.trainer.train(&mut params, lr, self.epochs);
+        // The trainer's RNG and buffers advance in round order: the previous
+        // round's job finishes before this one is built.
+        if let Some(previous) = self.last_round.take() {
+            previous.wait();
+        }
+        let num_samples = self.trainer.lock().expect(POISONED).num_samples();
+        let len = params.len();
+        let job = {
+            let (trainer, epochs) = (Arc::clone(&self.trainer), self.epochs);
+            move || {
+                trainer
+                    .lock()
+                    .expect(POISONED)
+                    .train(&mut params, lr, epochs);
+                params
+            }
+        };
+        // Deferred only where it can pay: an encoder needs the values now, a
+        // runtime that serializes inside `send` would wait for them at once,
+        // and a small model trains faster than a pool hand-off costs.
+        let params = if self.codec.is_none() && len >= SHARE_FROM && env.may_overlap_compute() {
+            let pending = ParamVec::pending(len, job);
+            self.last_round = pending.job_handle();
+            pending
+        } else {
+            job()
+        };
         env.busy(self.train_delay);
         self.updates_sent += 1;
         env.add_counter("updates.sent", 1);
-        let num_samples = self.trainer.num_samples();
         match &mut self.codec {
             Some(enc) => {
                 // What the dense upload would have cost on the wire.
@@ -275,12 +318,14 @@ impl Node<FlMsg> for FlClient {
         // Liveness check: a full period of silence means the server is
         // gone (crashed, partitioned, or departed without re-homing us) —
         // advance to the next candidate and knock.
-        let Some(f) = self.failover.clone() else {
+        let Some(f) = &self.failover else {
             return;
         };
+        let timeout = f.timeout;
         if !self.heard {
-            let next = f.candidates[self.next_candidate % f.candidates.len()];
-            self.next_candidate = (self.next_candidate + 1) % f.candidates.len();
+            let count = f.candidates.len();
+            let next = f.candidates[self.next_candidate % count];
+            self.next_candidate = (self.next_candidate + 1) % count;
             if next != self.server {
                 env.add_counter("membership.client_failovers", 1);
                 self.rehome_to(env, next);
@@ -290,7 +335,7 @@ impl Node<FlMsg> for FlClient {
             }
         }
         self.heard = false;
-        env.set_timer(f.timeout, 0);
+        env.set_timer(timeout, 0);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -305,10 +350,10 @@ impl Node<FlMsg> for FlClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::ParamVec;
     use crate::test_support::MockEnv;
     use crate::training::MeanTargetTrainer;
     use spyker_simnet::{NetworkConfig, Region, Simulation};
+    use std::time::{Duration, Instant};
 
     /// A bare-bones server that sends one model and records the reply.
     struct OneShotServer {
@@ -422,5 +467,149 @@ mod tests {
         );
         let report = sim.run(SimTime::from_secs(1));
         assert_eq!(report.events_processed, 1); // just its own start event
+    }
+
+    /// Large enough for a DES client to train off the event loop.
+    const DIM: usize = SHARE_FROM;
+
+    /// A trainer the test can inspect while a client owns it.
+    #[derive(Clone)]
+    struct Shared(Arc<Mutex<MeanTargetTrainer>>);
+
+    impl Shared {
+        fn new() -> Self {
+            Self(Arc::new(Mutex::new(MeanTargetTrainer::new(
+                vec![1.0; DIM],
+                5,
+            ))))
+        }
+        fn steps(&self) -> u64 {
+            self.0.lock().unwrap().steps_taken()
+        }
+    }
+
+    impl LocalTrainer for Shared {
+        fn train(&mut self, params: &mut ParamVec, lr: f32, epochs: usize) {
+            self.0.lock().unwrap().train(params, lr, epochs);
+        }
+        fn num_samples(&self) -> usize {
+            self.0.lock().unwrap().num_samples()
+        }
+    }
+
+    /// Sends `models` to client 1 back to back at start and keeps (or, with
+    /// `keep` off, drops) every update unread.
+    struct BackToBack {
+        models: Vec<ParamVec>,
+        keep: bool,
+        kept: Vec<ParamVec>,
+    }
+
+    impl Node<FlMsg> for BackToBack {
+        fn on_start(&mut self, env: &mut dyn Env<FlMsg>) {
+            for params in &self.models {
+                let (params, age, lr) = (params.clone(), 0.0, 0.5);
+                env.send(1, FlMsg::ModelToClient { params, age, lr });
+            }
+        }
+        fn on_message(&mut self, _env: &mut dyn Env<FlMsg>, _from: NodeId, msg: FlMsg) {
+            if let FlMsg::ClientUpdate { params, .. } = msg {
+                if self.keep {
+                    self.kept.push(params);
+                }
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    const EPOCHS: usize = 3;
+
+    /// Runs `BackToBack` against one client training with `trainer`.
+    fn back_to_back(
+        models: Vec<ParamVec>,
+        keep: bool,
+        trainer: Box<dyn LocalTrainer>,
+    ) -> Vec<ParamVec> {
+        let mut sim = Simulation::new(NetworkConfig::uniform_all(SimTime::from_millis(10)), 0);
+        let server = BackToBack {
+            models,
+            keep,
+            kept: Vec::new(),
+        };
+        sim.add_node(Box::new(server), Region::Paris);
+        let client = FlClient::new(0, trainer, EPOCHS, SimTime::from_millis(150));
+        sim.add_node(Box::new(client), Region::Paris);
+        sim.run(SimTime::from_secs(5));
+        let server = sim.node_mut(0).as_any_mut().downcast_mut::<BackToBack>();
+        std::mem::take(&mut server.unwrap().kept)
+    }
+
+    #[test]
+    fn unread_back_to_back_rounds_train_as_inline_rounds_do() {
+        let models = vec![ParamVec::zeros(DIM), ParamVec::from_vec(vec![0.5; DIM])];
+        let trainer = Shared::new();
+        let kept = back_to_back(models.clone(), true, Box::new(trainer.clone()));
+        assert_eq!(kept.len(), 2);
+        assert!(
+            kept.iter().all(|p| p.job_handle().is_some()),
+            "both rounds left the event loop as pending values"
+        );
+        // The same rounds, inline, on a trainer of their own.
+        let mut inline = MeanTargetTrainer::new(vec![1.0; DIM], 5);
+        let expected: Vec<ParamVec> = models
+            .into_iter()
+            .map(|mut p| {
+                inline.train(&mut p, 0.5, EPOCHS);
+                p
+            })
+            .collect();
+        // Reading waits for both jobs; round 2 only started once round 1
+        // had run.
+        assert_eq!(kept, expected);
+        assert_eq!(trainer.steps(), inline.steps_taken());
+    }
+
+    #[test]
+    fn an_update_dropped_unread_still_runs_its_job() {
+        let trainer = Shared::new();
+        let kept = back_to_back(vec![ParamVec::zeros(DIM)], false, Box::new(trainer.clone()));
+        assert!(kept.is_empty());
+        // Nothing holds the update any more; its job still runs, once.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while trainer.steps() < EPOCHS as u64 {
+            assert!(Instant::now() < deadline, "the dropped round never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(trainer.steps(), EPOCHS as u64, "the job ran exactly once");
+    }
+
+    /// Panics in its second round.
+    struct FailsInRoundTwo(u32);
+
+    impl LocalTrainer for FailsInRoundTwo {
+        fn train(&mut self, _params: &mut ParamVec, _lr: f32, _epochs: usize) {
+            self.0 += 1;
+            assert!(self.0 != 2, "trainer failed in round {}", self.0);
+        }
+        fn num_samples(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "trainer failed in round 2")]
+    fn a_panicking_round_fails_the_run_with_its_own_message() {
+        // Nothing reads an update: round 3, waiting for round 2, re-raises.
+        back_to_back(
+            vec![ParamVec::zeros(DIM); 3],
+            false,
+            Box::new(FailsInRoundTwo(0)),
+        );
     }
 }

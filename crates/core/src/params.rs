@@ -1,12 +1,29 @@
 //! Flat model parameter vectors.
+//!
+//! A [`ParamVec`] keeps its values in one of three stores, none of which
+//! any API can tell apart:
+//!
+//! * **owned** — a plain `Vec`, for vectors below 1 024 coordinates
+//!   (`SHARE_FROM`);
+//! * **shared** — copy-on-write storage behind an `Arc`, for larger ones,
+//!   so a model version exists once however many handles hold it;
+//! * **pending** — a vector of known dimension whose values a job on the
+//!   `spyker_tensor::pool` workers is still computing
+//!   ([`ParamVec::pending`]). The first read waits for the job, or runs it
+//!   on the reading thread if no worker has taken it yet; the job runs
+//!   exactly once. This is how a client's training round leaves the event
+//!   loop (DESIGN.md §10.5).
 
+use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// Vectors of at least this many coordinates share their storage between
 /// clones; shorter ones are plain owned `Vec`s, for which a copy is cheaper
-/// than the reference counting (measured: DESIGN.md §10.3).
-const SHARE_FROM: usize = 1024;
+/// than the reference counting (measured: DESIGN.md §10.3). A client only
+/// trains off the event loop at this dimension and above (§10.5).
+pub(crate) const SHARE_FROM: usize = 1024;
 
 /// A model's parameters as a flat `f32` vector.
 ///
@@ -30,6 +47,15 @@ const SHARE_FROM: usize = 1024;
 /// never changes what an operation computes: handles behave as independent
 /// values.
 ///
+/// # Pending values
+///
+/// [`ParamVec::pending`] returns a vector whose dimension is known at once
+/// and whose values a pool job fills in. [`ParamVec::len`] and
+/// [`ParamVec::wire_size`] answer without waiting; every read of the values
+/// (`as_slice`, `as_mut_slice`, `into_vec`, `==`, `Debug`, the norms) waits
+/// for the job first, or runs it on the reading thread if no worker has
+/// started it. A panic in the job is re-raised on the reading thread.
+///
 /// # Example
 ///
 /// ```
@@ -49,6 +75,85 @@ enum Store {
     /// `Vec` back without a copy ([`ParamVec::into_vec`] feeds the
     /// buffer-recycling paths).
     Shared(Arc<Vec<f32>>),
+    /// Values a pool job is still computing ([`ParamVec::pending`]).
+    Pending(Arc<Pending>),
+}
+
+/// What computes a pending vector's values.
+type Job = Box<dyn FnOnce() -> ParamVec + Send>;
+
+/// A panic payload, kept for the first reader to re-raise.
+type Payload = Mutex<Option<Box<dyn Any + Send>>>;
+
+/// The shared state of a pending vector: its dimension, the job until
+/// someone takes it, and the job's outcome once it has run.
+struct Pending {
+    len: usize,
+    job: Mutex<Option<Job>>,
+    value: OnceLock<Result<ParamVec, Payload>>,
+}
+
+impl Pending {
+    /// Runs the job on this thread unless another thread has taken it.
+    fn run(&self) {
+        let job = self
+            .job
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(job) = job {
+            let len = self.len;
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let value = job();
+                assert_eq!(value.len(), len, "a pending job changed the dimension");
+                value
+            }));
+            let stored = self.value.set(outcome.map_err(|p| Mutex::new(Some(p))));
+            assert!(stored.is_ok(), "only the job's taker stores its outcome");
+        }
+    }
+
+    /// The job's values, once it has run; re-raises its panic. Out of
+    /// line, so the owned and shared arms of the hot accessors stay small.
+    #[cold]
+    #[inline(never)]
+    fn get(&self) -> &ParamVec {
+        let outcome = match self.value.get() {
+            Some(outcome) => outcome,
+            None => {
+                self.run();
+                self.value.wait()
+            }
+        };
+        match outcome {
+            Ok(value) => value,
+            Err(payload) => {
+                let payload = payload
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take();
+                match payload {
+                    Some(payload) => resume_unwind(payload),
+                    None => panic!("the job computing this vector panicked"),
+                }
+            }
+        }
+    }
+}
+
+/// A handle on a pending vector's job that does not keep its values alive:
+/// a client waits through it for its previous round before the next.
+pub(crate) struct JobHandle(Weak<Pending>);
+
+impl JobHandle {
+    /// Returns once the job has run — running it here if no worker has
+    /// taken it — and re-raises its panic. A handle whose vector is gone
+    /// returns at once: a queued job keeps its vector alive until it ran.
+    pub(crate) fn wait(self) {
+        if let Some(pending) = self.0.upgrade() {
+            pending.get();
+        }
+    }
 }
 
 impl PartialEq for ParamVec {
@@ -72,14 +177,52 @@ impl ParamVec {
         })
     }
 
-    /// Dimension of the vector.
+    /// A vector of dimension `len` whose values `job` computes on a
+    /// `spyker_tensor::pool` worker, submitted before this returns.
+    ///
+    /// The job runs exactly once, whether or not anything reads the
+    /// values: on a worker, or on the first reader's thread if no worker
+    /// has taken it yet. Under a one-thread budget (`SPYKER_THREADS=1` or
+    /// one CPU) it runs before this returns. Reads wait for it and see
+    /// exactly what `job()` returned; a panic in it is re-raised on the
+    /// reading thread.
+    ///
+    /// # Panics
+    ///
+    /// A read panics if the job does, or if it returns a vector whose
+    /// dimension is not `len`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use spyker_core::ParamVec;
+    /// let v = ParamVec::pending(3, || ParamVec::from_vec(vec![1.0, 2.0, 3.0]));
+    /// assert_eq!(v.len(), 3);
+    /// assert_eq!(v.as_slice(), &[1.0, 2.0, 3.0]);
+    /// ```
+    pub fn pending(len: usize, job: impl FnOnce() -> ParamVec + Send + 'static) -> Self {
+        let pending = Arc::new(Pending {
+            len,
+            job: Mutex::new(Some(Box::new(job))),
+            value: OnceLock::new(),
+        });
+        let queued = Arc::clone(&pending);
+        spyker_tensor::pool::global().spawn(move || queued.run());
+        Self(Store::Pending(pending))
+    }
+
+    /// Dimension of the vector (never waits for a pending job).
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        match &self.0 {
+            Store::Owned(v) => v.len(),
+            Store::Shared(v) => v.len(),
+            Store::Pending(p) => p.len,
+        }
     }
 
     /// Returns `true` for the zero-dimensional vector.
     pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
+        self.len() == 0
     }
 
     /// Immutable view of the raw values.
@@ -87,24 +230,47 @@ impl ParamVec {
         match &self.0 {
             Store::Owned(v) => v,
             Store::Shared(v) => v,
+            Store::Pending(p) => p.get().as_slice(),
         }
     }
 
     /// Mutable view of the raw values (copies them first if another handle
     /// shares them).
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        self.settle();
         match &mut self.0 {
             Store::Owned(v) => v,
             Store::Shared(v) => Arc::make_mut(v).as_mut_slice(),
+            Store::Pending(_) => unreachable!("settled above"),
         }
     }
 
     /// Consumes self and returns the raw vector — without a copy unless
     /// another handle shares the values.
-    pub fn into_vec(self) -> Vec<f32> {
+    pub fn into_vec(mut self) -> Vec<f32> {
+        self.settle();
         match self.0 {
             Store::Owned(v) => v,
             Store::Shared(v) => Arc::try_unwrap(v).unwrap_or_else(|shared| (*shared).clone()),
+            Store::Pending(_) => unreachable!("settled above"),
+        }
+    }
+
+    /// Replaces a pending store by a handle on its job's values. The
+    /// pending state goes with it, so if this was its last handle, the
+    /// values have no other holder.
+    fn settle(&mut self) {
+        if let Store::Pending(p) = &self.0 {
+            let value = p.get().clone();
+            *self = value;
+        }
+    }
+
+    /// A [`JobHandle`] on this vector's job while it may still be pending.
+    pub(crate) fn job_handle(&self) -> Option<JobHandle> {
+        match &self.0 {
+            Store::Pending(p) => Some(JobHandle(Arc::downgrade(p))),
+            _ => None,
         }
     }
 
@@ -121,7 +287,7 @@ impl ParamVec {
     /// A second handle to `self`'s storage, or `None` where `clone` would
     /// copy the values instead.
     pub(crate) fn share(&self) -> Option<ParamVec> {
-        matches!(self.0, Store::Shared(_)).then(|| self.clone())
+        matches!(self.0, Store::Shared(_) | Store::Pending(_)).then(|| self.clone())
     }
 
     /// `true` when `self` and `other` are handles to one allocation, which
@@ -130,6 +296,7 @@ impl ParamVec {
     pub(crate) fn shares_storage(&self, other: &ParamVec) -> bool {
         match (&self.0, &other.0) {
             (Store::Shared(a), Store::Shared(b)) => Arc::ptr_eq(a, b),
+            (Store::Pending(a), Store::Pending(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -338,5 +505,104 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The values a pending job below computes, for dimension `n`.
+    fn ramp(n: usize) -> ParamVec {
+        ParamVec::from_vec((0..n).map(|i| i as f32 * 0.25 - 3.0).collect())
+    }
+
+    /// A pending `ramp(n)` whose job waits until `open` is called.
+    fn gated(n: usize) -> (ParamVec, impl FnOnce()) {
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        if spyker_tensor::pool::configured_threads() == 1 {
+            // No workers: the job runs inside `pending`, so open first.
+            tx.send(()).unwrap();
+        }
+        let v = ParamVec::pending(n, move || {
+            rx.recv().unwrap();
+            ramp(n)
+        });
+        (v, move || {
+            // Already open (and the job gone) under a one-thread budget.
+            let _ = tx.send(());
+        })
+    }
+
+    #[test]
+    fn pending_len_and_wire_size_do_not_wait() {
+        let (v, open) = gated(SHARE_FROM);
+        assert_eq!(v.len(), SHARE_FROM);
+        assert!(!v.is_empty());
+        assert_eq!(v.wire_size(), ParamVec::zeros(SHARE_FROM).wire_size());
+        open();
+        assert_eq!(v, ramp(SHARE_FROM));
+    }
+
+    #[test]
+    fn every_read_of_a_pending_value_sees_the_inline_values() {
+        for n in [3, SHARE_FROM, 3000] {
+            let want = ramp(n);
+            let pending = || ParamVec::pending(n, move || ramp(n));
+            assert_eq!(pending().as_slice(), want.as_slice());
+            assert_eq!(pending(), want);
+            assert_eq!(want, pending());
+            assert_eq!(pending().into_vec(), want.clone().into_vec());
+            assert_eq!(format!("{:?}", pending()), format!("{want:?}"));
+            assert_eq!(pending().l2_norm().to_bits(), want.l2_norm().to_bits());
+            // A clone reads the same values and writes its own copy.
+            let (mut a, open) = gated(n);
+            let b = a.clone();
+            open();
+            a.as_mut_slice()[0] = 99.0;
+            assert_eq!(a.as_slice()[0], 99.0);
+            assert_eq!(b, want);
+            assert_eq!(&a.as_slice()[1..], &want.as_slice()[1..]);
+        }
+    }
+
+    #[test]
+    fn every_pending_job_runs_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let runs = Arc::new(AtomicUsize::new(0));
+        let values: Vec<ParamVec> = (0..16)
+            .map(|_| {
+                let runs = Arc::clone(&runs);
+                ParamVec::pending(SHARE_FROM, move || {
+                    runs.fetch_add(1, Ordering::SeqCst);
+                    ParamVec::zeros(SHARE_FROM)
+                })
+            })
+            .collect();
+        // Read half of them (some several times); drop the rest unread.
+        for (i, v) in values.into_iter().enumerate() {
+            if i % 2 == 0 {
+                assert!(v.is_finite());
+                assert_eq!(v.clone().into_vec().len(), SHARE_FROM);
+            }
+        }
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while runs.load(Ordering::SeqCst) < 16 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "a dropped job never ran"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(runs.load(Ordering::SeqCst), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "the job's own message")]
+    fn a_pending_job_panic_is_raised_on_the_reader() {
+        let v = ParamVec::pending(SHARE_FROM, || panic!("the job's own message"));
+        let _ = v.as_slice();
+    }
+
+    #[test]
+    #[should_panic(expected = "changed the dimension")]
+    fn a_pending_job_must_keep_its_dimension() {
+        let _ = ParamVec::pending(4, || ParamVec::zeros(5)).as_slice();
     }
 }

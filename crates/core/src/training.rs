@@ -10,12 +10,19 @@
 use crate::params::ParamVec;
 
 /// Local training over a client's private dataset (Alg. 1, ll. 4–10).
+///
+/// [`crate::client::FlClient`] may call `train` on a `spyker_tensor::pool`
+/// worker rather than on the thread running its handlers (DESIGN.md
+/// §10.5). Calls on one trainer never overlap and come in round order, so a
+/// trainer needs nothing but `Send`; it must not share mutable state with
+/// other trainers, whose rounds may run at the same time.
 pub trait LocalTrainer: Send {
     /// Trains `params` in place for `epochs` passes at learning rate `lr`.
     fn train(&mut self, params: &mut ParamVec, lr: f32, epochs: usize);
 
     /// Number of local data points `d_k` (used by data-size weighted
-    /// aggregation in the FedAvg family).
+    /// aggregation in the FedAvg family). Read before the round it is sent
+    /// with, so it must not change with training.
     fn num_samples(&self) -> usize;
 }
 

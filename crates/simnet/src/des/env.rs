@@ -105,4 +105,11 @@ impl<M: WireSize> Env<M> for EnvHandle<'_, M> {
         let now = self.now();
         self.core.metrics.span_exit(self.me as u32, name, now);
     }
+
+    fn may_overlap_compute(&self) -> bool {
+        // Sizing a message reads its dimension only; its values are read
+        // where they are used: by a Byzantine fault at send time, or by the
+        // handler it is delivered to.
+        true
+    }
 }

@@ -127,6 +127,17 @@ pub trait Env<M> {
     fn span_exit(&mut self, name: &'static str) {
         let _ = name;
     }
+
+    /// `true` when a message sent from here may carry values that a
+    /// background job is still computing: the runtime sizes a message
+    /// without reading its values and reads them only where a handler
+    /// does. The DES says yes. The default is no, which fits a transport
+    /// that serializes each message inside `send` and any wrapper that
+    /// wants every computation on the handler's thread. The answer decides
+    /// where work runs, never what a run computes.
+    fn may_overlap_compute(&self) -> bool {
+        false
+    }
 }
 
 /// A protocol actor: one client or one server.

@@ -9,6 +9,14 @@
 //! live for the rest of the process, so steady-state dispatch is one channel
 //! send per band — no thread creation on the hot path.
 //!
+//! The same workers take detached jobs ([`WorkerPool::spawn`]): work whose
+//! submitter does not wait for it and that reports through what it
+//! captured — `spyker-core` runs whole client training rounds this way. A
+//! parallel region started *on* a worker, by such a job, runs all its jobs
+//! on that thread: with one worker the region would otherwise wait for a
+//! band that no free worker can take. Kernels compute the same bits at
+//! every thread count (DESIGN.md §10.2), so that changes nothing but speed.
+//!
 //! Sizing: [`configured_threads`] reads the `SPYKER_THREADS` environment
 //! variable once (`0` or `1` forces single-threaded operation, higher values
 //! cap the worker count) and otherwise uses
@@ -22,6 +30,7 @@
 
 #![allow(unsafe_code)]
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -33,7 +42,13 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Task {
     job: Job,
-    latch: Arc<Latch>,
+    /// The parallel region waiting for this job; `None` for a detached job.
+    latch: Option<Arc<Latch>>,
+}
+
+thread_local! {
+    /// `true` on the pool's own worker threads.
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Countdown latch: the submitting thread waits until every task of its
@@ -94,7 +109,7 @@ impl WorkerPool {
         while *spawned < want {
             let rx = Arc::clone(&self.receiver);
             thread::Builder::new()
-                .name(format!("spyker-gemm-{}", *spawned))
+                .name(format!("spyker-pool-{}", *spawned))
                 .spawn(move || worker_loop(&rx))
                 .expect("failed to spawn pool worker");
             *spawned += 1;
@@ -106,15 +121,19 @@ impl WorkerPool {
     ///
     /// Panics from any job are re-raised here after all jobs finished, so a
     /// failing parallel kernel cannot leave bands half-written while the
-    /// caller unwinds past the buffers they borrow.
+    /// caller unwinds past the buffers they borrow. Called on a worker
+    /// thread, it runs every job there, in order.
     pub fn run_scoped<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         let mut jobs = jobs.into_iter();
         let Some(first) = jobs.next() else {
             return;
         };
         let rest: Vec<_> = jobs.collect();
-        if rest.is_empty() {
+        if rest.is_empty() || ON_WORKER.get() {
+            // A region started by a job on a worker runs on that worker:
+            // waiting for free workers there could wait forever.
             first();
+            rest.into_iter().for_each(|job| job());
             return;
         }
         self.ensure_workers(rest.len());
@@ -131,7 +150,7 @@ impl WorkerPool {
             self.sender
                 .send(Task {
                     job,
-                    latch: Arc::clone(&latch),
+                    latch: Some(Arc::clone(&latch)),
                 })
                 .expect("pool channel closed");
         }
@@ -147,9 +166,33 @@ impl WorkerPool {
             }
         }
     }
+
+    /// Queues `job` to run once on a worker thread and returns at once.
+    ///
+    /// Nothing waits for a detached job: it reports through whatever it
+    /// captured, and a panic in it is caught on the worker and goes no
+    /// further, so a job whose submitter must see a failure catches its
+    /// own. Under a budget of one thread ([`configured_threads`]) there are
+    /// no workers, and `job` runs on the calling thread before `spawn`
+    /// returns.
+    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
+        let threads = configured_threads();
+        if threads <= 1 {
+            job();
+            return;
+        }
+        self.ensure_workers(threads - 1);
+        self.sender
+            .send(Task {
+                job: Box::new(job),
+                latch: None,
+            })
+            .expect("pool channel closed");
+    }
 }
 
 fn worker_loop(receiver: &Arc<Mutex<Receiver<Task>>>) {
+    ON_WORKER.set(true);
     loop {
         // Hold the lock only for the dequeue; blocking in `recv` while
         // holding it is fine — other workers queue on the mutex and take
@@ -161,10 +204,13 @@ fn worker_loop(receiver: &Arc<Mutex<Receiver<Task>>>) {
         let Ok(task) = task else {
             return; // channel closed: process is shutting down
         };
-        if catch_unwind(AssertUnwindSafe(task.job)).is_err() {
-            task.latch.panicked.store(true, Ordering::SeqCst);
+        let failed = catch_unwind(AssertUnwindSafe(task.job)).is_err();
+        if let Some(latch) = task.latch {
+            if failed {
+                latch.panicked.store(true, Ordering::SeqCst);
+            }
+            latch.count_down();
         }
-        task.latch.count_down();
     }
 }
 
@@ -250,6 +296,14 @@ mod tests {
         }));
         assert!(result.is_err(), "panic must propagate to the caller");
         assert_eq!(ok.load(Ordering::SeqCst), 3, "non-panicking jobs ran");
+    }
+
+    #[test]
+    fn spawn_runs_a_detached_job_and_survives_its_panic() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        global().spawn(|| panic!("a detached job failed"));
+        global().spawn(move || tx.send(7).expect("receiver alive"));
+        assert_eq!(rx.recv(), Ok(7), "the job after a panicking one still ran");
     }
 
     #[test]
