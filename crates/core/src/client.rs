@@ -3,15 +3,15 @@
 use std::any::Any;
 use std::sync::{Arc, Mutex};
 
-use spyker_simnet::{Env, Node, NodeId, SimTime};
+use spyker_simnet::{Env, Node, NodeId, SimTime, WireSize};
 
-use crate::msg::FlMsg;
-use crate::params::{JobHandle, ParamVec, SHARE_FROM};
+use crate::msg::{FlMsg, Payload};
+use crate::params::{ParamVec, SHARE_FROM};
+use crate::pending::JobHandle;
 use crate::training::LocalTrainer;
 use crate::update_codec::{param_hash, CodecConfig, UpdateEncoder};
 
-/// A round that panicked poisons its client's trainer: a dropped update's
-/// panic fails the run at the client's next round.
+/// A round that panicked poisons its client's trainer or encoder.
 const POISONED: &str = "an earlier training round of this client panicked";
 
 /// Opt-in client-side failover (the elastic-membership extension's answer
@@ -45,17 +45,20 @@ pub struct FailoverConfig {
 /// models; the client's behaviour is identical.
 ///
 /// A round is one job: train the received model with this client's
-/// trainer. Where the runtime allows it ([`Env::may_overlap_compute`]), the
-/// update carries no codec and the model has at least 1 024 coordinates,
-/// the update leaves as a [`ParamVec::pending`] value that a pool worker
-/// fills while the event loop goes on; otherwise the job runs inline.
-/// Either way the run computes the same bits (DESIGN.md §10.5).
+/// trainer and, with a codec, encode it with this client's encoder. Where
+/// the runtime allows it ([`Env::may_overlap_compute`]) and the model has
+/// at least 1 024 coordinates, the update leaves at once as a
+/// [`ParamVec::pending`] value or a [`Payload::pending`] one that a pool
+/// worker fills while the event loop goes on; otherwise the job runs
+/// inline. Either way the run computes the same bits (DESIGN.md §10.5). A
+/// dropped client waits for its last round.
 pub struct FlClient {
     server: NodeId,
     /// Shared with the round's job, which may run on a pool worker.
     trainer: Arc<Mutex<Box<dyn LocalTrainer>>>,
     /// The previous round's job while it may still be pending: the next
-    /// round waits for it, so the trainer advances in round order.
+    /// round waits for it, so the trainer and the encoder advance in round
+    /// order.
     last_round: Option<JobHandle>,
     epochs: usize,
     train_delay: SimTime,
@@ -67,8 +70,11 @@ pub struct FlClient {
     next_candidate: usize,
     /// Times this client re-homed itself (failovers + `Rehome` orders).
     rehomed: u64,
-    /// Update compression; `None` sends dense `ClientUpdate`s.
-    codec: Option<UpdateEncoder>,
+    /// Update compression, shared with the round's job; `None` sends dense
+    /// `ClientUpdate`s.
+    codec: Option<Arc<Mutex<UpdateEncoder>>>,
+    /// Cumulative `(raw, encoded)` upload bytes, booked at send time.
+    ledger: (u64, u64),
 }
 
 impl FlClient {
@@ -100,6 +106,7 @@ impl FlClient {
             next_candidate: 0,
             rehomed: 0,
             codec: None,
+            ledger: (0, 0),
         }
     }
 
@@ -110,7 +117,7 @@ impl FlClient {
     ///
     /// Panics if `codec` fails [`CodecConfig::validate`].
     pub fn with_update_codec(mut self, codec: CodecConfig) -> Self {
-        self.codec = Some(UpdateEncoder::new(codec));
+        self.codec = Some(Arc::new(Mutex::new(UpdateEncoder::new(codec))));
         self
     }
 
@@ -119,7 +126,7 @@ impl FlClient {
     /// what the encoded ones did (reconciled against the `net.bytes.*`
     /// counters by the simtest byte-accounting oracle).
     pub fn codec_ledger(&self) -> Option<(u64, u64)> {
-        self.codec.as_ref().map(UpdateEncoder::ledger)
+        self.codec.as_ref().map(|_| self.ledger)
     }
 
     /// Enables client-side failover (builder style). See [`FailoverConfig`].
@@ -172,6 +179,19 @@ impl FlClient {
     }
 }
 
+impl Drop for FlClient {
+    /// Waits for the last round's job, so a dropped simulation leaves no
+    /// training behind, and re-raises its panic — unless this thread is
+    /// already unwinding.
+    fn drop(&mut self) {
+        if let Some(last) = self.last_round.take() {
+            if !std::thread::panicking() {
+                last.wait();
+            }
+        }
+    }
+}
+
 impl Node<FlMsg> for FlClient {
     fn on_start(&mut self, env: &mut dyn Env<FlMsg>) {
         // Clients wait for their server to send the initial model. With
@@ -216,86 +236,102 @@ impl Node<FlMsg> for FlClient {
         // Local training: real gradient computation plus the emulated
         // heterogeneous training delay in virtual time.
         env.span_enter("client.round");
-        // Delta encoding needs the exact model the server sent: keep a handle
-        // to it, so training below writes to storage of its own.
-        let reference = match &self.codec {
-            Some(enc) if enc.config().delta => Some(params.clone()),
-            _ => None,
-        };
-        // The trainer's RNG and buffers advance in round order: the previous
-        // round's job finishes before this one is built.
+        // The trainer's RNG and buffers, and the encoder's residual, scratch
+        // and rounding counter, advance in round order: the previous round's
+        // job finishes before this one is built.
         if let Some(previous) = self.last_round.take() {
             previous.wait();
         }
         let num_samples = self.trainer.lock().expect(POISONED).num_samples();
         let len = params.len();
-        let job = {
+        // What the dense upload costs on the wire.
+        let raw = (params.wire_size() + 16) as u64;
+        let train = {
             let (trainer, epochs) = (Arc::clone(&self.trainer), self.epochs);
-            move || {
-                trainer
-                    .lock()
-                    .expect(POISONED)
-                    .train(&mut params, lr, epochs);
-                params
-            }
+            move |params: &mut ParamVec| trainer.lock().expect(POISONED).train(params, lr, epochs)
         };
-        // Deferred only where it can pay: an encoder needs the values now, a
-        // runtime that serializes inside `send` would wait for them at once,
-        // and a small model trains faster than a pool hand-off costs.
-        let params = if self.codec.is_none() && len >= SHARE_FROM && env.may_overlap_compute() {
-            let pending = ParamVec::pending(len, job);
-            self.last_round = pending.job_handle();
-            pending
-        } else {
-            job()
-        };
-        env.busy(self.train_delay);
-        self.updates_sent += 1;
-        env.add_counter("updates.sent", 1);
-        match &mut self.codec {
-            Some(enc) => {
-                // What the dense upload would have cost on the wire.
-                let raw = (params.wire_size() + 16) as u64;
-                let (ref_slice, ref_hash) = match &reference {
-                    Some(r) => (r.as_slice(), param_hash(r.as_slice())),
-                    None => (&[][..], 0),
+        // Deferred only where it can pay: a runtime that serializes inside
+        // `send` would wait for the values at once, and a small model trains
+        // faster than a pool hand-off costs.
+        let defer = len >= SHARE_FROM && env.may_overlap_compute();
+        let msg = match &self.codec {
+            Some(encoder) => {
+                // The lock is free: the previous round has run.
+                let (delta, encoded_len) = {
+                    let encoder = encoder.lock().expect(POISONED);
+                    (encoder.config().delta, encoder.encoded_len(len))
                 };
-                let mut payload = Vec::new();
-                enc.encode(
-                    env.me() as u64,
-                    params.as_slice(),
-                    ref_slice,
-                    ref_hash,
-                    &mut payload,
-                );
-                let encoded = (payload.len() + 20) as u64;
-                enc.note_sent(raw, encoded);
-                let (total_raw, total_encoded) = enc.ledger();
-                env.add_counter("net.bytes.raw", raw);
-                env.add_counter("net.bytes.encoded", encoded);
-                env.add_counter("net.bytes.saved", raw.saturating_sub(encoded));
-                env.gauge_set(
-                    "codec.compression_ratio",
-                    total_raw as f64 / total_encoded as f64,
-                );
-                env.send(
-                    self.server,
-                    FlMsg::EncodedUpdate {
-                        payload,
-                        age,
-                        num_samples,
-                    },
-                );
+                let (encoder, stream) = (Arc::clone(encoder), env.me() as u64);
+                let job = move || {
+                    let mut params = params;
+                    // Delta encoding needs the exact model the server sent:
+                    // keep a handle to it, so training writes to storage of
+                    // its own.
+                    let reference = delta.then(|| params.clone());
+                    train(&mut params);
+                    let (ref_slice, ref_hash) = match &reference {
+                        Some(r) => (r.as_slice(), param_hash(r.as_slice())),
+                        None => (&[][..], 0),
+                    };
+                    let mut payload = Vec::with_capacity(encoded_len);
+                    encoder.lock().expect(POISONED).encode(
+                        stream,
+                        params.as_slice(),
+                        ref_slice,
+                        ref_hash,
+                        &mut payload,
+                    );
+                    payload
+                };
+                let payload = if defer {
+                    let pending = Payload::pending(encoded_len, job);
+                    self.last_round = pending.job_handle();
+                    pending
+                } else {
+                    job().into()
+                };
+                FlMsg::EncodedUpdate {
+                    payload,
+                    age,
+                    num_samples,
+                }
             }
-            None => env.send(
-                self.server,
+            None => {
+                let job = move || {
+                    train(&mut params);
+                    params
+                };
+                let params = if defer {
+                    let pending = ParamVec::pending(len, job);
+                    self.last_round = pending.job_handle();
+                    pending
+                } else {
+                    job()
+                };
                 FlMsg::ClientUpdate {
                     params,
                     age,
                     num_samples,
-                },
-            ),
+                }
+            }
+        };
+        env.busy(self.train_delay);
+        self.updates_sent += 1;
+        env.add_counter("updates.sent", 1);
+        if self.codec.is_some() {
+            // Booked from the lengths alone: the bytes may not exist yet.
+            let encoded = msg.wire_size() as u64;
+            self.ledger.0 += raw;
+            self.ledger.1 += encoded;
+            env.add_counter("net.bytes.raw", raw);
+            env.add_counter("net.bytes.encoded", encoded);
+            env.add_counter("net.bytes.saved", raw.saturating_sub(encoded));
+            env.gauge_set(
+                "codec.compression_ratio",
+                self.ledger.0 as f64 / self.ledger.1 as f64,
+            );
         }
+        env.send(self.server, msg);
         env.span_exit("client.round");
     }
 
@@ -353,7 +389,6 @@ mod tests {
     use crate::test_support::MockEnv;
     use crate::training::MeanTargetTrainer;
     use spyker_simnet::{NetworkConfig, Region, Simulation};
-    use std::time::{Duration, Instant};
 
     /// A bare-bones server that sends one model and records the reply.
     struct OneShotServer {
@@ -502,7 +537,7 @@ mod tests {
     struct BackToBack {
         models: Vec<ParamVec>,
         keep: bool,
-        kept: Vec<ParamVec>,
+        kept: Vec<FlMsg>,
     }
 
     impl Node<FlMsg> for BackToBack {
@@ -513,10 +548,8 @@ mod tests {
             }
         }
         fn on_message(&mut self, _env: &mut dyn Env<FlMsg>, _from: NodeId, msg: FlMsg) {
-            if let FlMsg::ClientUpdate { params, .. } = msg {
-                if self.keep {
-                    self.kept.push(params);
-                }
+            if self.keep {
+                self.kept.push(msg);
             }
         }
         fn as_any(&self) -> &dyn Any {
@@ -529,12 +562,14 @@ mod tests {
 
     const EPOCHS: usize = 3;
 
-    /// Runs `BackToBack` against one client training with `trainer`.
+    /// Runs `BackToBack` against one client training with `trainer` and,
+    /// with `codec`, encoding with it; returns the kept updates.
     fn back_to_back(
         models: Vec<ParamVec>,
         keep: bool,
         trainer: Box<dyn LocalTrainer>,
-    ) -> Vec<ParamVec> {
+        codec: Option<CodecConfig>,
+    ) -> Vec<FlMsg> {
         let mut sim = Simulation::new(NetworkConfig::uniform_all(SimTime::from_millis(10)), 0);
         let server = BackToBack {
             models,
@@ -542,18 +577,33 @@ mod tests {
             kept: Vec::new(),
         };
         sim.add_node(Box::new(server), Region::Paris);
-        let client = FlClient::new(0, trainer, EPOCHS, SimTime::from_millis(150));
+        let mut client = FlClient::new(0, trainer, EPOCHS, SimTime::from_millis(150));
+        if let Some(codec) = codec {
+            client = client.with_update_codec(codec);
+        }
         sim.add_node(Box::new(client), Region::Paris);
         sim.run(SimTime::from_secs(5));
         let server = sim.node_mut(0).as_any_mut().downcast_mut::<BackToBack>();
         std::mem::take(&mut server.unwrap().kept)
     }
 
+    /// The two models every back-to-back run below sends.
+    fn two_models() -> Vec<ParamVec> {
+        vec![ParamVec::zeros(DIM), ParamVec::from_vec(vec![0.5; DIM])]
+    }
+
     #[test]
     fn unread_back_to_back_rounds_train_as_inline_rounds_do() {
-        let models = vec![ParamVec::zeros(DIM), ParamVec::from_vec(vec![0.5; DIM])];
+        let models = two_models();
         let trainer = Shared::new();
-        let kept = back_to_back(models.clone(), true, Box::new(trainer.clone()));
+        let kept = back_to_back(models.clone(), true, Box::new(trainer.clone()), None);
+        let kept: Vec<ParamVec> = kept
+            .into_iter()
+            .map(|msg| match msg {
+                FlMsg::ClientUpdate { params, .. } => params,
+                other => panic!("not a dense update: {other:?}"),
+            })
+            .collect();
         assert_eq!(kept.len(), 2);
         assert!(
             kept.iter().all(|p| p.job_handle().is_some()),
@@ -575,27 +625,85 @@ mod tests {
     }
 
     #[test]
-    fn an_update_dropped_unread_still_runs_its_job() {
+    fn unread_encoded_rounds_encode_as_inline_rounds_do() {
+        let codec = CodecConfig::paper_pipeline();
+        let models = two_models();
         let trainer = Shared::new();
-        let kept = back_to_back(vec![ParamVec::zeros(DIM)], false, Box::new(trainer.clone()));
-        assert!(kept.is_empty());
-        // Nothing holds the update any more; its job still runs, once.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while trainer.steps() < EPOCHS as u64 {
-            assert!(Instant::now() < deadline, "the dropped round never ran");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(trainer.steps(), EPOCHS as u64, "the job ran exactly once");
+        let kept = back_to_back(models.clone(), true, Box::new(trainer.clone()), Some(codec));
+        let kept: Vec<Payload> = kept
+            .into_iter()
+            .map(|msg| match msg {
+                FlMsg::EncodedUpdate { payload, .. } => payload,
+                other => panic!("not an encoded update: {other:?}"),
+            })
+            .collect();
+        assert!(
+            kept.iter().all(|p| p.job_handle().is_some()),
+            "both rounds left the event loop as pending payloads"
+        );
+        // The same rounds, inline, on a trainer and an encoder of their own.
+        let mut inline = MeanTargetTrainer::new(vec![1.0; DIM], 5);
+        let mut encoder = UpdateEncoder::new(codec);
+        let expected: Vec<Payload> = models
+            .into_iter()
+            .map(|reference| {
+                let mut p = reference.clone();
+                inline.train(&mut p, 0.5, EPOCHS);
+                let hash = param_hash(reference.as_slice());
+                let mut payload = Vec::new();
+                encoder.encode(1, p.as_slice(), reference.as_slice(), hash, &mut payload);
+                payload.into()
+            })
+            .collect();
+        assert_eq!(kept, expected);
+        assert_eq!(trainer.steps(), inline.steps_taken());
     }
 
-    /// Panics in its second round.
-    struct FailsInRoundTwo(u32);
+    #[test]
+    fn the_codec_ledger_books_every_upload_at_send() {
+        let mut env = MockEnv::new(1, 2);
+        let trainer = MeanTargetTrainer::new(vec![1.0; 100], 3);
+        let mut client = FlClient::new(0, Box::new(trainer), 1, SimTime::ZERO)
+            .with_update_codec(CodecConfig::paper_pipeline());
+        assert_eq!(client.codec_ledger(), Some((0, 0)));
+        for _ in 0..2 {
+            let (params, age, lr) = (ParamVec::zeros(100), 0.0, 0.5);
+            client.on_message(&mut env, 0, FlMsg::ModelToClient { params, age, lr });
+        }
+        // Dense: 4 · 100 + 8 + 16 bytes. Encoded: 13 + 4 + 4 + 4 + 1 bytes
+        // of payload (one kept coordinate) + 20.
+        assert_eq!(client.codec_ledger(), Some((2 * 424, 2 * 46)));
+        assert_eq!(env.counter("net.bytes.raw"), 2 * 424);
+        assert_eq!(env.counter("net.bytes.encoded"), 2 * 46);
+        assert_eq!(env.counter("net.bytes.saved"), 2 * (424 - 46));
+        let plain = FlClient::new(
+            0,
+            Box::new(MeanTargetTrainer::new(vec![], 1)),
+            1,
+            SimTime::ZERO,
+        );
+        assert_eq!(plain.codec_ledger(), None);
+    }
 
-    impl LocalTrainer for FailsInRoundTwo {
+    #[test]
+    fn a_dropped_simulation_has_run_every_round() {
+        for codec in [None, Some(CodecConfig::paper_pipeline())] {
+            let trainer = Shared::new();
+            let kept = back_to_back(two_models(), false, Box::new(trainer.clone()), codec);
+            assert!(kept.is_empty());
+            // Nothing held the updates; dropping the client waited for its
+            // last round, and each job ran once.
+            assert_eq!(trainer.steps(), 2 * EPOCHS as u64);
+        }
+    }
+
+    /// Panics in round `.1`.
+    struct FailsInRound(u32, u32);
+
+    impl LocalTrainer for FailsInRound {
         fn train(&mut self, _params: &mut ParamVec, _lr: f32, _epochs: usize) {
             self.0 += 1;
-            assert!(self.0 != 2, "trainer failed in round {}", self.0);
+            assert!(self.0 != self.1, "trainer failed in round {}", self.0);
         }
         fn num_samples(&self) -> usize {
             1
@@ -609,7 +717,21 @@ mod tests {
         back_to_back(
             vec![ParamVec::zeros(DIM); 3],
             false,
-            Box::new(FailsInRoundTwo(0)),
+            Box::new(FailsInRound(0, 2)),
+            None,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trainer failed in round 2")]
+    fn a_panicking_last_round_fails_at_drop_with_its_own_message() {
+        // Nothing reads an update and no round follows: dropping the client
+        // re-raises.
+        back_to_back(
+            vec![ParamVec::zeros(DIM); 2],
+            false,
+            Box::new(FailsInRound(0, 2)),
+            Some(CodecConfig::paper_pipeline()),
         );
     }
 }

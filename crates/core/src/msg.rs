@@ -5,10 +5,15 @@
 //! ([`spyker_simnet::WireSize::kind`] labels client–server vs server–server
 //! traffic, the split paper Fig. 12 reports).
 
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
+
 use spyker_simnet::{ByzantineAttack, NodeId, WireSize};
 
 use crate::membership::RingView;
 use crate::params::ParamVec;
+use crate::pending::{JobHandle, Measured, Pending};
 use crate::token::Token;
 
 /// A protocol message.
@@ -39,7 +44,7 @@ pub enum FlMsg {
     /// reflects the compression directly.
     EncodedUpdate {
         /// The codec-encoded parameter payload.
-        payload: Vec<u8>,
+        payload: Payload,
         /// Age of the model this update was computed from.
         age: f64,
         /// Number of local data points `d_k`.
@@ -188,6 +193,125 @@ impl FlMsg {
                 | FlMsg::ScaleUp { .. }
                 | FlMsg::ScaleDown
         )
+    }
+}
+
+/// The bytes of an [`FlMsg::EncodedUpdate`]: ready, or pending — a length
+/// known up front and bytes a `spyker_tensor::pool` job is still writing
+/// ([`Payload::pending`]; DESIGN.md §10.5).
+///
+/// [`Payload::len`] never waits. Every read of the bytes (the `&[u8]` it
+/// derefs to, `==`, `Debug`, the wire codec) waits for the job, or runs it
+/// on the reading thread if no worker has started it; a mutation through
+/// `DerefMut` settles the bytes first. No API tells the two stores apart.
+///
+/// # Example
+///
+/// ```
+/// use spyker_core::msg::Payload;
+/// let ready = Payload::from(vec![1, 2, 3]);
+/// let pending = Payload::pending(3, || vec![1, 2, 3]);
+/// assert_eq!(pending.len(), 3);
+/// assert_eq!(pending, ready);
+/// assert_eq!(&pending[..], &[1, 2, 3]);
+/// ```
+#[derive(Clone)]
+pub struct Payload(PayloadStore);
+
+#[derive(Clone)]
+enum PayloadStore {
+    Ready(Vec<u8>),
+    Pending(Arc<Pending<Vec<u8>>>),
+}
+
+impl Measured for Vec<u8> {
+    const UNIT: &'static str = "length";
+
+    fn measure(&self) -> usize {
+        self.len()
+    }
+}
+
+impl Payload {
+    /// A payload of `len` bytes that `job` writes on a `spyker_tensor::pool`
+    /// worker, submitted before this returns. The job runs exactly once,
+    /// whether or not anything reads the bytes; under a one-thread budget
+    /// it runs before this returns.
+    ///
+    /// # Panics
+    ///
+    /// A read panics if the job does, or if it returns other than `len`
+    /// bytes.
+    pub fn pending(len: usize, job: impl FnOnce() -> Vec<u8> + Send + 'static) -> Self {
+        Self(PayloadStore::Pending(Pending::spawn(len, job)))
+    }
+
+    /// Number of bytes (never waits for a pending job).
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            PayloadStore::Ready(v) => v.len(),
+            PayloadStore::Pending(p) => p.len(),
+        }
+    }
+
+    /// `true` for a payload of no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// A [`JobHandle`] on this payload's job while it may still be pending.
+    pub(crate) fn job_handle(&self) -> Option<JobHandle> {
+        match &self.0 {
+            PayloadStore::Pending(p) => Some(p.handle()),
+            PayloadStore::Ready(_) => None,
+        }
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            PayloadStore::Ready(v) => v,
+            PayloadStore::Pending(p) => p.get(),
+        }
+    }
+}
+
+impl DerefMut for Payload {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        if let PayloadStore::Pending(p) = &self.0 {
+            self.0 = PayloadStore::Ready(p.get().clone());
+        }
+        match &mut self.0 {
+            PayloadStore::Ready(v) => v,
+            PayloadStore::Pending(_) => unreachable!("settled above"),
+        }
+    }
+}
+
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Self {
+        Self(PayloadStore::Ready(bytes))
+    }
+}
+
+impl FromIterator<u8> for Payload {
+    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
+        Vec::from_iter(iter).into()
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Payload {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -446,5 +570,108 @@ mod tests {
         if let FlMsg::ClientUpdate { params, .. } = &m {
             assert!(params.is_finite());
         }
+    }
+
+    /// The bytes a pending payload's job below writes, `n` of them.
+    fn ramp(n: usize) -> Vec<u8> {
+        (0..n).map(|i| (i * 37 % 251) as u8).collect()
+    }
+
+    /// A pending `ramp(n)` whose job waits until `open` is called.
+    fn gated(n: usize) -> (Payload, impl FnOnce()) {
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        if spyker_tensor::pool::configured_threads() == 1 {
+            // No workers: the job runs inside `pending`, so open first.
+            tx.send(()).unwrap();
+        }
+        let payload = Payload::pending(n, move || {
+            rx.recv().unwrap();
+            ramp(n)
+        });
+        (payload, move || {
+            // Already open (and the job gone) under a one-thread budget.
+            let _ = tx.send(());
+        })
+    }
+
+    #[test]
+    fn a_pending_payload_knows_its_length_before_its_bytes() {
+        let (payload, open) = gated(300);
+        assert_eq!(payload.len(), 300);
+        assert!(!payload.is_empty());
+        let msg = FlMsg::EncodedUpdate {
+            payload,
+            age: 0.0,
+            num_samples: 1,
+        };
+        assert_eq!(msg.wire_size(), 320);
+        open();
+        let FlMsg::EncodedUpdate { payload, .. } = msg else {
+            unreachable!()
+        };
+        assert_eq!(&payload[..], &ramp(300)[..]);
+    }
+
+    #[test]
+    fn every_read_of_a_pending_payload_sees_the_ready_bytes() {
+        for n in [0, 1, 300] {
+            let ready = Payload::from(ramp(n));
+            let pending = || Payload::pending(n, move || ramp(n));
+            assert_eq!(&pending()[..], &ready[..]);
+            assert_eq!(pending(), ready);
+            assert_eq!(ready, pending());
+            assert_eq!(format!("{:?}", pending()), format!("{:?}", ramp(n)));
+            assert_eq!(ready, ramp(n).into_iter().collect::<Payload>());
+            // A mutation settles the bytes; a clone keeps its own.
+            let (mut a, open) = gated(n);
+            let b = a.clone();
+            open();
+            let mut want = ramp(n);
+            for (x, w) in a.iter_mut().zip(&mut want) {
+                *x ^= 0xff;
+                *w ^= 0xff;
+            }
+            assert_eq!(a, Payload::from(want));
+            assert_eq!(b, ready);
+        }
+    }
+
+    #[test]
+    fn a_byzantine_sender_corrupts_a_pending_payload_like_a_ready_one() {
+        use crate::update_codec::{CodecConfig, UpdateEncoder};
+        let mut encoder = UpdateEncoder::new(CodecConfig::paper_pipeline());
+        let update: Vec<f32> = (0..2000).map(|i| (i as f32 * 0.1).sin()).collect();
+        let mut bytes = Vec::new();
+        encoder.encode(1, &update, &[0.0; 2000], 5, &mut bytes);
+        let message = |payload| FlMsg::EncodedUpdate {
+            payload,
+            age: 0.0,
+            num_samples: 1,
+        };
+        let mut ready = message(Payload::from(bytes.clone()));
+        let len = bytes.len();
+        let mut pending = message(Payload::pending(len, move || bytes));
+        assert!(ready.corrupt(&ByzantineAttack::SignFlip, &mut || 0.0));
+        assert!(pending.corrupt(&ByzantineAttack::SignFlip, &mut || 0.0));
+        let (FlMsg::EncodedUpdate { payload: a, .. }, FlMsg::EncodedUpdate { payload: b, .. }) =
+            (ready, pending)
+        else {
+            unreachable!()
+        };
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "the job's own message")]
+    fn a_pending_payload_job_panic_is_raised_on_the_reader() {
+        let payload = Payload::pending(4, || panic!("the job's own message"));
+        let _ = payload.first();
+    }
+
+    #[test]
+    #[should_panic(expected = "changed the length")]
+    fn a_pending_payload_must_keep_its_length() {
+        let payload = Payload::pending(4, || vec![0; 5]);
+        let _ = payload == Payload::from(vec![0; 5]);
     }
 }

@@ -14,10 +14,10 @@
 //!   exactly once. This is how a client's training round leaves the event
 //!   loop (DESIGN.md §10.5).
 
-use std::any::Any;
 use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
+use std::sync::Arc;
+
+use crate::pending::{JobHandle, Measured, Pending};
 
 /// Vectors of at least this many coordinates share their storage between
 /// clones; shorter ones are plain owned `Vec`s, for which a copy is cheaper
@@ -76,83 +76,14 @@ enum Store {
     /// buffer-recycling paths).
     Shared(Arc<Vec<f32>>),
     /// Values a pool job is still computing ([`ParamVec::pending`]).
-    Pending(Arc<Pending>),
+    Pending(Arc<Pending<ParamVec>>),
 }
 
-/// What computes a pending vector's values.
-type Job = Box<dyn FnOnce() -> ParamVec + Send>;
+impl Measured for ParamVec {
+    const UNIT: &'static str = "dimension";
 
-/// A panic payload, kept for the first reader to re-raise.
-type Payload = Mutex<Option<Box<dyn Any + Send>>>;
-
-/// The shared state of a pending vector: its dimension, the job until
-/// someone takes it, and the job's outcome once it has run.
-struct Pending {
-    len: usize,
-    job: Mutex<Option<Job>>,
-    value: OnceLock<Result<ParamVec, Payload>>,
-}
-
-impl Pending {
-    /// Runs the job on this thread unless another thread has taken it.
-    fn run(&self) {
-        let job = self
-            .job
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let Some(job) = job {
-            let len = self.len;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let value = job();
-                assert_eq!(value.len(), len, "a pending job changed the dimension");
-                value
-            }));
-            let stored = self.value.set(outcome.map_err(|p| Mutex::new(Some(p))));
-            assert!(stored.is_ok(), "only the job's taker stores its outcome");
-        }
-    }
-
-    /// The job's values, once it has run; re-raises its panic. Out of
-    /// line, so the owned and shared arms of the hot accessors stay small.
-    #[cold]
-    #[inline(never)]
-    fn get(&self) -> &ParamVec {
-        let outcome = match self.value.get() {
-            Some(outcome) => outcome,
-            None => {
-                self.run();
-                self.value.wait()
-            }
-        };
-        match outcome {
-            Ok(value) => value,
-            Err(payload) => {
-                let payload = payload
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take();
-                match payload {
-                    Some(payload) => resume_unwind(payload),
-                    None => panic!("the job computing this vector panicked"),
-                }
-            }
-        }
-    }
-}
-
-/// A handle on a pending vector's job that does not keep its values alive:
-/// a client waits through it for its previous round before the next.
-pub(crate) struct JobHandle(Weak<Pending>);
-
-impl JobHandle {
-    /// Returns once the job has run — running it here if no worker has
-    /// taken it — and re-raises its panic. A handle whose vector is gone
-    /// returns at once: a queued job keeps its vector alive until it ran.
-    pub(crate) fn wait(self) {
-        if let Some(pending) = self.0.upgrade() {
-            pending.get();
-        }
+    fn measure(&self) -> usize {
+        self.len()
     }
 }
 
@@ -201,14 +132,7 @@ impl ParamVec {
     /// assert_eq!(v.as_slice(), &[1.0, 2.0, 3.0]);
     /// ```
     pub fn pending(len: usize, job: impl FnOnce() -> ParamVec + Send + 'static) -> Self {
-        let pending = Arc::new(Pending {
-            len,
-            job: Mutex::new(Some(Box::new(job))),
-            value: OnceLock::new(),
-        });
-        let queued = Arc::clone(&pending);
-        spyker_tensor::pool::global().spawn(move || queued.run());
-        Self(Store::Pending(pending))
+        Self(Store::Pending(Pending::spawn(len, job)))
     }
 
     /// Dimension of the vector (never waits for a pending job).
@@ -216,7 +140,7 @@ impl ParamVec {
         match &self.0 {
             Store::Owned(v) => v.len(),
             Store::Shared(v) => v.len(),
-            Store::Pending(p) => p.len,
+            Store::Pending(p) => p.len(),
         }
     }
 
@@ -269,7 +193,7 @@ impl ParamVec {
     /// A [`JobHandle`] on this vector's job while it may still be pending.
     pub(crate) fn job_handle(&self) -> Option<JobHandle> {
         match &self.0 {
-            Store::Pending(p) => Some(JobHandle(Arc::downgrade(p))),
+            Store::Pending(p) => Some(p.handle()),
             _ => None,
         }
     }

@@ -21,6 +21,9 @@
 //! The encoded payload travels as [`crate::msg::FlMsg::EncodedUpdate`];
 //! its `WireSize` is the actual compressed byte count, so every existing
 //! `net.bytes` account reflects the compression with no extra plumbing.
+//! That count is known before the bytes exist
+//! ([`UpdateEncoder::encoded_len`]), so a client can send the message while
+//! a pool worker still trains and encodes (DESIGN.md §10.5).
 //! Decoding happens server-side **before** the validation gate and robust
 //! aggregation — Byzantine defenses always see dequantized values
 //! (DESIGN.md §16). Encoding stages go through a [`Scratch`] arena plus
@@ -454,8 +457,6 @@ pub struct UpdateEncoder {
     codes: Vec<i8>,
     packed: Vec<u8>,
     updates: u64,
-    raw_bytes: u64,
-    encoded_bytes: u64,
 }
 
 /// Stage 1 of [`UpdateEncoder::encode`], one fused pass over zipped slices:
@@ -515,8 +516,6 @@ impl UpdateEncoder {
             codes: Vec::new(),
             packed: Vec::new(),
             updates: 0,
-            raw_bytes: 0,
-            encoded_bytes: 0,
         }
     }
 
@@ -532,6 +531,26 @@ impl UpdateEncoder {
             Some(r) => (((dim as f64) * f64::from(r)).ceil() as usize).clamp(1, dim.max(1)),
             None => dim,
         }
+    }
+
+    /// Length in bytes of every payload [`UpdateEncoder::encode`] writes
+    /// for a `dim`-sized model: a function of the pipeline and `dim` alone,
+    /// so a message can be sized before its bytes exist. The 5-byte header
+    /// (flags, dim), the 8-byte reference hash with delta encoding, a `u32`
+    /// count and one `u32` index per kept coordinate with top-k, a 4-byte
+    /// scale with quantization, then the values: one byte each for q8, two
+    /// to a byte for q4, four bytes each unquantized.
+    pub fn encoded_len(&self, dim: usize) -> usize {
+        let cfg = &self.cfg;
+        let n = self.kept(dim).min(dim);
+        let delta = if cfg.delta { 8 } else { 0 };
+        let indices = if cfg.topk.is_some() { 4 + 4 * n } else { 0 };
+        let values = match cfg.quant {
+            Some(QuantBits::Q8) => 4 + n,
+            Some(QuantBits::Q4) => 4 + n.div_ceil(2),
+            None => 4 * n,
+        };
+        5 + delta + indices + values
     }
 
     /// Encodes `update` (the trained model) against `reference` (the exact
@@ -678,20 +697,6 @@ impl UpdateEncoder {
         } else {
             self.scratch.recycle_vec(x);
         }
-    }
-
-    /// Records one sent update in the client's byte ledger: what the dense
-    /// message would have cost vs what the encoded one did.
-    pub fn note_sent(&mut self, raw: u64, encoded: u64) {
-        self.raw_bytes += raw;
-        self.encoded_bytes += encoded;
-    }
-
-    /// Cumulative `(raw, encoded)` byte totals recorded via
-    /// [`UpdateEncoder::note_sent`] — the per-client ledger the simtest
-    /// byte-accounting oracle reconciles against the global counters.
-    pub fn ledger(&self) -> (u64, u64) {
-        (self.raw_bytes, self.encoded_bytes)
     }
 
     /// Current error-feedback residual (test instrumentation).
@@ -1110,13 +1115,5 @@ mod tests {
         assert_eq!(noef.quant, Some(QuantBits::Q4));
         assert_eq!(noef.rounding, Rounding::Nearest);
         assert!(!noef.error_feedback);
-    }
-
-    #[test]
-    fn ledger_accumulates() {
-        let mut enc = UpdateEncoder::new(CodecConfig::identity());
-        enc.note_sent(100, 10);
-        enc.note_sent(100, 12);
-        assert_eq!(enc.ledger(), (200, 22));
     }
 }

@@ -21,10 +21,13 @@ use spyker_core::codec::{
     decode, encode, frame_into, DecodeError, FrameAccumulator, MAX_FRAME_LEN,
 };
 use spyker_core::membership::{RingMember, RingView};
-use spyker_core::msg::FlMsg;
+use spyker_core::msg::{FlMsg, Payload};
 use spyker_core::params::ParamVec;
 use spyker_core::token::Token;
-use spyker_simnet::Region;
+use spyker_core::update_codec::{
+    param_hash, CodecConfig, QuantBits, Rounding, UpdateDecoder, UpdateEncoder,
+};
+use spyker_simnet::{Region, WireSize};
 
 /// Parameter vectors of 0 to 1 100 coordinates, which cross the encoder's
 /// 256-coordinate conversion blocks, and now and then a 16 384-dim model.
@@ -554,4 +557,100 @@ fn a_hostile_length_prefix_does_not_grow_the_buffer() {
         "buffer outgrew two read chunks of {chunk}: {:?}",
         src.spans
     );
+}
+
+/// Every pipeline the update encoder runs: delta on or off, top-k off or
+/// at 1 %, 30 % or 100 %, no quantization, q8 or q4, error feedback on or
+/// off, each rounding mode.
+fn every_pipeline() -> Vec<CodecConfig> {
+    let mut out = Vec::new();
+    for delta in [false, true] {
+        for topk in [None, Some(0.01), Some(0.3), Some(1.0)] {
+            for quant in [None, Some(QuantBits::Q8), Some(QuantBits::Q4)] {
+                for error_feedback in [false, true] {
+                    for rounding in [Rounding::Nearest, Rounding::Stochastic] {
+                        out.push(CodecConfig {
+                            delta,
+                            topk,
+                            error_feedback,
+                            quant,
+                            rounding,
+                            ..CodecConfig::identity()
+                        });
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// A message is sized before its payload exists (DESIGN.md §10.5), so
+/// every payload must be exactly as long as `encoded_len` said, and
+/// well-formed. Two rounds per encoder: the second starts from a carried
+/// residual and a later rounding stream.
+#[test]
+fn every_payload_is_as_long_as_encoded_len_says() {
+    for cfg in every_pipeline() {
+        for dim in [0, 1, 2, 31, 1_023, 1_024, 4_097] {
+            let mut encoder = UpdateEncoder::new(cfg);
+            let want = encoder.encoded_len(dim);
+            let reference: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
+            let hash = param_hash(&reference);
+            let mut payload = Vec::new();
+            for round in 0..2 {
+                let update: Vec<f32> = reference
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| r + ((i * 7 + round) % 13) as f32 * 0.01 - 0.06)
+                    .collect();
+                encoder.encode(3, &update, &reference, hash, &mut payload);
+                let at = format!("{cfg:?} at dim {dim}, round {round}");
+                assert_eq!(payload.len(), want, "{at}");
+                let named = UpdateDecoder::ref_hash(&payload);
+                assert_eq!(named, Ok(cfg.delta.then_some(hash)), "{at}");
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The same for arbitrary values, non-finite ones included, at any
+    /// dimension up to 2 100.
+    #[test]
+    fn encoded_len_holds_for_any_values(
+        pipeline in 0usize..96,
+        update in (0usize..2_100).prop_flat_map(|n| prop::collection::vec(
+            (-1e6f32..1e6, 0u8..10).prop_map(|(v, kind)| match kind {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                _ => v,
+            }),
+            n,
+        )),
+    ) {
+        let cfg = every_pipeline()[pipeline];
+        let reference = vec![0.5f32; update.len()];
+        let mut encoder = UpdateEncoder::new(cfg);
+        let mut payload = Vec::new();
+        encoder.encode(1, &update, &reference, 9, &mut payload);
+        prop_assert_eq!(payload.len(), encoder.encoded_len(update.len()));
+        prop_assert!(UpdateDecoder::ref_hash(&payload).is_ok());
+    }
+}
+
+/// A pending payload is sized at once and travels as exactly the bytes its
+/// job writes.
+#[test]
+fn a_pending_payload_travels_as_its_bytes() {
+    let bytes: Vec<u8> = (0..=255u8).rev().collect();
+    let message = |payload: Payload| FlMsg::EncodedUpdate {
+        payload,
+        age: 4.0,
+        num_samples: 25,
+    };
+    let ready = message(bytes.clone().into());
+    let pending = message(Payload::pending(bytes.len(), move || bytes));
+    assert_eq!(pending.wire_size(), ready.wire_size());
+    assert_eq!(encode(&pending), encode(&ready));
 }

@@ -41,11 +41,12 @@ cargo test -q --offline -p spyker-transport
 # own; the wire codec reads through `bytes`' `Buf for &[u8]`.
 cargo test -q --offline -p bytes -p crossbeam -p rand -p proptest
 
-# Real-model run pins (see DESIGN.md §10.5): the same constants under the
-# default thread budget, where DES clients train on pool workers, and under
-# a budget of one, where every round runs inline on the event loop.
-cargo test -q --offline --test real_model_pins
-SPYKER_THREADS=1 cargo test -q --offline --test real_model_pins
+# Real-model and encoded-round run pins (see DESIGN.md §10.5): the same
+# constants under the default thread budget, where DES clients train and
+# encode on pool workers, and under a budget of one, where every round runs
+# inline on the event loop.
+cargo test -q --offline --test real_model_pins --test codec_pins
+SPYKER_THREADS=1 cargo test -q --offline --test real_model_pins --test codec_pins
 
 # The benchmark package is its own workspace: its tests are the API-drift
 # gate (it hand-wires the public server/deploy/agg/codec items) and the
