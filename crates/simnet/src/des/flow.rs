@@ -16,11 +16,14 @@ use crate::time::SimTime;
 struct ActiveFlow<M> {
     from: NodeId,
     to: NodeId,
-    /// Remaining work in bit-microseconds: `bytes * 8 * 1_000_000`, so a
-    /// flow with the full trunk to itself drains `bandwidth_bps` units
-    /// per microsecond of virtual time. Integer math keeps re-planning
-    /// bit-reproducible.
-    remaining: u128,
+    /// While the flow waits behind its pair: its work in bit-microseconds,
+    /// `bytes * 8 * 1_000_000`, so a flow with the full trunk to itself
+    /// drains `bandwidth_bps` units per microsecond of virtual time. On
+    /// joining a trunk the trunk's [`Trunk::drained`] total is added, and
+    /// from then on this is the total at which the flow is done: its
+    /// remaining work is `finish - drained`, floored at zero. Integer math
+    /// keeps re-planning bit-reproducible.
+    finish: u128,
     /// Propagation latency (+ jitter) added after transmission completes.
     latency: SimTime,
     msg: M,
@@ -29,10 +32,20 @@ struct ActiveFlow<M> {
 /// One directed region-pair trunk: its in-flight flows share
 /// `bandwidth_bps` equally (processor sharing), re-planned on every join
 /// and completion.
+///
+/// Every flow on the trunk drains the same amount, so the trunk keeps one
+/// running total of it instead of a per-flow remainder: a join and a
+/// settle are O(1), and only a completing tick walks the flows.
 struct Trunk<M> {
+    /// In join order.
     flows: Vec<ActiveFlow<M>>,
     /// Virtual time the flow set was last settled to.
     last: SimTime,
+    /// Work units each flow on the trunk has received, summed over the
+    /// trunk's life.
+    drained: u128,
+    /// The least [`ActiveFlow::finish`] of `flows`; unused while empty.
+    min_finish: u128,
     /// Bumped on every membership change; outstanding [`EventBody::FlowTick`]s
     /// carrying an older generation are stale and ignored.
     gen: u64,
@@ -47,10 +60,26 @@ impl<M> Trunk<M> {
         if elapsed == 0 || self.flows.is_empty() {
             return;
         }
-        let drain = elapsed as u128 * bps as u128 / self.flows.len() as u128;
-        for f in &mut self.flows {
-            f.remaining = f.remaining.saturating_sub(drain);
-        }
+        self.drained += elapsed as u128 * bps as u128 / self.flows.len() as u128;
+    }
+
+    /// Adds `f`, whose `finish` still holds its work, to a settled trunk.
+    fn join(&mut self, mut f: ActiveFlow<M>) {
+        f.finish += self.drained;
+        self.min_finish = if self.flows.is_empty() {
+            f.finish
+        } else {
+            self.min_finish.min(f.finish)
+        };
+        self.flows.push(f);
+    }
+
+    /// Removes the flows a settled trunk has finished, in join order.
+    fn complete(&mut self) -> Vec<ActiveFlow<M>> {
+        let drained = self.drained;
+        let done = self.flows.extract_if(.., |f| f.finish <= drained).collect();
+        self.min_finish = self.flows.iter().map(|f| f.finish).min().unwrap_or(0);
+        done
     }
 
     /// When the earliest in-flight flow finishes, assuming the flow set
@@ -59,7 +88,7 @@ impl<M> Trunk<M> {
         if self.flows.is_empty() {
             return None;
         }
-        let min_rem = self.flows.iter().map(|f| f.remaining).min().unwrap_or(0);
+        let min_rem = self.min_finish.saturating_sub(self.drained);
         let n = self.flows.len() as u128;
         // ceil-divide, and always at least 1 µs so ticks make progress
         // even when integer floors leave sub-µs residue.
@@ -86,6 +115,8 @@ impl<M> FlowNet<M> {
         let trunk = || Trunk {
             flows: Vec::new(),
             last: SimTime::ZERO,
+            drained: 0,
+            min_finish: 0,
             gen: 0,
         };
         let n_regions = Region::ALL.len();
@@ -117,7 +148,7 @@ impl<M: WireSize> Core<M> {
             to,
             // Work units: bit-microseconds; at least 1 so zero-byte
             // messages still traverse the trunk machinery deterministically.
-            remaining: ((bytes as u128) * 8 * 1_000_000).max(1),
+            finish: ((bytes as u128) * 8 * 1_000_000).max(1),
             latency,
             msg,
         };
@@ -137,7 +168,7 @@ impl<M: WireSize> Core<M> {
             self.state[f.from].region.index() * Region::ALL.len() + self.state[f.to].region.index();
         let trunk = &mut self.flow.trunks[trunk_idx];
         trunk.settle(now, self.net.bandwidth_bps);
-        trunk.flows.push(f);
+        trunk.join(f);
         self.flow.active += 1;
         self.replan(now, trunk_idx);
     }
@@ -154,7 +185,7 @@ impl<M: WireSize> Core<M> {
         trunk.settle(now, self.net.bandwidth_bps);
         // Extraction keeps completion order (and thus seq assignment)
         // deterministic and comprehensible: flows complete in join order.
-        let done: Vec<_> = trunk.flows.extract_if(.., |f| f.remaining == 0).collect();
+        let done = trunk.complete();
         self.flow.active -= done.len() as u64;
         self.replan(now, trunk_idx);
         for f in done {

@@ -493,3 +493,163 @@ fn flow_shared_runs_are_deterministic_and_count_flows() {
     assert_eq!(gauge, Some(0.0));
     assert_eq!((report, recv, gauge), run());
 }
+
+/// Sends one message of `bytes` to node 0 at virtual time `at`.
+struct SendAt {
+    at: SimTime,
+    bytes: usize,
+    payload: u32,
+}
+
+impl Node<Msg> for SendAt {
+    fn on_start(&mut self, env: &mut dyn Env<Msg>) {
+        env.set_timer(self.at, 0);
+    }
+    fn on_message(&mut self, _e: &mut dyn Env<Msg>, _f: NodeId, _m: Msg) {}
+    fn on_timer(&mut self, env: &mut dyn Env<Msg>, _tag: u64) {
+        let (payload, bytes) = (self.payload, self.bytes);
+        env.send(0, Msg { payload, bytes });
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// Flow `i` of `joins` is message `i`, `joins[i].1` bytes sent at
+/// `joins[i].0` µs by its own node, all on one Paris → Paris trunk of
+/// `bps` with no propagation latency. Returns what node 0 received, in
+/// delivery order, as `(time, payload)`.
+fn flow_shared_deliveries(bps: u64, joins: &[(u64, usize)]) -> Vec<(SimTime, u32)> {
+    let net = NetworkConfig::uniform_all(SimTime::ZERO)
+        .with_bandwidth_bps(bps)
+        .with_flow_shared_links();
+    let mut sim = Simulation::new(net, 5);
+    sim.add_node(
+        Box::new(Recorder {
+            received: Vec::new(),
+        }),
+        Region::Paris,
+    );
+    for (payload, &(at, bytes)) in (0..).zip(joins) {
+        let at = SimTime::from_micros(at);
+        sim.add_node(Box::new(SendAt { at, bytes, payload }), Region::Paris);
+    }
+    sim.run(SimTime::from_secs(3_600));
+    let recorder = sim.node(0).as_any().downcast_ref::<Recorder>().unwrap();
+    recorder
+        .received
+        .iter()
+        .map(|&(at, _, payload)| (at, payload))
+        .collect()
+}
+
+/// The same trunk under the per-flow arithmetic: every flow keeps its own
+/// remaining work, a settle floors `elapsed * bps / n` off each of them,
+/// and a re-plan scans them for the least. Every send is scheduled before
+/// any completion is, so at one instant the joins go first, in payload
+/// order.
+fn per_flow_reference(bps: u64, joins: &[(u64, usize)]) -> Vec<(SimTime, u32)> {
+    let mut order: Vec<u32> = (0..).take(joins.len()).collect();
+    order.sort_by_key(|&i| joins[i as usize].0);
+    let mut order = order.into_iter().peekable();
+    let (bps, mut last) = (u128::from(bps), 0u64);
+    let mut flows: Vec<(u32, u128)> = Vec::new();
+    let mut tick: Option<u64> = None;
+    let mut out = Vec::new();
+    loop {
+        let join = order.peek().map(|&i| joins[i as usize].0);
+        let (now, joining) = match (join, tick) {
+            (Some(j), Some(t)) if t < j => (t, false),
+            (Some(j), _) => (j, true),
+            (None, Some(t)) => (t, false),
+            (None, None) => return out,
+        };
+        if now > last && !flows.is_empty() {
+            let drain = u128::from(now - last) * bps / flows.len() as u128;
+            for (_, remaining) in &mut flows {
+                *remaining = remaining.saturating_sub(drain);
+            }
+        }
+        last = now;
+        if joining {
+            let i = order.next().expect("peeked");
+            let work = (joins[i as usize].1 as u128 * 8 * 1_000_000).max(1);
+            flows.push((i, work));
+        } else {
+            for &(i, _) in flows.iter().filter(|f| f.1 == 0) {
+                out.push((SimTime::from_micros(now), i));
+            }
+            flows.retain(|f| f.1 != 0);
+        }
+        tick = flows.iter().map(|f| f.1).min().map(|least| {
+            let dt = (least * flows.len() as u128).div_ceil(bps).max(1);
+            now + u64::try_from(dt).expect("tick fits")
+        });
+    }
+}
+
+#[test]
+fn flow_shared_deliveries_match_per_flow_arithmetic() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let check = |what: &str, bps: u64, joins: &[(u64, usize)]| {
+        let want = per_flow_reference(bps, joins);
+        assert_eq!(want.len(), joins.len(), "{what}: the reference lost a flow");
+        assert_eq!(
+            flow_shared_deliveries(bps, joins),
+            want,
+            "{what}: {joins:?}"
+        );
+        want
+    };
+    // Equal flows joining together finish at one tick and leave in join
+    // order; so do a zero-byte flow and a flow whose remainder the first
+    // completion leaves at zero.
+    let same = check(
+        "equal flows",
+        8_000_000,
+        &[(0, 1_000), (0, 1_000), (0, 1_000)],
+    );
+    assert!(same.iter().all(|&(at, _)| at == same[0].0));
+    check(
+        "zero bytes",
+        8_000_000,
+        &[(0, 0), (0, 0), (10, 500), (10, 0)],
+    );
+    check("late equal finish", 8_000_000, &[(0, 2_000), (1_000, 500)]);
+    for seed in 0..128 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Odd rates leave floor residue in every settle; at a few hundred
+        // bits per second against tiny messages that residue moves ticks.
+        let (bps, max_bytes) = match seed % 2 {
+            0 => (rng.gen_range(1_000_000..50_000_000u64) | 1, 20_000),
+            _ => (rng.gen_range(100..5_000u64) | 1, 64),
+        };
+        let n = rng.gen_range(1..=24usize);
+        let instants: Vec<u64> = (0..4).map(|_| rng.gen_range(0..100_000)).collect();
+        let mut joins: Vec<(u64, usize)> = (0..n)
+            .map(|_| {
+                // Some joins share an instant with another.
+                let at = match rng.gen_range(0..3) {
+                    0 => instants[rng.gen_range(0..instants.len())],
+                    _ => rng.gen_range(0..200_000),
+                };
+                let bytes = match rng.gen_range(0..8) {
+                    0 => 0,
+                    _ => rng.gen_range(1..max_bytes),
+                };
+                (at, bytes)
+            })
+            .collect();
+        let done = check(&format!("seed {seed}"), bps, &joins);
+        // A join at one of those completion instants goes first and
+        // settles the finishing flow to zero before its tick.
+        let (at, _) = done[rng.gen_range(0..done.len())];
+        joins.push((at.as_micros(), rng.gen_range(0..max_bytes)));
+        check(&format!("seed {seed}, join at {at}"), bps, &joins);
+    }
+}

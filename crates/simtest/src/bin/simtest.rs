@@ -360,6 +360,12 @@ fn main() -> ExitCode {
                 |b| format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0))
             ),
         );
+        // Everything on this line is virtual-world state: two builds that
+        // run the same protocol print it byte for byte.
+        println!(
+            "scale: {} events, {} updates, fingerprint {:016x}",
+            stats.events, stats.updates_processed, stats.fingerprint
+        );
         if let Some(v) = &stats.violation {
             println!("VIOLATION {v}");
             return ExitCode::from(1);

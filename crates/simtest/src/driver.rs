@@ -91,6 +91,14 @@ impl<'a> OracleDriver<'a> {
         }
     }
 
+    /// A server was mutated between events: every oracle's next check
+    /// reads every server.
+    pub fn servers_mutated(&mut self) {
+        for oracle in &mut self.oracles {
+            oracle.servers_mutated();
+        }
+    }
+
     /// The end-of-run pass (whole-run invariants: liveness, finiteness,
     /// ledger reconciliation), unless an event already failed.
     pub fn finish(&mut self, sim: &Simulation<FlMsg>) {

@@ -12,7 +12,7 @@
 
 use spyker_core::msg::FlMsg;
 use spyker_core::server::SpykerServer;
-use spyker_simnet::{SimTime, Simulation};
+use spyker_simnet::{NodeId, SimTime, Simulation};
 
 use crate::driver::{Deployment, OracleDriver};
 use crate::oracle::{default_suite, Oracle};
@@ -119,6 +119,7 @@ pub(crate) fn run_with_suite(
                     .downcast_mut::<SpykerServer>()
                     .expect("injection target is a server")
                     .debug_force_token(FORGED_BID);
+                tap.servers_mutated();
                 sim.run_with_tap(sc.horizon, &mut tap);
             }
         }
@@ -133,7 +134,7 @@ pub(crate) fn run_with_suite(
     RunOutcome::Clean(RunStats {
         events: tap.events,
         end_time: sim.now(),
-        fingerprint: fingerprint(&sim, sc, tap.events),
+        fingerprint: fingerprint(&sim, &sc.server_node_ids(), tap.events),
         updates_processed: sim.metrics().counter("updates.processed"),
         budget_exhausted: tap.budget_exhausted,
     })
@@ -160,8 +161,9 @@ impl Fnv {
     }
 }
 
-/// Digests the complete observable end state of a finished run.
-fn fingerprint(sim: &Simulation<FlMsg>, sc: &SimScenario, events: u64) -> u64 {
+/// Digests the complete observable end state of a finished run whose
+/// servers are the nodes `server_ids`.
+pub(crate) fn fingerprint(sim: &Simulation<FlMsg>, server_ids: &[NodeId], events: u64) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(events);
     h.write_u64(sim.now().as_micros());
@@ -170,7 +172,7 @@ fn fingerprint(sim: &Simulation<FlMsg>, sc: &SimScenario, events: u64) -> u64 {
         h.write(name.as_bytes());
         h.write_u64(value);
     }
-    for i in sc.server_node_ids() {
+    for &i in server_ids {
         let s = sim
             .node(i)
             .as_any()

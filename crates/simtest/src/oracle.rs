@@ -27,16 +27,27 @@
 //! Oracles that only hold conditionally consult the scenario flags in the
 //! context (`clean`, `byzantine_free`, `codec`) so faulty runs are not
 //! flagged for documented degraded-mode behaviour.
+//!
+//! The oracles that read server state re-read, after an event, only the
+//! server the event ran at (none after an event at a client): the
+//! simulator runs one node between two checks, so that is as strong as
+//! re-reading every server (`scope.rs`, DESIGN.md §11.1). A harness that
+//! mutates a server between events calls [`Oracle::servers_mutated`].
 
 use spyker_core::client::FlClient;
 use spyker_core::cohort::CohortClient;
 use spyker_core::msg::FlMsg;
 use spyker_core::server::SpykerServer;
 use spyker_core::update_codec::CodecConfig;
-use spyker_simnet::{MetricId, MetricKind, Metrics, Node, NodeId, SimTime, SpanStat, TapKind};
+use spyker_simnet::{MetricId, Metrics, Node, NodeId, SimTime, SpanStat, TapKind};
 
+mod counters;
 #[cfg(test)]
 mod reference;
+mod scope;
+
+use counters::Counters;
+use scope::{ServerScope, ServerSums};
 
 /// Slack for `f64` age comparisons (ages are sums of `f32`-derived
 /// weights; exact equality is still expected for the integer counters).
@@ -141,52 +152,12 @@ pub trait Oracle {
         let _ = ctx;
         Ok(())
     }
-}
 
-/// The counters an oracle reads, named once and resolved to [`MetricId`]s
-/// on the oracle's first check, so the per-event read is an indexed load
-/// instead of a name lookup.
-///
-/// Every name must be a catalog counter: the registry pre-registers the
-/// catalog in a fixed order, so the cached ids hold against any collector
-/// the oracle is later shown. `Metrics::counter` answers 0 for a name
-/// nobody registered, which would let a typo'd identity check `0 == 0`
-/// forever; here such a name is an error from the first read.
-struct Counters<const N: usize> {
-    names: [&'static str; N],
-    ids: Option<[MetricId; N]>,
-}
-
-impl<const N: usize> Counters<N> {
-    const fn new(names: [&'static str; N]) -> Self {
-        Self { names, ids: None }
-    }
-
-    /// The ids of the named counters, looked up in `metrics` on first use.
-    fn resolve(&mut self, oracle: &str, metrics: &Metrics) -> Result<[MetricId; N], String> {
-        if let Some(ids) = self.ids {
-            return Ok(ids);
-        }
-        let registry = metrics.registry();
-        let counter = |name: &str| {
-            registry
-                .lookup(name)
-                .filter(|id| id.kind() == MetricKind::Counter)
-        };
-        if let Some(name) = self.names.iter().find(|name| counter(name).is_none()) {
-            return Err(format!(
-                "oracle {oracle} reads `{name}`, which is not a registered counter"
-            ));
-        }
-        let ids = self.names.map(|name| counter(name).expect("checked above"));
-        Ok(*self.ids.insert(ids))
-    }
-
-    /// The counters' current values, in the order they were named.
-    fn read(&mut self, oracle: &str, metrics: &Metrics) -> Result<[u64; N], String> {
-        let ids = self.resolve(oracle, metrics)?;
-        Ok(ids.map(|id| metrics.counter_value(id)))
-    }
+    /// Told that a server changed between two events (a harness mutated
+    /// it directly), so the next check must not assume that only the
+    /// event's node moved. Oracles that re-read only the event's server
+    /// read every server on that check.
+    fn servers_mutated(&mut self) {}
 }
 
 /// Builds one instance of every oracle in the catalog.
@@ -195,16 +166,16 @@ pub fn default_suite() -> Vec<Box<dyn Oracle>> {
         Box::new(VirtualClockOracle {
             last: SimTime::ZERO,
         }),
-        Box::new(TokenConservationOracle { held: None }),
-        Box::new(TokenUniquenessOracle),
-        Box::new(BidMonotonicityOracle { last: None }),
-        Box::new(AgeMonotonicityOracle { last: None }),
+        Box::new(TokenConservationOracle::default()),
+        Box::new(TokenUniquenessOracle(ServerSums::new())),
+        Box::new(BidMonotonicityOracle::default()),
+        Box::new(AgeMonotonicityOracle::default()),
         Box::new(AgeConservationOracle::new()),
         Box::new(CounterConsistencyOracle::new()),
         Box::new(MetricsConsistencyOracle::new()),
-        Box::new(ExchangeLedgerOracle),
-        Box::new(MembershipOracle { last: None }),
-        Box::new(ModelHullOracle { hull: None }),
+        Box::new(ExchangeLedgerOracle::default()),
+        Box::new(MembershipOracle::default()),
+        Box::new(ModelHullOracle::default()),
         Box::new(CodecByteOracle::new()),
         Box::new(AvailabilityOracle::new()),
         Box::new(LivenessOracle::new()),
@@ -238,10 +209,12 @@ impl Oracle for VirtualClockOracle {
 /// thin air. This is the oracle the `debug_force_token` injection trips:
 /// the forged token appears between events, so the first event after the
 /// injection sees an acquisition with no qualifying cause.
+#[derive(Default)]
 struct TokenConservationOracle {
     /// `(has_token, tokens_regenerated)` per server at the last check.
     /// Updated in place — no per-event snapshot allocation.
     held: Option<Vec<(bool, u64)>>,
+    scope: ServerScope,
 }
 
 impl Oracle for TokenConservationOracle {
@@ -250,10 +223,11 @@ impl Oracle for TokenConservationOracle {
     }
 
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        let positions = self.scope.positions(ctx);
         match &mut self.held {
             Some(prev) if prev.len() == ctx.n_servers() => {
-                for (i, slot) in prev.iter_mut().enumerate() {
-                    let s = ctx.server(i);
+                for i in positions {
+                    let (s, slot) = (ctx.server(i), &mut prev[i]);
                     let (was, regen_was) = *slot;
                     let (is, regen_is) = (s.has_token(), s.tokens_regenerated());
                     if is && !was {
@@ -282,13 +256,17 @@ impl Oracle for TokenConservationOracle {
         }
         Ok(())
     }
+
+    fn servers_mutated(&mut self) {
+        self.scope.invalidate();
+    }
 }
 
 /// At most one live token per regeneration epoch: the number of
 /// simultaneous holders never exceeds `1 + Σ tokens_regenerated` (each
 /// regeneration can at worst coexist with one stale token until the stale
-/// copy is dropped).
-struct TokenUniquenessOracle;
+/// copy is dropped). Both sides are running sums over the servers.
+struct TokenUniquenessOracle(ServerSums<2>);
 
 impl Oracle for TokenUniquenessOracle {
     fn name(&self) -> &'static str {
@@ -296,12 +274,9 @@ impl Oracle for TokenUniquenessOracle {
     }
 
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
-        let mut n_holders = 0u64;
-        let mut regenerated = 0u64;
-        for s in ctx.servers() {
-            n_holders += u64::from(s.has_token());
-            regenerated += s.tokens_regenerated();
-        }
+        let [n_holders, regenerated] = self
+            .0
+            .update(ctx, |s| [u64::from(s.has_token()), s.tokens_regenerated()]);
         if n_holders > 1 + regenerated {
             // Only build the holder list on the (terminal) failure path.
             let holders: Vec<usize> = (0..ctx.n_servers())
@@ -314,11 +289,17 @@ impl Oracle for TokenUniquenessOracle {
         }
         Ok(())
     }
+
+    fn servers_mutated(&mut self) {
+        self.0.scope.invalidate();
+    }
 }
 
 /// Each server's `highest_bid_seen` is monotone non-decreasing.
+#[derive(Default)]
 struct BidMonotonicityOracle {
     last: Option<Vec<u64>>,
+    scope: ServerScope,
 }
 
 impl Oracle for BidMonotonicityOracle {
@@ -327,10 +308,11 @@ impl Oracle for BidMonotonicityOracle {
     }
 
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        let positions = self.scope.positions(ctx);
         match &mut self.last {
             Some(prev) if prev.len() == ctx.n_servers() => {
-                for (i, p) in prev.iter_mut().enumerate() {
-                    let n = ctx.server(i).highest_bid_seen();
+                for i in positions {
+                    let (n, p) = (ctx.server(i).highest_bid_seen(), &mut prev[i]);
                     if n < *p {
                         return Err(format!(
                             "server {i}'s highest_bid_seen decreased: {p} -> {n}"
@@ -343,6 +325,10 @@ impl Oracle for BidMonotonicityOracle {
         }
         Ok(())
     }
+
+    fn servers_mutated(&mut self) {
+        self.scope.invalidate();
+    }
 }
 
 /// A server's knowledge of *peer* ages only moves forward (entries are
@@ -353,11 +339,13 @@ impl Oracle for BidMonotonicityOracle {
 /// the sponsor's view and a stand-down re-keys the slot, so monotonicity
 /// only binds within one stable incarnation (detected as an unchanged
 /// slot between snapshots).
+#[derive(Default)]
 struct AgeMonotonicityOracle {
     /// Per server: `(slot, ages)` at the last check. The inner `Vec`s are
     /// reused across events (`clear` + `extend_from_slice`), so the
     /// steady-state check allocates nothing.
     last: Option<Vec<(usize, Vec<f64>)>>,
+    scope: ServerScope,
 }
 
 impl Oracle for AgeMonotonicityOracle {
@@ -366,6 +354,7 @@ impl Oracle for AgeMonotonicityOracle {
     }
 
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        let positions = self.scope.positions(ctx);
         let prev = match &mut self.last {
             Some(prev) if prev.len() == ctx.n_servers() => prev,
             _ => {
@@ -377,8 +366,8 @@ impl Oracle for AgeMonotonicityOracle {
                 self.last.as_mut().expect("just set")
             }
         };
-        for (i, (pslot, pages)) in prev.iter_mut().enumerate() {
-            let s = ctx.server(i);
+        for i in positions {
+            let (s, (pslot, pages)) = (ctx.server(i), &mut prev[i]);
             let slot = s.server_idx();
             let ages = s.known_ages();
             for (j, &a) in ages.iter().enumerate() {
@@ -404,19 +393,28 @@ impl Oracle for AgeMonotonicityOracle {
         }
         Ok(())
     }
+
+    fn servers_mutated(&mut self) {
+        self.scope.invalidate();
+    }
 }
 
 /// Ages are conserved: one processed update grows exactly one server's age
 /// by at most 1, and exchanges only blend ages convexly — so no age entry
 /// anywhere can exceed the global count of processed updates.
+///
+/// The bound only rises (counters only accumulate), so a server no event
+/// touched still meets it: only the event's server is re-read.
 struct AgeConservationOracle {
     counters: Counters<1>,
+    scope: ServerScope,
 }
 
 impl AgeConservationOracle {
     fn new() -> Self {
         Self {
             counters: Counters::new(["updates.processed"]),
+            scope: ServerScope::default(),
         }
     }
 }
@@ -429,7 +427,8 @@ impl Oracle for AgeConservationOracle {
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
         let [processed] = self.counters.read(self.name(), ctx.metrics)?;
         let bound = processed as f64 + AGE_EPS;
-        for (i, s) in ctx.servers().enumerate() {
+        for i in self.scope.positions(ctx) {
+            let s = ctx.server(i);
             if s.age() > bound {
                 return Err(format!(
                     "server {i}'s age {} exceeds the {processed} updates processed globally",
@@ -447,13 +446,19 @@ impl Oracle for AgeConservationOracle {
         }
         Ok(())
     }
+
+    fn servers_mutated(&mut self) {
+        self.scope.invalidate();
+    }
 }
 
 /// The metric counters and the per-actor ledgers are two recordings of the
 /// same history; they must agree exactly, and every aggregate counter must
-/// equal the sum of its cause-tagged children.
+/// equal the sum of its cause-tagged children. The counters are read after
+/// every event (any node moves them); the ledger sums are running sums.
 struct CounterConsistencyOracle {
     ledgers: Counters<6>,
+    ledger_sums: ServerSums<6>,
     rejected_by_cause: Counters<5>,
     bytes_by_kind: Counters<3>,
     dropped_by_cause: Counters<5>,
@@ -484,6 +489,7 @@ impl CounterConsistencyOracle {
                 "sync.degraded",
                 "agg.rejected",
             ]),
+            ledger_sums: ServerSums::new(),
             rejected_by_cause: Counters::new([
                 "agg.rejected",
                 "agg.rejected.nonfinite",
@@ -542,9 +548,11 @@ impl Oracle for CounterConsistencyOracle {
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
         let m = ctx.metrics;
         let counters = self.ledgers.read(Self::NAME, m)?;
-        for ((name, counter), ledger) in self.ledgers.names.iter().zip(counters).zip(SERVER_LEDGERS)
-        {
-            Self::check_eq(name, counter, ctx.servers().map(ledger).sum())?;
+        let sums = self
+            .ledger_sums
+            .update(ctx, |s| SERVER_LEDGERS.map(|ledger| ledger(s)));
+        for ((name, counter), sum) in self.ledgers.names.iter().zip(counters).zip(sums) {
+            Self::check_eq(name, counter, sum)?;
         }
         Self::check_parts("agg.rejected (by cause)", &mut self.rejected_by_cause, m)?;
         Self::check_parts("net.bytes (by kind)", &mut self.bytes_by_kind, m)?;
@@ -554,6 +562,10 @@ impl Oracle for CounterConsistencyOracle {
             &mut self.byzantine_by_attack,
             m,
         )
+    }
+
+    fn servers_mutated(&mut self) {
+        self.ledger_sums.scope.invalidate();
     }
 }
 
@@ -669,7 +681,10 @@ impl Oracle for MetricsConsistencyOracle {
 /// token and has broadcast under its bid, a held bid never exceeds the
 /// highest bid seen, and no exchange collects more models than there are
 /// servers.
-struct ExchangeLedgerOracle;
+#[derive(Default)]
+struct ExchangeLedgerOracle {
+    scope: ServerScope,
+}
 
 impl Oracle for ExchangeLedgerOracle {
     fn name(&self) -> &'static str {
@@ -678,7 +693,8 @@ impl Oracle for ExchangeLedgerOracle {
 
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
         let n = ctx.n_servers();
-        for (i, s) in ctx.servers().enumerate() {
+        for i in self.scope.positions(ctx) {
+            let s = ctx.server(i);
             if let Some(bid) = s.token_bid() {
                 if bid > s.highest_bid_seen() {
                     return Err(format!(
@@ -706,6 +722,10 @@ impl Oracle for ExchangeLedgerOracle {
         }
         Ok(())
     }
+
+    fn servers_mutated(&mut self) {
+        self.scope.invalidate();
+    }
 }
 
 /// Membership stays sane across ring epochs: each server's epoch is
@@ -715,9 +735,11 @@ impl Oracle for ExchangeLedgerOracle {
 /// evicted-but-alive server stands down, `departed → standby` on
 /// recommission), and only a live member ever holds the ring token —
 /// a leaver hands its token off *before* it starts draining.
+#[derive(Default)]
 struct MembershipOracle {
     /// Per server: `(ring_epoch, phase)` at the last check.
     last: Option<Vec<(u64, &'static str)>>,
+    scope: ServerScope,
 }
 
 impl MembershipOracle {
@@ -739,7 +761,9 @@ impl Oracle for MembershipOracle {
     }
 
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
-        for (i, s) in ctx.servers().enumerate() {
+        let positions = self.scope.positions(ctx);
+        for i in positions.clone() {
+            let s = ctx.server(i);
             if s.membership_phase() != "live" && s.has_token() {
                 return Err(format!(
                     "server {i} holds the token while {}",
@@ -749,8 +773,8 @@ impl Oracle for MembershipOracle {
         }
         match &mut self.last {
             Some(prev) if prev.len() == ctx.n_servers() => {
-                for (i, slot) in prev.iter_mut().enumerate() {
-                    let s = ctx.server(i);
+                for i in positions {
+                    let (s, slot) = (ctx.server(i), &mut prev[i]);
                     let (pe, pp) = *slot;
                     let (ne, np) = (s.ring_epoch(), s.membership_phase());
                     if ne < pe {
@@ -774,17 +798,23 @@ impl Oracle for MembershipOracle {
         }
         Ok(())
     }
+
+    fn servers_mutated(&mut self) {
+        self.scope.invalidate();
+    }
 }
 
 /// Without Byzantine clients every update is a convex pull toward some
 /// client target, and every merge (robust or not) is a convex combination
 /// — so each model coordinate stays inside the hull spanned by the zero
 /// initialisation and the client targets.
+#[derive(Default)]
 struct ModelHullOracle {
     /// Cached `(lo, hi)` hull bounds: the targets are fixed for the whole
     /// run, so folding over all of them (`O(n_clients)`) on every event is
     /// pure waste at 10⁵+ clients.
     hull: Option<(f32, f32)>,
+    scope: ServerScope,
 }
 
 impl Oracle for ModelHullOracle {
@@ -809,8 +839,8 @@ impl Oracle for ModelHullOracle {
                 ctx.targets.iter().copied().fold(0.0f32, f32::max) + HULL_EPS,
             )
         });
-        for (i, s) in ctx.servers().enumerate() {
-            for (c, &v) in s.params().as_slice().iter().enumerate() {
+        for i in self.scope.positions(ctx) {
+            for (c, &v) in ctx.server(i).params().as_slice().iter().enumerate() {
                 if !(lo..=hi).contains(&v) {
                     return Err(format!(
                         "server {i}'s model coordinate {c} is {v}, outside the honest \
@@ -820,6 +850,10 @@ impl Oracle for ModelHullOracle {
             }
         }
         Ok(())
+    }
+
+    fn servers_mutated(&mut self) {
+        self.scope.invalidate();
     }
 }
 
@@ -859,11 +893,13 @@ impl Oracle for CodecByteOracle {
     }
 
     fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        let Some(codec) = ctx.codec else {
+            // Nothing to read, but a counter name the registry does not
+            // know still fails the first event.
+            return self.counters.resolve(self.name(), ctx.metrics).map(drop);
+        };
         let [raw, encoded, saved, decode_errors, decoded, missed, sent, _] =
             self.counters.read(self.name(), ctx.metrics)?;
-        let Some(codec) = ctx.codec else {
-            return Ok(());
-        };
         // Quantization caps every kept coordinate at one byte (plus the
         // fixed header), so at the dimensions codec scenarios run at the
         // encoded upload is strictly below the 4-bytes-per-coordinate

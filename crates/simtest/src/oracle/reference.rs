@@ -1,8 +1,14 @@
-//! The pre-rewrite bodies of the oracles that now read counters through
-//! cached ids and re-check spans per event node, kept verbatim as the
-//! reference the differential tests below compare against: whole-store span
-//! scans, a name-keyed counter map, one `Metrics::counter("…")` lookup per
-//! read. [`reference_suite`] is [`default_suite`] with those six swapped in.
+//! The oracles the differential tests below compare the suite against,
+//! each a full-scan, by-name body kept verbatim from before a rewrite:
+//!
+//! - the six that now read counters through cached ids and re-check spans
+//!   per event node: whole-store span scans, a name-keyed counter map, one
+//!   `Metrics::counter("…")` lookup per read;
+//! - the nine server-state oracles, which now re-read only the event's
+//!   server: each walks every server after every event (age-conservation
+//!   and counter-consistency are in both sets).
+//!
+//! [`reference_suite`] is [`default_suite`] with all of them swapped in.
 
 use super::*;
 use crate::harness::{run_scenario, run_with_suite, RunOutcome};
@@ -392,6 +398,337 @@ impl Oracle for LivenessOracle {
     }
 }
 
+/// A server may only *acquire* the token through a `TokenPass` delivery,
+/// a watchdog regeneration, or holding it from the start — never out of
+/// thin air. This is the oracle the `debug_force_token` injection trips:
+/// the forged token appears between events, so the first event after the
+/// injection sees an acquisition with no qualifying cause.
+struct TokenConservationOracle {
+    /// `(has_token, tokens_regenerated)` per server at the last check.
+    /// Updated in place — no per-event snapshot allocation.
+    held: Option<Vec<(bool, u64)>>,
+}
+
+impl Oracle for TokenConservationOracle {
+    fn name(&self) -> &'static str {
+        "token-conservation"
+    }
+
+    fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        match &mut self.held {
+            Some(prev) if prev.len() == ctx.n_servers() => {
+                for (i, slot) in prev.iter_mut().enumerate() {
+                    let s = ctx.server(i);
+                    let (was, regen_was) = *slot;
+                    let (is, regen_is) = (s.has_token(), s.tokens_regenerated());
+                    if is && !was {
+                        let caused_by_pass = ctx
+                            .event
+                            .is_some_and(|e| e.token_delivered && e.node == ctx.server_nodes[i]);
+                        let caused_by_regen = regen_is > regen_was;
+                        if !caused_by_pass && !caused_by_regen {
+                            return Err(format!(
+                                "server {i} acquired a token (bid {:?}) without a TokenPass \
+                                 delivery or a regeneration",
+                                s.token_bid()
+                            ));
+                        }
+                    }
+                    *slot = (is, regen_is);
+                }
+            }
+            _ => {
+                self.held = Some(
+                    ctx.servers()
+                        .map(|s| (s.has_token(), s.tokens_regenerated()))
+                        .collect(),
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
+/// At most one live token per regeneration epoch: the number of
+/// simultaneous holders never exceeds `1 + Σ tokens_regenerated` (each
+/// regeneration can at worst coexist with one stale token until the stale
+/// copy is dropped).
+struct TokenUniquenessOracle;
+
+impl Oracle for TokenUniquenessOracle {
+    fn name(&self) -> &'static str {
+        "token-uniqueness"
+    }
+
+    fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        let mut n_holders = 0u64;
+        let mut regenerated = 0u64;
+        for s in ctx.servers() {
+            n_holders += u64::from(s.has_token());
+            regenerated += s.tokens_regenerated();
+        }
+        if n_holders > 1 + regenerated {
+            // Only build the holder list on the (terminal) failure path.
+            let holders: Vec<usize> = (0..ctx.n_servers())
+                .filter(|&i| ctx.server(i).has_token())
+                .collect();
+            return Err(format!(
+                "{n_holders} servers hold a token simultaneously ({holders:?}) with only \
+                 {regenerated} regenerations"
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Each server's `highest_bid_seen` is monotone non-decreasing.
+struct BidMonotonicityOracle {
+    last: Option<Vec<u64>>,
+}
+
+impl Oracle for BidMonotonicityOracle {
+    fn name(&self) -> &'static str {
+        "bid-monotonicity"
+    }
+
+    fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        match &mut self.last {
+            Some(prev) if prev.len() == ctx.n_servers() => {
+                for (i, p) in prev.iter_mut().enumerate() {
+                    let n = ctx.server(i).highest_bid_seen();
+                    if n < *p {
+                        return Err(format!(
+                            "server {i}'s highest_bid_seen decreased: {p} -> {n}"
+                        ));
+                    }
+                    *p = n;
+                }
+            }
+            _ => self.last = Some(ctx.servers().map(|s| s.highest_bid_seen()).collect()),
+        }
+        Ok(())
+    }
+}
+
+/// A server's knowledge of *peer* ages only moves forward (entries are
+/// exclusively max-merged), and every age stays finite and non-negative.
+/// Two exemptions: a server's own slot (the sigmoid-weighted exchange
+/// blends its live age *toward* a peer's, which may lower it), and a
+/// membership transition — a join-accept replaces the whole vector with
+/// the sponsor's view and a stand-down re-keys the slot, so monotonicity
+/// only binds within one stable incarnation (detected as an unchanged
+/// slot between snapshots).
+struct AgeMonotonicityOracle {
+    /// Per server: `(slot, ages)` at the last check. The inner `Vec`s are
+    /// reused across events (`clear` + `extend_from_slice`), so the
+    /// steady-state check allocates nothing.
+    last: Option<Vec<(usize, Vec<f64>)>>,
+}
+
+impl Oracle for AgeMonotonicityOracle {
+    fn name(&self) -> &'static str {
+        "age-monotonicity"
+    }
+
+    fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        let prev = match &mut self.last {
+            Some(prev) if prev.len() == ctx.n_servers() => prev,
+            _ => {
+                self.last = Some(
+                    ctx.servers()
+                        .map(|s| (s.server_idx(), s.known_ages().to_vec()))
+                        .collect(),
+                );
+                self.last.as_mut().expect("just set")
+            }
+        };
+        for (i, (pslot, pages)) in prev.iter_mut().enumerate() {
+            let s = ctx.server(i);
+            let slot = s.server_idx();
+            let ages = s.known_ages();
+            for (j, &a) in ages.iter().enumerate() {
+                if !a.is_finite() || a < 0.0 {
+                    return Err(format!("server {i}'s age entry for {j} is {a}"));
+                }
+            }
+            // Same incarnation (unchanged slot): peer entries are
+            // max-merged only, so they must not have decreased.
+            if *pslot == slot {
+                for (j, (pa, na)) in pages.iter().zip(ages).enumerate() {
+                    if j != slot && na < pa {
+                        return Err(format!(
+                            "server {i}'s knowledge of slot {j}'s age decreased: \
+                             {pa} -> {na}"
+                        ));
+                    }
+                }
+            }
+            *pslot = slot;
+            pages.clear();
+            pages.extend_from_slice(ages);
+        }
+        Ok(())
+    }
+}
+
+/// The exchange ledger stays coherent: a synchronising server holds the
+/// token and has broadcast under its bid, a held bid never exceeds the
+/// highest bid seen, and no exchange collects more models than there are
+/// servers.
+struct ExchangeLedgerOracle;
+
+impl Oracle for ExchangeLedgerOracle {
+    fn name(&self) -> &'static str {
+        "exchange-ledger"
+    }
+
+    fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        let n = ctx.n_servers();
+        for (i, s) in ctx.servers().enumerate() {
+            if let Some(bid) = s.token_bid() {
+                if bid > s.highest_bid_seen() {
+                    return Err(format!(
+                        "server {i} holds bid {bid} above its highest_bid_seen {}",
+                        s.highest_bid_seen()
+                    ));
+                }
+                if s.models_counted(bid) > n {
+                    return Err(format!(
+                        "server {i} counted {} models for bid {bid} in a ring of {n}",
+                        s.models_counted(bid)
+                    ));
+                }
+                if s.is_synchronising() && !s.has_broadcast(bid) {
+                    return Err(format!(
+                        "server {i} is synchronising under bid {bid} without having \
+                         broadcast its model"
+                    ));
+                }
+            } else if s.is_synchronising() {
+                return Err(format!(
+                    "server {i} is synchronising without holding the token"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Membership stays sane across ring epochs: each server's epoch is
+/// monotone non-decreasing, lifecycle phases only move along the legal
+/// edges of the state machine (`standby → live` on join, `live →
+/// draining → departed` on a voluntary leave, `live → standby` when an
+/// evicted-but-alive server stands down, `departed → standby` on
+/// recommission), and only a live member ever holds the ring token —
+/// a leaver hands its token off *before* it starts draining.
+struct MembershipOracle {
+    /// Per server: `(ring_epoch, phase)` at the last check.
+    last: Option<Vec<(u64, &'static str)>>,
+}
+
+impl MembershipOracle {
+    fn legal(from: &str, to: &str) -> bool {
+        matches!(
+            (from, to),
+            ("standby", "live")
+                | ("live", "draining")
+                | ("live", "standby")
+                | ("draining", "departed")
+                | ("departed", "standby")
+        )
+    }
+}
+
+impl Oracle for MembershipOracle {
+    fn name(&self) -> &'static str {
+        "membership"
+    }
+
+    fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        for (i, s) in ctx.servers().enumerate() {
+            if s.membership_phase() != "live" && s.has_token() {
+                return Err(format!(
+                    "server {i} holds the token while {}",
+                    s.membership_phase()
+                ));
+            }
+        }
+        match &mut self.last {
+            Some(prev) if prev.len() == ctx.n_servers() => {
+                for (i, slot) in prev.iter_mut().enumerate() {
+                    let s = ctx.server(i);
+                    let (pe, pp) = *slot;
+                    let (ne, np) = (s.ring_epoch(), s.membership_phase());
+                    if ne < pe {
+                        return Err(format!("server {i}'s ring epoch decreased: {pe} -> {ne}"));
+                    }
+                    if pp != np && !Self::legal(pp, np) {
+                        return Err(format!(
+                            "server {i} made an illegal phase transition: {pp} -> {np}"
+                        ));
+                    }
+                    *slot = (ne, np);
+                }
+            }
+            _ => {
+                self.last = Some(
+                    ctx.servers()
+                        .map(|s| (s.ring_epoch(), s.membership_phase()))
+                        .collect(),
+                );
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Without Byzantine clients every update is a convex pull toward some
+/// client target, and every merge (robust or not) is a convex combination
+/// — so each model coordinate stays inside the hull spanned by the zero
+/// initialisation and the client targets.
+struct ModelHullOracle {
+    /// Cached `(lo, hi)` hull bounds: the targets are fixed for the whole
+    /// run, so folding over all of them (`O(n_clients)`) on every event is
+    /// pure waste at 10⁵+ clients.
+    hull: Option<(f32, f32)>,
+}
+
+impl Oracle for ModelHullOracle {
+    fn name(&self) -> &'static str {
+        "model-hull"
+    }
+
+    fn check(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
+        if !ctx.byzantine_free || ctx.targets.is_empty() {
+            return Ok(());
+        }
+        // A lossy codec adds bounded quantization/sparsification error on
+        // top of every honest update, and error feedback re-injects the
+        // dropped mass later — both can legitimately push a coordinate a
+        // step past the hull, so the invariant only binds on dense runs.
+        if ctx.codec.is_some_and(|c| c.is_lossy()) {
+            return Ok(());
+        }
+        let (lo, hi) = *self.hull.get_or_insert_with(|| {
+            (
+                ctx.targets.iter().copied().fold(0.0f32, f32::min) - HULL_EPS,
+                ctx.targets.iter().copied().fold(0.0f32, f32::max) + HULL_EPS,
+            )
+        });
+        for (i, s) in ctx.servers().enumerate() {
+            for (c, &v) in s.params().as_slice().iter().enumerate() {
+                if !(lo..=hi).contains(&v) {
+                    return Err(format!(
+                        "server {i}'s model coordinate {c} is {v}, outside the honest \
+                         hull [{lo}, {hi}]"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 mod tests {
     use super::*;
 
@@ -435,20 +772,29 @@ mod tests {
 
     #[test]
     fn token_injection_verdict_is_unchanged() {
-        let sc = (0..64)
-            .map(SimScenario::generate)
-            .find(|s| s.n_servers >= 2 && s.fault_count() > 0)
-            .expect("a multi-server faulty scenario in the first 64 seeds");
-        let mut caught = 0;
-        for server in 0..sc.n_servers {
-            let mut injected = sc.clone();
-            injected.inject = Some(Injection::DuplicateToken {
-                at: SimTime::from_micros(sc.horizon.as_micros() / 2),
-                server,
-            });
-            let outcome = same_verdict(&injected, &format!("token forged at server {server}"));
-            caught += usize::from(outcome.is_violated());
+        let multi_server = |generate: fn(u64) -> SimScenario, faulty: bool| {
+            (0..64)
+                .map(generate)
+                .filter(move |s| s.n_servers >= 2 && (!faulty || s.fault_count() > 0))
+        };
+        let scenarios = multi_server(SimScenario::generate, true)
+            .take(2)
+            .chain(multi_server(SimScenario::generate_churn, false).take(1))
+            .chain(multi_server(SimScenario::generate_codec, false).take(1));
+        let (mut cases, mut caught) = (0, 0);
+        for sc in scenarios {
+            for server in 0..sc.n_servers {
+                for (num, den) in [(1, 3), (1, 2)] {
+                    let mut injected = sc.clone();
+                    let at = SimTime::from_micros(sc.horizon.as_micros() * num / den);
+                    injected.inject = Some(Injection::DuplicateToken { at, server });
+                    let what = format!("seed {}: token forged at server {server} at {at}", sc.seed);
+                    caught += usize::from(same_verdict(&injected, &what).is_violated());
+                    cases += 1;
+                }
+            }
         }
+        assert!(cases >= 16, "only {cases} injection cases");
         assert!(caught > 0, "no ring position caught the duplicate token");
     }
 }

@@ -1,3 +1,5 @@
+use spyker_core::config::SpykerConfig;
+use spyker_core::params::ParamVec;
 use spyker_simnet::SpanStore;
 
 use super::*;
@@ -111,6 +113,7 @@ fn a_counter_nobody_registers_fails_the_first_check() {
     let m = Metrics::new();
     let mut o = AgeConservationOracle {
         counters: Counters::new(["updates.procesed"]),
+        scope: ServerScope::default(),
     };
     let err = o.check(&ctx(&m)).unwrap_err();
     assert_eq!(
@@ -283,4 +286,105 @@ fn metrics_oracle_flags_a_decreasing_counter() {
     b.add_counter("updates.sent", 3);
     let err = o.check(&ctx(&b)).unwrap_err();
     assert!(err.contains("decreased"), "{err}");
+}
+
+/// Two live servers at node ids 0 and 1, before any handler ran: neither
+/// holds a token.
+fn two_servers() -> Vec<Box<dyn Node<FlMsg>>> {
+    let config = SpykerConfig::paper_defaults(2, 2);
+    (0..2)
+        .map(|i| {
+            let server =
+                SpykerServer::new(i, vec![0, 1], vec![i], ParamVec::zeros(4), config.clone());
+            Box::new(server) as Box<dyn Node<FlMsg>>
+        })
+        .collect()
+}
+
+fn forge_token(nodes: &mut [Box<dyn Node<FlMsg>>], node: NodeId) {
+    let server = nodes[node].as_any_mut().downcast_mut::<SpykerServer>();
+    server.expect("a server").debug_force_token(1_000_000);
+}
+
+/// A check after an event at `node` of a run whose servers are nodes 0 and 1.
+fn servers_at<'a>(
+    m: &'a Metrics,
+    nodes: &'a [Box<dyn Node<FlMsg>>],
+    node: NodeId,
+) -> OracleCtx<'a> {
+    OracleCtx {
+        nodes,
+        server_nodes: &[0, 1],
+        ..at(m, node)
+    }
+}
+
+/// The first oracle of `suite` that fails, with its message.
+fn first_failure(suite: &mut [Box<dyn Oracle>], ctx: &OracleCtx<'_>) -> Option<String> {
+    suite
+        .iter_mut()
+        .find_map(|o| o.check(ctx).err().map(|e| format!("{}: {e}", o.name())))
+}
+
+#[test]
+fn a_token_forged_away_from_the_next_event_is_flagged_at_that_event() {
+    let m = Metrics::new();
+    let mut nodes = two_servers();
+    let (mut told, mut untold) = (default_suite(), default_suite());
+    assert_eq!(first_failure(&mut told, &servers_at(&m, &nodes, 0)), None);
+    assert_eq!(first_failure(&mut untold, &servers_at(&m, &nodes, 0)), None);
+    // Between two events, as the harness's injection does: node 1 is not
+    // the node the next event runs at.
+    forge_token(&mut nodes, 1);
+    told.iter_mut().for_each(|o| o.servers_mutated());
+    let err = first_failure(&mut told, &servers_at(&m, &nodes, 0)).expect("flagged");
+    assert!(
+        err.starts_with("token-conservation: server 1 acquired a token"),
+        "{err}"
+    );
+    // A suite nobody told re-reads only the event's server, so it sees the
+    // forged token only once an event runs at that server.
+    assert_eq!(first_failure(&mut untold, &servers_at(&m, &nodes, 0)), None);
+    let err = first_failure(&mut untold, &servers_at(&m, &nodes, 1)).expect("flagged");
+    assert!(err.contains("server 1 acquired a token"), "{err}");
+}
+
+#[test]
+fn a_scope_reads_every_server_until_it_may_read_one() {
+    let m = Metrics::new();
+    let ids = [0, 1, 7];
+    let ctx = |node: Option<NodeId>, server_nodes| OracleCtx {
+        server_nodes,
+        event: node.map(|node| EventInfo {
+            node,
+            kind: TapKind::Deliver,
+            token_delivered: false,
+        }),
+        ..ctx(&m)
+    };
+    let mut scope = ServerScope::default();
+    assert_eq!(scope.positions(&ctx(Some(7), &ids)), 0..3, "first check");
+    assert_eq!(
+        scope.positions(&ctx(Some(7), &ids)),
+        2..3,
+        "a server's event"
+    );
+    assert_eq!(
+        scope.positions(&ctx(Some(4), &ids)),
+        0..0,
+        "a client's event"
+    );
+    assert_eq!(scope.positions(&ctx(None, &ids)), 0..3, "outside any event");
+    assert_eq!(
+        scope.positions(&ctx(Some(4), &ids[..2])),
+        0..2,
+        "new server set"
+    );
+    assert_eq!(scope.positions(&ctx(Some(1), &ids[..2])), 1..2);
+    scope.invalidate();
+    assert_eq!(
+        scope.positions(&ctx(Some(1), &ids[..2])),
+        0..2,
+        "invalidated"
+    );
 }

@@ -32,7 +32,7 @@ use spyker_core::update_codec::CodecConfig;
 use spyker_simnet::{peak_rss_bytes, NetworkConfig, NodeId, SchedulerKind, SimTime, Simulation};
 
 use crate::driver::{Deployment, OracleDriver};
-use crate::harness::Violation;
+use crate::harness::{fingerprint, Violation};
 use crate::oracle::default_suite;
 
 /// Parameters of one scalability run.
@@ -97,6 +97,9 @@ pub struct ScaleStats {
     pub end_time: SimTime,
     /// `updates.processed` at the end of the run.
     pub updates_processed: u64,
+    /// FNV-1a digest of the end state, as [`crate::RunStats::fingerprint`]
+    /// digests a scenario run's.
+    pub fingerprint: u64,
     /// Wall-clock event throughput.
     pub events_per_sec: f64,
     /// Peak RSS of the process, if procfs is available.
@@ -169,8 +172,9 @@ pub fn build_scale(spec: &ScaleSpec) -> (Simulation<FlMsg>, Vec<f32>) {
 /// stamps the run-level gauges, and returns the stats.
 pub fn run_scale(spec: &ScaleSpec, budget_events: u64) -> ScaleStats {
     let (mut sim, targets) = build_scale(spec);
+    let server_ids: Vec<NodeId> = (0..spec.n_servers).collect();
     let deployment = Deployment {
-        server_ids: (0..spec.n_servers).collect(),
+        server_ids: server_ids.clone(),
         n_clients: spec.n_cohorts(),
         clean: true,
         byzantine_free: true,
@@ -182,6 +186,7 @@ pub fn run_scale(spec: &ScaleSpec, budget_events: u64) -> ScaleStats {
     sim.run_with_tap(spec.horizon, &mut tap);
     let elapsed = wall.elapsed().as_secs_f64().max(1e-9);
     tap.finish(&sim);
+    let fingerprint = fingerprint(&sim, &server_ids, tap.events);
 
     let events_per_sec = tap.events as f64 / elapsed;
     let rss = peak_rss_bytes();
@@ -197,6 +202,7 @@ pub fn run_scale(spec: &ScaleSpec, budget_events: u64) -> ScaleStats {
         events: tap.events,
         end_time: sim.now(),
         updates_processed: sim.metrics().counter("updates.processed"),
+        fingerprint,
         events_per_sec,
         peak_rss_bytes: rss,
         violation: tap.violation,

@@ -9,8 +9,11 @@
 # (64 seeds), churn (32 seeds) and codec (32 seeds) sweeps on both builds
 # at check.sh's event budget, without its time cap, so every seed runs.
 # Diffs the per-seed `seed N: ...` lines, which carry each run's end-state
-# fingerprint, and exits 1 on any difference or failed sweep. A change
-# meant to leave the protocol's behaviour alone must pass this.
+# fingerprint. Then runs the coded 100k-client scale run on both builds,
+# the one run here whose traffic shares flow-level trunks, and diffs its
+# `scale: ...` line (events, updates, fingerprint). Exits 1 on any
+# difference or failed run. A change meant to leave the protocol's
+# behaviour alone must pass this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,4 +65,21 @@ for sweep in "--seeds 64" "--churn --seeds 32" "--codec --seeds 32"; do
     fi
 done
 echo "same_runs: $SAME of $TOTAL sweep fingerprints identical"
+
+SCALE="--scale 100k --cohort 128 --codec --budget-events 10m"
+for side in base work; do
+    # shellcheck disable=SC2086 # the run's flags split on purpose
+    if ! "$WORK/build-$side/release/simtest" $SCALE >"$WORK/$side-scale.log" 2>&1; then
+        echo "same_runs: $side run '$SCALE' failed, see $WORK/$side-scale.log" >&2
+        STATUS=1
+    fi
+    grep '^scale: ' "$WORK/$side-scale.log" >"$WORK/$side-scale.line" || true
+done
+if [[ -s $WORK/work-scale.line ]] && diff "$WORK/base-scale.line" "$WORK/work-scale.line" \
+    >"$WORK/scale.diff"; then
+    echo "same_runs: '$SCALE': $(cat "$WORK/work-scale.line") on both builds"
+else
+    echo "same_runs: '$SCALE': the scale lines differ, see $WORK/scale.diff"
+    STATUS=1
+fi
 exit $STATUS
