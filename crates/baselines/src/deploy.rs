@@ -104,7 +104,10 @@ pub fn hierfavg_deployment(
     assert_eq!(trainers.len(), train_delay.len(), "one delay per trainer");
     let mut sim = Simulation::new(net, seed);
     let edges: Vec<usize> = (1..=num_edges).collect();
-    sim.add_node(Box::new(CloudServer::new(edges, cfg)), Region::ALL[0]);
+    sim.add_node(
+        Box::new(CloudServer::new(edges, init_params.clone(), cfg)),
+        Region::ALL[0],
+    );
     let assignment = even_assignment(trainers.len(), num_edges);
     // Client node ids start after cloud + edges.
     let client_ids: Vec<Vec<usize>> = clients_of_servers(&assignment, num_edges)

@@ -1,12 +1,14 @@
 //! Synchronous FedAvg (McMahan et al. 2017).
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use spyker_core::agg::{validate_update, AggregationStrategy, RobustBuffer, ValidationConfig};
+use spyker_core::agg::{
+    validate_update, AggregationStrategy, RejectReason, RobustBuffer, ValidationConfig,
+};
+use spyker_core::barrier::RoundBarrier;
 use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
 use spyker_simnet::{Env, Node, NodeId, SimTime};
@@ -89,14 +91,9 @@ pub struct FedAvgServer {
     params: ParamVec,
     cfg: FedAvgConfig,
     round: u64,
-    // BTreeMap: aggregation iterates values, and f32 summation order must
-    // be deterministic for reproducible runs. `None` marks an update that
-    // cannot enter the aggregate (the validation gate rejected it, or its
-    // dimension or sample count is unusable): it still advances the round
-    // barrier but never reaches the aggregate.
-    received: BTreeMap<NodeId, Option<(ParamVec, usize)>>,
-    /// Clients selected for the current round.
-    selected: Vec<NodeId>,
+    /// The current round's uploads and their sample counts, one slot per
+    /// selected client.
+    barrier: RoundBarrier<(ParamVec, f64)>,
     rng: StdRng,
     /// Robust combiner; `None` for Eq. 2's weighted mean.
     robust: Option<RobustBuffer>,
@@ -134,8 +131,7 @@ impl FedAvgServer {
             params: init_params,
             cfg,
             round: 0,
-            received: BTreeMap::new(),
-            selected: Vec::new(),
+            barrier: RoundBarrier::new([]),
             rng: StdRng::seed_from_u64(seed ^ 0xfeda_f60f_5eed),
             robust: RobustBuffer::from_strategy(cfg.aggregation),
             estimate: ParamVec::zeros(0),
@@ -163,15 +159,12 @@ impl FedAvgServer {
     fn broadcast_round(&mut self, env: &mut dyn Env<FlMsg>) {
         let k = ((self.clients.len() as f32 * self.cfg.participation).ceil() as usize)
             .clamp(1, self.clients.len());
-        self.selected = if k == self.clients.len() {
-            self.clients.clone()
-        } else {
-            let mut pool = self.clients.clone();
-            pool.shuffle(&mut self.rng);
-            pool.truncate(k);
-            pool
-        };
-        for &client in &self.selected {
+        let mut selected = self.clients.clone();
+        if k < selected.len() {
+            selected.shuffle(&mut self.rng);
+            selected.truncate(k);
+        }
+        for &client in &selected {
             env.send(
                 client,
                 FlMsg::ModelToClient {
@@ -181,7 +174,35 @@ impl FedAvgServer {
                 },
             );
         }
+        self.barrier = RoundBarrier::new(selected);
     }
+}
+
+/// A round member's upload `(params, age, weight)`, checked against the
+/// round's `model` at age `round`: `Ok((params, weight))` when a mean can
+/// take it. Another dimension, or a weight that is not positive and
+/// finite, is `Err(None)`, counted under `net.unexpected`; an upload the
+/// gate refuses is `Err(Some(reason))`, booked under `agg.rejected` and its
+/// cause as the per-update servers book it. The caller offers either as an
+/// unusable entry: it still fills its sender's slot, so the barrier never
+/// waits on an attacker.
+pub(crate) fn round_entry(
+    env: &mut dyn Env<FlMsg>,
+    validation: &ValidationConfig,
+    model: &ParamVec,
+    round: u64,
+    (params, age, weight): (ParamVec, f64, f64),
+) -> Result<(ParamVec, f64), Option<RejectReason>> {
+    if params.len() != model.len() || !(weight > 0.0 && weight.is_finite()) {
+        env.add_counter("net.unexpected", 1);
+        return Err(None);
+    }
+    validate_update(validation, model, &params, round as f64, age).map_err(|reason| {
+        env.add_counter("agg.rejected", 1);
+        env.add_counter(reason.counter(), 1);
+        Some(reason)
+    })?;
+    Ok((params, weight))
 }
 
 impl Node<FlMsg> for FedAvgServer {
@@ -202,48 +223,27 @@ impl Node<FlMsg> for FedAvgServer {
             env.add_counter("net.unexpected", 1);
             return;
         };
-        if !self.selected.contains(&from) {
+        if !self.barrier.is_member(from) {
             env.add_counter("net.unexpected", 1);
             return;
         }
-        // A wrong-dimension or zero-sample upload fits neither mean, and a
-        // gate reject must not reach one: each still counts toward round
-        // completion (the barrier must not wait on an attacker) but is
-        // dropped from the aggregate.
-        let entry = if params.len() != self.params.len() || num_samples == 0 {
-            env.add_counter("net.unexpected", 1);
-            None
-        } else {
-            match validate_update(
-                &self.cfg.validation,
-                &self.params,
-                &params,
-                self.round as f64,
-                age,
-            ) {
-                Ok(()) => Some((params, num_samples)),
-                Err(reason) => {
-                    self.rejected_updates += 1;
-                    env.add_counter("agg.rejected", 1);
-                    env.add_counter(reason.counter(), 1);
-                    None
-                }
-            }
-        };
-        self.received.insert(from, entry);
-        if self.received.len() < self.selected.len() {
+        let upload = (params, age, num_samples as f64);
+        let entry = round_entry(env, &self.cfg.validation, &self.params, self.round, upload);
+        self.rejected_updates += u64::from(matches!(entry, Err(Some(_))));
+        self.barrier.offer(from, entry.ok());
+        if !self.barrier.is_complete() {
             return;
         }
         // Round complete: aggregate the accepted updates.
         env.span_enter("server.aggregate");
         env.busy(self.cfg.agg_cost);
-        let processed = self.received.values().flatten().count() as u64;
-        if processed == 0 {
+        let accepted = self.barrier.close();
+        if accepted.is_empty() {
             // Nothing usable arrived: keep the model as is.
         } else if let Some(robust) = &mut self.robust {
             // Robust path: combine per-round deltas with uniform weights
             // (`num_samples` is attacker-controllable) and step the model.
-            for (p, _) in self.received.values().flatten() {
+            for (p, _) in &accepted {
                 robust.push_difference(p, &self.params, 1.0);
             }
             robust.flush_into(&mut self.estimate);
@@ -251,15 +251,9 @@ impl Node<FlMsg> for FedAvgServer {
             env.add_counter("agg.robust.flushes", 1);
         } else {
             // Eq. 2: data-size weighted mean replaces the global model.
-            let valid: Vec<(&ParamVec, f64)> = self
-                .received
-                .values()
-                .flatten()
-                .map(|(p, n)| (p, *n as f64))
-                .collect();
-            self.params = ParamVec::weighted_mean(&valid);
+            self.params = ParamVec::weighted_mean(&accepted);
         }
-        self.received.clear();
+        let processed = accepted.len() as u64;
         self.round += 1;
         // One "round" integrates one update from every accepted client.
         env.add_counter("updates.processed", processed);

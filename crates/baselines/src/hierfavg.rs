@@ -8,11 +8,14 @@
 //! HierFAVG slow across geo-distributed regions (paper §2.3).
 
 use std::any::Any;
-use std::collections::BTreeMap;
 
+use spyker_core::agg::ValidationConfig;
+use spyker_core::barrier::RoundBarrier;
 use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
 use spyker_simnet::{Env, Node, NodeId, SimTime};
+
+use crate::fedavg::round_entry;
 
 /// HierFAVG configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,12 +55,12 @@ pub struct EdgeServer {
     round: u64,
     rounds_since_cloud: u64,
     cloud_round: u64,
+    /// While set, no edge round is open: client updates fill no slot.
     waiting_for_cloud: bool,
-    /// This round's uploads by client; `None` marks one whose dimension or
-    /// sample count is unusable: it fills its sender's slot, nothing else.
-    received: BTreeMap<NodeId, Option<(ParamVec, usize)>>,
+    /// This round's uploads and their sample counts, one slot per client.
+    barrier: RoundBarrier<(ParamVec, f64)>,
     /// The samples behind the model, the weight of its next cloud upload.
-    total_samples: usize,
+    total_samples: f64,
 }
 
 impl EdgeServer {
@@ -75,6 +78,7 @@ impl EdgeServer {
         assert!(!clients.is_empty(), "need at least one client");
         Self {
             cloud,
+            barrier: RoundBarrier::new(clients.iter().copied()),
             clients,
             params: init_params,
             cfg,
@@ -82,8 +86,7 @@ impl EdgeServer {
             rounds_since_cloud: 0,
             cloud_round: 0,
             waiting_for_cloud: false,
-            received: BTreeMap::new(),
-            total_samples: 0,
+            total_samples: 0.0,
         }
     }
 
@@ -120,33 +123,27 @@ impl Node<FlMsg> for EdgeServer {
         match msg {
             FlMsg::ClientUpdate {
                 params,
+                age,
                 num_samples,
-                ..
-            } if self.clients.contains(&from) => {
-                let usable = params.len() == self.params.len() && num_samples > 0;
-                if !usable {
-                    env.add_counter("net.unexpected", 1);
-                }
-                self.received
-                    .insert(from, usable.then_some((params, num_samples)));
-                if self.received.len() < self.clients.len() {
+            } if !self.waiting_for_cloud && self.barrier.is_member(from) => {
+                // FedAvg's rule, with the default gate: non-finite values
+                // stay out of the mean.
+                let upload = (params, age, num_samples as f64);
+                let gate = ValidationConfig::default();
+                let entry = round_entry(env, &gate, &self.params, self.round, upload);
+                self.barrier.offer(from, entry.ok());
+                if !self.barrier.is_complete() {
                     return;
                 }
                 env.span_enter("server.aggregate");
                 env.busy(self.cfg.agg_cost);
-                let items: Vec<(&ParamVec, f64)> = self
-                    .received
-                    .values()
-                    .flatten()
-                    .map(|(p, n)| (p, *n as f64))
-                    .collect();
+                let accepted = self.barrier.close();
                 // A round with nothing usable keeps the model and its weight.
-                if !items.is_empty() {
-                    self.total_samples = self.received.values().flatten().map(|(_, n)| n).sum();
-                    self.params = ParamVec::weighted_mean(&items);
+                if !accepted.is_empty() {
+                    self.total_samples = accepted.iter().map(|(_, n)| n).sum();
+                    self.params = ParamVec::weighted_mean(&accepted);
                 }
-                env.add_counter("updates.processed", items.len() as u64);
-                self.received.clear();
+                env.add_counter("updates.processed", accepted.len() as u64);
                 self.round += 1;
                 self.rounds_since_cloud += 1;
                 env.add_counter("rounds", 1);
@@ -160,22 +157,30 @@ impl Node<FlMsg> for EdgeServer {
                         FlMsg::HierModel {
                             params: self.params.clone(),
                             round: self.cloud_round,
-                            weight: self.total_samples as f64,
+                            weight: self.total_samples,
                         },
                     );
                 } else {
                     self.broadcast_round(env);
                 }
             }
-            FlMsg::HierModel { params, round, .. } if self.waiting_for_cloud => {
+            // Only the cloud's model, of this edge's dimension and finite,
+            // may end the wait: any frame can claim to be one.
+            FlMsg::HierModel { params, round, .. }
+                if self.waiting_for_cloud
+                    && from == self.cloud
+                    && params.len() == self.params.len()
+                    && params.is_finite() =>
+            {
                 self.params = params;
                 self.cloud_round = round;
                 self.waiting_for_cloud = false;
                 self.broadcast_round(env);
             }
             // Reachable from network bytes on the TCP transport — a stray
-            // frame, an update from a non-client, or a cloud model nobody is
-            // waiting for: count and drop rather than assert (DESIGN.md §13).
+            // frame, an update from a non-client or while no round is open,
+            // or a model that is not the awaited cloud's: count and drop
+            // rather than assert (DESIGN.md §13).
             _ => env.add_counter("net.unexpected", 1),
         }
     }
@@ -195,30 +200,32 @@ pub struct CloudServer {
     edges: Vec<NodeId>,
     cfg: HierFavgConfig,
     round: u64,
-    received: BTreeMap<NodeId, (ParamVec, f64)>,
-    params: Option<ParamVec>,
+    /// This round's edge models and their weights, one slot per edge.
+    barrier: RoundBarrier<(ParamVec, f64)>,
+    params: ParamVec,
 }
 
 impl CloudServer {
-    /// Creates the cloud server over the given edge servers.
+    /// Creates the cloud server over the given edge servers, holding
+    /// `init_params` until its first round closes.
     ///
     /// # Panics
     ///
     /// Panics if `edges` is empty.
-    pub fn new(edges: Vec<NodeId>, cfg: HierFavgConfig) -> Self {
+    pub fn new(edges: Vec<NodeId>, init_params: ParamVec, cfg: HierFavgConfig) -> Self {
         assert!(!edges.is_empty(), "need at least one edge server");
         Self {
+            barrier: RoundBarrier::new(edges.iter().copied()),
             edges,
             cfg,
             round: 0,
-            received: BTreeMap::new(),
-            params: None,
+            params: init_params,
         }
     }
 
-    /// The latest global model, once at least one cloud round completed.
-    pub fn params(&self) -> Option<&ParamVec> {
-        self.params.as_ref()
+    /// The global model: the last cloud round's, or the initial one.
+    pub fn params(&self) -> &ParamVec {
+        &self.params
     }
 
     /// Completed cloud rounds.
@@ -235,27 +242,27 @@ impl Node<FlMsg> for CloudServer {
             env.add_counter("net.unexpected", 1);
             return;
         };
-        // Only an edge's model with a usable weight and the round's
-        // dimension may fill a slot; anything else is a stray frame.
-        let dim = self
-            .received
-            .values()
-            .next()
-            .map_or(params.len(), |(p, _)| p.len());
-        let usable = weight > 0.0 && weight.is_finite() && params.len() == dim;
-        if !(usable && self.edges.contains(&from)) {
+        if !self.barrier.is_member(from) {
             env.add_counter("net.unexpected", 1);
             return;
         }
-        self.received.insert(from, (params, weight));
-        if self.received.len() < self.edges.len() {
+        // An edge round's rule, with the edge model's weight: an unusable
+        // model fills its edge's slot but stays out of the mean, so the
+        // round still closes and every edge is answered.
+        let upload = (params, self.round as f64, weight);
+        let gate = ValidationConfig::default();
+        let entry = round_entry(env, &gate, &self.params, self.round, upload);
+        self.barrier.offer(from, entry.ok());
+        if !self.barrier.is_complete() {
             return;
         }
         env.span_enter("server.aggregate");
         env.busy(self.cfg.agg_cost);
-        let items: Vec<(&ParamVec, f64)> = self.received.values().map(|(p, w)| (p, *w)).collect();
-        let global = ParamVec::weighted_mean(&items);
-        self.received.clear();
+        let accepted = self.barrier.close();
+        // A round with nothing usable keeps the model.
+        if !accepted.is_empty() {
+            self.params = ParamVec::weighted_mean(&accepted);
+        }
         self.round += 1;
         env.add_counter("cloud.rounds", 1);
         env.span_exit("server.aggregate");
@@ -263,13 +270,12 @@ impl Node<FlMsg> for CloudServer {
             env.send(
                 edge,
                 FlMsg::HierModel {
-                    params: global.clone(),
+                    params: self.params.clone(),
                     round: self.round,
                     weight: 0.0,
                 },
             );
         }
-        self.params = Some(global);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -293,7 +299,7 @@ mod tests {
         let mut sim = Simulation::new(NetworkConfig::aws(), 1);
         let cfg = HierFavgConfig::paper_defaults().with_client_lr(0.5);
         sim.add_node(
-            Box::new(CloudServer::new(vec![1, 2], cfg)),
+            Box::new(CloudServer::new(vec![1, 2], ParamVec::zeros(1), cfg)),
             Region::Hongkong,
         );
         sim.add_node(
@@ -325,7 +331,7 @@ mod tests {
         sim.run(SimTime::from_secs(30));
         let cloud = sim.node(0).as_any().downcast_ref::<CloudServer>().unwrap();
         assert!(cloud.round() > 5, "only {} cloud rounds", cloud.round());
-        let v = cloud.params().expect("cloud has a model").as_slice()[0];
+        let v = cloud.params().as_slice()[0];
         // Global mean of targets 0..3 is 1.5; synchronous averaging tracks
         // it closely.
         assert!((v - 1.5).abs() < 0.3, "cloud model at {v}");

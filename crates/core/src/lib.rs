@@ -25,7 +25,10 @@
 //! * [`agg`] — Byzantine-robust aggregation strategies (trimmed mean,
 //!   median, norm clipping) and the server-side update validation gate;
 //! * [`sync_spyker::SyncSpykerServer`] — the partially synchronous variant
-//!   used as an ablation in the paper.
+//!   used as an ablation in the paper;
+//! * [`barrier::RoundBarrier`] — the one round barrier of every round-based
+//!   protocol (Sync-Spyker's exchange and the FedAvg and HierFAVG
+//!   baselines).
 //!
 //! Actors implement [`spyker_simnet::Node`] and therefore run both under the
 //! deterministic simulator and over the TCP transport.
@@ -63,6 +66,7 @@
 
 pub mod agg;
 pub mod autoscale;
+pub mod barrier;
 pub mod client;
 pub mod cluster;
 pub mod codec;
@@ -85,6 +89,7 @@ pub mod update_codec;
 
 pub use agg::{AggregationStrategy, RejectReason, ValidationConfig};
 pub use autoscale::{Autoscaler, AutoscalerConfig};
+pub use barrier::RoundBarrier;
 pub use client::{FailoverConfig, FlClient};
 pub use cluster::{ClusterTrainer, ClusteredFlClient, ClusteredSpykerServer, KCenters};
 pub use cohort::CohortClient;

@@ -14,6 +14,7 @@
 //!   exactly once. This is how a client's training round leaves the event
 //!   loop (DESIGN.md §10.5).
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -262,18 +263,20 @@ impl ParamVec {
         }
     }
 
-    /// Data-size weighted mean of several vectors (FedAvg's Eq. 2).
+    /// Data-size weighted mean of several vectors (FedAvg's Eq. 2), owned
+    /// or borrowed.
     ///
     /// # Panics
     ///
     /// Panics if `items` is empty, dimensions differ, or all weights are 0.
-    pub fn weighted_mean(items: &[(&ParamVec, f64)]) -> ParamVec {
+    pub fn weighted_mean<P: Borrow<ParamVec>>(items: &[(P, f64)]) -> ParamVec {
         assert!(!items.is_empty(), "weighted_mean of nothing");
-        let dim = items[0].0.len();
+        let dim = items[0].0.borrow().len();
         let total: f64 = items.iter().map(|(_, w)| *w).sum();
         assert!(total > 0.0, "weights must not sum to zero");
         let mut out = vec![0.0f32; dim];
         for (v, w) in items {
+            let v = v.borrow();
             assert_eq!(v.len(), dim, "dimension mismatch in weighted_mean");
             let c = (*w / total) as f32;
             for (o, &x) in out.iter_mut().zip(v.as_slice()) {

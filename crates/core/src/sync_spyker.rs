@@ -10,10 +10,10 @@
 //! and the reason Sync-Spyker trails Spyker in wall-clock convergence.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use spyker_simnet::{Env, Node, NodeId, SimTime};
 
+use crate::barrier::RoundBarrier;
 use crate::config::SpykerConfig;
 use crate::ingest::UpdateIngest;
 use crate::membership::RingView;
@@ -41,14 +41,13 @@ pub struct SyncSpykerServer {
 
     round: u64,
     collecting: bool,
-    /// Models received for this round and the next: `round -> server_idx
-    /// -> (params, age)`; `None` for a slot that answered with a model the
-    /// mean cannot take.
-    incoming: HashMap<u64, HashMap<usize, Option<(ParamVec, f64)>>>,
+    /// Server models and their ages for this round, one slot per live ring
+    /// slot, this server's own included.
+    current: RoundBarrier<(ParamVec, f64)>,
+    /// The same for the next round: an honest peer can be one round ahead.
+    next: RoundBarrier<(ParamVec, f64)>,
     /// Client updates buffered while an exchange is in flight.
     buffered: Vec<(NodeId, ParamVec, f64)>,
-
-    rounds_completed: u64,
 }
 
 impl SyncSpykerServer {
@@ -70,9 +69,12 @@ impl SyncSpykerServer {
         assert!(!server_nodes.is_empty(), "need at least one server");
         assert!(server_idx < server_nodes.len(), "server_idx out of range");
         assert!(sync_period > SimTime::ZERO, "sync_period must be positive");
+        let ring = RingView::fixed(&server_nodes);
         Self {
             server_idx,
-            ring: RingView::fixed(&server_nodes),
+            current: RoundBarrier::new(ring.live_slots()),
+            next: RoundBarrier::new(ring.live_slots()),
+            ring,
             ingest: UpdateIngest::from_config(clients, &cfg),
             params: init_params,
             age: 0.0,
@@ -80,9 +82,7 @@ impl SyncSpykerServer {
             sync_period,
             round: 0,
             collecting: false,
-            incoming: HashMap::new(),
             buffered: Vec::new(),
-            rounds_completed: 0,
         }
     }
 
@@ -103,7 +103,7 @@ impl SyncSpykerServer {
 
     /// Completed synchronous exchange rounds.
     pub fn rounds_completed(&self) -> u64 {
-        self.rounds_completed
+        self.round
     }
 
     /// One dense client update: buffered while an exchange is in flight,
@@ -148,10 +148,7 @@ impl SyncSpykerServer {
         let round = self.round;
         let age = self.age;
         let idx = self.server_idx;
-        self.incoming
-            .entry(round)
-            .or_default()
-            .insert(idx, Some((self.params.clone(), age)));
+        self.current.offer(idx, Some((self.params.clone(), age)));
         for peer in self.ring.peers_of(idx) {
             env.send(
                 peer,
@@ -168,36 +165,24 @@ impl SyncSpykerServer {
     }
 
     fn try_complete_round(&mut self, env: &mut dyn Env<FlMsg>) {
-        let n = self.ring.len();
-        let Some(models) = self.incoming.get(&self.round) else {
-            return;
-        };
-        if !self.collecting || models.len() < n {
+        if !self.collecting || !self.current.is_complete() {
             return;
         }
-        let models = self.incoming.remove(&self.round).expect("checked above");
         // Deterministic aggregation: age-weighted mean in server-idx order.
         // Every server computes the same result, so after the round all
         // servers hold the same model. Rejected peer models filled the
         // barrier but stay out of the mean (our own is always in it).
-        let mut ordered: Vec<(usize, (ParamVec, f64))> = models
-            .into_iter()
-            .filter_map(|(idx, model)| Some((idx, model?)))
-            .collect();
-        ordered.sort_by_key(|(idx, _)| *idx);
+        let models = self.current.close();
+        std::mem::swap(&mut self.current, &mut self.next);
         let weighted: Vec<(&ParamVec, f64)> =
-            ordered.iter().map(|(_, (p, age))| (p, age + 1.0)).collect();
-        env.busy(self.cfg.agg_cost * (n as u64));
+            models.iter().map(|(p, age)| (p, age + 1.0)).collect();
+        env.busy(self.cfg.agg_cost * (self.ring.len() as u64));
         self.params = ParamVec::weighted_mean(&weighted);
-        self.age = ordered
-            .iter()
-            .map(|(_, (_, a))| *a)
-            .fold(f64::MIN, f64::max);
+        self.age = models.iter().map(|(_, a)| *a).fold(f64::MIN, f64::max);
         self.collecting = false;
         env.span_exit("server.exchange");
         self.round += 1;
-        self.rounds_completed += 1;
-        env.add_counter("server.aggs", ordered.len() as u64);
+        env.add_counter("server.aggs", models.len() as u64);
         // Drain the updates buffered during the exchange.
         for (from, update, update_age) in std::mem::take(&mut self.buffered) {
             self.on_client_update(env, from, update, update_age);
@@ -242,30 +227,42 @@ impl Node<FlMsg> for SyncSpykerServer {
                 // current ring view may fill the barrier. A raw-index
                 // insert would let a frame with an invented slot complete
                 // (and corrupt) the round early.
-                if !self.ring.is_live_slot(server_idx) {
+                let Some(member) = self.ring.member_of_slot(server_idx) else {
                     env.add_counter("membership.stale_slot", 1);
+                    return;
+                };
+                // A live slot is filled only by the server that holds it:
+                // any node can name any slot in a frame.
+                if member.node != from {
+                    env.add_counter("net.unexpected", 1);
                     return;
                 }
                 // A closed round's model would never be looked at again,
                 // and an honest peer is at most one round ahead (it needs
-                // ours to close this one): parking more lets a liar grow
-                // `incoming` without bound.
+                // ours to close this one): parking more would let a liar
+                // keep models for rounds without bound.
                 if bid < self.round || bid - self.round > 1 {
                     env.add_counter("net.unexpected", 1);
                     return;
                 }
-                // Any frame can declare a model of another dimension or
-                // carry a poisoned one, and `weighted_mean` takes neither.
-                // Only the model is dropped: its slot still fills the
-                // barrier, or this server would buffer client updates
-                // behind it forever.
-                let usable = self.ingest.admit_peer(env, &self.params, &params, age);
-                self.incoming
-                    .entry(bid)
-                    .or_default()
-                    .insert(server_idx, usable.then_some((params, age)));
+                // Any frame can declare a model of another dimension, a
+                // poisoned one or an age below 0 (no model has one, and its
+                // weight `age + 1` can sink the mean's total to 0), and
+                // `weighted_mean` takes none of them. Only the model is
+                // dropped: its slot still fills the barrier, or this server
+                // would buffer client updates behind it forever.
+                let usable = if age >= 0.0 {
+                    self.ingest.admit_peer(env, &self.params, &params, age)
+                } else {
+                    self.ingest.reject(env, "agg.rejected.peer");
+                    false
+                };
+                let entry = usable.then_some((params, age));
                 if bid == self.round {
+                    self.current.offer(server_idx, entry);
                     self.try_complete_round(env);
+                } else {
+                    self.next.offer(server_idx, entry);
                 }
             }
             _ => env.add_counter("net.unexpected", 1),
@@ -322,6 +319,17 @@ mod tests {
             );
         }
         sim
+    }
+
+    impl SyncSpykerServer {
+        /// The rounds, of this one and the next, some model is parked for.
+        fn parked_rounds(&self) -> Vec<u64> {
+            [(self.round, &self.current), (self.round + 1, &self.next)]
+                .into_iter()
+                .filter(|(_, barrier)| !barrier.is_empty())
+                .map(|(round, _)| round)
+                .collect()
+        }
     }
 
     fn server(sim: &Simulation<FlMsg>, id: usize) -> &SyncSpykerServer {
@@ -416,7 +424,7 @@ mod tests {
             // A model for the round that just closed is not parked.
             s.on_message(&mut env, 1, peer_model(vec![1.0, 1.0], 0));
             assert_eq!(env.counter("net.unexpected"), 1);
-            assert!(s.incoming.is_empty());
+            assert!(s.parked_rounds().is_empty());
         }
     }
 
@@ -437,10 +445,10 @@ mod tests {
             s.on_message(&mut env, 1, ahead(bid));
         }
         assert_eq!(env.counter("net.unexpected"), 2);
-        assert!(s.incoming.is_empty());
+        assert!(s.parked_rounds().is_empty());
         // The next round is parked: an honest peer may be there already.
         s.on_message(&mut env, 1, ahead(s.round + 1));
-        assert_eq!(s.incoming.keys().collect::<Vec<_>>(), [&1]);
+        assert_eq!(s.parked_rounds(), [1]);
     }
 
     #[test]

@@ -51,14 +51,14 @@ pub const CATALOG: &[CatalogEntry] = &[
         name: "agg.rejected",
         kind: Counter,
         unit: Unit::Count,
-        site: "core ingest reject, baselines fedavg",
+        site: "core ingest reject, baselines fedavg/hierfavg",
         help: "updates refused by the validation gate (all causes)",
     },
     CatalogEntry {
         name: "agg.rejected.nonfinite",
         kind: Counter,
         unit: Unit::Count,
-        site: "core ingest admit, baselines fedavg",
+        site: "core ingest admit, baselines fedavg/hierfavg",
         help: "updates rejected for NaN/Inf parameters or age",
     },
     CatalogEntry {
