@@ -4,8 +4,10 @@
 //!
 //! A [`Pending`] holds its job until someone takes it and the job's outcome
 //! once it has run. The job runs exactly once: on a pool worker, or on the
-//! first reader's thread if no worker has started it. A panic in it is
-//! caught and re-raised on the reader, never a hang.
+//! first reader's thread if no worker has started it. A reader whose job a
+//! worker has taken runs other queued pool tasks until the value is there
+//! (`WorkerPool::help_until`). A panic in a job is caught and re-raised on
+//! that job's reader, never a hang.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -99,6 +101,9 @@ impl<T: Measured> Pending<T> {
             Some(value) => value,
             None => {
                 self.run();
+                // A worker has the job: run queued rounds meanwhile.
+                let pool = spyker_tensor::pool::global();
+                pool.help_until(|| self.value.get().is_some());
                 self.value.wait()
             }
         };

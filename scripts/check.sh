@@ -154,6 +154,22 @@ else
     cargo build -q --release --offline --locked --manifest-path bench_e2e/Cargo.toml
 fi
 
+# Paired speed check (ROADMAP item 10): three alternating pairs per
+# workload, this tree against its merge base with main, on each workload's
+# headline metric. `pairs.sh` exits non-zero when the change's median is
+# worse than the base's by more than the metric's bound in BENCHMARK.json.
+# Unlike the committed-file gate above it holds on any machine, because
+# both sides run on this one. ~8 min; skipped with SPYKER_SKIP_E2E=1.
+if [[ "${SPYKER_SKIP_E2E:-0}" != "1" ]]; then
+    PAIRS_BASE=$(git merge-base HEAD main)
+    scripts/pairs.sh des_train_4s100c 3 "$PAIRS_BASE"
+    PAIRS_METRIC=events_per_s scripts/pairs.sh des_scale_100k 3 "$PAIRS_BASE"
+    scripts/pairs.sh des_bigmodel_codec 3 "$PAIRS_BASE"
+    scripts/pairs.sh tcp_loopback_2s8c 3 "$PAIRS_BASE"
+else
+    echo "SPYKER_SKIP_E2E=1 — skipping the paired speed check"
+fi
+
 # Multi-process TCP soak (see DESIGN.md §13): 2 servers + 6 clients + a
 # malformed-frame attacker on localhost, one server SIGKILLed and
 # restarted mid-training. Skippable where spawning processes or binding
