@@ -212,7 +212,7 @@ fn wrong_dimension_uploads_are_counted_drops_and_answered() {
         let mut payload = Vec::new();
         UpdateEncoder::new(codec).encode(1, update, &[], 0, &mut payload);
         FlMsg::EncodedUpdate {
-            payload: payload.into(),
+            payload,
             age: 0.0,
             num_samples: 10,
         }

@@ -46,7 +46,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use spyker_simnet::Region;
 
 use crate::membership::{RingMember, RingView};
-use crate::msg::{FlMsg, Payload};
+use crate::msg::FlMsg;
 use crate::params::ParamVec;
 use crate::token::Token;
 
@@ -218,7 +218,7 @@ wire_table! {
     14 => RedirectedUpdate { client: usize as u32, params: ParamVec, age: f64, num_samples: usize as u64 },
     15 => ScaleUp { sponsor: usize as u32 },
     16 => ScaleDown {},
-    17 => EncodedUpdate { payload: Payload, age: f64, num_samples: usize as u64 },
+    17 => EncodedUpdate { payload: Vec<u8>, age: f64, num_samples: usize as u64 },
 }
 
 /// Decodes one frame produced by [`encode`].
@@ -409,7 +409,7 @@ impl Field for Vec<f64> {
 
 /// An opaque payload: a `u32` length, then the bytes. The update codec
 /// checks the contents when it decodes them.
-impl Field for Payload {
+impl Field for Vec<u8> {
     fn put<B: BufMut>(&self, buf: &mut B) {
         (self.len() as u32).put(buf);
         buf.put_slice(self);
@@ -417,7 +417,7 @@ impl Field for Payload {
 
     fn get(buf: &mut &[u8]) -> Result<Self, DecodeError> {
         let n = u32::get(buf)? as usize;
-        Ok(take(buf, n)?.to_vec().into())
+        Ok(take(buf, n)?.to_vec())
     }
 }
 
@@ -599,7 +599,7 @@ mod tests {
             FlMsg::ScaleUp { sponsor: 0 },
             FlMsg::ScaleDown,
             FlMsg::EncodedUpdate {
-                payload: vec![0x07, 2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8].into(),
+                payload: vec![0x07, 2, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8],
                 age: 4.0,
                 num_samples: 25,
             },

@@ -79,7 +79,6 @@ pub mod ingest;
 pub mod membership;
 pub mod msg;
 pub mod params;
-mod pending;
 pub mod server;
 pub mod staleness;
 pub mod sync_spyker;

@@ -1,24 +1,20 @@
 //! Flat model parameter vectors.
 //!
-//! A [`ParamVec`] keeps its values in one of three stores, none of which
-//! any API can tell apart:
+//! A [`ParamVec`] keeps its values in one of two stores, which no API can
+//! tell apart:
 //!
 //! * **owned** — a plain `Vec`, for vectors below 1 024 coordinates
 //!   (`SHARE_FROM`);
 //! * **shared** — copy-on-write storage behind an `Arc`, for larger ones,
-//!   so a model version exists once however many handles hold it;
-//! * **pending** — a vector of known dimension whose values a job on the
-//!   `spyker_tensor::pool` workers is still computing
-//!   ([`ParamVec::pending`]). The first read waits for the job, or runs it
-//!   on the reading thread if no worker has taken it yet; the job runs
-//!   exactly once. This is how a client's training round leaves the event
-//!   loop (DESIGN.md §10.5).
+//!   so a model version exists once however many handles hold it.
+//!
+//! A client round that trains off the event loop is a pending *send*, not
+//! a pending vector: the runtime holds it until the update is delivered
+//! (`spyker_simnet::Env::send_computed`, DESIGN.md §10.5).
 
 use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
-
-use crate::pending::{JobHandle, Measured, Pending};
 
 /// Vectors of at least this many coordinates share their storage between
 /// clones; shorter ones are plain owned `Vec`s, for which a copy is cheaper
@@ -48,15 +44,6 @@ pub(crate) const SHARE_FROM: usize = 1024;
 /// never changes what an operation computes: handles behave as independent
 /// values.
 ///
-/// # Pending values
-///
-/// [`ParamVec::pending`] returns a vector whose dimension is known at once
-/// and whose values a pool job fills in. [`ParamVec::len`] and
-/// [`ParamVec::wire_size`] answer without waiting; every read of the values
-/// (`as_slice`, `as_mut_slice`, `into_vec`, `==`, `Debug`, the norms) waits
-/// for the job first, or runs it on the reading thread if no worker has
-/// started it. A panic in the job is re-raised on the reading thread.
-///
 /// # Example
 ///
 /// ```
@@ -76,16 +63,6 @@ enum Store {
     /// `Vec` back without a copy ([`ParamVec::into_vec`] feeds the
     /// buffer-recycling paths).
     Shared(Arc<Vec<f32>>),
-    /// Values a pool job is still computing ([`ParamVec::pending`]).
-    Pending(Arc<Pending<ParamVec>>),
-}
-
-impl Measured for ParamVec {
-    const UNIT: &'static str = "dimension";
-
-    fn measure(&self) -> usize {
-        self.len()
-    }
 }
 
 impl PartialEq for ParamVec {
@@ -109,40 +86,9 @@ impl ParamVec {
         })
     }
 
-    /// A vector of dimension `len` whose values `job` computes on a
-    /// `spyker_tensor::pool` worker, submitted before this returns.
-    ///
-    /// The job runs exactly once, whether or not anything reads the
-    /// values: on a worker, or on the first reader's thread if no worker
-    /// has taken it yet. Under a one-thread budget (`SPYKER_THREADS=1` or
-    /// one CPU) it runs before this returns. Reads wait for it and see
-    /// exactly what `job()` returned; a panic in it is re-raised on the
-    /// reading thread.
-    ///
-    /// # Panics
-    ///
-    /// A read panics if the job does, or if it returns a vector whose
-    /// dimension is not `len`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use spyker_core::ParamVec;
-    /// let v = ParamVec::pending(3, || ParamVec::from_vec(vec![1.0, 2.0, 3.0]));
-    /// assert_eq!(v.len(), 3);
-    /// assert_eq!(v.as_slice(), &[1.0, 2.0, 3.0]);
-    /// ```
-    pub fn pending(len: usize, job: impl FnOnce() -> ParamVec + Send + 'static) -> Self {
-        Self(Store::Pending(Pending::spawn(len, job)))
-    }
-
-    /// Dimension of the vector (never waits for a pending job).
+    /// Dimension of the vector.
     pub fn len(&self) -> usize {
-        match &self.0 {
-            Store::Owned(v) => v.len(),
-            Store::Shared(v) => v.len(),
-            Store::Pending(p) => p.len(),
-        }
+        self.as_slice().len()
     }
 
     /// Returns `true` for the zero-dimensional vector.
@@ -155,47 +101,24 @@ impl ParamVec {
         match &self.0 {
             Store::Owned(v) => v,
             Store::Shared(v) => v,
-            Store::Pending(p) => p.get().as_slice(),
         }
     }
 
     /// Mutable view of the raw values (copies them first if another handle
     /// shares them).
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        self.settle();
         match &mut self.0 {
             Store::Owned(v) => v,
             Store::Shared(v) => Arc::make_mut(v).as_mut_slice(),
-            Store::Pending(_) => unreachable!("settled above"),
         }
     }
 
     /// Consumes self and returns the raw vector — without a copy unless
     /// another handle shares the values.
-    pub fn into_vec(mut self) -> Vec<f32> {
-        self.settle();
+    pub fn into_vec(self) -> Vec<f32> {
         match self.0 {
             Store::Owned(v) => v,
             Store::Shared(v) => Arc::try_unwrap(v).unwrap_or_else(|shared| (*shared).clone()),
-            Store::Pending(_) => unreachable!("settled above"),
-        }
-    }
-
-    /// Replaces a pending store by a handle on its job's values. The
-    /// pending state goes with it, so if this was its last handle, the
-    /// values have no other holder.
-    fn settle(&mut self) {
-        if let Store::Pending(p) = &self.0 {
-            let value = p.get().clone();
-            *self = value;
-        }
-    }
-
-    /// A [`JobHandle`] on this vector's job while it may still be pending.
-    pub(crate) fn job_handle(&self) -> Option<JobHandle> {
-        match &self.0 {
-            Store::Pending(p) => Some(p.handle()),
-            _ => None,
         }
     }
 
@@ -212,7 +135,7 @@ impl ParamVec {
     /// A second handle to `self`'s storage, or `None` where `clone` would
     /// copy the values instead.
     pub(crate) fn share(&self) -> Option<ParamVec> {
-        matches!(self.0, Store::Shared(_) | Store::Pending(_)).then(|| self.clone())
+        matches!(self.0, Store::Shared(_)).then(|| self.clone())
     }
 
     /// `true` when `self` and `other` are handles to one allocation, which
@@ -221,7 +144,6 @@ impl ParamVec {
     pub(crate) fn shares_storage(&self, other: &ParamVec) -> bool {
         match (&self.0, &other.0) {
             (Store::Shared(a), Store::Shared(b)) => Arc::ptr_eq(a, b),
-            (Store::Pending(a), Store::Pending(b)) => Arc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -432,104 +354,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The values a pending job below computes, for dimension `n`.
-    fn ramp(n: usize) -> ParamVec {
-        ParamVec::from_vec((0..n).map(|i| i as f32 * 0.25 - 3.0).collect())
-    }
-
-    /// A pending `ramp(n)` whose job waits until `open` is called.
-    fn gated(n: usize) -> (ParamVec, impl FnOnce()) {
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        if spyker_tensor::pool::configured_threads() == 1 {
-            // No workers: the job runs inside `pending`, so open first.
-            tx.send(()).unwrap();
-        }
-        let v = ParamVec::pending(n, move || {
-            rx.recv().unwrap();
-            ramp(n)
-        });
-        (v, move || {
-            // Already open (and the job gone) under a one-thread budget.
-            let _ = tx.send(());
-        })
-    }
-
-    #[test]
-    fn pending_len_and_wire_size_do_not_wait() {
-        let (v, open) = gated(SHARE_FROM);
-        assert_eq!(v.len(), SHARE_FROM);
-        assert!(!v.is_empty());
-        assert_eq!(v.wire_size(), ParamVec::zeros(SHARE_FROM).wire_size());
-        open();
-        assert_eq!(v, ramp(SHARE_FROM));
-    }
-
-    #[test]
-    fn every_read_of_a_pending_value_sees_the_inline_values() {
-        for n in [3, SHARE_FROM, 3000] {
-            let want = ramp(n);
-            let pending = || ParamVec::pending(n, move || ramp(n));
-            assert_eq!(pending().as_slice(), want.as_slice());
-            assert_eq!(pending(), want);
-            assert_eq!(want, pending());
-            assert_eq!(pending().into_vec(), want.clone().into_vec());
-            assert_eq!(format!("{:?}", pending()), format!("{want:?}"));
-            assert_eq!(pending().l2_norm().to_bits(), want.l2_norm().to_bits());
-            // A clone reads the same values and writes its own copy.
-            let (mut a, open) = gated(n);
-            let b = a.clone();
-            open();
-            a.as_mut_slice()[0] = 99.0;
-            assert_eq!(a.as_slice()[0], 99.0);
-            assert_eq!(b, want);
-            assert_eq!(&a.as_slice()[1..], &want.as_slice()[1..]);
-        }
-    }
-
-    #[test]
-    fn every_pending_job_runs_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let runs = Arc::new(AtomicUsize::new(0));
-        let values: Vec<ParamVec> = (0..16)
-            .map(|_| {
-                let runs = Arc::clone(&runs);
-                ParamVec::pending(SHARE_FROM, move || {
-                    runs.fetch_add(1, Ordering::SeqCst);
-                    ParamVec::zeros(SHARE_FROM)
-                })
-            })
-            .collect();
-        // Read half of them (some several times); drop the rest unread.
-        for (i, v) in values.into_iter().enumerate() {
-            if i % 2 == 0 {
-                assert!(v.is_finite());
-                assert_eq!(v.clone().into_vec().len(), SHARE_FROM);
-            }
-        }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        while runs.load(Ordering::SeqCst) < 16 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "a dropped job never ran"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(runs.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "the job's own message")]
-    fn a_pending_job_panic_is_raised_on_the_reader() {
-        let v = ParamVec::pending(SHARE_FROM, || panic!("the job's own message"));
-        let _ = v.as_slice();
-    }
-
-    #[test]
-    #[should_panic(expected = "changed the dimension")]
-    fn a_pending_job_must_keep_its_dimension() {
-        let _ = ParamVec::pending(4, || ParamVec::zeros(5)).as_slice();
     }
 }

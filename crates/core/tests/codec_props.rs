@@ -13,6 +13,7 @@
 //!    corruption and oversize length prefixes return typed errors; no
 //!    input panics or triggers large speculative allocations.
 
+use std::any::Any;
 use std::io::{self, Read};
 
 use bytes::Bytes;
@@ -21,13 +22,13 @@ use spyker_core::codec::{
     decode, encode, frame_into, DecodeError, FrameAccumulator, MAX_FRAME_LEN,
 };
 use spyker_core::membership::{RingMember, RingView};
-use spyker_core::msg::{FlMsg, Payload};
+use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
 use spyker_core::token::Token;
 use spyker_core::update_codec::{
     param_hash, CodecConfig, QuantBits, Rounding, UpdateDecoder, UpdateEncoder,
 };
-use spyker_simnet::{Region, WireSize};
+use spyker_simnet::{Env, NetworkConfig, Node, NodeId, Region, SimTime, Simulation, WireSize};
 
 /// Parameter vectors of 0 to 1 100 coordinates, which cross the encoder's
 /// 256-coordinate conversion blocks, and now and then a 16 384-dim model.
@@ -639,18 +640,40 @@ proptest! {
     }
 }
 
-/// A pending payload is sized at once and travels as exactly the bytes its
-/// job writes.
+/// An encoded update sent through a computed send is booked at its
+/// declared size and travels as exactly the bytes its job writes.
 #[test]
-fn a_pending_payload_travels_as_its_bytes() {
-    let bytes: Vec<u8> = (0..=255u8).rev().collect();
-    let message = |payload: Payload| FlMsg::EncodedUpdate {
-        payload,
+fn a_computed_encoded_update_travels_as_its_bytes() {
+    struct Upload(Option<FlMsg>);
+    impl Node<FlMsg> for Upload {
+        fn on_start(&mut self, env: &mut dyn Env<FlMsg>) {
+            if let Some(msg) = self.0.take() {
+                let (bytes, kind) = (msg.wire_size(), msg.kind());
+                env.send_computed(1, bytes, kind, Box::new(move || msg));
+            }
+        }
+        fn on_message(&mut self, env: &mut dyn Env<FlMsg>, _from: NodeId, msg: FlMsg) {
+            assert_eq!(env.me(), 1);
+            self.0 = Some(msg);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+    let message = || FlMsg::EncodedUpdate {
+        payload: (0..=255u8).rev().collect(),
         age: 4.0,
         num_samples: 25,
     };
-    let ready = message(bytes.clone().into());
-    let pending = message(Payload::pending(bytes.len(), move || bytes));
-    assert_eq!(pending.wire_size(), ready.wire_size());
-    assert_eq!(encode(&pending), encode(&ready));
+    let mut sim = Simulation::new(NetworkConfig::uniform_all(SimTime::from_millis(10)), 0);
+    sim.add_node(Box::new(Upload(Some(message()))), Region::Paris);
+    sim.add_node(Box::new(Upload(None)), Region::Paris);
+    sim.run(SimTime::from_secs(1));
+    let ready = message();
+    assert_eq!(sim.metrics().counter("net.bytes"), ready.wire_size() as u64);
+    let received = sim.node(1).as_any().downcast_ref::<Upload>().unwrap();
+    assert_eq!(encode(received.0.as_ref().unwrap()), encode(&ready));
 }

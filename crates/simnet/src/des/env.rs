@@ -2,6 +2,7 @@
 
 use super::queue::{EventBody, Input};
 use super::Core;
+use crate::pending::{Job, JobHandle};
 use crate::runtime::{Env, NodeId, WireSize};
 use crate::time::SimTime;
 
@@ -106,10 +107,21 @@ impl<M: WireSize> Env<M> for EnvHandle<'_, M> {
         self.core.metrics.span_exit(self.me as u32, name, now);
     }
 
-    fn may_overlap_compute(&self) -> bool {
-        // Sizing a message reads its dimension only; its values are read
-        // where they are used: by a Byzantine fault at send time, or by the
-        // handler it is delivered to.
-        true
+    fn send_computed(
+        &mut self,
+        to: NodeId,
+        bytes: usize,
+        kind: &'static str,
+        job: Job<M>,
+    ) -> Option<JobHandle<M>>
+    where
+        M: Send + 'static,
+    {
+        assert!(to < self.core.state.len(), "unknown node {to}");
+        let at = self.now();
+        let handle = self
+            .core
+            .schedule_computed(at, self.me, to, bytes, kind, job);
+        Some(handle)
     }
 }

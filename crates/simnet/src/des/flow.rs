@@ -26,7 +26,7 @@ struct ActiveFlow<M> {
     finish: u128,
     /// Propagation latency (+ jitter) added after transmission completes.
     latency: SimTime,
-    msg: M,
+    delivery: Input<M>,
 }
 
 /// One directed region-pair trunk: its in-flight flows share
@@ -139,7 +139,7 @@ impl<M: WireSize> Core<M> {
         at: SimTime,
         from: NodeId,
         to: NodeId,
-        msg: M,
+        delivery: Input<M>,
         bytes: usize,
         latency: SimTime,
     ) {
@@ -150,7 +150,7 @@ impl<M: WireSize> Core<M> {
             // messages still traverse the trunk machinery deterministically.
             finish: ((bytes as u128) * 8 * 1_000_000).max(1),
             latency,
-            msg,
+            delivery,
         };
         let (active, queue) = self.flow.pairs.get_or_default(from, to);
         if *active {
@@ -192,14 +192,10 @@ impl<M: WireSize> Core<M> {
             // Propagation jitter varies per message, so clamp to the
             // link's previous delivery to keep the FIFO contract.
             let free = self.link_free.get_or_default(f.from, f.to);
-            let delivery = (now + f.latency).max(*free);
-            *free = delivery;
+            let time = (now + f.latency).max(*free);
+            *free = time;
             let (from, to) = (f.from, f.to);
-            self.push(
-                delivery,
-                to,
-                EventBody::Input(Input::Deliver { from, msg: f.msg }),
-            );
+            self.push(time, to, EventBody::Input(f.delivery));
             // The pair is free: start its next queued message, if any.
             let (active, queue) = self.flow.pairs.get_or_default(from, to);
             match queue.pop_front() {

@@ -16,6 +16,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::Metrics;
 use crate::net::{LinkModel, NetworkConfig, Region};
 use crate::pairmap::PairMap;
+use crate::pending::{Job, JobHandle, Pending};
 use crate::runtime::{Node, NodeId, WireSize};
 use crate::time::SimTime;
 
@@ -70,8 +71,49 @@ impl<M: WireSize> Core<M> {
                 }
             }
         }
-        let bytes = msg.wire_size();
-        self.metrics.count_sent(msg.kind(), bytes as u64);
+        let (bytes, kind) = (msg.wire_size(), msg.kind());
+        self.route(at, from, to, bytes, kind, Input::Deliver { from, msg });
+    }
+
+    /// [`crate::runtime::Env::send_computed`]: the message travels as its
+    /// job, booked and timed from its declared size, and settles when its
+    /// delivery is handed over. A Byzantine sender's message settles here,
+    /// so its corruption draws from the fault stream in send order.
+    fn schedule_computed(
+        &mut self,
+        at: SimTime,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        kind: &'static str,
+        job: Job<M>,
+    ) -> JobHandle<M>
+    where
+        M: Send + 'static,
+    {
+        let pending = Pending::spawn(bytes, kind, job);
+        let handle = pending.handle();
+        if self.faults.attack_for(from).is_some() {
+            self.schedule_send(at, from, to, pending.settle());
+        } else {
+            let delivery = Input::DeliverComputed { from, msg: pending };
+            self.route(at, from, to, bytes, kind, delivery);
+        }
+        handle
+    }
+
+    /// Books a send of `bytes` under `kind` and carries `delivery` to `to`
+    /// over the link, unless a fault drops it.
+    fn route(
+        &mut self,
+        at: SimTime,
+        from: NodeId,
+        to: NodeId,
+        bytes: usize,
+        kind: &'static str,
+        delivery: Input<M>,
+    ) {
+        self.metrics.count_sent(kind, bytes as u64);
         let regions = (self.state[from].region, self.state[to].region);
         let (sends, rng) = (&mut self.link_sends, &mut self.fault_rng);
         if let Some(cause) = self.faults.drop_cause(at, from, to, regions, sends, rng) {
@@ -84,16 +126,16 @@ impl<M: WireSize> Core<M> {
                 SimTime::from_micros(self.rng.gen_range(0..=self.net.jitter_max.as_micros()));
         }
         if self.net.link_model == LinkModel::FlowShared {
-            self.flow_send(at, from, to, msg, bytes, latency);
+            self.flow_send(at, from, to, delivery, bytes, latency);
             return;
         }
         let delay = latency + self.net.serialization_delay(bytes);
         // FIFO per link: a message never overtakes an earlier one on the
         // same (src, dst) pair.
         let free = self.link_free.get_or_default(from, to);
-        let delivery = (at + delay).max(*free);
-        *free = delivery;
-        self.push(delivery, to, EventBody::Input(Input::Deliver { from, msg }));
+        let time = (at + delay).max(*free);
+        *free = time;
+        self.push(time, to, EventBody::Input(delivery));
     }
 }
 
@@ -595,22 +637,26 @@ impl<M: WireSize> Simulation<M> {
         input: Input<M>,
         tap: &mut dyn EventTap<M>,
     ) -> ControlFlow<(), TapKind> {
-        // What the tap sees first, then what the node gets.
-        let kind = match &input {
-            Input::Start => TapKind::Start,
-            Input::Deliver { from, msg } => {
-                tap.on_deliver(*from, node, msg, &self.tap_ctx())?;
-                TapKind::Deliver
+        let (actor, at) = (&mut self.nodes[node], self.core.now);
+        let (from, msg) = match input {
+            Input::Start => {
+                self.core.dispatch(node, at, |env| actor.on_start(env));
+                return ControlFlow::Continue(TapKind::Start);
             }
-            Input::Timer { .. } => TapKind::Timer,
+            Input::Timer { tag } => {
+                self.core.dispatch(node, at, |env| actor.on_timer(env, tag));
+                return ControlFlow::Continue(TapKind::Timer);
+            }
+            Input::Deliver { from, msg } => (from, msg),
+            // A computed message settles here, where it is handed over.
+            Input::DeliverComputed { from, msg } => (from, msg.settle()),
         };
+        // What the tap sees first, then what the node gets.
+        tap.on_deliver(from, node, &msg, &self.tap_ctx())?;
         let actor = &mut self.nodes[node];
-        self.core.dispatch(node, self.core.now, |env| match input {
-            Input::Start => actor.on_start(env),
-            Input::Deliver { from, msg } => actor.on_message(env, from, msg),
-            Input::Timer { tag } => actor.on_timer(env, tag),
-        });
-        ControlFlow::Continue(kind)
+        self.core
+            .dispatch(node, at, |env| actor.on_message(env, from, msg));
+        ControlFlow::Continue(TapKind::Deliver)
     }
 
     fn tap_ctx(&self) -> TapCtx<'_, M> {

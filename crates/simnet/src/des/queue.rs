@@ -3,10 +3,12 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use super::absence::Absence;
 use super::Core;
 use crate::net::Region;
+use crate::pending::Pending;
 use crate::runtime::{NodeId, WireSize};
 use crate::time::SimTime;
 use crate::wheel::TimerWheel;
@@ -14,8 +16,19 @@ use crate::wheel::TimerWheel;
 /// What a node is handed: the only events that wait while it is busy.
 pub(crate) enum Input<M> {
     Start,
-    Deliver { from: NodeId, msg: M },
-    Timer { tag: u64 },
+    Deliver {
+        from: NodeId,
+        msg: M,
+    },
+    /// A computed send's delivery ([`crate::runtime::Env::send_computed`]):
+    /// its message settles when the delivery is handed over.
+    DeliverComputed {
+        from: NodeId,
+        msg: Arc<Pending<M>>,
+    },
+    Timer {
+        tag: u64,
+    },
 }
 
 pub(crate) enum EventBody<M> {

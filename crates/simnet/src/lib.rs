@@ -67,6 +67,7 @@ pub mod fault;
 pub mod metrics;
 pub mod net;
 mod pairmap;
+mod pending;
 pub mod runtime;
 pub mod time;
 mod wheel;
@@ -76,6 +77,7 @@ pub use des::{EventTap, NoTap, ProbeCtx, RunReport, SchedulerKind, Simulation, T
 pub use fault::{ByzantineAttack, ByzantineClient, FaultPlan};
 pub use metrics::Metrics;
 pub use net::{aws_latency_matrix, LinkModel, NetworkConfig, Region};
+pub use pending::JobHandle;
 pub use runtime::{Env, Node, NodeId, WireSize};
 pub use spyker_obs::report::peak_rss_bytes;
 pub use spyker_obs::{MetricId, MetricKind, SpanStat, SpanStore};

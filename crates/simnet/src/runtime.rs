@@ -6,6 +6,7 @@
 
 use std::any::Any;
 
+use crate::pending::JobHandle;
 use crate::time::SimTime;
 
 /// Identifier of a node (client or server) inside one deployment.
@@ -128,15 +129,33 @@ pub trait Env<M> {
         let _ = name;
     }
 
-    /// `true` when a message sent from here may carry values that a
-    /// background job is still computing: the runtime sizes a message
-    /// without reading its values and reads them only where a handler
-    /// does. The DES says yes. The default is no, which fits a transport
-    /// that serializes each message inside `send` and any wrapper that
-    /// wants every computation on the handler's thread. The answer decides
-    /// where work runs, never what a run computes.
-    fn may_overlap_compute(&self) -> bool {
-        false
+    /// Sends `to` the message `job` builds, as [`Env::send`] would send
+    /// it, and returns a handle on the job if it may still be running.
+    ///
+    /// `bytes` and `kind` are what the message's [`WireSize`] will say:
+    /// a runtime that carries a message before it exists books and times
+    /// the send from them. The DES does so: it runs the job on a
+    /// `spyker_tensor::pool` worker and settles the message where it hands
+    /// the delivery over, panicking if the job panicked or built another
+    /// size or kind than declared. A dropped delivery never waits for its
+    /// job, which still runs exactly once. The default runs the job here
+    /// and sends its message, which fits a transport that serializes each
+    /// message inside `send` and any wrapper that wants every computation
+    /// on the handler's thread. Where the job runs decides only where work
+    /// happens, never what a run computes.
+    fn send_computed(
+        &mut self,
+        to: NodeId,
+        bytes: usize,
+        kind: &'static str,
+        job: Box<dyn FnOnce() -> M + Send>,
+    ) -> Option<JobHandle<M>>
+    where
+        M: Send + 'static,
+    {
+        let _ = (bytes, kind);
+        self.send(to, job());
+        None
     }
 }
 

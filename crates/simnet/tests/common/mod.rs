@@ -115,3 +115,30 @@ pub fn recorder_received(sim: &Simulation<Msg>) -> Vec<(SimTime, NodeId, u32)> {
         .received
         .clone()
 }
+
+/// What a [`Script`] node runs at start.
+type Run<M> = Box<dyn FnOnce(&mut dyn Env<M>) + Send>;
+
+/// Runs its script once, at start.
+pub struct Script<M>(Option<Run<M>>);
+
+impl<M: 'static> Script<M> {
+    pub fn new(script: impl FnOnce(&mut dyn Env<M>) + Send + 'static) -> Self {
+        Self(Some(Box::new(script)))
+    }
+}
+
+impl<M: 'static> Node<M> for Script<M> {
+    fn on_start(&mut self, env: &mut dyn Env<M>) {
+        if let Some(script) = self.0.take() {
+            script(env);
+        }
+    }
+    fn on_message(&mut self, _env: &mut dyn Env<M>, _from: NodeId, _msg: M) {}
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}

@@ -11,17 +11,18 @@
 //!
 //! The same workers take detached jobs ([`WorkerPool::spawn`]): work whose
 //! submitter does not wait for it and that reports through what it
-//! captured — `spyker-core` runs whole client training rounds this way. A
-//! parallel region started *on* a worker, by such a job, runs all its jobs
-//! on that thread: with one worker the region would otherwise wait for a
-//! band that no free worker can take. Kernels compute the same bits at
+//! captured — `spyker-simnet`'s DES runs whole client training rounds this
+//! way, as the jobs of computed sends. A parallel region started *on* a
+//! worker, by such a job, runs all its jobs on that thread: with one
+//! worker the region would otherwise wait for a band that no free worker
+//! can take. Kernels compute the same bits at
 //! every thread count (DESIGN.md §10.2), so that changes nothing but speed.
 //!
 //! A thread that must wait for pool work first works for the pool
 //! ([`WorkerPool::help_until`]): `run_scoped` before it sleeps on its
-//! latch, and `spyker-core`'s pending values before they sleep on a job a
-//! worker has taken, run queued tasks on the waiting thread. Workers still
-//! block in `recv` holding the receiver's lock; a helper only `try_lock`s
+//! latch, and `spyker-simnet`'s computed sends before they sleep on a job
+//! a worker has taken, run queued tasks on the waiting thread. Workers
+//! still block in `recv` holding the receiver's lock; a helper only `try_lock`s
 //! it and never blocks on the queue, so an idle worker (which holds the
 //! lock, and so means the queue is empty) sends the helper straight back to
 //! its wait. A helped task runs exactly as on a worker (`run_task`), and
