@@ -4,7 +4,7 @@ use std::any::Any;
 
 use spyker_core::agg::{AggregationStrategy, ValidationConfig};
 use spyker_core::decay::DecayConfig;
-use spyker_core::ingest::UpdateIngest;
+use spyker_core::ingest::{UpdateIngest, Upload};
 use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
 use spyker_core::staleness::ClientStaleness;
@@ -137,7 +137,7 @@ impl Node<FlMsg> for FedAsyncServer {
                     &mut self.params,
                     &mut self.version,
                     k,
-                    &params,
+                    Upload::Model(&params),
                     age,
                     true,
                 );

@@ -1,7 +1,8 @@
 //! Smoke benchmark: times the GEMM family against the frozen naive kernel,
 //! the products and the whole step of the `des_train_4s100c` model, one
-//! end-to-end client round per dense scenario model, the codec-path kernels
-//! and the server's model hand-out at the `des_bigmodel_codec` dimension,
+//! end-to-end client round per dense scenario model, the codec-path kernels,
+//! the server's model hand-out and one encoded update at each end at the
+//! `des_bigmodel_codec` dimension,
 //! the aggregation procedures of paper Tab. 3, and a loss and an LSTM step,
 //! and writes the results to `BENCH_tensor.json`.
 //!
@@ -36,8 +37,9 @@ use spyker_tensor::{
     top_k_indices_with, trimmed_mean_inplace, Conv2dShape, Matrix,
 };
 
+use spyker_core::agg::AggregationStrategy;
 use spyker_core::config::SpykerConfig;
-use spyker_core::ingest::UpdateIngest;
+use spyker_core::ingest::{UpdateIngest, Upload};
 use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
 use spyker_core::staleness::{blended_age, server_agg_weight};
@@ -561,6 +563,53 @@ fn main() {
         current.as_mut_slice()[0] += 1.0;
         ingest.broadcast(&mut Sink, &current, 0.0);
     }));
+
+    // --- One encoded update at each end, under the paper pipeline. ---------
+    // The client trains a model it shares with its server (the first write
+    // gives the round storage of its own), takes the reference's hash (the
+    // server's, memoised when it sent the model) and encodes. The server
+    // decodes the upload straight into its delta against the current model,
+    // gates it and buffers it as a trimmed-mean row; every 8th update
+    // flushes, onto a model the replies in flight still hold.
+    let served = random_params(CODEC_DIM, 23);
+    let robust = AggregationStrategy::TrimmedMean {
+        batch: 8,
+        trim_ratio: 0.25,
+    };
+    let cfg = SpykerConfig::paper_defaults(1, 1)
+        .with_codec(CodecConfig::paper_pipeline())
+        .with_aggregation(robust);
+    let mut server = UpdateIngest::from_config(vec![1], &cfg);
+    server.reply(&mut Sink, 1, &served, 0.0);
+    let mut trainer = MeanTargetTrainer::new(random_params(CODEC_DIM, 24).into_vec(), 8);
+    let mut encoder = UpdateEncoder::new(CodecConfig::paper_pipeline());
+    let mut upload = Vec::new();
+    samples.push(time_it("client_round_codec_65536", || {
+        let (reference, mut params) = (served.clone(), served.clone());
+        trainer.train(&mut params, 0.1, 1);
+        let hash = reference.content_hash();
+        encoder.encode(
+            7,
+            params.as_slice(),
+            reference.as_slice(),
+            hash,
+            &mut upload,
+        );
+    }));
+    let (mut params, mut age) = (served.clone(), 0.0);
+    let mut in_flight = params.clone();
+    samples.push(time_it("server_ingest_codec_65536", || {
+        // No reply: it would record each new version, and the upload's
+        // reference would leave the history.
+        if let Some((delta, finite)) =
+            server.encoded_update(&mut Sink, 1, &upload, &params, age, true)
+        {
+            let delta = Upload::Delta(delta, finite);
+            server.client_update(&mut Sink, &mut params, &mut age, 0, delta, 0.0, false);
+        }
+        in_flight = params.clone();
+    }));
+    std::hint::black_box(&in_flight);
 
     samples.extend(procedure_and_step_rows());
 

@@ -326,7 +326,20 @@ pub fn validate_update(
     model_age: f64,
     update_age: f64,
 ) -> Result<(), RejectReason> {
-    if cfg.reject_nonfinite && !(update_age.is_finite() && update.is_finite()) {
+    let (finite, distance) = (|| update.is_finite(), || update.l2_distance(current));
+    gate(cfg, finite, distance, model_age, update_age)
+}
+
+/// [`validate_update`]'s rules over what they read of the update's values,
+/// each asked for only when its check is on.
+pub(crate) fn gate(
+    cfg: &ValidationConfig,
+    finite: impl FnOnce() -> bool,
+    distance: impl FnOnce() -> f32,
+    model_age: f64,
+    update_age: f64,
+) -> Result<(), RejectReason> {
+    if cfg.reject_nonfinite && !(update_age.is_finite() && finite()) {
         return Err(RejectReason::NonFinite);
     }
     if let Some(max) = cfg.max_staleness {
@@ -335,7 +348,7 @@ pub fn validate_update(
         }
     }
     if let Some(max) = cfg.max_delta_norm {
-        if update.l2_distance(current) > max {
+        if distance() > max {
             return Err(RejectReason::NormExploded);
         }
     }

@@ -8,7 +8,7 @@ use spyker_simnet::{Env, JobHandle, Node, NodeId, SimTime};
 use crate::msg::{self, FlMsg};
 use crate::params::{ParamVec, SHARE_FROM};
 use crate::training::LocalTrainer;
-use crate::update_codec::{param_hash, CodecConfig, UpdateEncoder};
+use crate::update_codec::{CodecConfig, UpdateEncoder};
 
 /// A round that panicked poisons its client's trainer or encoder.
 const POISONED: &str = "an earlier training round of this client panicked";
@@ -300,11 +300,12 @@ impl Node<FlMsg> for FlClient {
                     let mut params = params;
                     // Delta encoding needs the exact model the server sent:
                     // keep a handle to it, so training writes to storage of
-                    // its own.
+                    // its own. Where the handle is the server's own storage
+                    // (the DES), the server hashed it already.
                     let reference = delta.then(|| params.clone());
                     train(&mut params);
                     let (ref_slice, ref_hash) = match &reference {
-                        Some(r) => (r.as_slice(), param_hash(r.as_slice())),
+                        Some(r) => (r.as_slice(), r.content_hash()),
                         None => (&[][..], 0),
                     };
                     let mut payload = Vec::with_capacity(encoded_len);
@@ -387,6 +388,7 @@ mod tests {
     use super::*;
     use crate::test_support::MockEnv;
     use crate::training::MeanTargetTrainer;
+    use crate::update_codec::param_hash;
     use spyker_simnet::{
         AvailabilityPlan, ByzantineAttack, FaultPlan, NetworkConfig, Region, Simulation, WireSize,
     };

@@ -30,7 +30,7 @@ use std::any::Any;
 use spyker_simnet::{Env, Node, NodeId, SimTime};
 
 use crate::config::SpykerConfig;
-use crate::ingest::UpdateIngest;
+use crate::ingest::{UpdateIngest, Upload};
 use crate::membership::RingView;
 use crate::msg::FlMsg;
 use crate::params::ParamVec;
@@ -465,7 +465,10 @@ impl Node<FlMsg> for ClusteredSpykerServer {
                 // running.
                 let (current, model_age) =
                     (self.centers.center(center), self.centers.ages()[center]);
-                if self.ingest.admit(env, current, model_age, &params, age) {
+                if self
+                    .ingest
+                    .admit(env, current, model_age, &Upload::Model(&params), age)
+                {
                     self.assignment[k] = center;
                     let (w, age_step) = self.ingest.weigh(k, model_age, age);
                     self.centers

@@ -21,14 +21,14 @@ use std::collections::{HashMap, VecDeque};
 use spyker_simnet::{Env, NodeId};
 
 use crate::agg::{
-    compounded_step, validate_update, AggregationStrategy, RobustBuffer, ValidationConfig,
+    compounded_step, gate, validate_update, AggregationStrategy, RobustBuffer, ValidationConfig,
 };
 use crate::config::SpykerConfig;
 use crate::decay::{DecayConfig, UpdateCounts};
 use crate::msg::FlMsg;
 use crate::params::ParamVec;
 use crate::staleness::ClientStaleness;
-use crate::update_codec::{param_hash, CodecConfig, UpdateDecoder};
+use crate::update_codec::{CodecConfig, UpdateDecoder};
 
 /// How many recently-sent models a server remembers per client for
 /// delta-reference resolution. Several models can be legitimately in
@@ -37,6 +37,17 @@ use crate::update_codec::{param_hash, CodecConfig, UpdateDecoder};
 /// model is stale enough that re-sending the current model is the better
 /// recovery anyway (`codec.ref_miss`).
 const REF_HISTORY_DEPTH: usize = 4;
+
+/// A client upload, as the gate and the integration step take it.
+pub enum Upload<'a> {
+    /// The trained model `u`.
+    Model(&'a ParamVec),
+    /// `u − params` for the very `params` it is integrated into, and
+    /// whether every value of `u` was finite: the same bits of every result
+    /// ([`UpdateIngest::encoded_update`]). A payload of another dimension
+    /// than the model's leaves `u` itself, which the dimension check drops.
+    Delta(ParamVec, bool),
+}
 
 /// The shared update-ingest state of one per-update server (see the
 /// [module docs](self)).
@@ -67,12 +78,8 @@ pub struct UpdateIngest {
     /// Per-client history of recently-sent models, keyed by content hash.
     /// Only populated when the codec uses delta encoding. The entries are
     /// handles: every client sent one model version refers to the same
-    /// storage, which is also the reply's.
+    /// storage, which is also the reply's, and which hashed it once.
     sent_models: HashMap<NodeId, VecDeque<(u64, ParamVec)>>,
-    /// The model [`param_hash`] last ran over, and its hash: the model
-    /// changes far less often than it is sent, and a handle to the same
-    /// storage has the same contents (see [`ParamVec`]).
-    last_hashed: Option<(u64, ParamVec)>,
 
     validation: ValidationConfig,
     /// `None` for the paper-exact [`AggregationStrategy::Mean`].
@@ -115,7 +122,6 @@ impl UpdateIngest {
             decoder: UpdateDecoder::new(),
             decode_buf: Vec::new(),
             sent_models: HashMap::new(),
-            last_hashed: None,
             validation,
             robust: RobustBuffer::from_strategy(aggregation),
             flush_buf: ParamVec::zeros(0),
@@ -176,7 +182,6 @@ impl UpdateIngest {
     /// client can arrive any more).
     pub fn forget_sent_models(&mut self) {
         self.sent_models.clear();
-        self.last_hashed = None;
     }
 
     /// Per-client update counts (local-index order) and their mean `ū`.
@@ -238,14 +243,24 @@ impl UpdateIngest {
         env: &mut dyn Env<FlMsg>,
         current: &ParamVec,
         model_age: f64,
-        update: &ParamVec,
+        update: &Upload<'_>,
         update_age: f64,
     ) -> bool {
+        let (update, finite) = match update {
+            Upload::Model(update) => (*update, None),
+            Upload::Delta(delta, finite) => (delta, Some(*finite)),
+        };
         if update.len() != current.len() {
             env.add_counter("net.unexpected", 1);
             return false;
         }
-        match validate_update(&self.validation, current, update, model_age, update_age) {
+        let cfg = &self.validation;
+        let verdict = match finite {
+            None => validate_update(cfg, current, update, model_age, update_age),
+            // `l2_norm` of `u − a` sums the squares `l2_distance(u, a)` does.
+            Some(finite) => gate(cfg, || finite, || update.l2_norm(), model_age, update_age),
+        };
+        match verdict {
             Ok(()) => {
                 env.observe("agg.staleness", model_age - update_age);
                 true
@@ -303,21 +318,28 @@ impl UpdateIngest {
         params: &mut ParamVec,
         age: &mut f64,
         k: usize,
-        update: &ParamVec,
+        upload: Upload<'_>,
         update_age: f64,
         reply: bool,
     ) -> bool {
-        let accepted = self.admit(env, params, *age, update, update_age);
+        let accepted = self.admit(env, params, *age, &upload, update_age);
         if accepted {
             let (w, age_step) = self.weigh(k, *age, update_age);
             if let Some(buf) = &mut self.robust {
                 // Robust path: buffer the update's delta; every `batch`
                 // accepted deltas, fold one robust estimate of the batch
                 // into the model at the batch's mean weight. Deltas are
-                // built in buffers recycled from earlier flushes and the
-                // estimate lands in `flush_buf`, so a long run's flush path
-                // allocates no dim-sized buffer after the first full batch.
-                buf.push_difference(update, params, w);
+                // built in buffers recycled from earlier flushes (a decoded
+                // delta swaps its buffer for one) and the estimate lands in
+                // `flush_buf`, so a long run's flush path allocates no
+                // dim-sized buffer after the first full batch.
+                match upload {
+                    Upload::Model(update) => buf.push_difference(update, params, w),
+                    Upload::Delta(delta, _) => {
+                        self.decode_buf = buf.take_delta(0).into_vec();
+                        buf.push(delta, w);
+                    }
+                }
                 if buf.is_ready() {
                     let n = buf.len();
                     let mean_w = buf.flush_into(&mut self.flush_buf);
@@ -327,11 +349,20 @@ impl UpdateIngest {
                     env.add_counter("agg.robust.flushes", 1);
                 }
             } else {
-                // Paper-exact path (Mean): integrate immediately.
-                params.lerp_toward(update, self.rate * w);
+                // Paper-exact path (Mean): integrate immediately. With
+                // `d = u − a`, `a + t·d` is `lerp_toward`'s `a + t·(u − a)`.
+                match upload {
+                    Upload::Model(update) => params.lerp_toward(update, self.rate * w),
+                    Upload::Delta(delta, _) => {
+                        params.axpy(self.rate * w, &delta);
+                        self.recycle_update(delta);
+                    }
+                }
             }
             *age += age_step;
             self.complete(env, k);
+        } else if let Upload::Delta(delta, _) = upload {
+            self.recycle_update(delta);
         }
         if reply {
             self.send_model(env, self.clients[k], self.client_lr[k], params, *age);
@@ -340,17 +371,19 @@ impl UpdateIngest {
     }
 
     /// Decodes an encoded client payload against the per-client reference
-    /// history. Counts the outcome; `None` means the update must be
-    /// dropped (reference miss or malformed payload). The dense result
-    /// lives in this path's one decode buffer: hand it back through
-    /// [`UpdateIngest::recycle_update`] once it has been integrated and the
-    /// next upload decodes without touching the heap.
+    /// history, less `base` when given (see [`UpdateDecoder::decode_minus`]),
+    /// and tells whether every decoded value is finite. Counts the outcome;
+    /// `None` means the update must be dropped (reference miss or malformed
+    /// payload). The result lives in this path's one decode buffer: hand it
+    /// back through [`UpdateIngest::recycle_update`] once it has been
+    /// integrated and the next upload decodes without touching the heap.
     pub fn decode(
         &mut self,
         env: &mut dyn Env<FlMsg>,
         from: NodeId,
         payload: &[u8],
-    ) -> Option<ParamVec> {
+        base: Option<&ParamVec>,
+    ) -> Option<(ParamVec, bool)> {
         let reference = match UpdateDecoder::ref_hash(payload) {
             Ok(Some(h)) => {
                 let hist = self.sent_models.get(&from);
@@ -368,10 +401,12 @@ impl UpdateIngest {
             Err(e) => Err(e),
         };
         let mut dense = std::mem::take(&mut self.decode_buf);
-        let decoded = reference.and_then(|r| self.decoder.decode(payload, r, &mut dense));
-        if decoded.is_ok() {
+        let base = base.map(ParamVec::as_slice);
+        let decoded =
+            reference.and_then(|r| self.decoder.decode_minus(payload, r, base, &mut dense));
+        if let Ok(finite) = decoded {
             env.add_counter("codec.decoded", 1);
-            Some(ParamVec::from_vec(dense))
+            Some((ParamVec::from_vec(dense), finite))
         } else {
             env.add_counter("codec.decode_error", 1);
             self.decode_buf = dense;
@@ -391,11 +426,13 @@ impl UpdateIngest {
 
     /// One encoded client upload: decoded **before** the validation gate
     /// and robust aggregation see it (DESIGN.md §16), for the caller to
-    /// feed to [`UpdateIngest::client_update`]. `None` means it was
-    /// handled here: counted and dropped at a server without a codec
-    /// (hostile or misconfigured, DESIGN.md §13), otherwise undecodable
-    /// and answered with the current model so the client's round loop
-    /// keeps turning.
+    /// feed to [`UpdateIngest::client_update`]. With `delta` it is decoded
+    /// straight into its difference from `params`, for a caller that
+    /// integrates it into `params` unchanged: the trained model is never
+    /// built (§16.3). `None` means it was handled here: counted and dropped
+    /// at a server without a codec (hostile or misconfigured, DESIGN.md
+    /// §13), otherwise undecodable and answered with the current model so
+    /// the client's round loop keeps turning.
     pub fn encoded_update(
         &mut self,
         env: &mut dyn Env<FlMsg>,
@@ -403,16 +440,17 @@ impl UpdateIngest {
         payload: &[u8],
         params: &ParamVec,
         age: f64,
-    ) -> Option<ParamVec> {
+        delta: bool,
+    ) -> Option<(ParamVec, bool)> {
         if self.codec.is_none() {
             env.add_counter("net.unexpected", 1);
             return None;
         }
-        let update = self.decode(env, from, payload);
-        if update.is_none() {
+        let decoded = self.decode(env, from, payload, delta.then_some(params));
+        if decoded.is_none() {
             self.reply(env, from, params, age);
         }
-        update
+        decoded
     }
 
     /// Sends the current model to `to` at the learning rate on record for
@@ -455,14 +493,7 @@ impl UpdateIngest {
         age: f64,
     ) {
         if self.codec.is_some_and(|c| c.delta) {
-            let h = match &self.last_hashed {
-                Some((h, hashed)) if hashed.shares_storage(params) => *h,
-                _ => {
-                    let h = param_hash(params.as_slice());
-                    self.last_hashed = params.share().map(|hashed| (h, hashed));
-                    h
-                }
-            };
+            let h = params.content_hash();
             let hist = self.sent_models.entry(to).or_default();
             if let Some(pos) = hist.iter().position(|(hh, _)| *hh == h) {
                 // Same model re-sent (e.g. a watchdog re-poke of an
@@ -511,7 +542,7 @@ mod tests {
             CLIENT as u64,
             update.as_slice(),
             reference.as_slice(),
-            param_hash(reference.as_slice()),
+            reference.content_hash(),
             &mut payload,
         );
         payload
@@ -530,8 +561,8 @@ mod tests {
         let model = pv(&[1.0, 2.0]);
         ingest.reply(&mut env, CLIENT, &model, 0.0);
         let payload = delta_payload(codec, &pv(&[1.5, 2.5]), &model);
-        let decoded = ingest.encoded_update(&mut env, CLIENT, &payload, &model, 0.0);
-        assert_eq!(decoded, Some(pv(&[1.5, 2.5])));
+        let decoded = ingest.encoded_update(&mut env, CLIENT, &payload, &model, 0.0, false);
+        assert_eq!(decoded, Some((pv(&[1.5, 2.5]), true)));
         assert_eq!(env.counter("codec.decoded"), 1);
         assert_eq!(env.sent.len(), 1, "a decodable upload is not answered here");
     }
@@ -544,7 +575,7 @@ mod tests {
         // The client trained from a model this server never sent it.
         let payload = delta_payload(codec, &pv(&[1.5, 2.5]), &pv(&[9.0, 9.0]));
         let current = pv(&[1.0, 2.0]);
-        let decoded = ingest.encoded_update(&mut env, CLIENT, &payload, &current, 7.0);
+        let decoded = ingest.encoded_update(&mut env, CLIENT, &payload, &current, 7.0, false);
         assert_eq!(decoded, None);
         assert_eq!(env.counter("codec.ref_miss"), 1);
         assert_eq!(env.counter("codec.decoded"), 0);
@@ -556,7 +587,7 @@ mod tests {
         }
         // The resend was itself recorded: the retry now resolves.
         let retry = delta_payload(codec, &pv(&[1.5, 2.5]), &current);
-        assert!(ingest.decode(&mut env, CLIENT, &retry).is_some());
+        assert!(ingest.decode(&mut env, CLIENT, &retry, None).is_some());
     }
 
     #[test]
@@ -565,7 +596,7 @@ mod tests {
         let mut ingest = ingest(&cfg);
         let mut env = MockEnv::new(0, 4);
         let model = pv(&[0.0, 0.0]);
-        let decoded = ingest.encoded_update(&mut env, CLIENT, &[0xff; 7], &model, 0.0);
+        let decoded = ingest.encoded_update(&mut env, CLIENT, &[0xff; 7], &model, 0.0, true);
         assert_eq!(decoded, None);
         assert_eq!(env.counter("codec.decode_error"), 1);
         assert_eq!(
@@ -581,7 +612,7 @@ mod tests {
         let mut env = MockEnv::new(0, 4);
         let model = pv(&[0.0]);
         assert_eq!(
-            ingest.encoded_update(&mut env, CLIENT, &[1, 2, 3], &model, 0.0),
+            ingest.encoded_update(&mut env, CLIENT, &[1, 2, 3], &model, 0.0, true),
             None
         );
         assert_eq!(env.counter("net.unexpected"), 1);
@@ -616,7 +647,7 @@ mod tests {
                 &mut params,
                 &mut age,
                 k,
-                &update,
+                Upload::Model(&update),
                 trained_from,
                 true
             ));
@@ -635,7 +666,15 @@ mod tests {
         let mut env = MockEnv::new(0, 4);
         let (mut params, mut age) = (pv(&[0.0]), 1.0);
         let update = pv(&[1.0]);
-        assert!(ingest.client_update(&mut env, &mut params, &mut age, 0, &update, 0.0, false));
+        assert!(ingest.client_update(
+            &mut env,
+            &mut params,
+            &mut age,
+            0,
+            Upload::Model(&update),
+            0.0,
+            false
+        ));
         assert_eq!((&params, age), (&pv(&[0.25]), 2.0));
         assert_eq!(env.counter("updates.processed"), 1);
         assert!(
@@ -644,7 +683,15 @@ mod tests {
         );
         // …and neither is a *rejected* silent one.
         let poisoned = pv(&[f32::NAN]);
-        assert!(!ingest.client_update(&mut env, &mut params, &mut age, 0, &poisoned, 0.0, false));
+        assert!(!ingest.client_update(
+            &mut env,
+            &mut params,
+            &mut age,
+            0,
+            Upload::Model(&poisoned),
+            0.0,
+            false
+        ));
         assert_eq!((ingest.rejected(), env.sent.len()), (1, 0));
         assert_eq!((&params, age), (&pv(&[0.25]), 2.0));
     }

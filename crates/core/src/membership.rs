@@ -591,7 +591,7 @@ impl Membership {
                     num_samples,
                 },
             ) => {
-                if let Some(params) = cx.l.ingest.decode(cx.env, from, &payload) {
+                if let Some((params, _)) = cx.l.ingest.decode(cx.env, from, &payload, None) {
                     self.redirect(cx, from, params, age, num_samples);
                 }
             }

@@ -14,7 +14,9 @@
 
 use std::borrow::Borrow;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+use crate::update_codec::param_hash;
 
 /// Vectors of at least this many coordinates share their storage between
 /// clones; shorter ones are plain owned `Vec`s, for which a copy is cheaper
@@ -34,11 +36,13 @@ pub(crate) const SHARE_FROM: usize = 1024;
 /// A model is handed out far more often than it changes — to every client
 /// after every update, to every peer on every exchange — so the storage of
 /// a large vector is shared and copy-on-write: `clone()` is a
-/// reference-count bump, and the first mutation (`as_mut_slice`,
-/// `lerp_toward`, `axpy`, `scale`, `resize`) through a handle that is not
-/// the only one copies the values once, after which that handle is unique
-/// again. A model version therefore exists once however many messages,
-/// histories and peers hold it. Small vectors are copied outright, which is
+/// reference-count bump, and the first mutation through a handle that is
+/// not the only one gives that handle storage of its own: `lerp_toward`,
+/// `axpy` and `scale` write their result there in one pass, while
+/// `as_mut_slice` and `resize` copy the values first. A model version
+/// therefore exists once however many messages, histories and peers hold
+/// it, and so does its [`content_hash`](Self::content_hash), computed at
+/// most once per version. Small vectors are copied outright, which is
 /// cheaper than counting references to them. Which of the two a value is
 /// follows from its dimension alone, is not observable through any API, and
 /// never changes what an operation computes: handles behave as independent
@@ -59,10 +63,17 @@ pub struct ParamVec(Store);
 #[derive(Clone)]
 enum Store {
     Owned(Vec<f32>),
-    /// `Arc<Vec<f32>>`, not `Arc<[f32]>`: a unique handle must give its
-    /// `Vec` back without a copy ([`ParamVec::into_vec`] feeds the
-    /// buffer-recycling paths).
-    Shared(Arc<Vec<f32>>),
+    Shared(Arc<Version>),
+}
+
+/// One shared model version. `values` is a `Vec`, not a `[f32]`: a unique
+/// handle must give it back without a copy ([`ParamVec::into_vec`] feeds
+/// the buffer-recycling paths). `hash` is set by the first
+/// [`ParamVec::content_hash`] and cleared by every mutable access.
+#[derive(Clone)]
+struct Version {
+    values: Vec<f32>,
+    hash: OnceLock<u64>,
 }
 
 impl PartialEq for ParamVec {
@@ -82,7 +93,10 @@ impl ParamVec {
         Self(if v.len() < SHARE_FROM {
             Store::Owned(v)
         } else {
-            Store::Shared(Arc::new(v))
+            Store::Shared(Arc::new(Version {
+                values: v,
+                hash: OnceLock::new(),
+            }))
         })
     }
 
@@ -100,7 +114,16 @@ impl ParamVec {
     pub fn as_slice(&self) -> &[f32] {
         match &self.0 {
             Store::Owned(v) => v,
-            Store::Shared(v) => v,
+            Store::Shared(v) => &v.values,
+        }
+    }
+
+    /// [`param_hash`] of the values, computed once per shared version
+    /// however many handles and threads ask for it.
+    pub fn content_hash(&self) -> u64 {
+        match &self.0 {
+            Store::Owned(v) => param_hash(v),
+            Store::Shared(v) => *v.hash.get_or_init(|| param_hash(&v.values)),
         }
     }
 
@@ -109,7 +132,11 @@ impl ParamVec {
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         match &mut self.0 {
             Store::Owned(v) => v,
-            Store::Shared(v) => Arc::make_mut(v).as_mut_slice(),
+            Store::Shared(v) => {
+                let v = Arc::make_mut(v);
+                v.hash.take();
+                &mut v.values
+            }
         }
     }
 
@@ -118,7 +145,9 @@ impl ParamVec {
     pub fn into_vec(self) -> Vec<f32> {
         match self.0 {
             Store::Owned(v) => v,
-            Store::Shared(v) => Arc::try_unwrap(v).unwrap_or_else(|shared| (*shared).clone()),
+            Store::Shared(v) => {
+                Arc::try_unwrap(v).map_or_else(|shared| shared.values.clone(), |v| v.values)
+            }
         }
     }
 
@@ -129,22 +158,6 @@ impl ParamVec {
             let mut v = std::mem::replace(self, Self::zeros(0)).into_vec();
             v.resize(n, 0.0);
             *self = Self::from_vec(v);
-        }
-    }
-
-    /// A second handle to `self`'s storage, or `None` where `clone` would
-    /// copy the values instead.
-    pub(crate) fn share(&self) -> Option<ParamVec> {
-        matches!(self.0, Store::Shared(_)).then(|| self.clone())
-    }
-
-    /// `true` when `self` and `other` are handles to one allocation, which
-    /// implies equal contents for as long as both are held: a writer that
-    /// is not the only handle copies first.
-    pub(crate) fn shares_storage(&self, other: &ParamVec) -> bool {
-        match (&self.0, &other.0) {
-            (Store::Shared(a), Store::Shared(b)) => Arc::ptr_eq(a, b),
-            _ => false,
         }
     }
 
@@ -161,9 +174,7 @@ impl ParamVec {
     /// Panics if the dimensions differ.
     pub fn lerp_toward(&mut self, other: &ParamVec, t: f32) {
         assert_eq!(self.len(), other.len(), "dimension mismatch in lerp");
-        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a += t * (b - *a);
-        }
+        self.zip_with(other.as_slice().iter().copied(), |a, b| a + t * (b - a));
     }
 
     /// Computes `self += alpha * other`.
@@ -173,15 +184,26 @@ impl ParamVec {
     /// Panics if the dimensions differ.
     pub fn axpy(&mut self, alpha: f32, other: &ParamVec) {
         assert_eq!(self.len(), other.len(), "dimension mismatch in axpy");
-        for (a, &b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a += alpha * b;
-        }
+        self.zip_with(other.as_slice().iter().copied(), |a, b| a + alpha * b);
     }
 
     /// Multiplies every component by `factor`.
     pub fn scale(&mut self, factor: f32) {
-        for a in self.as_mut_slice() {
-            *a *= factor;
+        self.zip_with(std::iter::repeat(factor), |a, f| a * f);
+    }
+
+    /// Sets every value `a` to `f(a, b)`, `b` drawn from `other`: in place
+    /// on storage of its own, and on a version another handle shares, into
+    /// new storage in the same one pass (no copy first).
+    fn zip_with(&mut self, other: impl Iterator<Item = f32>, f: impl Fn(f32, f32) -> f32) {
+        if let Store::Shared(v) = &self.0 {
+            if Arc::strong_count(v) > 1 {
+                *self = Self::from_vec(v.values.iter().zip(other).map(|(&a, b)| f(a, b)).collect());
+                return;
+            }
+        }
+        for (a, b) in self.as_mut_slice().iter_mut().zip(other) {
+            *a = f(*a, b);
         }
     }
 
@@ -236,12 +258,7 @@ impl ParamVec {
     /// branches per element; the exit between chunks keeps a poisoned
     /// vector cheap to reject.
     pub fn is_finite(&self) -> bool {
-        const EXPONENT: u32 = 0x7f80_0000;
-        self.as_slice().chunks(256).all(|chunk| {
-            !chunk
-                .iter()
-                .fold(false, |bad, v| bad | (v.to_bits() & EXPONENT == EXPONENT))
-        })
+        all_finite(self.as_slice())
     }
 
     /// Serialized size in bytes (4 bytes per component plus a small header),
@@ -249,6 +266,16 @@ impl ParamVec {
     pub fn wire_size(&self) -> usize {
         4 * self.len() + 8
     }
+}
+
+/// [`ParamVec::is_finite`] of a slice.
+pub(crate) fn all_finite(values: &[f32]) -> bool {
+    const EXPONENT: u32 = 0x7f80_0000;
+    values.chunks(256).all(|chunk| {
+        !chunk
+            .iter()
+            .fold(false, |bad, v| bad | (v.to_bits() & EXPONENT == EXPONENT))
+    })
 }
 
 impl fmt::Debug for ParamVec {

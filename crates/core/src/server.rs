@@ -6,7 +6,7 @@ use spyker_simnet::{Env, Node, NodeId, Region, SimTime};
 
 use crate::config::SpykerConfig;
 use crate::exchange::Exchange;
-use crate::ingest::UpdateIngest;
+use crate::ingest::{UpdateIngest, Upload};
 use crate::membership::{Membership, Phase, RingView};
 use crate::msg::FlMsg;
 use crate::params::ParamVec;
@@ -162,7 +162,7 @@ fn client_update(
     x: &mut Exchange,
     m: &Membership,
     from: NodeId,
-    update: &ParamVec,
+    update: Upload<'_>,
     update_age: f64,
     reply: bool,
 ) {
@@ -447,16 +447,17 @@ impl Node<FlMsg> for SpykerServer {
         let elastic = cx.l.cfg.membership.is_some();
         match msg {
             FlMsg::ClientUpdate { params, age, .. } => {
-                client_update(cx, x, m, from, &params, age, true);
+                client_update(cx, x, m, from, Upload::Model(&params), age, true);
             }
+            // Decoded against the model it is about to enter, which
+            // nothing changes before it does.
             FlMsg::EncodedUpdate { payload, age, .. } => {
                 let l = &mut *cx.l;
                 let decoded = l
                     .ingest
-                    .encoded_update(cx.env, from, &payload, &l.params, l.age);
-                if let Some(update) = decoded {
-                    client_update(cx, x, m, from, &update, age, true);
-                    cx.l.ingest.recycle_update(update);
+                    .encoded_update(cx.env, from, &payload, &l.params, l.age, true);
+                if let Some((delta, finite)) = decoded {
+                    client_update(cx, x, m, from, Upload::Delta(delta, finite), age, true);
                 }
             }
             FlMsg::AgeGossip { age, server_idx } => x.on_age_gossip(cx, m, server_idx, age),
@@ -486,7 +487,7 @@ impl Node<FlMsg> for SpykerServer {
                 ..
             } if elastic => {
                 cx.l.adopt_client(cx.env, client, m.slot);
-                client_update(cx, x, m, client, &params, age, false);
+                client_update(cx, x, m, client, Upload::Model(&params), age, false);
             }
             _ => cx.env.add_counter("net.unexpected", 1),
         }

@@ -15,7 +15,7 @@ use spyker_simnet::{Env, Node, NodeId, SimTime};
 
 use crate::barrier::RoundBarrier;
 use crate::config::SpykerConfig;
-use crate::ingest::UpdateIngest;
+use crate::ingest::{UpdateIngest, Upload};
 use crate::membership::RingView;
 use crate::msg::FlMsg;
 use crate::params::ParamVec;
@@ -132,7 +132,7 @@ impl SyncSpykerServer {
             &mut self.params,
             &mut self.age,
             k,
-            &update,
+            Upload::Model(&update),
             update_age,
             true,
         );
@@ -209,8 +209,8 @@ impl Node<FlMsg> for SyncSpykerServer {
                 // history rotates with every reply.
                 let decoded =
                     self.ingest
-                        .encoded_update(env, from, &payload, &self.params, self.age);
-                if let Some(update) = decoded {
+                        .encoded_update(env, from, &payload, &self.params, self.age, false);
+                if let Some((update, _)) = decoded {
                     self.on_client_update(env, from, update, age);
                 }
             }

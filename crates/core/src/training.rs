@@ -78,7 +78,7 @@ pub trait Evaluator: Send + Sync {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MeanTargetTrainer {
-    target: Vec<f32>,
+    target: ParamVec,
     samples: usize,
     steps_taken: u64,
 }
@@ -88,7 +88,7 @@ impl MeanTargetTrainer {
     /// data points.
     pub fn new(target: Vec<f32>, samples: usize) -> Self {
         Self {
-            target,
+            target: ParamVec::from_vec(target),
             samples,
             steps_taken: 0,
         }
@@ -105,9 +105,9 @@ impl LocalTrainer for MeanTargetTrainer {
         assert_eq!(params.len(), self.target.len(), "dimension mismatch");
         let lr = lr.clamp(0.0, 1.0);
         for _ in 0..epochs {
-            for (p, &t) in params.as_mut_slice().iter_mut().zip(&self.target) {
-                *p += lr * (t - *p);
-            }
+            // `p + lr·(t − p)`: a first step on a shared model writes new
+            // storage in one pass.
+            params.lerp_toward(&self.target, lr);
             self.steps_taken += 1;
         }
     }

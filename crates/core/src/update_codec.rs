@@ -36,6 +36,7 @@ use spyker_tensor::{
 };
 
 use crate::msg::attack_value;
+use crate::params::all_finite;
 
 /// Hard cap on the model dimension a payload may declare — matches the
 /// wire codec's 64 MiB frame cap for dense f32 payloads, so a hostile
@@ -726,25 +727,53 @@ impl UpdateDecoder {
         Ok(lay.delta.then_some(lay.ref_hash))
     }
 
-    /// Decodes `payload` into a dense parameter vector in `out`. Delta
-    /// payloads need `reference` (the model named by
-    /// [`UpdateDecoder::ref_hash`]); self-contained payloads ignore it.
+    /// Decodes `payload` into a dense parameter vector in `out` and returns
+    /// whether every decoded value is finite. Delta payloads need
+    /// `reference` (the model named by [`UpdateDecoder::ref_hash`]);
+    /// self-contained payloads ignore it.
     pub fn decode(
         &mut self,
         payload: &[u8],
         reference: Option<&[f32]>,
         out: &mut Vec<f32>,
-    ) -> Result<(), CodecError> {
+    ) -> Result<bool, CodecError> {
+        self.decode_minus(payload, reference, None, out)
+    }
+
+    /// [`UpdateDecoder::decode`] less `base`: `out` holds `decoded − base`,
+    /// written without building `decoded` when sparse indices strictly
+    /// ascend (as the encoder writes them; a dense payload is decoded in
+    /// `out` first), and the flag still speaks of `decoded`. A `base` of
+    /// another dimension than the payload's is not applied: `out` then
+    /// holds `decoded`, and its length tells.
+    pub fn decode_minus(
+        &mut self,
+        payload: &[u8],
+        reference: Option<&[f32]>,
+        base: Option<&[f32]>,
+        out: &mut Vec<f32>,
+    ) -> Result<bool, CodecError> {
         let lay = Layout::parse(payload)?;
-        out.clear();
-        if lay.delta {
-            let r = reference.ok_or(CodecError::RefMissing)?;
-            if r.len() != lay.dim {
-                return Err(CodecError::RefMismatch);
-            }
-            out.extend_from_slice(r);
-        } else {
-            out.resize(lay.dim, 0.0);
+        // What a coordinate decodes to before the payload's values land.
+        let start = match reference {
+            _ if !lay.delta => None,
+            None => return Err(CodecError::RefMissing),
+            Some(r) if r.len() != lay.dim => return Err(CodecError::RefMismatch),
+            r => r,
+        };
+        // With each index once (strictly ascending, as the encoder writes
+        // them), a coordinate decodes to its start value `s` and a kept one
+        // to `s + v`, so the difference needs no `u`. Other payloads decode
+        // `u` first and subtract in place.
+        let two_passes = |_: &&[f32]| {
+            lay.idx.is_none()
+                || (1..lay.n).any(|j| lay.index(payload, j - 1) >= lay.index(payload, j))
+        };
+        let base = base.filter(|b| b.len() == lay.dim);
+        if let Some(b) = base.filter(two_passes) {
+            let finite = self.decode_minus(payload, reference, None, out)?;
+            out.iter_mut().zip(b).for_each(|(o, &b)| *o -= b);
+            return Ok(finite);
         }
 
         match lay.quant {
@@ -772,20 +801,39 @@ impl UpdateDecoder {
             }
         }
 
-        if lay.idx.is_some() {
-            for j in 0..lay.n {
-                let i = lay.index(payload, j);
-                if i >= lay.dim {
-                    return Err(CodecError::IndexOutOfRange);
-                }
-                out[i] += self.vals[j];
-            }
-        } else {
+        out.clear();
+        match (start, base) {
+            (Some(r), Some(b)) => out.extend(r.iter().zip(b).map(|(&s, &b)| s - b)),
+            (None, Some(b)) => out.extend(b.iter().map(|&b| 0.0 - b)),
+            (Some(r), None) => out.extend_from_slice(r),
+            (None, None) => out.resize(lay.dim, 0.0),
+        }
+        // A pass of its own: folded into the one above, it kept that loop
+        // from vectorising (≈ 13× slower).
+        let mut finite = base.is_none() || start.is_none_or(all_finite);
+        if lay.idx.is_none() {
             for (o, &v) in out.iter_mut().zip(&self.vals) {
                 *o += v;
             }
         }
-        Ok(())
+        for (j, &v) in self.vals.iter().enumerate().filter(|_| lay.idx.is_some()) {
+            let i = lay.index(payload, j);
+            if i >= lay.dim {
+                return Err(CodecError::IndexOutOfRange);
+            }
+            match base {
+                Some(b) => {
+                    let u = start.map_or(0.0, |r| r[i]) + v;
+                    finite &= u.is_finite();
+                    out[i] = u - b[i];
+                }
+                None => out[i] += v,
+            }
+        }
+        if base.is_none() {
+            finite = all_finite(out);
+        }
+        Ok(finite)
     }
 }
 

@@ -20,11 +20,16 @@
 //!    vectors that differ only in length, order or the sign of a zero.
 //! 6. **Pinned bytes**: 24 error-feedback rounds of the paper pipeline at
 //!    dim 65 536 reproduce one recorded fingerprint.
+//! 7. **Decoding into the difference**: `decode_minus` against a base is
+//!    `decode` followed by `u − b`, with the same finiteness flag and the
+//!    same errors, on every pipeline and on hostile payloads.
 
 use proptest::prelude::*;
 use spyker_core::update_codec::{
-    param_hash, CodecConfig, QuantBits, Rounding, UpdateDecoder, UpdateEncoder,
+    corrupt_payload, param_hash, CodecConfig, CodecError, QuantBits, Rounding, UpdateDecoder,
+    UpdateEncoder,
 };
+use spyker_simnet::ByzantineAttack;
 
 /// Arbitrary finite values, wide enough to exercise scale selection.
 fn values(dim: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -408,4 +413,127 @@ fn param_hash_sees_length_and_the_sign_of_zero() {
     assert_ne!(param_hash(&[]), param_hash(&[0.0]));
     assert_ne!(param_hash(&[0.0]), param_hash(&[-0.0]));
     assert_eq!(param_hash(&[1.5, -2.0]), param_hash(&[1.5, -2.0]));
+}
+
+/// Every pipeline the codec composes, without error feedback.
+fn pipelines() -> Vec<CodecConfig> {
+    let mut all = Vec::new();
+    for delta in [false, true] {
+        for topk in [None, Some(0.3)] {
+            for quant in [None, Some(QuantBits::Q8), Some(QuantBits::Q4)] {
+                all.push(CodecConfig {
+                    delta,
+                    topk,
+                    quant,
+                    error_feedback: false,
+                    ..CodecConfig::identity()
+                });
+            }
+        }
+    }
+    all
+}
+
+/// Values planted into a reference or a base.
+const SPECIALS: [f32; 7] = [
+    0.0,
+    -0.0,
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::MAX,
+    -f32::MAX,
+];
+
+/// Bits, with every `NaN` one pattern: which `NaN` an operation on two
+/// of them returns is the hardware's choice, not the codec's.
+fn canonical(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
+}
+
+/// `decode`, then `u − b` and whether every decoded value is finite.
+fn decode_then_subtract(
+    payload: &[u8],
+    reference: &[f32],
+    base: &[f32],
+) -> Result<(Vec<u32>, bool), CodecError> {
+    let mut out = Vec::new();
+    UpdateDecoder::new().decode(payload, Some(reference), &mut out)?;
+    let finite = out.iter().all(|v| v.is_finite());
+    let delta: Vec<f32> = out.iter().zip(base).map(|(u, b)| u - b).collect();
+    Ok((canonical(&delta), finite))
+}
+
+proptest! {
+    /// The base-taking kernel is `decode` then `u − b`, on every pipeline,
+    /// with `NaN`/`±∞` in the payload's values (through a Byzantine
+    /// attack), in the reference or in the base, with sparse indices out of
+    /// order or repeated, and truncated. Without a base, or with one of
+    /// another dimension, it is `decode`, flag included.
+    #[test]
+    fn decoding_into_the_difference_is_decode_then_subtract(
+        vectors in (2usize..48).prop_flat_map(|d| (values(d), values(d), values(d))),
+        spikes in prop::collection::vec((0usize..48, 0usize..SPECIALS.len(), 0u8..2), 0..4),
+        attack in 0usize..4,
+        reorder in 0u8..3,
+        cut_seed in 0u64..u64::MAX,
+    ) {
+        let (update, clean_reference, mut base) = vectors;
+        let dim = update.len();
+        let mut reference = clean_reference.clone();
+        for &(at, special, in_base) in &spikes {
+            let target = if in_base == 1 { &mut base } else { &mut reference };
+            target[at % dim] = SPECIALS[special];
+        }
+        let attacks = [
+            ByzantineAttack::NanInject { prob: 0.3 },
+            ByzantineAttack::Scale { factor: f32::INFINITY },
+            ByzantineAttack::Scale { factor: 1e30 },
+        ];
+        for cfg in pipelines() {
+            let mut payload = encode_once(cfg, 7, &update, &clean_reference);
+            if let Some(attack) = attacks.get(attack) {
+                let mut draws = 0.0;
+                corrupt_payload(&mut payload, attack, &mut || {
+                    draws += 0.37;
+                    draws % 1.0
+                });
+            }
+            // The sparse index block: after the flags, the dimension, the
+            // reference hash of a delta payload and the count.
+            let off = 9 + if cfg.delta { 8 } else { 0 };
+            if cfg.topk.is_some() && reorder > 0 {
+                let k = u32::from_le_bytes(payload[off - 4..off].try_into().unwrap());
+                if k >= 2 {
+                    let first: [u8; 4] = payload[off..off + 4].try_into().unwrap();
+                    if reorder == 1 {
+                        payload.copy_within(off + 4..off + 8, off);
+                    }
+                    payload[off + 4..off + 8].copy_from_slice(&first);
+                }
+            }
+            let want = decode_then_subtract(&payload, &reference, &base);
+            let mut dec = UpdateDecoder::new();
+            let mut out = vec![1.0; 3];
+            let got = dec
+                .decode_minus(&payload, Some(&reference), Some(&base), &mut out)
+                .map(|finite| (canonical(&out), finite));
+            prop_assert_eq!(&got, &want, "{:?}", cfg);
+
+            let mut plain = Vec::new();
+            let flag = UpdateDecoder::new().decode(&payload, Some(&reference), &mut plain);
+            prop_assert_eq!(flag, want.map(|(_, finite)| finite), "{:?}", cfg);
+            let other_dim = &base[..dim - 1];
+            let unapplied = dec.decode_minus(&payload, Some(&reference), Some(other_dim), &mut out);
+            prop_assert_eq!(unapplied, flag, "{:?}", cfg);
+            prop_assert_eq!(canonical(&out), canonical(&plain), "{:?}", cfg);
+
+            let cut = &payload[..(cut_seed % payload.len() as u64) as usize];
+            let err = dec.decode(cut, Some(&reference), &mut plain);
+            prop_assert!(err.is_err());
+            prop_assert_eq!(dec.decode_minus(cut, Some(&reference), Some(&base), &mut out), err);
+        }
+    }
 }

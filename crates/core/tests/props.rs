@@ -7,6 +7,7 @@ use spyker_core::msg::FlMsg;
 use spyker_core::params::ParamVec;
 use spyker_core::staleness::{blended_age, server_agg_weight, ClientStaleness};
 use spyker_core::token::Token;
+use spyker_core::update_codec::param_hash;
 
 fn params(n: usize) -> impl Strategy<Value = ParamVec> {
     prop::collection::vec(-100.0f32..100.0, n).prop_map(ParamVec::from_vec)
@@ -274,7 +275,9 @@ proptest! {
     /// The aliasing contract: handles behave as independent values. Clone
     /// a vector, mutate one of the two handles through each mutator; the
     /// other handle is bit-unchanged and the mutated one equals the same
-    /// operation on a plain `Vec<f32>`.
+    /// operation on a plain `Vec<f32>`. So does a mutated handle that was
+    /// never cloned. The memoised `content_hash`, taken before the
+    /// mutation, is `param_hash` of each handle's values after it.
     #[test]
     fn mutating_one_handle_never_shows_through_its_clone(
         seed in prop::collection::vec(-100.0f32..100.0, 1..16),
@@ -310,14 +313,24 @@ proptest! {
             let values = tiled(&seed, dim);
             let other = tiled(&other_seed, dim);
             for (name, on_params, on_vec) in mutators {
-                let mut a = ParamVec::from_vec(values.clone());
-                let mut b = a.clone();
-                let (written, kept) = if mutate_the_clone == 1 { (&mut b, &a) } else { (&mut a, &b) };
-                on_params(written, &ParamVec::from_vec(other.clone()), t, resize_to);
                 let mut want = values.clone();
                 on_vec(&mut want, &other, t, resize_to);
+                let other = ParamVec::from_vec(other.clone());
+                let mut a = ParamVec::from_vec(values.clone());
+                prop_assert_eq!(a.content_hash(), param_hash(&values));
+                let mut b = a.clone();
+                let (written, kept) = if mutate_the_clone == 1 { (&mut b, &a) } else { (&mut a, &b) };
+                on_params(written, &other, t, resize_to);
                 prop_assert_eq!(bits(written.as_slice()), bits(&want), "{} at dim {}", name, dim);
                 prop_assert_eq!(bits(kept.as_slice()), bits(&values), "{} at dim {}", name, dim);
+                prop_assert_eq!(written.content_hash(), param_hash(&want), "{} at dim {}", name, dim);
+                prop_assert_eq!(kept.content_hash(), param_hash(&values), "{} at dim {}", name, dim);
+
+                let mut unique = ParamVec::from_vec(values.clone());
+                prop_assert_eq!(unique.content_hash(), param_hash(&values));
+                on_params(&mut unique, &other, t, resize_to);
+                prop_assert_eq!(bits(unique.as_slice()), bits(&want), "{} at dim {}", name, dim);
+                prop_assert_eq!(unique.content_hash(), param_hash(&want), "{} at dim {}", name, dim);
             }
         }
     }
@@ -373,4 +386,35 @@ proptest! {
             prop_assert!(built != longer, "dim {}", dim);
         }
     }
+}
+
+/// Two threads asking one shared version for its hash at once both get
+/// `param_hash` of it, before and after a write through one handle.
+#[test]
+fn content_hash_is_one_value_across_threads() {
+    for dim in DIMS {
+        let values: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37).sin()).collect();
+        let mut a = ParamVec::from_vec(values.clone());
+        let b = a.clone();
+        let both = |p: &ParamVec| {
+            std::thread::scope(|s| {
+                let (x, y) = (s.spawn(|| p.content_hash()), s.spawn(|| p.content_hash()));
+                [
+                    x.join().expect("hash thread"),
+                    y.join().expect("hash thread"),
+                ]
+            })
+        };
+        assert_eq!(both(&b), [param_hash(&values); 2], "dim {dim}");
+        a.as_mut_slice().iter_mut().for_each(|v| *v += 1.0);
+        let written = a.as_slice().to_vec();
+        assert_eq!(both(&a), [param_hash(&written); 2], "dim {dim}");
+        assert_eq!(both(&b), [param_hash(&values); 2], "dim {dim}");
+    }
+}
+
+/// The memo rides the shared storage, not the handle.
+#[test]
+fn a_handle_is_three_words() {
+    assert_eq!(std::mem::size_of::<ParamVec>(), 24);
 }

@@ -166,8 +166,12 @@ impl<M> TimerWheel<M> {
             let width = SLOT_BITS * level as u32;
             // Jump the cursor to the slot's first tick (all skipped slots
             // are empty at every level below), then cascade the slot's
-            // events — each lands at a strictly lower level.
-            let parent_base = (self.cursor >> (width + SLOT_BITS)) << (width + SLOT_BITS);
+            // events — each lands at a strictly lower level. The top level
+            // has no parent: its would-be shift of 66 bits is a base of 0.
+            let parent_base = self
+                .cursor
+                .checked_shr(width + SLOT_BITS)
+                .map_or(0, |parent| parent << (width + SLOT_BITS));
             self.cursor = parent_base | ((slot as u64) << width);
             self.levels[level].occupied &= !(1u64 << slot);
             let spare = std::mem::take(&mut self.spare);
@@ -290,6 +294,28 @@ mod tests {
         assert_eq!(wheel.pop().unwrap().seq, 2);
         assert_eq!(wheel.pop().unwrap().seq, 0);
         assert!(wheel.pop().is_none());
+    }
+
+    #[test]
+    fn the_top_level_cascades_to_the_last_microsecond() {
+        let mut wheel: TimerWheel<()> = TimerWheel::new();
+        let times = [u64::MAX, 1 << 62, 5, 1 << 60, u64::MAX];
+        for (seq, &t) in times.iter().enumerate() {
+            wheel.push(ev(t, seq as u64));
+        }
+        let popped: Vec<(u64, u64)> = std::iter::from_fn(|| wheel.pop())
+            .map(|e| (e.time.as_micros(), e.seq))
+            .collect();
+        assert_eq!(
+            popped,
+            [
+                (5, 2),
+                (1 << 60, 3),
+                (1 << 62, 1),
+                (u64::MAX, 0),
+                (u64::MAX, 4)
+            ]
+        );
     }
 
     #[test]

@@ -390,6 +390,43 @@ fn heap_and_wheel_schedulers_run_byte_identically() {
 }
 
 #[test]
+fn an_offline_window_to_the_end_of_time_runs_to_its_horizon() {
+    // The window's end is an event at the wheel's very last microsecond.
+    let run = |kind: SchedulerKind| {
+        let offline =
+            AvailabilityPlan::none().offline_window(1, SimTime::from_millis(1), SimTime::MAX);
+        let net = NetworkConfig::uniform_all(SimTime::from_millis(1));
+        let mut sim = Simulation::new(net, 3)
+            .with_scheduler(kind)
+            .with_availability(offline);
+        sim.add_node(
+            Box::new(Burst {
+                count: 20,
+                bytes: 10_000,
+            }),
+            Region::Paris,
+        );
+        sim.add_node(
+            Box::new(Recorder {
+                received: Vec::new(),
+            }),
+            Region::Sydney,
+        );
+        let report = sim.run(SimTime::from_secs(5));
+        let discarded = sim.metrics().counter("sim.availability.discarded");
+        (report, recorder_received(&sim), discarded)
+    };
+    let heap = run(SchedulerKind::Heap);
+    assert_eq!(heap.0.end_time, SimTime::from_secs(5));
+    assert_eq!(
+        (heap.1.len(), heap.2),
+        (0, 20),
+        "every delivery is discarded"
+    );
+    assert_eq!(run(SchedulerKind::Wheel), heap);
+}
+
+#[test]
 fn flow_shared_links_split_trunk_bandwidth() {
     // 8 Mbps trunk, two concurrent 1 MB flows on the same region pair:
     // processor sharing finishes both at 2 s (per-message would say

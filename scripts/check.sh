@@ -159,9 +159,10 @@ else
 fi
 
 # Paired speed check (ROADMAP item 10): three alternating pairs per
-# workload, this tree against its merge base with main, on each workload's
-# headline metric. `pairs.sh` exits non-zero when the change's median is
-# worse than the base's by more than the metric's bound in BENCHMARK.json.
+# workload, this tree against its merge base with main, each workload's
+# headline metric in the per-pair table. `pairs.sh` exits non-zero when the
+# change's median of any end-to-end metric is worse than the base's by
+# more than that metric's bound in BENCHMARK.json.
 # Unlike the committed-file gate above it holds on any machine, because
 # both sides run on this one. ~8 min; skipped with SPYKER_SKIP_E2E=1.
 if [[ "${SPYKER_SKIP_E2E:-0}" != "1" ]]; then

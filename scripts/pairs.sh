@@ -12,7 +12,10 @@
 # Prints each pair's two medians, each side's median and quartiles over
 # the pairs, the ratio of the medians, the change's win count (ties count
 # for neither side) and whether the medians differ by more than the base
-# side's inter-quartile distance — the rule of a claimed gain.
+# side's inter-quartile distance — the rule of a claimed gain. Then, from
+# the same runs, each side's median of every end-to-end metric of
+# BENCHMARK.json, their ratio and whether the change is worse than the
+# metric's bound.
 #
 # With --record, appends the run as one entry to BENCH_pairs.json: the
 # workload, metric and seed, both revisions (the change is HEAD, marked
@@ -20,10 +23,12 @@
 # each side's median and quartiles, the per-pair values, the win count and
 # the machine (`nproc` and the CPU model from /proc/cpuinfo).
 #
-# Exits 3 when the change's median is worse than the base's by more than
-# the metric's bound in BENCHMARK.json (after recording, with --record).
+# Exits 3 when, on any end-to-end metric, the change's median is worse than
+# the base's by more than that metric's bound in BENCHMARK.json (after
+# recording, with --record).
 #
-#   PAIRS_METRIC   end-to-end metric to compare (default updates_per_s)
+#   PAIRS_METRIC   end-to-end metric of the per-pair table, the win count
+#                  and the record (default updates_per_s)
 #   PAIRS_SEED     workload seed (default 1)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -47,13 +52,17 @@ REV=${ARGS[2]:-HEAD}
 METRIC=${PAIRS_METRIC:-updates_per_s}
 SEED=${PAIRS_SEED:-1}
 
-SPEC=$(grep -o "\"name\": \"$METRIC\"[^}]*\"bound\": [0-9.]*" BENCHMARK.json || true)
-BETTER=$(sed 's/.*"better": "//; s/".*//' <<<"$SPEC")
-BOUND=$(sed 's/.*"bound": //' <<<"$SPEC")
-if [[ -z "$SPEC" ]]; then
+# Every end-to-end metric (the entries with a bound), one
+# "name better bound" line each.
+SPECS=$(grep -o '"name": "[a-z_]*"[^}]*"bound": [0-9.]*' BENCHMARK.json |
+    sed 's/"name": "\([a-z_]*\)".*"better": "\([a-z]*\)".*"bound": \(.*\)/\1 \2 \3/')
+NAMES=($(awk '{ print $1 }' <<<"$SPECS"))
+PRIMARY=$(awk -v m="$METRIC" '$1 == m { print NR }' <<<"$SPECS")
+if [[ -z "$PRIMARY" ]]; then
     echo "pairs: $METRIC is not an end-to-end metric of BENCHMARK.json" >&2
     exit 2
 fi
+read -r _ BETTER BOUND <<<"$(sed -n "${PRIMARY}p" <<<"$SPECS")"
 
 SHA=$(git rev-parse --verify "$REV^{commit}")
 ROOT=$PWD
@@ -84,8 +93,9 @@ build "$BASE_SRC" "$WORK/build-base"
 build "$ROOT" "$WORK/build-work"
 
 # Runs one side from its own checkout (bench_e2e reads BENCHMARK.json from
-# the working directory) and prints the metric's median; a run with a
-# failed operation or check stops the script.
+# the working directory) and prints every end-to-end metric's median on one
+# line, in NAMES order; a run with a failed operation or check stops the
+# script.
 run() {
     local side=$1 dir=$2 bin=$3 out=$WORK/$1-$4
     (cd "$dir" && "$bin" run --workload "$WORKLOAD" --trace 0 --seed "$SEED" \
@@ -98,25 +108,38 @@ run() {
         echo "pairs: $side run $4 was not correct, see $detail" >&2
         exit 1
     fi
-    grep -o "\"$METRIC\": {[^}]*}" "$detail" | sed 's/.*"median": //; s/,.*//'
+    local name values=()
+    for name in "${NAMES[@]}"; do
+        values+=("$(grep -o "\"$name\": {[^}]*}" "$detail" | sed 's/.*"median": //; s/,.*//')")
+    done
+    echo "${values[*]}"
+}
+
+# Column $1 (1-based) of the lines that follow.
+column() {
+    local j=$1
+    shift
+    printf '%s\n' "$@" | awk -v j="$j" '{ print $j }'
 }
 
 echo "pairs: $WORKLOAD seed $SEED, $METRIC ($BETTER is better)"
 printf '%4s %6s %14s %14s %8s\n' pair first base change ratio
-BASE_VALUES=()
-WORK_VALUES=()
+BASE_LINES=()
+WORK_LINES=()
 for i in $(seq 1 "$N"); do
     if ((i % 2)); then
         first=base
-        b=$(run base "$BASE_SRC" "$WORK/build-base/release/bench_e2e" "$i")
-        w=$(run change "$ROOT" "$WORK/build-work/release/bench_e2e" "$i")
+        bl=$(run base "$BASE_SRC" "$WORK/build-base/release/bench_e2e" "$i")
+        wl=$(run change "$ROOT" "$WORK/build-work/release/bench_e2e" "$i")
     else
         first=change
-        w=$(run change "$ROOT" "$WORK/build-work/release/bench_e2e" "$i")
-        b=$(run base "$BASE_SRC" "$WORK/build-base/release/bench_e2e" "$i")
+        wl=$(run change "$ROOT" "$WORK/build-work/release/bench_e2e" "$i")
+        bl=$(run base "$BASE_SRC" "$WORK/build-base/release/bench_e2e" "$i")
     fi
-    BASE_VALUES+=("$b")
-    WORK_VALUES+=("$w")
+    BASE_LINES+=("$bl")
+    WORK_LINES+=("$wl")
+    b=$(column "$PRIMARY" "$bl")
+    w=$(column "$PRIMARY" "$wl")
     awk -v i="$i" -v f="$first" -v b="$b" -v w="$w" \
         'BEGIN { printf "%4d %6s %14.4f %14.4f %8.3f\n", i, f, b, w, w / b }'
 done
@@ -136,6 +159,8 @@ summary() {
         }
         END { printf "%.4f %.4f %.4f\n", q(2), q(1), q(3) }'
 }
+mapfile -t BASE_VALUES < <(column "$PRIMARY" "${BASE_LINES[@]}")
+mapfile -t WORK_VALUES < <(column "$PRIMARY" "${WORK_LINES[@]}")
 read -r BM BQ1 BQ3 <<<"$(summary "${BASE_VALUES[@]}")"
 read -r WM WQ1 WQ3 <<<"$(summary "${WORK_VALUES[@]}")"
 WINS=0
@@ -175,11 +200,28 @@ if ((RECORD)); then
     echo "pairs: recorded in BENCH_pairs.json"
 fi
 
-# The regression rule of `bench_e2e compare`, on the pairs' medians.
-if awk -v b="$BM" -v w="$WM" -v bound="$BOUND" -v better="$BETTER" 'BEGIN {
-        c = (w - b) / (b < 0 ? -b : b)
-        exit !((better == "higher" ? c : -c) < -bound)
-    }'; then
-    echo "pairs: the change is worse than the base by more than the bound $BOUND" >&2
+# The regression rule of `bench_e2e compare`, on the pairs' medians of
+# every end-to-end metric.
+echo "every end-to-end metric, medians over the same $N pairs:"
+printf '%-14s %14s %14s %8s %6s  %s\n' metric base change ratio bound verdict
+WORSE=()
+j=0
+while read -r name better bound; do
+    j=$((j + 1))
+    read -r bm _ <<<"$(summary $(column "$j" "${BASE_LINES[@]}"))"
+    read -r wm _ <<<"$(summary $(column "$j" "${WORK_LINES[@]}"))"
+    verdict=ok
+    if awk -v b="$bm" -v w="$wm" -v bound="$bound" -v better="$better" 'BEGIN {
+            c = (w - b) / (b < 0 ? -b : b)
+            exit !((better == "higher" ? c : -c) < -bound)
+        }'; then
+        verdict="worse than the bound"
+        WORSE+=("$name")
+    fi
+    awk -v n="$name" -v b="$bm" -v w="$wm" -v bound="$bound" -v v="$verdict" \
+        'BEGIN { printf "%-14s %14.4f %14.4f %8.3f %6.2f  %s\n", n, b, w, (b ? w / b : 0), bound, v }'
+done <<<"$SPECS"
+if ((${#WORSE[@]})); then
+    echo "pairs: the change is worse than the base by more than the bound on: ${WORSE[*]}" >&2
     exit 3
 fi
