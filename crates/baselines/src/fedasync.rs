@@ -137,7 +137,7 @@ impl Node<FlMsg> for FedAsyncServer {
                     &mut self.params,
                     &mut self.version,
                     k,
-                    Upload::Model(&params),
+                    Upload::Model(&params, None),
                     age,
                     true,
                 );

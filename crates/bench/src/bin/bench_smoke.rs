@@ -394,6 +394,12 @@ fn main() {
     samples.push(time_it("matmul_tn_10x192_10x32", || {
         x.matmul_tn_into(&delta0, &mut dw0)
     }));
+    // The same product applied to the weights in its write-back, as the
+    // step runs it (no `dW0` is written).
+    let mut w0_step = fill(192, 32, 36);
+    samples.push(time_it("axpy_tn_192x32_k10", || {
+        w0_step.axpy_tn(-1e-6, &x, &delta0)
+    }));
     let delta1 = fill(10, 10, 33);
     let w1 = fill(32, 10, 34);
     let mut back = Matrix::zeros(10, 32);

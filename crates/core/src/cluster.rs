@@ -467,7 +467,7 @@ impl Node<FlMsg> for ClusteredSpykerServer {
                     (self.centers.center(center), self.centers.ages()[center]);
                 if self
                     .ingest
-                    .admit(env, current, model_age, &Upload::Model(&params), age)
+                    .admit(env, current, model_age, &Upload::Model(&params, None), age)
                 {
                     self.assignment[k] = center;
                     let (w, age_step) = self.ingest.weigh(k, model_age, age);

@@ -20,9 +20,7 @@ use std::collections::{HashMap, VecDeque};
 
 use spyker_simnet::{Env, NodeId};
 
-use crate::agg::{
-    compounded_step, gate, validate_update, AggregationStrategy, RobustBuffer, ValidationConfig,
-};
+use crate::agg::{compounded_step, gate, AggregationStrategy, RobustBuffer, ValidationConfig};
 use crate::config::SpykerConfig;
 use crate::decay::{DecayConfig, UpdateCounts};
 use crate::msg::FlMsg;
@@ -40,8 +38,10 @@ const REF_HISTORY_DEPTH: usize = 4;
 
 /// A client upload, as the gate and the integration step take it.
 pub enum Upload<'a> {
-    /// The trained model `u`.
-    Model(&'a ParamVec),
+    /// The trained model `u`, and whether every value of it is finite
+    /// when that is known already (a decoder's flag), so that the gate
+    /// does not scan the values again.
+    Model(&'a ParamVec, Option<bool>),
     /// `u − params` for the very `params` it is integrated into, and
     /// whether every value of `u` was finite: the same bits of every result
     /// ([`UpdateIngest::encoded_update`]). A payload of another dimension
@@ -246,20 +246,24 @@ impl UpdateIngest {
         update: &Upload<'_>,
         update_age: f64,
     ) -> bool {
-        let (update, finite) = match update {
-            Upload::Model(update) => (*update, None),
-            Upload::Delta(delta, finite) => (delta, Some(*finite)),
+        let (update, finite, is_delta) = match update {
+            Upload::Model(update, finite) => (*update, *finite, false),
+            Upload::Delta(delta, finite) => (delta, Some(*finite), true),
         };
         if update.len() != current.len() {
             env.add_counter("net.unexpected", 1);
             return false;
         }
-        let cfg = &self.validation;
-        let verdict = match finite {
-            None => validate_update(cfg, current, update, model_age, update_age),
-            // `l2_norm` of `u − a` sums the squares `l2_distance(u, a)` does.
-            Some(finite) => gate(cfg, || finite, || update.l2_norm(), model_age, update_age),
+        let finite = || finite.unwrap_or_else(|| update.is_finite());
+        // `l2_norm` of `u − a` sums the squares `l2_distance(u, a)` does.
+        let distance = || {
+            if is_delta {
+                update.l2_norm()
+            } else {
+                update.l2_distance(current)
+            }
         };
+        let verdict = gate(&self.validation, finite, distance, model_age, update_age);
         match verdict {
             Ok(()) => {
                 env.observe("agg.staleness", model_age - update_age);
@@ -334,7 +338,7 @@ impl UpdateIngest {
                 // `flush_buf`, so a long run's flush path allocates no
                 // dim-sized buffer after the first full batch.
                 match upload {
-                    Upload::Model(update) => buf.push_difference(update, params, w),
+                    Upload::Model(update, _) => buf.push_difference(update, params, w),
                     Upload::Delta(delta, _) => {
                         self.decode_buf = buf.take_delta(0).into_vec();
                         buf.push(delta, w);
@@ -352,7 +356,7 @@ impl UpdateIngest {
                 // Paper-exact path (Mean): integrate immediately. With
                 // `d = u − a`, `a + t·d` is `lerp_toward`'s `a + t·(u − a)`.
                 match upload {
-                    Upload::Model(update) => params.lerp_toward(update, self.rate * w),
+                    Upload::Model(update, _) => params.lerp_toward(update, self.rate * w),
                     Upload::Delta(delta, _) => {
                         params.axpy(self.rate * w, &delta);
                         self.recycle_update(delta);
@@ -647,7 +651,7 @@ mod tests {
                 &mut params,
                 &mut age,
                 k,
-                Upload::Model(&update),
+                Upload::Model(&update, None),
                 trained_from,
                 true
             ));
@@ -671,7 +675,7 @@ mod tests {
             &mut params,
             &mut age,
             0,
-            Upload::Model(&update),
+            Upload::Model(&update, None),
             0.0,
             false
         ));
@@ -688,7 +692,7 @@ mod tests {
             &mut params,
             &mut age,
             0,
-            Upload::Model(&poisoned),
+            Upload::Model(&poisoned, None),
             0.0,
             false
         ));

@@ -38,7 +38,8 @@ pub(crate) const SHARE_FROM: usize = 1024;
 /// a large vector is shared and copy-on-write: `clone()` is a
 /// reference-count bump, and the first mutation through a handle that is
 /// not the only one gives that handle storage of its own: `lerp_toward`,
-/// `axpy` and `scale` write their result there in one pass, while
+/// `axpy` and `scale` write their result there in one pass, `for_overwrite`
+/// hands out zeroed storage for a writer that sets every value, and
 /// `as_mut_slice` and `resize` copy the values first. A model version
 /// therefore exists once however many messages, histories and peers hold
 /// it, and so does its [`content_hash`](Self::content_hash), computed at
@@ -138,6 +139,19 @@ impl ParamVec {
                 &mut v.values
             }
         }
+    }
+
+    /// Mutable view for a caller that overwrites every value: storage of
+    /// this handle's own, written in place when no other handle shares it,
+    /// and otherwise fresh zeroed storage — the shared version is neither
+    /// copied nor touched.
+    pub fn for_overwrite(&mut self) -> &mut [f32] {
+        if let Store::Shared(v) = &self.0 {
+            if Arc::strong_count(v) > 1 {
+                *self = Self::zeros(v.values.len());
+            }
+        }
+        self.as_mut_slice()
     }
 
     /// Consumes self and returns the raw vector — without a copy unless

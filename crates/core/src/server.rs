@@ -175,8 +175,12 @@ fn client_update(
         None if l.cfg.membership.is_some() => l.adopt_client(cx.env, from, m.slot),
         None => {
             // Reachable from network bytes on the TCP transport: count and
-            // drop rather than assert (DESIGN.md §13).
+            // drop rather than assert (DESIGN.md §13). A decoded upload
+            // hands its buffer back for the next one to decode into.
             cx.env.add_counter("net.unexpected", 1);
+            if let Upload::Delta(delta, _) = update {
+                l.ingest.recycle_update(delta);
+            }
             return;
         }
     };
@@ -447,7 +451,7 @@ impl Node<FlMsg> for SpykerServer {
         let elastic = cx.l.cfg.membership.is_some();
         match msg {
             FlMsg::ClientUpdate { params, age, .. } => {
-                client_update(cx, x, m, from, Upload::Model(&params), age, true);
+                client_update(cx, x, m, from, Upload::Model(&params, None), age, true);
             }
             // Decoded against the model it is about to enter, which
             // nothing changes before it does.
@@ -487,7 +491,7 @@ impl Node<FlMsg> for SpykerServer {
                 ..
             } if elastic => {
                 cx.l.adopt_client(cx.env, client, m.slot);
-                client_update(cx, x, m, client, Upload::Model(&params), age, false);
+                client_update(cx, x, m, client, Upload::Model(&params, None), age, false);
             }
             _ => cx.env.add_counter("net.unexpected", 1),
         }

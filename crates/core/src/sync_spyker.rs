@@ -47,7 +47,7 @@ pub struct SyncSpykerServer {
     /// The same for the next round: an honest peer can be one round ahead.
     next: RoundBarrier<(ParamVec, f64)>,
     /// Client updates buffered while an exchange is in flight.
-    buffered: Vec<(NodeId, ParamVec, f64)>,
+    buffered: Vec<(NodeId, ParamVec, Option<bool>, f64)>,
 }
 
 impl SyncSpykerServer {
@@ -108,15 +108,17 @@ impl SyncSpykerServer {
 
     /// One dense client update: buffered while an exchange is in flight,
     /// otherwise straight through the shared [`UpdateIngest`] path.
+    /// `finite` is the decoder's flag for a decoded upload.
     fn on_client_update(
         &mut self,
         env: &mut dyn Env<FlMsg>,
         from: NodeId,
         update: ParamVec,
+        finite: Option<bool>,
         update_age: f64,
     ) {
         if self.collecting {
-            self.buffered.push((from, update, update_age));
+            self.buffered.push((from, update, finite, update_age));
             return;
         }
         let Some(k) = self.ingest.lookup(from) else {
@@ -132,7 +134,7 @@ impl SyncSpykerServer {
             &mut self.params,
             &mut self.age,
             k,
-            Upload::Model(&update),
+            Upload::Model(&update, finite),
             update_age,
             true,
         );
@@ -184,8 +186,8 @@ impl SyncSpykerServer {
         self.round += 1;
         env.add_counter("server.aggs", models.len() as u64);
         // Drain the updates buffered during the exchange.
-        for (from, update, update_age) in std::mem::take(&mut self.buffered) {
-            self.on_client_update(env, from, update, update_age);
+        for (from, update, finite, update_age) in std::mem::take(&mut self.buffered) {
+            self.on_client_update(env, from, update, finite, update_age);
         }
         env.set_timer(self.sync_period, ROUND_TIMER);
     }
@@ -202,7 +204,7 @@ impl Node<FlMsg> for SyncSpykerServer {
     fn on_message(&mut self, env: &mut dyn Env<FlMsg>, from: NodeId, msg: FlMsg) {
         match msg {
             FlMsg::ClientUpdate { params, age, .. } => {
-                self.on_client_update(env, from, params, age);
+                self.on_client_update(env, from, params, None, age);
             }
             FlMsg::EncodedUpdate { payload, age, .. } => {
                 // Decoded at arrival, not after the barrier: the reference
@@ -210,8 +212,8 @@ impl Node<FlMsg> for SyncSpykerServer {
                 let decoded =
                     self.ingest
                         .encoded_update(env, from, &payload, &self.params, self.age, false);
-                if let Some((update, _)) = decoded {
-                    self.on_client_update(env, from, update, age);
+                if let Some((update, finite)) = decoded {
+                    self.on_client_update(env, from, update, Some(finite), age);
                 }
             }
             // A returning client (restart, availability window closing)
@@ -425,6 +427,75 @@ mod tests {
             s.on_message(&mut env, 1, peer_model(vec![1.0, 1.0], 0));
             assert_eq!(env.counter("net.unexpected"), 1);
             assert!(s.parked_rounds().is_empty());
+        }
+    }
+
+    /// The decoder's finite flag stands in for a second scan of the
+    /// decoded model, also for an upload buffered behind an exchange: a
+    /// poisoned encoded upload is still rejected, counted as before.
+    #[test]
+    fn a_poisoned_encoded_upload_is_rejected_as_nonfinite() {
+        use crate::test_support::MockEnv;
+        use crate::update_codec::{corrupt_payload, CodecConfig, UpdateEncoder};
+        use spyker_simnet::ByzantineAttack;
+        let codec = CodecConfig::parse("delta").expect("valid spec");
+        for during_exchange in [false, true] {
+            let cfg = SpykerConfig::paper_defaults(1, 2).with_codec(codec);
+            let init = ParamVec::from_vec((0..64).map(|i| i as f32 * 0.01).collect());
+            let period = SimTime::from_secs(1);
+            let mut s = SyncSpykerServer::new(0, vec![0, 1], vec![2], init.clone(), cfg, period);
+            let mut env = MockEnv::new(0, 3);
+            s.on_start(&mut env);
+            let Some((
+                2,
+                FlMsg::ModelToClient {
+                    params: model, age, ..
+                },
+            )) = env.sent.last()
+            else {
+                panic!("expected the start-up model");
+            };
+            let (model, age) = (model.clone(), *age);
+            let trained: Vec<f32> = model.as_slice().iter().map(|v| v + 0.01).collect();
+            let mut payload = Vec::new();
+            let (reference, ref_hash) = (model.as_slice(), model.content_hash());
+            UpdateEncoder::new(codec).encode(2, &trained, reference, ref_hash, &mut payload);
+            let nan = ByzantineAttack::NanInject { prob: 1.0 };
+            assert!(corrupt_payload(&mut payload, &nan, &mut || 0.0));
+            if during_exchange {
+                s.on_timer(&mut env, ROUND_TIMER);
+            }
+            let upload = FlMsg::EncodedUpdate {
+                payload,
+                age,
+                num_samples: 1,
+            };
+            s.on_message(&mut env, 2, upload);
+            if during_exchange {
+                assert_eq!(env.counter("agg.rejected"), 0, "buffered, not gated");
+                let peer = FlMsg::ServerModel {
+                    params: init.clone(),
+                    age: 0.0,
+                    bid: 0,
+                    server_idx: 1,
+                };
+                s.on_message(&mut env, 1, peer);
+                assert_eq!(s.rounds_completed(), 1);
+            } else {
+                assert_eq!((s.params(), s.age()), (&init, 0.0));
+            }
+            for (name, want) in [
+                ("codec.decoded", 1),
+                ("agg.rejected", 1),
+                ("agg.rejected.nonfinite", 1),
+                ("updates.processed", 0),
+            ] {
+                assert_eq!(
+                    env.counter(name),
+                    want,
+                    "{name} (during exchange: {during_exchange})"
+                );
+            }
         }
     }
 

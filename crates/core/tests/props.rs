@@ -358,6 +358,40 @@ proptest! {
         }
     }
 
+    /// `for_overwrite` is `as_mut_slice` for a writer that sets every
+    /// value, as a trainer writing its model back does: the written handle
+    /// ends with the bits the old path left and hashes to them, the other
+    /// handle is untouched, and a handle no other shares is written in
+    /// place.
+    #[test]
+    fn for_overwrite_writes_what_as_mut_slice_wrote(
+        seed in prop::collection::vec(-100.0f32..100.0, 1..16),
+        written_seed in prop::collection::vec(-100.0f32..100.0, 1..16),
+    ) {
+        for dim in DIMS {
+            let values = tiled(&seed, dim);
+            let written = tiled(&written_seed, dim);
+            let mut old = ParamVec::from_vec(values.clone());
+            let old_kept = old.clone();
+            old.as_mut_slice().copy_from_slice(&written);
+
+            let mut new = ParamVec::from_vec(values.clone());
+            prop_assert_eq!(new.content_hash(), param_hash(&values));
+            let kept = new.clone();
+            new.for_overwrite().copy_from_slice(&written);
+            prop_assert_eq!(bits(new.as_slice()), bits(old.as_slice()), "dim {}", dim);
+            prop_assert_eq!(bits(kept.as_slice()), bits(old_kept.as_slice()), "dim {}", dim);
+            prop_assert_eq!(new.content_hash(), param_hash(&written), "dim {}", dim);
+            prop_assert_eq!(kept.content_hash(), param_hash(&values), "dim {}", dim);
+
+            drop(kept);
+            let at = new.as_slice().as_ptr();
+            new.for_overwrite().copy_from_slice(&values);
+            prop_assert!(new.as_slice().as_ptr() == at, "unique handle moved at dim {}", dim);
+            prop_assert_eq!(new.content_hash(), param_hash(&values), "dim {}", dim);
+        }
+    }
+
     /// Equality is by contents, however a value came to hold them.
     #[test]
     fn equality_is_by_contents(

@@ -68,7 +68,7 @@ impl<M: DenseModel> LocalTrainer for DenseShardTrainer<M> {
                 self.model.train_batch(&self.batch_x, &self.batch_y, lr);
             }
         }
-        self.model.write_params(params.as_mut_slice());
+        self.model.write_params(params.for_overwrite());
     }
 
     fn num_samples(&self) -> usize {
@@ -199,7 +199,7 @@ impl<M: DenseModel> ClusterTrainer for DenseClusterTrainer<M> {
                 self.model.train_batch(&self.batch_x, &self.batch_y, lr);
             }
         }
-        self.model.write_params(candidates[best].as_mut_slice());
+        self.model.write_params(candidates[best].for_overwrite());
         best
     }
 
@@ -307,7 +307,7 @@ impl<M: SeqModel> LocalTrainer for SeqShardTrainer<M> {
                 }
             }
         }
-        self.model.write_params(params.as_mut_slice());
+        self.model.write_params(params.for_overwrite());
     }
 
     fn num_samples(&self) -> usize {

@@ -32,8 +32,6 @@ struct CnnScratch {
     fc_acts: Vec<Matrix>,
     delta: Matrix,
     next_delta: Matrix,
-    /// Shared weight-gradient temporary (one product before accumulation).
-    gw: Matrix,
     /// Column sums of `dz` for the conv bias gradient.
     db_tmp: Vec<f32>,
     /// Conv backward buffers.
@@ -379,8 +377,7 @@ impl DenseModel for Cnn {
             );
             // FC backward.
             for i in (0..n_fc).rev() {
-                scratch.fc_acts[i].matmul_tn_into(&scratch.delta, &mut scratch.gw);
-                scratch.dfc_w[i].add_assign(&scratch.gw);
+                scratch.dfc_w[i].axpy_tn(1.0, &scratch.fc_acts[i], &scratch.delta);
                 for (b, g) in scratch.dfc_b[i].iter_mut().zip(scratch.delta.row(0)) {
                     *b += g;
                 }
@@ -435,9 +432,8 @@ impl DenseModel for Cnn {
                         dzs[p * out_c + ch] = scratch.drelu[ch * ohw + p];
                     }
                 }
-                // dW = dz^T * cols; db = column sums of dz.
-                scratch.dz.matmul_tn_into(&scratch.cols[s], &mut scratch.gw);
-                scratch.dconv_w[s].add_assign(&scratch.gw);
+                // dW += dz^T * cols; db = column sums of dz.
+                scratch.dconv_w[s].axpy_tn(1.0, &scratch.dz, &scratch.cols[s]);
                 scratch.db_tmp.clear();
                 scratch.db_tmp.resize(out_c, 0.0);
                 scratch.dz.sum_rows_into(&mut scratch.db_tmp);

@@ -11,7 +11,6 @@ use crate::model::{pull_matrix, pull_vec, push_matrix, push_vec, DenseModel};
 struct LinearScratch {
     logits: Matrix,
     dlogits: Matrix,
-    dw: Matrix,
     db: Vec<f32>,
 }
 
@@ -77,12 +76,11 @@ impl DenseModel for SoftmaxRegression {
         let mut scratch = std::mem::take(&mut self.scratch);
         self.logits_into(x, &mut scratch.logits);
         let loss = cross_entropy_from_logits_into(&scratch.logits, y, &mut scratch.dlogits);
-        // dW = x^T * dlogits; db = column sums of dlogits.
-        x.matmul_tn_into(&scratch.dlogits, &mut scratch.dw);
+        // W -= lr * x^T * dlogits; db = column sums of dlogits.
+        self.w.axpy_tn(-lr, x, &scratch.dlogits);
         scratch.db.clear();
         scratch.db.resize(scratch.dlogits.cols(), 0.0);
         scratch.dlogits.sum_rows_into(&mut scratch.db);
-        self.w.axpy(-lr, &scratch.dw);
         for (b, g) in self.b.iter_mut().zip(&scratch.db) {
             *b -= lr * g;
         }

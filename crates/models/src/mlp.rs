@@ -22,8 +22,6 @@ struct MlpScratch {
     delta: Matrix,
     /// Gradient being propagated to the previous layer.
     next_delta: Matrix,
-    /// Weight-gradient accumulator.
-    dw: Matrix,
     /// Bias-gradient accumulator.
     db: Vec<f32>,
 }
@@ -134,24 +132,25 @@ impl DenseModel for Mlp {
             acts,
             delta,
             next_delta,
-            dw,
             db,
         } = scratch;
         let loss = cross_entropy_from_logits_into(&pre[n - 1], y, delta);
         for i in (0..n).rev() {
             let input: &Matrix = if i == 0 { x } else { &acts[i - 1] };
-            input.matmul_tn_into(delta, dw);
             db.clear();
             db.resize(delta.cols(), 0.0);
             delta.sum_rows_into(db);
+            // The delta goes back through the weights before they step.
             if i > 0 {
                 delta.matmul_nt_into(&weights[i], next_delta);
                 apply_relu_grad_mask(next_delta, &pre[i - 1]);
-                std::mem::swap(delta, next_delta);
             }
-            weights[i].axpy(-lr, dw);
+            weights[i].axpy_tn(-lr, input, delta);
             for (b, g) in biases[i].iter_mut().zip(db.iter()) {
                 *b -= lr * g;
+            }
+            if i > 0 {
+                std::mem::swap(delta, next_delta);
             }
         }
         loss

@@ -256,6 +256,21 @@ impl Matrix {
         );
     }
 
+    /// The SGD step `self += alpha * a^T * b` without the product matrix:
+    /// bit-identical to `a.matmul_tn_into(b, &mut g)` followed by
+    /// `self.axpy(alpha, &g)`, at every shape and thread budget. Small
+    /// products write each finished tile straight into `self`; large ones
+    /// go through a thread-local buffer ([`crate::gemm`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.rows() != b.rows()` or `self` is not
+    /// `a.cols() x b.cols()`.
+    pub fn axpy_tn(&mut self, alpha: f32, a: &Matrix, b: &Matrix) {
+        let regime = gemm::Regime::for_shape(a.cols, b.cols, a.rows);
+        gemm::axpy_tn_in_regime(regime, self, alpha, a, b, pool::configured_threads());
+    }
+
     /// Matrix product `self * rhs^T` without materialising the transpose.
     ///
     /// # Panics

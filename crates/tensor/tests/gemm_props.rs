@@ -14,10 +14,14 @@
 //!    *bit-identical* to the blocked one on every shape and every
 //!    normal/transposed operand combination, so which side of the cut-over
 //!    a product falls on can never move a trained parameter.
+//!
+//! `Matrix::axpy_tn` (the SGD step with the product written straight into
+//! the weights) is held to the two-step `matmul_tn_into` + `axpy` bit for
+//! bit, in both regimes and at 1, 2 and 4 threads.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use spyker_tensor::gemm::{product_in_regime, Regime};
+use spyker_tensor::gemm::{axpy_tn_in_regime, product_in_regime, Regime};
 use spyker_tensor::Matrix;
 
 /// Deterministic pseudo-random matrix (avoids depending on an RNG here).
@@ -248,5 +252,113 @@ fn public_products_match_the_forced_regimes() {
                 assert_eq!(bits(&forced), bits(&a.matmul_nt(&bt)));
             }
         }
+    }
+}
+
+/// Like `mk_salted`, further salted with `NaN`, `±∞` and tiny `±1e-30`
+/// entries. The tiny ones fill whole columns, so where a column of `a`
+/// meets one of `b`, every product of the chain underflows: under fused
+/// multiply-adds the chain ends at a zero of its last product's sign, and a
+/// `-0.0` there is what the two-step path's zeroed product turns into
+/// `+0.0` before the axpy sees it. The rare non-finite entries poison
+/// single chains, not whole products.
+fn mk_hostile(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut m = mk_salted(rows, cols, seed);
+    for r in 0..rows {
+        for c in 0..cols {
+            let v = &mut m[(r, c)];
+            if (c as u64 + seed).is_multiple_of(5) {
+                let negative = (r as u64 * 7 + c as u64 + seed).is_multiple_of(3);
+                *v = if negative { -1e-30 } else { 1e-30 };
+                continue;
+            }
+            match (r as u64 * 131 + c as u64 * 17 + seed) % 211 {
+                0 => *v = f32::NAN,
+                1 => *v = f32::INFINITY,
+                2 => *v = f32::NEG_INFINITY,
+                _ => {}
+            }
+        }
+    }
+    m
+}
+
+/// `w + alpha · aᵀ·b` the two-step way: the product into its own matrix,
+/// then `Matrix::axpy`.
+fn two_step(w: &Matrix, alpha: f32, a: &Matrix, b: &Matrix) -> Matrix {
+    let mut g = Matrix::default();
+    a.matmul_tn_into(b, &mut g);
+    let mut want = w.clone();
+    want.axpy(alpha, &g);
+    want
+}
+
+/// Every `axpy_tn` route for one shape against the two-step reference, by
+/// `to_bits()`, at each `alpha`: the public entry, the in-place regime and
+/// the blocked one at 1, 2 and 4 threads. At `alpha = 1` it must also equal
+/// the product added with `add_assign`, the accumulation the CNN uses.
+fn assert_axpy_tn_matches(m: usize, n: usize, k: usize, seed: u64) {
+    let a = mk_hostile(k, m, seed);
+    let b = mk_hostile(k, n, seed + 1);
+    let w = mk_hostile(m, n, seed + 2);
+    for alpha in [-0.05f32, 1.0, 0.0, -0.0] {
+        let want = bits(&two_step(&w, alpha, &a, &b));
+        let what = format!("{m}x{n}x{k}, alpha {alpha}");
+        let mut got = w.clone();
+        got.axpy_tn(alpha, &a, &b);
+        assert!(bits(&got) == want, "{what}: Matrix::axpy_tn");
+        let routes = [
+            (Regime::InPlace, 1),
+            (Regime::Blocked, 1),
+            (Regime::Blocked, 2),
+            (Regime::Blocked, 4),
+        ];
+        for (regime, threads) in routes {
+            let mut got = w.clone();
+            axpy_tn_in_regime(regime, &mut got, alpha, &a, &b, threads);
+            assert!(
+                bits(&got) == want,
+                "{what}: {regime:?} at {threads} threads"
+            );
+        }
+        if alpha == 1.0 {
+            let mut summed = w.clone();
+            summed.add_assign(&a.matmul_tn(&b));
+            assert!(bits(&summed) == want, "{what}: add_assign");
+        }
+    }
+}
+
+/// Every live-row count of the last band plus the `Mlp` layer-0 height,
+/// against tile-edge widths and panel-edge depths (one panel, exactly one,
+/// and two or three, where the in-place regime sums a tile's panels before
+/// its one write-back).
+#[test]
+fn axpy_tn_is_bit_identical_to_product_then_axpy() {
+    let ms = (1..=17).chain([192]);
+    for m in ms {
+        for n in [1, 5, 10, 31, 32, 33, 64] {
+            for k in [1, 2, 10, 127, 128, 129, 260] {
+                assert_axpy_tn_matches(m, n, k, (m * 1000 + n * 10 + k) as u64);
+            }
+        }
+    }
+}
+
+/// A depth of zero adds `alpha * 0.0` to every weight, as the two-step
+/// path's zeroed product does (it turns a `-0.0` weight into `+0.0`, and
+/// every weight into `NaN` at an infinite `alpha`).
+#[test]
+fn axpy_tn_at_depth_zero_adds_a_zero_product() {
+    let (a, b) = (Matrix::zeros(0, 3), Matrix::zeros(0, 4));
+    let w = mk_hostile(3, 4, 9);
+    for alpha in [-0.05f32, 1.0, -0.0, f32::INFINITY] {
+        let mut got = w.clone();
+        got.axpy_tn(alpha, &a, &b);
+        assert_eq!(
+            bits(&got),
+            bits(&two_step(&w, alpha, &a, &b)),
+            "alpha {alpha}"
+        );
     }
 }

@@ -49,8 +49,9 @@ cargo test -q --offline --test real_model_pins --test codec_pins
 SPYKER_THREADS=1 cargo test -q --offline --test real_model_pins --test codec_pins
 # The suites that drive the pool directly, once more under a budget of one,
 # where no worker exists: a detached job runs inside `spawn`, and a
-# computed send's job has run before the send returns.
-SPYKER_THREADS=1 cargo test -q --offline -p spyker-tensor -p spyker-core -p spyker-simnet
+# computed send's job has run before the send returns. The models' suite
+# holds its training pins under that budget too.
+SPYKER_THREADS=1 cargo test -q --offline -p spyker-tensor -p spyker-core -p spyker-simnet -p spyker-models
 
 # The benchmark package is its own workspace: its tests are the API-drift
 # gate (it hand-wires the public server/deploy/agg/codec items) and the
