@@ -10,6 +10,11 @@
 //!
 //! [`reference_suite`] is [`default_suite`] with all of them swapped in.
 
+use spyker_core::client::FlClient;
+use spyker_core::cohort::CohortClient;
+use spyker_core::server::SpykerServer;
+
+use super::ages::{AGE_EPS, HULL_EPS};
 use super::*;
 use crate::harness::{run_scenario, run_with_suite, RunOutcome};
 use crate::scenario::{Injection, SimScenario};

@@ -1,7 +1,13 @@
 use spyker_core::config::SpykerConfig;
 use spyker_core::params::ParamVec;
-use spyker_simnet::SpanStore;
+use spyker_core::server::SpykerServer;
+use spyker_simnet::{SpanStat, SpanStore};
 
+use super::adapter::ServerFold;
+use super::ages::Ages;
+use super::counters::Counters;
+use super::membership::Member;
+use super::token::{Ledger, Token};
 use super::*;
 
 fn ctx(metrics: &Metrics) -> OracleCtx<'_> {
@@ -21,7 +27,7 @@ fn ctx(metrics: &Metrics) -> OracleCtx<'_> {
 }
 
 fn metrics_oracle() -> MetricsConsistencyOracle {
-    MetricsConsistencyOracle::new()
+    MetricsConsistencyOracle::default()
 }
 
 fn at(metrics: &Metrics, node: NodeId) -> OracleCtx<'_> {
@@ -111,10 +117,8 @@ fn a_counter_first_seen_mid_run_is_tracked_from_first_sight() {
 #[test]
 fn a_counter_nobody_registers_fails_the_first_check() {
     let m = Metrics::new();
-    let mut o = AgeConservationOracle {
-        counters: Counters::new(["updates.procesed"]),
-        scope: ServerScope::default(),
-    };
+    let mut o = PerServer::<AgeConservation>::default();
+    o.fold.counters = Counters::new(["updates.procesed"]);
     let err = o.check(&ctx(&m)).unwrap_err();
     assert_eq!(
         err,
@@ -349,11 +353,43 @@ fn a_token_forged_away_from_the_next_event_is_flagged_at_that_event() {
     assert!(err.contains("server 1 acquired a token"), "{err}");
 }
 
+/// Steps of a fold: which positions a check stepped, and whether each had
+/// a last reading.
+#[derive(Default)]
+struct Steps(Vec<(usize, bool)>);
+
+impl ServerFold for Steps {
+    const NAME: &'static str = "steps";
+    type Reading = ();
+
+    fn read((): &mut (), _: &SpykerServer) {}
+
+    fn step(
+        &mut self,
+        i: usize,
+        last: Option<&()>,
+        _: &(),
+        _: &OracleCtx<'_>,
+    ) -> Result<(), String> {
+        self.0.push((i, last.is_some()));
+        Ok(())
+    }
+}
+
 #[test]
-fn a_scope_reads_every_server_until_it_may_read_one() {
+fn the_adapter_reads_every_server_until_it_may_read_one() {
     let m = Metrics::new();
+    let config = SpykerConfig::paper_defaults(2, 8);
+    let nodes: Vec<Box<dyn Node<FlMsg>>> = (0..8)
+        .map(|i| {
+            let ring = (0..8).collect();
+            let server = SpykerServer::new(i, ring, vec![], ParamVec::zeros(2), config.clone());
+            Box::new(server) as Box<dyn Node<FlMsg>>
+        })
+        .collect();
     let ids = [0, 1, 7];
     let ctx = |node: Option<NodeId>, server_nodes| OracleCtx {
+        nodes: &nodes,
         server_nodes,
         event: node.map(|node| EventInfo {
             node,
@@ -362,29 +398,420 @@ fn a_scope_reads_every_server_until_it_may_read_one() {
         }),
         ..ctx(&m)
     };
-    let mut scope = ServerScope::default();
-    assert_eq!(scope.positions(&ctx(Some(7), &ids)), 0..3, "first check");
+    let mut o = PerServer::<Steps>::default();
+    let steps = |o: &mut PerServer<Steps>, ctx: &OracleCtx<'_>| {
+        o.check(ctx).unwrap();
+        std::mem::take(&mut o.fold.0)
+    };
+    let all_new = vec![(0, false), (1, false), (2, false)];
+    assert_eq!(steps(&mut o, &ctx(Some(7), &ids)), all_new, "first check");
     assert_eq!(
-        scope.positions(&ctx(Some(7), &ids)),
-        2..3,
+        steps(&mut o, &ctx(Some(7), &ids)),
+        [(2, true)],
         "a server's event"
     );
+    assert_eq!(steps(&mut o, &ctx(Some(4), &ids)), [], "a client's event");
+    let all = vec![(0, true), (1, true), (2, true)];
+    assert_eq!(steps(&mut o, &ctx(None, &ids)), all, "outside any event");
     assert_eq!(
-        scope.positions(&ctx(Some(4), &ids)),
-        0..0,
-        "a client's event"
-    );
-    assert_eq!(scope.positions(&ctx(None, &ids)), 0..3, "outside any event");
-    assert_eq!(
-        scope.positions(&ctx(Some(4), &ids[..2])),
-        0..2,
+        steps(&mut o, &ctx(Some(4), &ids[..2])),
+        [(0, false), (1, false)],
         "new server set"
     );
-    assert_eq!(scope.positions(&ctx(Some(1), &ids[..2])), 1..2);
-    scope.invalidate();
+    assert_eq!(steps(&mut o, &ctx(Some(1), &ids[..2])), [(1, true)]);
+    o.servers_mutated();
     assert_eq!(
-        scope.positions(&ctx(Some(1), &ids[..2])),
-        0..2,
+        steps(&mut o, &ctx(Some(1), &ids[..2])),
+        [(0, true), (1, true)],
         "invalidated"
+    );
+    assert_eq!(steps(&mut o, &ctx(Some(1), &ids[..2])), [(1, true)]);
+}
+
+/// A fresh `F` stepped at position 0 from `last` (its first reading) to
+/// `now`, then settled over `now` alone.
+fn verdict<F: ServerFold>(
+    last: Option<&F::Reading>,
+    now: &F::Reading,
+    ctx: &OracleCtx<'_>,
+) -> Result<(), String> {
+    let mut fold = F::default();
+    if let Some(last) = last {
+        fold.step(0, None, last, ctx)?;
+    }
+    fold.step(0, last, now, ctx)?;
+    fold.settle(std::slice::from_ref(now), ctx)
+}
+
+/// One table row: what it shows, the last and the new reading, and the
+/// message part of the violation it must raise (`None`: it must hold).
+type Row<'a, R> = (&'a str, Option<R>, R, Option<&'a str>);
+
+fn check_rows<F: ServerFold>(ctx: &OracleCtx<'_>, rows: &[Row<'_, F::Reading>]) {
+    for (what, last, now, want) in rows {
+        let got = verdict::<F>(last.as_ref(), now, ctx);
+        match (want, &got) {
+            (None, Ok(())) => {}
+            (Some(want), Err(err)) if err.contains(want) => {}
+            _ => panic!("{} {what}: want {want:?}, got {got:?}", F::NAME),
+        }
+    }
+}
+
+fn token(held: bool, regenerated: u64) -> Token {
+    Token {
+        held,
+        regenerated,
+        bid: held.then_some(9),
+    }
+}
+
+#[test]
+fn token_conservation_folds_both_ways() {
+    let m = Metrics::new();
+    let delivered = |node| OracleCtx {
+        server_nodes: &[5],
+        event: Some(EventInfo {
+            node,
+            kind: TapKind::Deliver,
+            token_delivered: true,
+        }),
+        ..ctx(&m)
+    };
+    let fired = Some("server 0 acquired a token (bid Some(9)) without a TokenPass");
+    check_rows::<TokenConservation>(
+        &ctx(&m),
+        &[
+            ("held from the start", None, token(true, 0), None),
+            ("kept", Some(token(true, 0)), token(true, 0), None),
+            ("let go", Some(token(true, 0)), token(false, 0), None),
+            ("regenerated", Some(token(false, 0)), token(true, 1), None),
+            (
+                "from thin air",
+                Some(token(false, 1)),
+                token(true, 1),
+                fired,
+            ),
+        ],
+    );
+    let (was, now) = (token(false, 0), token(true, 0));
+    assert_eq!(
+        verdict::<TokenConservation>(Some(&was), &now, &delivered(5)),
+        Ok(())
+    );
+    let err = verdict::<TokenConservation>(Some(&was), &now, &delivered(6)).unwrap_err();
+    assert!(
+        err.contains("acquired a token"),
+        "a pass to another node: {err}"
+    );
+}
+
+/// A fresh `F` stepped over every server's first reading, then settled.
+fn settled<F: ServerFold>(readings: &[F::Reading], ctx: &OracleCtx<'_>) -> (F, Result<(), String>) {
+    let mut fold = F::default();
+    for (i, now) in readings.iter().enumerate() {
+        fold.step(i, None, now, ctx).unwrap();
+    }
+    let verdict = fold.settle(readings, ctx);
+    (fold, verdict)
+}
+
+#[test]
+fn token_uniqueness_folds_both_ways() {
+    let m = Metrics::new();
+    let c = ctx(&m);
+    let (_, ok) = settled::<TokenUniqueness>(&[token(true, 0), token(false, 0)], &c);
+    assert_eq!(ok, Ok(()), "one holder");
+    let (_, ok) = settled::<TokenUniqueness>(&[token(true, 0), token(true, 1)], &c);
+    assert_eq!(ok, Ok(()), "a regeneration beside the stale token");
+    let two = [token(true, 0), token(false, 0), token(true, 0)];
+    let (mut fold, err) = settled::<TokenUniqueness>(&two, &c);
+    assert_eq!(
+        err.unwrap_err(),
+        "2 servers hold a token simultaneously ([0, 2]) with only 0 regenerations"
+    );
+    // The running sums follow a server's reading down as well as up.
+    let mut after = two;
+    after[2] = token(false, 0);
+    fold.step(2, Some(&two[2]), &after[2], &c).unwrap();
+    assert_eq!(fold.settle(&after, &c), Ok(()), "server 2 passed it on");
+}
+
+#[test]
+fn bid_monotonicity_folds_both_ways() {
+    let m = Metrics::new();
+    check_rows::<BidMonotonicity>(
+        &ctx(&m),
+        &[
+            ("first reading", None, 4, None),
+            ("unchanged", Some(4), 4, None),
+            ("raised", Some(4), 7, None),
+            (
+                "lowered",
+                Some(7),
+                4,
+                Some("server 0's highest_bid_seen decreased: 7 -> 4"),
+            ),
+        ],
+    );
+}
+
+fn ages(slot: usize, known: &[f64]) -> Ages {
+    Ages {
+        slot,
+        known: known.to_vec(),
+        ..Ages::default()
+    }
+}
+
+#[test]
+fn age_monotonicity_folds_both_ways() {
+    let m = Metrics::new();
+    check_rows::<AgeMonotonicity>(
+        &ctx(&m),
+        &[
+            (
+                "peer ages rise",
+                Some(ages(0, &[1.0, 2.0])),
+                ages(0, &[1.0, 3.0]),
+                None,
+            ),
+            (
+                "own slot falls",
+                Some(ages(0, &[3.0, 2.0])),
+                ages(0, &[1.0, 2.0]),
+                None,
+            ),
+            (
+                "slot changes",
+                Some(ages(0, &[1.0, 5.0])),
+                ages(1, &[1.0, 2.0]),
+                None,
+            ),
+            (
+                "peer age falls",
+                Some(ages(0, &[1.0, 5.0])),
+                ages(0, &[1.0, 2.0]),
+                Some("server 0's knowledge of slot 1's age decreased: 5 -> 2"),
+            ),
+            (
+                "negative",
+                None,
+                ages(0, &[1.0, -1.0]),
+                Some("server 0's age entry for 1 is -1"),
+            ),
+            (
+                "not finite",
+                Some(ages(0, &[1.0, 2.0])),
+                ages(0, &[f64::NAN, 2.0]),
+                Some("server 0's age entry for 0 is NaN"),
+            ),
+        ],
+    );
+}
+
+#[test]
+fn age_conservation_folds_both_ways() {
+    let mut m = Metrics::new();
+    m.add_counter("updates.processed", 3);
+    let book = |age: f64, known: &[f64]| Ages {
+        age,
+        ..ages(0, known)
+    };
+    check_rows::<AgeConservation>(
+        &ctx(&m),
+        &[
+            ("at the bound", None, book(3.0, &[3.0, 1.0]), None),
+            (
+                "own age above",
+                None,
+                book(3.5, &[1.0]),
+                Some("server 0's age 3.5 exceeds the 3 updates processed globally"),
+            ),
+            (
+                "a known age above",
+                Some(book(1.0, &[1.0, 1.0])),
+                book(1.0, &[1.0, 4.0]),
+                Some("server 0 believes server 1's age is 4, above the 3 updates"),
+            ),
+        ],
+    );
+}
+
+#[test]
+fn exchange_ledger_folds_both_ways() {
+    let m = Metrics::new();
+    let c = OracleCtx {
+        server_nodes: &[0, 1],
+        ..ctx(&m)
+    };
+    let ledger = Ledger {
+        bid: Some(3),
+        highest_bid_seen: 3,
+        counted: 2,
+        broadcast: true,
+        synchronising: true,
+    };
+    check_rows::<ExchangeLedger>(
+        &c,
+        &[
+            ("synchronising", None, ledger, None),
+            ("idle", None, Ledger::default(), None),
+            (
+                "bid above the highest seen",
+                None,
+                Ledger {
+                    highest_bid_seen: 2,
+                    ..ledger
+                },
+                Some("server 0 holds bid 3 above its highest_bid_seen 2"),
+            ),
+            (
+                "more models than servers",
+                None,
+                Ledger {
+                    counted: 3,
+                    ..ledger
+                },
+                Some("server 0 counted 3 models for bid 3 in a ring of 2"),
+            ),
+            (
+                "synchronising without a broadcast",
+                None,
+                Ledger {
+                    broadcast: false,
+                    ..ledger
+                },
+                Some("synchronising under bid 3 without having broadcast"),
+            ),
+            (
+                "synchronising without the token",
+                None,
+                Ledger {
+                    synchronising: true,
+                    ..Ledger::default()
+                },
+                Some("server 0 is synchronising without holding the token"),
+            ),
+        ],
+    );
+}
+
+fn member(epoch: u64, phase: &'static str, held: bool) -> Member {
+    Member { epoch, phase, held }
+}
+
+#[test]
+fn membership_folds_both_ways() {
+    let m = Metrics::new();
+    let live = member(2, "live", true);
+    check_rows::<Membership>(
+        &ctx(&m),
+        &[
+            ("a live holder", None, live, None),
+            ("epoch rises", Some(live), member(3, "live", false), None),
+            (
+                "joins",
+                Some(member(2, "standby", false)),
+                member(3, "live", false),
+                None,
+            ),
+            ("leaves", Some(live), member(2, "draining", false), None),
+            (
+                "departs",
+                Some(member(2, "draining", false)),
+                member(2, "departed", false),
+                None,
+            ),
+            ("stands down", Some(live), member(2, "standby", false), None),
+            (
+                "recommissioned",
+                Some(member(2, "departed", false)),
+                member(2, "standby", false),
+                None,
+            ),
+            (
+                "holds the token while not live",
+                Some(live),
+                member(2, "draining", true),
+                Some("server 0 holds the token while draining"),
+            ),
+            (
+                "epoch falls",
+                Some(live),
+                member(1, "live", true),
+                Some("server 0's ring epoch decreased: 2 -> 1"),
+            ),
+            (
+                "an illegal phase edge",
+                Some(member(2, "standby", false)),
+                member(2, "departed", false),
+                Some("server 0 made an illegal phase transition: standby -> departed"),
+            ),
+        ],
+    );
+}
+
+#[test]
+fn model_hull_folds_both_ways() {
+    let m = Metrics::new();
+    let targets = [-1.0, 0.5];
+    let dense = OracleCtx {
+        targets: &targets,
+        ..ctx(&m)
+    };
+    let outside = vec![0.2, -1.5, 0.6];
+    check_rows::<ModelHull>(
+        &dense,
+        &[
+            ("inside", None, vec![-1.0, 0.0, 0.5], None),
+            (
+                "outside",
+                Some(vec![0.0; 3]),
+                outside.clone(),
+                Some("server 0's model coordinate 1 is -1.5, outside the honest hull"),
+            ),
+        ],
+    );
+    // A lossless codec keeps the invariant; a lossy one or a Byzantine
+    // client suspends it.
+    let lossless = OracleCtx {
+        codec: Some(CodecConfig::identity()),
+        ..dense
+    };
+    assert!(verdict::<ModelHull>(None, &outside, &lossless).is_err());
+    let lossy = OracleCtx {
+        codec: Some(CodecConfig::paper_pipeline()),
+        ..dense
+    };
+    let byzantine = OracleCtx {
+        byzantine_free: false,
+        ..dense
+    };
+    for suspended in [lossy, byzantine] {
+        assert_eq!(verdict::<ModelHull>(None, &outside, &suspended), Ok(()));
+    }
+}
+
+#[test]
+fn counter_consistency_folds_both_ways() {
+    let mut m = Metrics::new();
+    m.add_counter("updates.processed", 5);
+    m.add_counter("server.aggs", 1);
+    let c = ctx(&m);
+    let (mut fold, ok) =
+        settled::<CounterConsistency>(&[[2, 0, 1, 0, 0, 0], [3, 0, 0, 0, 0, 0]], &c);
+    assert_eq!(ok, Ok(()), "the ledgers sum to the counters");
+    // Server 1 reports one update more than the counter saw.
+    let now = [4, 0, 0, 0, 0, 0];
+    fold.step(1, Some(&[3, 0, 0, 0, 0, 0]), &now, &c).unwrap();
+    assert_eq!(
+        fold.settle(&[], &c).unwrap_err(),
+        "counter updates.processed is 5 but the actor ledgers sum to 6"
+    );
+    let (_, err) = settled::<CounterConsistency>(&[[5, 0, 0, 0, 0, 0]], &c);
+    assert_eq!(
+        err.unwrap_err(),
+        "counter server.aggs is 1 but the actor ledgers sum to 0"
     );
 }

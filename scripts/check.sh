@@ -17,9 +17,12 @@ scripts/loc.sh --gate
 # it, the codec property batteries, the four-server ingest battery in
 # `crates/baselines/tests`) have to be named explicitly. Likewise the
 # simulator and the simulation-test harness: the oracle unit tests (each
-# invariant caught both ways), the old-vs-new differential over the pinned
-# corpus, 32 fuzz seeds and the token injection, the scale-runner and
-# shrinker tests, the wheel and preset property batteries. And the tensor
+# of the nine server-state folds in `simtest/src/oracle/` fed hand-built
+# readings that hold and that fire, the adapter's re-read rule), the
+# old-vs-new differential over the pinned corpus, 32 fuzz seeds and the
+# token injection, the oracle names against DESIGN.md §11.1, the
+# scale-runner and shrinker tests, the wheel and preset property
+# batteries. And the tensor
 # crate: the GEMM property battery and the bit-for-bit differential tests
 # that hold the lane-blocked order-statistic kernel to its scalar
 # reference (DESIGN.md §10.4), the in-place GEMM regime to the blocked one

@@ -5,8 +5,8 @@
 #
 # For `core`, `simnet`, `transport`, those three together (the sum ROADMAP
 # tracks against its line target), `baselines` (code that moves between it
-# and `core` would vanish from the sum alone) and every crate under crates/
-# together:
+# and `core` would vanish from the sum alone), `simtest` and `experiments`
+# (ROADMAP's other line aim) and every crate under crates/ together:
 # the total lines of the `.rs` files under `src/`, and their non-test
 # lines. Test lines are those of an item under `#[cfg(test)]`: an item
 # that ends on its own line (`#[cfg(test)] mod reference;`, `use …;`)
@@ -88,8 +88,10 @@ for crate in core simnet transport; do
 done
 read -r total code < <(find crates/{core,simnet,transport}/src -name '*.rs' | count)
 printf '%-22s %8d %9d\n' core+simnet+transport "$total" "$code"
-read -r total code < <(find crates/baselines/src -name '*.rs' | count)
-printf '%-22s %8d %9d\n' baselines "$total" "$code"
+for crate in baselines simtest experiments; do
+    read -r total code < <(find "crates/$crate/src" -name '*.rs' | count)
+    printf '%-22s %8d %9d\n' "$crate" "$total" "$code"
+done
 read -r total code < <(find crates/*/src -name '*.rs' | count)
 printf '%-22s %8d %9d\n' "all crates" "$total" "$code"
 

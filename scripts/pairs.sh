@@ -14,8 +14,12 @@
 # for neither side) and whether the medians differ by more than the base
 # side's inter-quartile distance — the rule of a claimed gain. Then, from
 # the same runs, each side's median of every end-to-end metric of
-# BENCHMARK.json, their ratio and whether the change is worse than the
-# metric's bound.
+# BENCHMARK.json, the base side's quartiles, the ratio of the medians and a
+# verdict: `worse than the bound` when the change's median is worse than
+# the base's by more than the metric's bound; else `unresolved` when the
+# base's runs spread wider than the bound (q3 - q1 > bound x median) and
+# not every change run beats every base run, so these runs cannot tell a
+# change within the bound from noise; else `ok`.
 #
 # With --record, appends the run as one entry to BENCH_pairs.json: the
 # workload, metric and seed, both revisions (the change is HEAD, marked
@@ -203,13 +207,21 @@ fi
 # The regression rule of `bench_e2e compare`, on the pairs' medians of
 # every end-to-end metric.
 echo "every end-to-end metric, medians over the same $N pairs:"
-printf '%-14s %14s %14s %8s %6s  %s\n' metric base change ratio bound verdict
+printf '%-14s %14s %14s %14s %14s %8s %6s  %s\n' \
+    metric base 'base q1' 'base q3' change ratio bound verdict
 WORSE=()
 j=0
 while read -r name better bound; do
     j=$((j + 1))
-    read -r bm _ <<<"$(summary $(column "$j" "${BASE_LINES[@]}"))"
-    read -r wm _ <<<"$(summary $(column "$j" "${WORK_LINES[@]}"))"
+    mapfile -t bv < <(column "$j" "${BASE_LINES[@]}")
+    mapfile -t wv < <(column "$j" "${WORK_LINES[@]}")
+    read -r bm bq1 bq3 <<<"$(summary "${bv[@]}")"
+    read -r wm _ <<<"$(summary "${wv[@]}")"
+    # Whether every change run beats every base run.
+    all_beat=$(printf '%s\n' "${bv[@]/#/b }" "${wv[@]/#/w }" | awk -v better="$better" '
+        $1 == "b" { if (nb++ == 0 || $2 < bmin) bmin = $2; if (nb == 1 || $2 > bmax) bmax = $2 }
+        $1 == "w" { if (nw++ == 0 || $2 < wmin) wmin = $2; if (nw == 1 || $2 > wmax) wmax = $2 }
+        END { print (better == "higher" ? wmin > bmax : wmax < bmin) }')
     verdict=ok
     if awk -v b="$bm" -v w="$wm" -v bound="$bound" -v better="$better" 'BEGIN {
             c = (w - b) / (b < 0 ? -b : b)
@@ -217,9 +229,15 @@ while read -r name better bound; do
         }'; then
         verdict="worse than the bound"
         WORSE+=("$name")
+    elif ((!all_beat)) && awk -v b="$bm" -v q1="$bq1" -v q3="$bq3" -v bound="$bound" \
+        'BEGIN { exit !(q3 - q1 > bound * (b < 0 ? -b : b)) }'; then
+        verdict=unresolved
     fi
-    awk -v n="$name" -v b="$bm" -v w="$wm" -v bound="$bound" -v v="$verdict" \
-        'BEGIN { printf "%-14s %14.4f %14.4f %8.3f %6.2f  %s\n", n, b, w, (b ? w / b : 0), bound, v }'
+    awk -v n="$name" -v b="$bm" -v q1="$bq1" -v q3="$bq3" -v w="$wm" -v bound="$bound" \
+        -v v="$verdict" 'BEGIN {
+            printf "%-14s %14.4f %14.4f %14.4f %14.4f %8.3f %6.2f  %s\n",
+                n, b, q1, q3, w, (b ? w / b : 0), bound, v
+        }'
 done <<<"$SPECS"
 if ((${#WORSE[@]})); then
     echo "pairs: the change is worse than the base by more than the bound on: ${WORSE[*]}" >&2
