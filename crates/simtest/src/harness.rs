@@ -15,7 +15,7 @@ use spyker_core::server::SpykerServer;
 use spyker_simnet::{NodeId, SimTime, Simulation};
 
 use crate::driver::{Deployment, OracleDriver};
-use crate::oracle::{default_suite, Oracle};
+use crate::oracle::{default_suite, Oracle, ServerSnapshot};
 use crate::scenario::{Injection, SimScenario};
 
 /// The bid `debug_force_token` stamps on an injected token — far above any
@@ -52,8 +52,9 @@ pub struct RunStats {
     pub events: u64,
     /// Virtual time when the run stopped.
     pub end_time: SimTime,
-    /// FNV-1a digest of the full observable end state (every metric
-    /// counter plus every server's model bits, ages, ledgers and bids).
+    /// FNV-1a digest of the full observable end state: every metric
+    /// counter, then each server's snapshot taken with its model (model
+    /// bits, ages, processed updates, bids, ring epoch and phase).
     /// Two invocations of the same scenario must produce the same value —
     /// this is the repo's bit-reproducibility check.
     pub fingerprint: u64,
@@ -172,24 +173,22 @@ pub(crate) fn fingerprint(sim: &Simulation<FlMsg>, server_ids: &[NodeId], events
         h.write(name.as_bytes());
         h.write_u64(value);
     }
+    let mut s = ServerSnapshot::default();
     for &i in server_ids {
-        let s = sim
-            .node(i)
-            .as_any()
-            .downcast_ref::<SpykerServer>()
-            .expect("server node");
-        for &p in s.params().as_slice() {
+        let server = sim.node(i).as_any().downcast_ref::<SpykerServer>();
+        s.read(server.expect("server node"), true);
+        for &p in &s.model {
             h.write(&p.to_bits().to_le_bytes());
         }
-        h.write_u64(s.age().to_bits());
-        for &a in s.known_ages() {
+        h.write_u64(s.age.to_bits());
+        for &a in &s.known {
             h.write_u64(a.to_bits());
         }
-        h.write_u64(s.processed_updates());
-        h.write_u64(s.highest_bid_seen());
-        h.write_u64(s.token_bid().unwrap_or(u64::MAX));
-        h.write_u64(s.ring_epoch());
-        h.write(s.membership_phase().as_bytes());
+        h.write_u64(s.processed);
+        h.write_u64(s.highest_bid_seen);
+        h.write_u64(s.bid.unwrap_or(u64::MAX));
+        h.write_u64(s.epoch);
+        h.write(s.phase.as_bytes());
     }
     h.0
 }

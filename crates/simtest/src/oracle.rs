@@ -30,10 +30,14 @@
 //! flagged for documented degraded-mode behaviour.
 //!
 //! The nine oracles that read server state are folds over per-server
-//! readings, which one adapter (`adapter.rs`) runs on the simulator. The
-//! oracles live one family a file: `token.rs` (token and exchange),
-//! `ages.rs` (ages and hull), `membership.rs`, `books.rs` (counters,
-//! metrics, codec), `availability.rs` and `clock.rs` (clock and liveness).
+//! [`ServerSnapshot`]s, which one adapter (`adapter.rs`) runs on the
+//! simulator: the nine share one store of snapshots, which the first of
+//! them in suite order takes at each check. The oracles live one family a
+//! file: `token.rs` (token and exchange), `ages.rs` (ages and hull),
+//! `membership.rs`, `books.rs` (counters, metrics, codec),
+//! `availability.rs` and `clock.rs` (clock and liveness).
+
+use std::rc::Rc;
 
 use spyker_core::msg::FlMsg;
 use spyker_core::update_codec::CodecConfig;
@@ -51,6 +55,7 @@ mod reference;
 mod token;
 
 use adapter::PerServer;
+pub(crate) use adapter::ServerSnapshot;
 use ages::{AgeConservation, AgeMonotonicity, ModelHull};
 use availability::AvailabilityOracle;
 use books::{CodecByteOracle, CounterConsistency, MetricsConsistencyOracle};
@@ -134,25 +139,28 @@ pub trait Oracle {
 
     /// Told that a server changed between two events (a harness mutated
     /// it directly), so the next check must not assume that only the
-    /// event's node moved. Oracles that re-read only the event's server
-    /// read every server on that check.
+    /// event's node moved. The server-state folds' next take of their
+    /// snapshots reads every server.
     fn servers_mutated(&mut self) {}
 }
 
 /// Builds one instance of every oracle in the catalog.
 pub fn default_suite() -> Vec<Box<dyn Oracle>> {
+    // The first server-state fold takes the shared snapshots at each check;
+    // the eight after it read what it took.
+    let s = Rc::default();
     vec![
         Box::new(VirtualClockOracle::default()),
-        Box::new(PerServer::<TokenConservation>::default()),
-        Box::new(PerServer::<TokenUniqueness>::default()),
-        Box::new(PerServer::<BidMonotonicity>::default()),
-        Box::new(PerServer::<AgeMonotonicity>::default()),
-        Box::new(PerServer::<AgeConservation>::default()),
-        Box::new(PerServer::<CounterConsistency>::default()),
+        Box::new(PerServer::<TokenConservation>::new(&s, true)),
+        Box::new(PerServer::<TokenUniqueness>::new(&s, false)),
+        Box::new(PerServer::<BidMonotonicity>::new(&s, false)),
+        Box::new(PerServer::<AgeMonotonicity>::new(&s, false)),
+        Box::new(PerServer::<AgeConservation>::new(&s, false)),
+        Box::new(PerServer::<CounterConsistency>::new(&s, false)),
         Box::new(MetricsConsistencyOracle::default()),
-        Box::new(PerServer::<ExchangeLedger>::default()),
-        Box::new(PerServer::<Membership>::default()),
-        Box::new(PerServer::<ModelHull>::default()),
+        Box::new(PerServer::<ExchangeLedger>::new(&s, false)),
+        Box::new(PerServer::<Membership>::new(&s, false)),
+        Box::new(PerServer::<ModelHull>::new(&s, false)),
         Box::new(CodecByteOracle::new()),
         Box::new(AvailabilityOracle::new()),
         Box::new(LivenessOracle::new()),

@@ -1,8 +1,6 @@
 //! The age and model-hull oracles.
 
-use spyker_core::server::SpykerServer;
-
-use super::adapter::{ServerFold, Verdict};
+use super::adapter::{ServerFold, ServerSnapshot as Snap, Verdict};
 use super::counters::Counters;
 use super::OracleCtx;
 
@@ -12,15 +10,6 @@ pub(super) const AGE_EPS: f64 = 1e-6;
 /// Slack for `f32` model-coordinate hull checks (lerp rounding).
 pub(super) const HULL_EPS: f32 = 1e-3;
 
-/// What the two age oracles read of a server: its ring slot, its own age
-/// and its knowledge of every slot's age.
-#[derive(Debug, Default, Clone, PartialEq)]
-pub(super) struct Ages {
-    pub slot: usize,
-    pub age: f64,
-    pub known: Vec<f64>,
-}
-
 /// A server's knowledge of *peer* ages only moves forward (entries are
 /// exclusively max-merged), and every age stays finite and non-negative.
 /// Two exemptions: a server's own slot (the sigmoid-weighted exchange
@@ -28,22 +17,14 @@ pub(super) struct Ages {
 /// membership transition — a join-accept replaces the whole vector with
 /// the sponsor's view and a stand-down re-keys the slot, so monotonicity
 /// only binds within one stable incarnation (detected as an unchanged
-/// slot between readings).
+/// slot between snapshots).
 #[derive(Default)]
 pub(super) struct AgeMonotonicity;
 
 impl ServerFold for AgeMonotonicity {
     const NAME: &'static str = "age-monotonicity";
-    type Reading = Ages;
 
-    fn read(r: &mut Ages, s: &SpykerServer) {
-        r.slot = s.server_idx();
-        r.age = s.age();
-        r.known.clear();
-        r.known.extend_from_slice(s.known_ages());
-    }
-
-    fn step(&mut self, i: usize, was: Option<&Ages>, now: &Ages, _: &OracleCtx<'_>) -> Verdict {
+    fn step(&mut self, i: usize, was: Option<&Snap>, now: &Snap, _: &OracleCtx<'_>) -> Verdict {
         for (j, &a) in now.known.iter().enumerate() {
             if !a.is_finite() || a < 0.0 {
                 return Err(format!("server {i}'s age entry for {j} is {a}"));
@@ -85,13 +66,8 @@ impl Default for AgeConservation {
 
 impl ServerFold for AgeConservation {
     const NAME: &'static str = "age-conservation";
-    type Reading = Ages;
 
-    fn read(r: &mut Ages, s: &SpykerServer) {
-        AgeMonotonicity::read(r, s);
-    }
-
-    fn step(&mut self, i: usize, _: Option<&Ages>, s: &Ages, ctx: &OracleCtx<'_>) -> Verdict {
+    fn step(&mut self, i: usize, _: Option<&Snap>, s: &Snap, ctx: &OracleCtx<'_>) -> Verdict {
         let [processed] = self.counters.read(Self::NAME, ctx.metrics)?;
         let bound = processed as f64 + AGE_EPS;
         if s.age > bound {
@@ -113,13 +89,10 @@ impl ServerFold for AgeConservation {
 
     /// A counter name the registry does not know fails the first check,
     /// servers or none.
-    fn settle(&mut self, _: &[Ages], ctx: &OracleCtx<'_>) -> Verdict {
+    fn settle(&mut self, _: &[Snap], ctx: &OracleCtx<'_>) -> Verdict {
         self.counters.resolve(Self::NAME, ctx.metrics).map(drop)
     }
 }
-
-/// A server's model coordinates.
-pub(super) type Model = Vec<f32>;
 
 /// Without Byzantine clients every update is a convex pull toward some
 /// client target, and every merge (robust or not) is a convex combination
@@ -133,22 +106,23 @@ pub(super) struct ModelHull {
     hull: Option<(f32, f32)>,
 }
 
+impl ModelHull {
+    /// Whether the invariant binds: no Byzantine client, targets to span
+    /// the hull, and no lossy codec. A lossy codec adds bounded
+    /// quantization/sparsification error on top of every honest update,
+    /// and error feedback re-injects the dropped mass later — both can
+    /// legitimately push a coordinate a step past the hull. The snapshots
+    /// copy the model only while it binds.
+    pub(super) fn binds(ctx: &OracleCtx<'_>) -> bool {
+        ctx.byzantine_free && !ctx.targets.is_empty() && !ctx.codec.is_some_and(|c| c.is_lossy())
+    }
+}
+
 impl ServerFold for ModelHull {
     const NAME: &'static str = "model-hull";
-    type Reading = Model;
 
-    fn read(r: &mut Model, s: &SpykerServer) {
-        r.clear();
-        r.extend_from_slice(s.params().as_slice());
-    }
-
-    fn step(&mut self, i: usize, _: Option<&Model>, now: &Model, ctx: &OracleCtx<'_>) -> Verdict {
-        // A lossy codec adds bounded quantization/sparsification error on
-        // top of every honest update, and error feedback re-injects the
-        // dropped mass later — both can legitimately push a coordinate a
-        // step past the hull, so the invariant only binds on dense runs.
-        if !ctx.byzantine_free || ctx.targets.is_empty() || ctx.codec.is_some_and(|c| c.is_lossy())
-        {
+    fn step(&mut self, i: usize, _: Option<&Snap>, now: &Snap, ctx: &OracleCtx<'_>) -> Verdict {
+        if !Self::binds(ctx) {
             return Ok(());
         }
         let (lo, hi) = *self.hull.get_or_insert_with(|| {
@@ -157,7 +131,7 @@ impl ServerFold for ModelHull {
                 ctx.targets.iter().copied().fold(0.0f32, f32::max) + HULL_EPS,
             )
         });
-        for (c, &v) in now.iter().enumerate() {
+        for (c, &v) in now.model.iter().enumerate() {
             if !(lo..=hi).contains(&v) {
                 return Err(format!(
                     "server {i}'s model coordinate {c} is {v}, outside the honest \

@@ -2,28 +2,23 @@
 
 use spyker_core::client::FlClient;
 use spyker_core::cohort::CohortClient;
-use spyker_core::server::SpykerServer;
 use spyker_simnet::{MetricId, SpanStat};
 
-use super::adapter::{ServerFold, Verdict};
+use super::adapter::{ServerFold, ServerSnapshot as Snap, Verdict};
 use super::counters::Counters;
 use super::{Oracle, OracleCtx};
 
-type LedgerRead = fn(&SpykerServer) -> u64;
-
-/// The per-server ledger behind each counter of
-/// [`CounterConsistency::ledgers`], in the same order.
-const LEDGERS: [(&str, LedgerRead); 6] = [
-    ("updates.processed", SpykerServer::processed_updates),
-    ("syncs.triggered", SpykerServer::syncs_triggered),
-    ("server.aggs", SpykerServer::server_aggs),
-    ("token.regenerated", SpykerServer::tokens_regenerated),
-    ("sync.degraded", SpykerServer::degraded_syncs),
-    ("agg.rejected", SpykerServer::rejected_updates),
-];
-
-/// A server's six [`LEDGERS`].
-pub(super) type Books = [u64; 6];
+/// A server's six ledgers, in the order of [`CounterConsistency::ledgers`].
+fn books(s: &Snap) -> [u64; 6] {
+    [
+        s.processed,
+        s.syncs,
+        s.aggs,
+        s.regenerated,
+        s.degraded,
+        s.rejected,
+    ]
+}
 
 /// The groups of [`CounterConsistency::parts`]: each group's first counter
 /// must equal the sum of the rest, its cause-tagged children.
@@ -40,7 +35,7 @@ const GROUPS: [(&str, usize); 4] = [
 /// every event (any node moves them); the ledger sums are running sums.
 pub(super) struct CounterConsistency {
     ledgers: Counters<6>,
-    /// Column sums of every server's last [`Books`].
+    /// Column sums of every server's last [`books`].
     sums: [u64; 6],
     /// The [`GROUPS`], one after another.
     parts: Counters<18>,
@@ -49,7 +44,14 @@ pub(super) struct CounterConsistency {
 impl Default for CounterConsistency {
     fn default() -> Self {
         Self {
-            ledgers: Counters::new(LEDGERS.map(|(name, _)| name)),
+            ledgers: Counters::new([
+                "updates.processed",
+                "syncs.triggered",
+                "server.aggs",
+                "token.regenerated",
+                "sync.degraded",
+                "agg.rejected",
+            ]),
             sums: [0; 6],
             parts: Counters::new([
                 "agg.rejected",
@@ -86,21 +88,16 @@ fn check_eq(name: &str, counter: u64, ledger: u64) -> Verdict {
 
 impl ServerFold for CounterConsistency {
     const NAME: &'static str = "counter-consistency";
-    type Reading = Books;
 
-    fn read(r: &mut Books, s: &SpykerServer) {
-        *r = LEDGERS.map(|(_, ledger)| ledger(s));
-    }
-
-    fn step(&mut self, _: usize, was: Option<&Books>, now: &Books, _: &OracleCtx<'_>) -> Verdict {
-        let was = was.copied().unwrap_or_default();
-        for ((sum, was), now) in self.sums.iter_mut().zip(was).zip(now) {
+    fn step(&mut self, _: usize, was: Option<&Snap>, now: &Snap, _: &OracleCtx<'_>) -> Verdict {
+        let was = was.map_or([0; 6], books);
+        for ((sum, was), now) in self.sums.iter_mut().zip(was).zip(books(now)) {
             *sum = *sum - was + now;
         }
         Ok(())
     }
 
-    fn settle(&mut self, _: &[Books], ctx: &OracleCtx<'_>) -> Verdict {
+    fn settle(&mut self, _: &[Snap], ctx: &OracleCtx<'_>) -> Verdict {
         let counters = self.ledgers.read(Self::NAME, ctx.metrics)?;
         for ((name, counter), sum) in self.ledgers.names.iter().zip(counters).zip(self.sums) {
             check_eq(name, counter, sum)?;

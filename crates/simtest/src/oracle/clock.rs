@@ -1,9 +1,7 @@
 //! The clock and progress: `virtual-clock` and `liveness`.
 
-use spyker_core::server::SpykerServer;
 use spyker_simnet::SimTime;
 
-use super::adapter::read_every;
 use super::counters::Counters;
 use super::{Oracle, OracleCtx};
 
@@ -58,9 +56,9 @@ impl Oracle for LivenessOracle {
     }
 
     fn at_end(&mut self, ctx: &OracleCtx<'_>) -> Result<(), String> {
-        let outcome = |s: &SpykerServer| (s.params().is_finite(), s.processed_updates(), s.age());
-        for (i, (finite, processed, age)) in read_every(ctx, outcome).into_iter().enumerate() {
-            if !finite {
+        for (i, s) in ctx.servers().enumerate() {
+            let (processed, age) = (s.processed_updates(), s.age());
+            if !s.params().is_finite() {
                 return Err(format!("server {i} ended with a non-finite model"));
             }
             if processed > 0 && age <= 0.0 {

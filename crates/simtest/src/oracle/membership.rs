@@ -1,17 +1,7 @@
 //! Ring membership: `membership`.
 
-use spyker_core::server::SpykerServer;
-
-use super::adapter::{ServerFold, Verdict};
+use super::adapter::{ServerFold, ServerSnapshot as Snap, Verdict};
 use super::OracleCtx;
-
-/// A server's ring epoch, lifecycle phase and whether it holds the token.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub(super) struct Member {
-    pub epoch: u64,
-    pub phase: &'static str,
-    pub held: bool,
-}
 
 /// Membership stays sane across ring epochs: each server's epoch is
 /// monotone non-decreasing, lifecycle phases only move along the legal
@@ -25,15 +15,8 @@ pub(super) struct Membership;
 
 impl ServerFold for Membership {
     const NAME: &'static str = "membership";
-    type Reading = Member;
 
-    fn read(r: &mut Member, s: &SpykerServer) {
-        r.epoch = s.ring_epoch();
-        r.phase = s.membership_phase();
-        r.held = s.has_token();
-    }
-
-    fn step(&mut self, i: usize, was: Option<&Member>, now: &Member, _: &OracleCtx<'_>) -> Verdict {
+    fn step(&mut self, i: usize, was: Option<&Snap>, now: &Snap, _: &OracleCtx<'_>) -> Verdict {
         if now.phase != "live" && now.held {
             return Err(format!("server {i} holds the token while {}", now.phase));
         }

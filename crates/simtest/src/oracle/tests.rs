@@ -3,11 +3,8 @@ use spyker_core::params::ParamVec;
 use spyker_core::server::SpykerServer;
 use spyker_simnet::{SpanStat, SpanStore};
 
-use super::adapter::ServerFold;
-use super::ages::Ages;
+use super::adapter::{ServerFold, ServerSnapshot};
 use super::counters::Counters;
-use super::membership::Member;
-use super::token::{Ledger, Token};
 use super::*;
 
 fn ctx(metrics: &Metrics) -> OracleCtx<'_> {
@@ -331,6 +328,75 @@ fn first_failure(suite: &mut [Box<dyn Oracle>], ctx: &OracleCtx<'_>) -> Option<S
 }
 
 #[test]
+fn a_snapshot_holds_what_each_getter_says() {
+    let mut nodes = two_servers();
+    forge_token(&mut nodes, 1);
+    let m = Metrics::new();
+    let c = servers_at(&m, &nodes, 0);
+    let mut snap = ServerSnapshot::default();
+    for s in c.servers() {
+        let bid = s.token_bid();
+        let want = ServerSnapshot {
+            held: s.has_token(),
+            bid,
+            highest_bid_seen: s.highest_bid_seen(),
+            counted: bid.map_or(0, |bid| s.models_counted(bid)),
+            broadcast: bid.is_some_and(|bid| s.has_broadcast(bid)),
+            synchronising: s.is_synchronising(),
+            slot: s.server_idx(),
+            age: s.age(),
+            known: s.known_ages().to_vec(),
+            epoch: s.ring_epoch(),
+            phase: s.membership_phase(),
+            processed: s.processed_updates(),
+            syncs: s.syncs_triggered(),
+            aggs: s.server_aggs(),
+            regenerated: s.tokens_regenerated(),
+            degraded: s.degraded_syncs(),
+            rejected: s.rejected_updates(),
+            model: Vec::new(),
+        };
+        snap.read(s, true);
+        assert_eq!(snap.model, s.params().as_slice());
+        // Read again without the model, into the same buffers.
+        snap.read(s, false);
+        assert_eq!(snap, want);
+    }
+    // The forged token is what tells the two servers apart.
+    assert_eq!((snap.held, snap.bid), (true, Some(1_000_000)));
+    assert!(snap.highest_bid_seen >= 1_000_000, "{snap:?}");
+}
+
+#[test]
+fn the_shared_snapshots_hold_a_model_only_while_model_hull_binds() {
+    let m = Metrics::new();
+    let nodes = two_servers();
+    let targets = [0.5];
+    let dense = OracleCtx {
+        targets: &targets,
+        ..servers_at(&m, &nodes, 0)
+    };
+    let lossy = OracleCtx {
+        codec: Some(CodecConfig::paper_pipeline()),
+        ..dense
+    };
+    let byzantine = OracleCtx {
+        byzantine_free: false,
+        ..dense
+    };
+    for (c, dim) in [(dense, 4), (lossy, 0), (byzantine, 0)] {
+        let store = Rc::default();
+        let mut taker = PerServer::<TokenConservation>::new(&store, true);
+        let mut hull = PerServer::<ModelHull>::new(&store, false);
+        taker.check(&c).unwrap();
+        hull.check(&c).unwrap();
+        let store = store.borrow();
+        assert_eq!(store.latest.len(), 2);
+        assert!(store.latest.iter().all(|s| s.model.len() == dim));
+    }
+}
+
+#[test]
 fn a_token_forged_away_from_the_next_event_is_flagged_at_that_event() {
     let m = Metrics::new();
     let mut nodes = two_servers();
@@ -354,21 +420,18 @@ fn a_token_forged_away_from_the_next_event_is_flagged_at_that_event() {
 }
 
 /// Steps of a fold: which positions a check stepped, and whether each had
-/// a last reading.
+/// a last snapshot.
 #[derive(Default)]
 struct Steps(Vec<(usize, bool)>);
 
 impl ServerFold for Steps {
     const NAME: &'static str = "steps";
-    type Reading = ();
-
-    fn read((): &mut (), _: &SpykerServer) {}
 
     fn step(
         &mut self,
         i: usize,
-        last: Option<&()>,
-        _: &(),
+        last: Option<&ServerSnapshot>,
+        _: &ServerSnapshot,
         _: &OracleCtx<'_>,
     ) -> Result<(), String> {
         self.0.push((i, last.is_some()));
@@ -413,26 +476,31 @@ fn the_adapter_reads_every_server_until_it_may_read_one() {
     assert_eq!(steps(&mut o, &ctx(Some(4), &ids)), [], "a client's event");
     let all = vec![(0, true), (1, true), (2, true)];
     assert_eq!(steps(&mut o, &ctx(None, &ids)), all, "outside any event");
-    assert_eq!(
-        steps(&mut o, &ctx(Some(4), &ids[..2])),
-        [(0, false), (1, false)],
-        "new server set"
-    );
-    assert_eq!(steps(&mut o, &ctx(Some(1), &ids[..2])), [(1, true)]);
+    assert_eq!(steps(&mut o, &ctx(Some(1), &ids)), [(1, true)]);
     o.servers_mutated();
-    assert_eq!(
-        steps(&mut o, &ctx(Some(1), &ids[..2])),
-        [(0, true), (1, true)],
-        "invalidated"
-    );
-    assert_eq!(steps(&mut o, &ctx(Some(1), &ids[..2])), [(1, true)]);
+    assert_eq!(steps(&mut o, &ctx(Some(1), &ids)), all, "invalidated");
+    assert_eq!(steps(&mut o, &ctx(Some(1), &ids)), [(1, true)]);
 }
 
-/// A fresh `F` stepped at position 0 from `last` (its first reading) to
+#[test]
+#[should_panic(expected = "a run's server set is fixed")]
+fn a_server_set_that_changes_mid_run_is_a_harness_bug() {
+    let m = Metrics::new();
+    let nodes = two_servers();
+    let mut o = PerServer::<Steps>::default();
+    o.check(&servers_at(&m, &nodes, 0)).unwrap();
+    let one = OracleCtx {
+        server_nodes: &[0],
+        ..servers_at(&m, &nodes, 0)
+    };
+    let _ = o.check(&one);
+}
+
+/// A fresh `F` stepped at position 0 from `last` (its first snapshot) to
 /// `now`, then settled over `now` alone.
 fn verdict<F: ServerFold>(
-    last: Option<&F::Reading>,
-    now: &F::Reading,
+    last: Option<&ServerSnapshot>,
+    now: &ServerSnapshot,
     ctx: &OracleCtx<'_>,
 ) -> Result<(), String> {
     let mut fold = F::default();
@@ -443,11 +511,16 @@ fn verdict<F: ServerFold>(
     fold.settle(std::slice::from_ref(now), ctx)
 }
 
-/// One table row: what it shows, the last and the new reading, and the
+/// One table row: what it shows, the last and the new snapshot, and the
 /// message part of the violation it must raise (`None`: it must hold).
-type Row<'a, R> = (&'a str, Option<R>, R, Option<&'a str>);
+type Row<'a> = (
+    &'a str,
+    Option<ServerSnapshot>,
+    ServerSnapshot,
+    Option<&'a str>,
+);
 
-fn check_rows<F: ServerFold>(ctx: &OracleCtx<'_>, rows: &[Row<'_, F::Reading>]) {
+fn check_rows<F: ServerFold>(ctx: &OracleCtx<'_>, rows: &[Row<'_>]) {
     for (what, last, now, want) in rows {
         let got = verdict::<F>(last.as_ref(), now, ctx);
         match (want, &got) {
@@ -458,11 +531,12 @@ fn check_rows<F: ServerFold>(ctx: &OracleCtx<'_>, rows: &[Row<'_, F::Reading>]) 
     }
 }
 
-fn token(held: bool, regenerated: u64) -> Token {
-    Token {
+fn token(held: bool, regenerated: u64) -> ServerSnapshot {
+    ServerSnapshot {
         held,
         regenerated,
         bid: held.then_some(9),
+        ..ServerSnapshot::default()
     }
 }
 
@@ -506,13 +580,16 @@ fn token_conservation_folds_both_ways() {
     );
 }
 
-/// A fresh `F` stepped over every server's first reading, then settled.
-fn settled<F: ServerFold>(readings: &[F::Reading], ctx: &OracleCtx<'_>) -> (F, Result<(), String>) {
+/// A fresh `F` stepped over every server's first snapshot, then settled.
+fn settled<F: ServerFold>(
+    snapshots: &[ServerSnapshot],
+    ctx: &OracleCtx<'_>,
+) -> (F, Result<(), String>) {
     let mut fold = F::default();
-    for (i, now) in readings.iter().enumerate() {
+    for (i, now) in snapshots.iter().enumerate() {
         fold.step(i, None, now, ctx).unwrap();
     }
-    let verdict = fold.settle(readings, ctx);
+    let verdict = fold.settle(snapshots, ctx);
     (fold, verdict)
 }
 
@@ -530,8 +607,8 @@ fn token_uniqueness_folds_both_ways() {
         err.unwrap_err(),
         "2 servers hold a token simultaneously ([0, 2]) with only 0 regenerations"
     );
-    // The running sums follow a server's reading down as well as up.
-    let mut after = two;
+    // The running sums follow a server's snapshot down as well as up.
+    let mut after = two.clone();
     after[2] = token(false, 0);
     fold.step(2, Some(&two[2]), &after[2], &c).unwrap();
     assert_eq!(fold.settle(&after, &c), Ok(()), "server 2 passed it on");
@@ -540,27 +617,31 @@ fn token_uniqueness_folds_both_ways() {
 #[test]
 fn bid_monotonicity_folds_both_ways() {
     let m = Metrics::new();
+    let bid = |highest_bid_seen| ServerSnapshot {
+        highest_bid_seen,
+        ..ServerSnapshot::default()
+    };
     check_rows::<BidMonotonicity>(
         &ctx(&m),
         &[
-            ("first reading", None, 4, None),
-            ("unchanged", Some(4), 4, None),
-            ("raised", Some(4), 7, None),
+            ("first snapshot", None, bid(4), None),
+            ("unchanged", Some(bid(4)), bid(4), None),
+            ("raised", Some(bid(4)), bid(7), None),
             (
                 "lowered",
-                Some(7),
-                4,
+                Some(bid(7)),
+                bid(4),
                 Some("server 0's highest_bid_seen decreased: 7 -> 4"),
             ),
         ],
     );
 }
 
-fn ages(slot: usize, known: &[f64]) -> Ages {
-    Ages {
+fn ages(slot: usize, known: &[f64]) -> ServerSnapshot {
+    ServerSnapshot {
         slot,
         known: known.to_vec(),
-        ..Ages::default()
+        ..ServerSnapshot::default()
     }
 }
 
@@ -614,7 +695,7 @@ fn age_monotonicity_folds_both_ways() {
 fn age_conservation_folds_both_ways() {
     let mut m = Metrics::new();
     m.add_counter("updates.processed", 3);
-    let book = |age: f64, known: &[f64]| Ages {
+    let book = |age: f64, known: &[f64]| ServerSnapshot {
         age,
         ..ages(0, known)
     };
@@ -645,40 +726,41 @@ fn exchange_ledger_folds_both_ways() {
         server_nodes: &[0, 1],
         ..ctx(&m)
     };
-    let ledger = Ledger {
+    let ledger = ServerSnapshot {
         bid: Some(3),
         highest_bid_seen: 3,
         counted: 2,
         broadcast: true,
         synchronising: true,
+        ..ServerSnapshot::default()
     };
     check_rows::<ExchangeLedger>(
         &c,
         &[
-            ("synchronising", None, ledger, None),
-            ("idle", None, Ledger::default(), None),
+            ("synchronising", None, ledger.clone(), None),
+            ("idle", None, ServerSnapshot::default(), None),
             (
                 "bid above the highest seen",
                 None,
-                Ledger {
+                ServerSnapshot {
                     highest_bid_seen: 2,
-                    ..ledger
+                    ..ledger.clone()
                 },
                 Some("server 0 holds bid 3 above its highest_bid_seen 2"),
             ),
             (
                 "more models than servers",
                 None,
-                Ledger {
+                ServerSnapshot {
                     counted: 3,
-                    ..ledger
+                    ..ledger.clone()
                 },
                 Some("server 0 counted 3 models for bid 3 in a ring of 2"),
             ),
             (
                 "synchronising without a broadcast",
                 None,
-                Ledger {
+                ServerSnapshot {
                     broadcast: false,
                     ..ledger
                 },
@@ -687,9 +769,9 @@ fn exchange_ledger_folds_both_ways() {
             (
                 "synchronising without the token",
                 None,
-                Ledger {
+                ServerSnapshot {
                     synchronising: true,
-                    ..Ledger::default()
+                    ..ServerSnapshot::default()
                 },
                 Some("server 0 is synchronising without holding the token"),
             ),
@@ -697,33 +779,43 @@ fn exchange_ledger_folds_both_ways() {
     );
 }
 
-fn member(epoch: u64, phase: &'static str, held: bool) -> Member {
-    Member { epoch, phase, held }
+fn member(epoch: u64, phase: &'static str, held: bool) -> ServerSnapshot {
+    ServerSnapshot {
+        epoch,
+        phase,
+        held,
+        ..ServerSnapshot::default()
+    }
 }
 
 #[test]
 fn membership_folds_both_ways() {
     let m = Metrics::new();
-    let live = member(2, "live", true);
+    let live = || member(2, "live", true);
     check_rows::<Membership>(
         &ctx(&m),
         &[
-            ("a live holder", None, live, None),
-            ("epoch rises", Some(live), member(3, "live", false), None),
+            ("a live holder", None, live(), None),
+            ("epoch rises", Some(live()), member(3, "live", false), None),
             (
                 "joins",
                 Some(member(2, "standby", false)),
                 member(3, "live", false),
                 None,
             ),
-            ("leaves", Some(live), member(2, "draining", false), None),
+            ("leaves", Some(live()), member(2, "draining", false), None),
             (
                 "departs",
                 Some(member(2, "draining", false)),
                 member(2, "departed", false),
                 None,
             ),
-            ("stands down", Some(live), member(2, "standby", false), None),
+            (
+                "stands down",
+                Some(live()),
+                member(2, "standby", false),
+                None,
+            ),
             (
                 "recommissioned",
                 Some(member(2, "departed", false)),
@@ -732,13 +824,13 @@ fn membership_folds_both_ways() {
             ),
             (
                 "holds the token while not live",
-                Some(live),
+                Some(live()),
                 member(2, "draining", true),
                 Some("server 0 holds the token while draining"),
             ),
             (
                 "epoch falls",
-                Some(live),
+                Some(live()),
                 member(1, "live", true),
                 Some("server 0's ring epoch decreased: 2 -> 1"),
             ),
@@ -760,14 +852,18 @@ fn model_hull_folds_both_ways() {
         targets: &targets,
         ..ctx(&m)
     };
-    let outside = vec![0.2, -1.5, 0.6];
+    let model = |model: &[f32]| ServerSnapshot {
+        model: model.to_vec(),
+        ..ServerSnapshot::default()
+    };
+    let outside = model(&[0.2, -1.5, 0.6]);
     check_rows::<ModelHull>(
         &dense,
         &[
-            ("inside", None, vec![-1.0, 0.0, 0.5], None),
+            ("inside", None, model(&[-1.0, 0.0, 0.5]), None),
             (
                 "outside",
-                Some(vec![0.0; 3]),
+                Some(model(&[0.0; 3])),
                 outside.clone(),
                 Some("server 0's model coordinate 1 is -1.5, outside the honest hull"),
             ),
@@ -793,6 +889,19 @@ fn model_hull_folds_both_ways() {
     }
 }
 
+/// A snapshot whose six ledgers are `books`, in `CounterConsistency` order.
+fn books([processed, syncs, aggs, regenerated, degraded, rejected]: [u64; 6]) -> ServerSnapshot {
+    ServerSnapshot {
+        processed,
+        syncs,
+        aggs,
+        regenerated,
+        degraded,
+        rejected,
+        ..ServerSnapshot::default()
+    }
+}
+
 #[test]
 fn counter_consistency_folds_both_ways() {
     let mut m = Metrics::new();
@@ -800,16 +909,17 @@ fn counter_consistency_folds_both_ways() {
     m.add_counter("server.aggs", 1);
     let c = ctx(&m);
     let (mut fold, ok) =
-        settled::<CounterConsistency>(&[[2, 0, 1, 0, 0, 0], [3, 0, 0, 0, 0, 0]], &c);
+        settled::<CounterConsistency>(&[books([2, 0, 1, 0, 0, 0]), books([3, 0, 0, 0, 0, 0])], &c);
     assert_eq!(ok, Ok(()), "the ledgers sum to the counters");
     // Server 1 reports one update more than the counter saw.
-    let now = [4, 0, 0, 0, 0, 0];
-    fold.step(1, Some(&[3, 0, 0, 0, 0, 0]), &now, &c).unwrap();
+    let now = books([4, 0, 0, 0, 0, 0]);
+    fold.step(1, Some(&books([3, 0, 0, 0, 0, 0])), &now, &c)
+        .unwrap();
     assert_eq!(
         fold.settle(&[], &c).unwrap_err(),
         "counter updates.processed is 5 but the actor ledgers sum to 6"
     );
-    let (_, err) = settled::<CounterConsistency>(&[[5, 0, 0, 0, 0, 0]], &c);
+    let (_, err) = settled::<CounterConsistency>(&[books([5, 0, 0, 0, 0, 0])], &c);
     assert_eq!(
         err.unwrap_err(),
         "counter server.aggs is 1 but the actor ledgers sum to 0"

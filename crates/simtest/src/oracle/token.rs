@@ -1,18 +1,7 @@
 //! The token and the exchange oracles.
 
-use spyker_core::server::SpykerServer;
-
-use super::adapter::{ServerFold, Verdict};
+use super::adapter::{ServerFold, ServerSnapshot as Snap, Verdict};
 use super::OracleCtx;
-
-/// What the two token oracles read of a server.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub(super) struct Token {
-    pub held: bool,
-    pub regenerated: u64,
-    /// The held token's bid, for the report.
-    pub bid: Option<u64>,
-}
 
 /// A server may only *acquire* the token through a `TokenPass` delivery,
 /// a watchdog regeneration, or holding it from the start — never out of
@@ -24,15 +13,8 @@ pub(super) struct TokenConservation;
 
 impl ServerFold for TokenConservation {
     const NAME: &'static str = "token-conservation";
-    type Reading = Token;
 
-    fn read(r: &mut Token, s: &SpykerServer) {
-        r.held = s.has_token();
-        r.regenerated = s.tokens_regenerated();
-        r.bid = s.token_bid();
-    }
-
-    fn step(&mut self, i: usize, was: Option<&Token>, now: &Token, ctx: &OracleCtx<'_>) -> Verdict {
+    fn step(&mut self, i: usize, was: Option<&Snap>, now: &Snap, ctx: &OracleCtx<'_>) -> Verdict {
         let Some(was) = was else { return Ok(()) };
         if now.held && !was.held {
             let caused_by_pass = ctx
@@ -63,23 +45,20 @@ pub(super) struct TokenUniqueness {
 
 impl ServerFold for TokenUniqueness {
     const NAME: &'static str = "token-uniqueness";
-    type Reading = Token;
 
-    fn read(r: &mut Token, s: &SpykerServer) {
-        TokenConservation::read(r, s);
-    }
-
-    fn step(&mut self, _: usize, was: Option<&Token>, now: &Token, _: &OracleCtx<'_>) -> Verdict {
-        let was = was.copied().unwrap_or_default();
-        self.holders = self.holders - u64::from(was.held) + u64::from(now.held);
-        self.regenerated = self.regenerated - was.regenerated + now.regenerated;
+    fn step(&mut self, _: usize, was: Option<&Snap>, now: &Snap, _: &OracleCtx<'_>) -> Verdict {
+        let (held, regenerated) = was.map_or((false, 0), |was| (was.held, was.regenerated));
+        self.holders = self.holders - u64::from(held) + u64::from(now.held);
+        self.regenerated = self.regenerated - regenerated + now.regenerated;
         Ok(())
     }
 
-    fn settle(&mut self, readings: &[Token], _: &OracleCtx<'_>) -> Verdict {
+    fn settle(&mut self, snapshots: &[Snap], _: &OracleCtx<'_>) -> Verdict {
         let (n_holders, regenerated) = (self.holders, self.regenerated);
         if n_holders > 1 + regenerated {
-            let holders: Vec<usize> = (0..readings.len()).filter(|&i| readings[i].held).collect();
+            let holders: Vec<usize> = (0..snapshots.len())
+                .filter(|&i| snapshots[i].held)
+                .collect();
             return Err(format!(
                 "{n_holders} servers hold a token simultaneously ({holders:?}) with only \
                  {regenerated} regenerations"
@@ -95,33 +74,16 @@ pub(super) struct BidMonotonicity;
 
 impl ServerFold for BidMonotonicity {
     const NAME: &'static str = "bid-monotonicity";
-    type Reading = u64;
 
-    fn read(r: &mut u64, s: &SpykerServer) {
-        *r = s.highest_bid_seen();
-    }
-
-    fn step(&mut self, i: usize, was: Option<&u64>, &now: &u64, _: &OracleCtx<'_>) -> Verdict {
-        match was {
-            Some(&p) if now < p => Err(format!(
+    fn step(&mut self, i: usize, was: Option<&Snap>, now: &Snap, _: &OracleCtx<'_>) -> Verdict {
+        let now = now.highest_bid_seen;
+        match was.map(|was| was.highest_bid_seen) {
+            Some(p) if now < p => Err(format!(
                 "server {i}'s highest_bid_seen decreased: {p} -> {now}"
             )),
             _ => Ok(()),
         }
     }
-}
-
-/// What `exchange-ledger` reads of a server: the held bid and its ledger
-/// entries.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub(super) struct Ledger {
-    pub bid: Option<u64>,
-    pub highest_bid_seen: u64,
-    /// Models counted under the held bid (0 without one).
-    pub counted: usize,
-    /// Whether the server broadcast under the held bid.
-    pub broadcast: bool,
-    pub synchronising: bool,
 }
 
 /// The exchange ledger stays coherent: a synchronising server holds the
@@ -133,17 +95,8 @@ pub(super) struct ExchangeLedger;
 
 impl ServerFold for ExchangeLedger {
     const NAME: &'static str = "exchange-ledger";
-    type Reading = Ledger;
 
-    fn read(r: &mut Ledger, s: &SpykerServer) {
-        r.bid = s.token_bid();
-        r.highest_bid_seen = s.highest_bid_seen();
-        r.counted = r.bid.map_or(0, |bid| s.models_counted(bid));
-        r.broadcast = r.bid.is_some_and(|bid| s.has_broadcast(bid));
-        r.synchronising = s.is_synchronising();
-    }
-
-    fn step(&mut self, i: usize, _: Option<&Ledger>, s: &Ledger, ctx: &OracleCtx<'_>) -> Verdict {
+    fn step(&mut self, i: usize, _: Option<&Snap>, s: &Snap, ctx: &OracleCtx<'_>) -> Verdict {
         let n = ctx.n_servers();
         if s.bid.is_none() && s.synchronising {
             return Err(format!(

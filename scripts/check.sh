@@ -18,7 +18,7 @@ scripts/loc.sh --gate
 # `crates/baselines/tests`) have to be named explicitly. Likewise the
 # simulator and the simulation-test harness: the oracle unit tests (each
 # of the nine server-state folds in `simtest/src/oracle/` fed hand-built
-# readings that hold and that fire, the adapter's re-read rule), the
+# server snapshots that hold and that fire, the adapter's re-read rule), the
 # old-vs-new differential over the pinned corpus, 32 fuzz seeds and the
 # token injection, the oracle names against DESIGN.md §11.1, the
 # scale-runner and shrinker tests, the wheel and preset property

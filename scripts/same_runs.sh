@@ -5,11 +5,12 @@
 #
 # Builds simtest at `rev` (default HEAD) in a temporary checkout
 # (`git archive`, removed on exit) and in the working tree, each with its
-# own target directory under target/same_runs/, then runs the default
-# (64 seeds), churn (32 seeds) and codec (32 seeds) sweeps on both builds
-# at check.sh's event budget, without its time cap, so every seed runs.
-# Diffs the per-seed `seed N: ...` lines, which carry each run's end-state
-# fingerprint. Then runs the coded 100k-client scale run on both builds,
+# own target directory under target/same_runs/, then runs every simtest
+# sweep of check.sh on both builds: the default (64 seeds), churn (32
+# seeds) and codec (32 seeds) sweeps and the five preset sweeps (16 seeds
+# each), 208 seeds in all, at check.sh's event budget, without its time
+# cap, so every seed runs. Diffs the per-seed `seed N: ...` lines, which
+# carry each run's end-state fingerprint. Then runs the coded 100k-client scale run on both builds,
 # the one run here whose traffic shares flow-level trunks, and diffs its
 # `scale: ...` line (events, updates, fingerprint). Exits 1 on any
 # difference or failed run. A change meant to leave the protocol's
@@ -42,7 +43,11 @@ build "$ROOT" "$WORK/build-work"
 STATUS=0
 TOTAL=0
 SAME=0
-for sweep in "--seeds 64" "--churn --seeds 32" "--codec --seeds 32"; do
+SWEEPS=("--seeds 64" "--churn --seeds 32" "--codec --seeds 32")
+for preset in diurnal device_tiers flash_crowd regional_outage staleness_storm; do
+    SWEEPS+=("--preset $preset --seeds 16")
+done
+for sweep in "${SWEEPS[@]}"; do
     name=$(tr -d ' -' <<<"$sweep")
     for side in base work; do
         # shellcheck disable=SC2086 # the sweep's flags split on purpose
